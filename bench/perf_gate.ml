@@ -223,14 +223,14 @@ let () =
             "sharded decisions validate")
     (List.filter (fun j -> kind_of j = Some "sharded_vs_mono") current);
 
-  (* million_request: the serving-engine arm.  The calendar-vs-heap
+  (* million_request: the serving-engine arm.  The engine-vs-heap-loop
      events/s ratio is machine-relative; it also shrinks with [n] (the heap
      pays log n), so a CI smoke at a smaller n than the committed baseline
      leans on the 2x band — the gate still catches the failure it exists
-     for, the calendar collapsing to heap speed.  The correctness bits must
-     simply hold: both backends process the same event count, produce
-     byte-equal end-to-end reports, and every generated request is
-     accounted for. *)
+     for, the calendar queue collapsing to heap speed.  The correctness
+     bits must simply hold: the engine and the reference heap loop process
+     the same event count, two runner runs produce byte-equal reports, and
+     every generated request is accounted for. *)
   (match find_kind "million_request" current with
   | None -> ()
   | Some cur ->

@@ -215,8 +215,8 @@ let sharded_vs_mono ~repeats n =
 
    Solves run at jobs=1: the parallel fan-out would add per-domain arenas
    and dispatch buffers that belong to the runtime, not to the solver.
-   Each record also re-scores the landing point through the retained
-   reference kernels (oracle_ok), so a flat/oracle divergence fails the
+   Each record also re-scores the landing point through the reference
+   kernels in the test-only Es_oracle library (oracle_ok), so a flat/oracle divergence fails the
    gate even if no test caught it.  words_per_solve (minor + major -
    promoted) is recorded for context only: direct-to-major block counters
    lag the running collection slice, so that figure is not exact. *)
@@ -232,7 +232,7 @@ let alloc_per_solve_record ~scenario ~cluster ~(solve : unit -> Es_edge.Decision
   let decisions = !sink in
   let oracle_ok =
     Int64.bits_of_float (Es_joint.Objective.of_decisions cluster decisions)
-    = Int64.bits_of_float (Es_joint.Objective.of_decisions_ref cluster decisions)
+    = Int64.bits_of_float (Es_oracle.Objective.of_decisions cluster decisions)
   in
   Printf.printf
     "alloc_per_solve %-12s %4d devices  minor %.0f words/solve  total %.0f  oracle_ok %b\n%!"
@@ -364,20 +364,22 @@ let warm_online ~repeats =
 
    1. Raw engine: [n] time-sorted arrival times pre-generated OUTSIDE the
       timed region (the RNG is shared overhead that would otherwise dilute
-      the backend ratio), all scheduled up front — exactly how Runner
+      the queue ratio), all scheduled up front — exactly how Runner
       pre-schedules a trace — so the pending population starts at n, then
       drained; each arrival schedules one short-delay follow-up through a
       shared zero-capture closure (2n events total, no per-event closure
-      allocation inside the timed loop).  This is the regime that separates
-      the backends: against an ~n-deep queue the heap pays a full O(log n)
-      sift per op while the calendar appends sorted pushes in O(1) at the
-      tail of the current bucket and pops in O(1).
+      allocation inside the timed loop).  The same program runs on
+      Es_sim.Engine and on the binary-heap reference loop
+      (Es_oracle.Heap_engine); against an ~n-deep queue the heap pays a full
+      O(log n) sift per op while the calendar queue appends sorted pushes in
+      O(1) at the tail of the current bucket and pops in O(1).
 
    2. End-to-end: a Heavy.population smart-city fleet (n/100 devices) under
-      a flash-crowd trace through Runner.run with streaming metrics, once
-      per backend.  Checks the two backends produce byte-equal reports
-      (end-to-end equivalence) and that conservation holds, and records
-      sustained runner events/s. *)
+      a flash-crowd trace through Runner.run with streaming metrics, run
+      twice.  Checks the two runs produce byte-equal report JSON
+      (reports_match: nothing in the runner depends on hidden state) and
+      that conservation holds, and records sustained runner events/s from
+      the second run. *)
 let million_request ~repeats n =
   let total_events n = 2 * n in
   let times =
@@ -386,19 +388,26 @@ let million_request ~repeats n =
     Array.sort Float.compare a;
     a
   in
-  let run_engine backend () =
-    let engine = Es_sim.Engine.create ~backend () in
-    let noop () = () in
+  let noop () = () in
+  let run_engine () =
+    let engine = Es_sim.Engine.create () in
     let hop () = Es_sim.Engine.schedule engine 0.001 noop in
     Array.iter (fun t -> Es_sim.Engine.schedule_at engine t hop) times;
     Es_sim.Engine.run engine;
     (Es_sim.Engine.stats engine).Es_sim.Engine.events_processed
   in
-  let heap_events = run_engine Es_sim.Engine.Heap () in
-  let cal_events = run_engine Es_sim.Engine.Calendar () in
+  let run_heap () =
+    let engine = Es_oracle.Heap_engine.create () in
+    let hop () = Es_oracle.Heap_engine.schedule engine 0.001 noop in
+    Array.iter (fun t -> Es_oracle.Heap_engine.schedule_at engine t hop) times;
+    Es_oracle.Heap_engine.run engine;
+    engine.Es_oracle.Heap_engine.events_processed
+  in
+  let heap_events = run_heap () in
+  let cal_events = run_engine () in
   let identical = heap_events = cal_events && cal_events = total_events n in
-  let t_heap = time_best ~repeats (fun () -> run_engine Es_sim.Engine.Heap ()) in
-  let t_cal = time_best ~repeats (fun () -> run_engine Es_sim.Engine.Calendar ()) in
+  let t_heap = time_best ~repeats run_heap in
+  let t_cal = time_best ~repeats run_engine in
   let heap_eps = float_of_int heap_events /. t_heap in
   let cal_eps = float_of_int cal_events /. t_cal in
   let engine_speedup = t_heap /. t_cal in
@@ -420,7 +429,7 @@ let million_request ~repeats n =
   let profile = Es_workload.Heavy.profile_by_name ~duration_s:duration "flash" in
   let trace = Es_workload.Heavy.trace ~seed:42 ~duration_s:duration ~profile cluster in
   let decisions = Es_baselines.Baselines.neurosurgeon.Es_baselines.Baselines.solve cluster in
-  let run_sim backend =
+  let run_sim () =
     let stats = ref None in
     let options =
       {
@@ -428,7 +437,6 @@ let million_request ~repeats n =
         duration_s = duration;
         warmup_s = 0.0;
         streaming = true;
-        engine = backend;
       }
     in
     let t0 = wall () in
@@ -440,24 +448,18 @@ let million_request ~repeats n =
     let dt = wall () -. t0 in
     (report, Option.get !stats, dt)
   in
-  let heap_report, heap_stats, heap_t = run_sim Es_sim.Engine.Heap in
-  let cal_report, cal_stats, cal_t = run_sim Es_sim.Engine.Calendar in
-  let reports_match = heap_report = cal_report in
-  let conservation =
-    cal_report.Es_sim.Metrics.total_generated
-    = cal_report.Es_sim.Metrics.total_completed + cal_report.Es_sim.Metrics.total_dropped
-      + cal_report.Es_sim.Metrics.total_timed_out
-  in
-  let runner_heap_eps = float_of_int heap_stats.Es_sim.Engine.events_processed /. heap_t in
+  let first_report, _, _ = run_sim () in
+  let cal_report, cal_stats, cal_t = run_sim () in
+  let report_bytes r = J.to_string (Es_sim.Metrics.report_to_json r) in
+  let reports_match = report_bytes first_report = report_bytes cal_report in
+  let conservation = Es_sim.Metrics.conserved cal_report in
   let runner_cal_eps = float_of_int cal_stats.Es_sim.Engine.events_processed /. cal_t in
-  let runner_speedup = heap_t /. cal_t in
   Printf.printf
-    "million_request %d devices / %d reqs  runner heap %.2fs (%.0f ev/s)  calendar %.2fs \
-     (%.0f ev/s)  speedup %.2fx  max_pending %d  reports_match %b  conservation %b\n\
+    "million_request %d devices / %d reqs  runner %.2fs (%.0f ev/s)  max_pending %d  \
+     reports_match %b  conservation %b\n\
      %!"
-    devices cal_report.Es_sim.Metrics.total_generated heap_t runner_heap_eps cal_t
-    runner_cal_eps runner_speedup cal_stats.Es_sim.Engine.max_pending reports_match
-    conservation;
+    devices cal_report.Es_sim.Metrics.total_generated cal_t runner_cal_eps
+    cal_stats.Es_sim.Engine.max_pending reports_match conservation;
   J.Obj
     [
       ("kind", J.String "million_request");
@@ -473,9 +475,7 @@ let million_request ~repeats n =
       ("requests", J.Int cal_report.Es_sim.Metrics.total_generated);
       ("runner_events", J.Int cal_stats.Es_sim.Engine.events_processed);
       ("runner_max_pending", J.Int cal_stats.Es_sim.Engine.max_pending);
-      ("runner_heap_events_per_s", J.Float runner_heap_eps);
       ("runner_calendar_events_per_s", J.Float runner_cal_eps);
-      ("runner_speedup", J.Float runner_speedup);
       ("reports_match", J.Bool reports_match);
       ("conservation", J.Bool conservation);
     ]
@@ -561,11 +561,7 @@ let overload_protection ~repeats n =
   let no_fewer_hits = hits_on >= hits_off in
   let off_identical = r_lax = r_off in
   let overhead_ratio = t_lax /. Float.max 1e-9 t_off in
-  let conservation =
-    r_on.Es_sim.Metrics.total_generated
-    = r_on.Es_sim.Metrics.total_completed + r_on.Es_sim.Metrics.total_dropped
-      + r_on.Es_sim.Metrics.total_timed_out + r_on.Es_sim.Metrics.total_shed
-  in
+  let conservation = Es_sim.Metrics.conserved r_on in
   Printf.printf
     "overload        %d devices / %d reqs  unprotected DSR %.1f%% (%d hits)  protected \
      admitted DSR %.1f%% (%d hits, %d shed)  ratio %.2fx  overhead %.2fx  off_identical %b\n\

@@ -594,7 +594,7 @@ let run_cmd =
                     Printf.printf "admitted DSR %.1f%% over %d admitted\n"
                       (100.0 *. report.Es_sim.Metrics.dsr_admitted)
                       (g - s);
-                  if g = c + d + t + s then begin
+                  if Es_sim.Metrics.conserved report then begin
                     Printf.printf "conservation OK: %d = %d + %d + %d + %d\n" g c d t s;
                     0
                   end

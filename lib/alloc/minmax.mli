@@ -51,16 +51,5 @@ val solve :
     leftover-free.  [stability_margin] defaults to 0.95; [tol] is the
     relative bisection tolerance on θ (default 1e-3). *)
 
-val solve_ref :
-  ?stability_margin:float ->
-  ?tol:float ->
-  bandwidth_bps:float ->
-  item list ->
-  result option
-(** The original record/closure-based solver, kept verbatim as the qcheck
-    oracle: {!solve} (which runs the same bisections over borrowed scratch
-    arrays, allocation-free in steady state) must return bit-identical
-    results on every input. *)
-
 val grants_array : result -> n:int -> grant option array
 (** Scatter the keyed grants into a device-indexed array. *)

@@ -28,34 +28,6 @@ let cap_and_redistribute_into ~budget ~n raw caps grant =
     end
   done
 
-let cap_and_redistribute_ref ~budget raw caps =
-  let n = Array.length raw in
-  let grant = Array.make n 0.0 in
-  let remaining = ref budget in
-  (* es_lint: cold — closure-based reference oracle *)
-  let active = Array.map (fun r -> r > 0.0) raw in
-  for _ = 1 to 3 do
-    let total_raw = ref 0.0 in
-    (* es_lint: cold *)
-    Array.iteri
-      (fun i r -> if active.(i) && grant.(i) < caps.(i) then total_raw := !total_raw +. r)
-      raw;
-    if !total_raw > 0.0 && !remaining > 1e-9 then begin
-      let budget_now = !remaining in
-      (* es_lint: cold *)
-      Array.iteri
-        (fun i r ->
-          if active.(i) && grant.(i) < caps.(i) then begin
-            let add = budget_now *. r /. !total_raw in
-            let newg = Float.min caps.(i) (grant.(i) +. add) in
-            remaining := !remaining -. (newg -. grant.(i));
-            grant.(i) <- newg
-          end)
-        raw
-    end
-  done;
-  grant
-
 (* Demand models, as top-level functions so rule application constructs no
    closures.  [`Unit`]-demand for the equal split, raw demand for the
    proportional split, √(weight·demand) for the square-root rule. *)
@@ -95,23 +67,6 @@ let build_grants ~bandwidth_bps items bw_demand share_demand =
   Es_util.Scratch.release_floats bw_raw;
   grants
 
-let build_grants_ref ~bandwidth_bps items bw_demand share_demand =
-  let items = Array.of_list items in
-  let n = Array.length items in
-  (* es_lint: cold — closure-based reference oracle *)
-  let bw_raw = Array.map bw_demand items in
-  (* es_lint: cold *)
-  let caps = Array.map (fun it -> it.peak_bps) items in
-  let bws = cap_and_redistribute_ref ~budget:bandwidth_bps bw_raw caps in
-  (* es_lint: cold *)
-  let share_raw = Array.map share_demand items in
-  let share_total = Array.fold_left ( +. ) 0.0 share_raw in
-  (* es_lint: cold *)
-  List.init n (fun i ->
-      let share = if share_total > 0.0 then share_raw.(i) /. share_total else 0.0 in
-      ( items.(i).key,
-        { bandwidth_bps = bws.(i); compute_share = share } ))
-
 let equal ~bandwidth_bps items =
   build_grants ~bandwidth_bps items bw_demand_equal share_demand_equal
 
@@ -121,17 +76,5 @@ let proportional ~bandwidth_bps items =
 let sqrt_rule ?(weights = fun it -> it.rate) ~bandwidth_bps items =
   (* es_lint: cold — per-call demand closures capture [weights] *)
   build_grants ~bandwidth_bps items
-    (fun it -> sqrt (Float.max 0.0 (weights it) *. it.bits))
-    (fun it -> sqrt (Float.max 0.0 (weights it) *. it.work_s))
-
-let equal_ref ~bandwidth_bps items =
-  build_grants_ref ~bandwidth_bps items bw_demand_equal share_demand_equal
-
-let proportional_ref ~bandwidth_bps items =
-  build_grants_ref ~bandwidth_bps items bw_demand_prop share_demand_prop
-
-let sqrt_rule_ref ?(weights = fun it -> it.rate) ~bandwidth_bps items =
-  (* es_lint: cold — per-call demand closures capture [weights] *)
-  build_grants_ref ~bandwidth_bps items
     (fun it -> sqrt (Float.max 0.0 (weights it) *. it.bits))
     (fun it -> sqrt (Float.max 0.0 (weights it) *. it.work_s))

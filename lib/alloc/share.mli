@@ -22,19 +22,3 @@ val sqrt_rule :
     request rate (minimizing aggregate latency per unit time).  Peak caps
     are honored by iterative clipping. *)
 
-(** {2 Reference oracles}
-
-    The closure/[Array.map]-based originals of the three rules, retained as
-    qcheck oracles for the scratch-buffer ports above: each rule and its
-    [_ref] twin must return bit-identical grant lists on every input. *)
-
-val equal_ref : bandwidth_bps:float -> Minmax.item list -> (int * Minmax.grant) list
-
-val proportional_ref :
-  bandwidth_bps:float -> Minmax.item list -> (int * Minmax.grant) list
-
-val sqrt_rule_ref :
-  ?weights:(Minmax.item -> float) ->
-  bandwidth_bps:float ->
-  Minmax.item list ->
-  (int * Minmax.grant) list

@@ -29,8 +29,6 @@ let breakdown cluster (d : Decision.t) =
 
 let total b = b.device_s +. b.uplink_s +. b.server_s +. b.downlink_s
 
-let of_decision_ref cluster d = total (breakdown cluster d)
-
 (* Straight-line [of_decision]: the same stage terms summed in the same
    operation order as [total (breakdown ...)], minus the intermediate
    record.  The zero additions on the local path keep bit-parity with the
@@ -74,30 +72,6 @@ let server_load cluster decisions =
   server_load_into cluster decisions load;
   load
 
-let server_load_ref cluster decisions =
-  let ns = Cluster.n_servers cluster in
-  let load = Array.make ns 0.0 in
-  (* es_lint: cold — list/closure reference oracle *)
-  Array.iter
-    (fun (d : Decision.t) ->
-      if Decision.offloads d then begin
-        let dev = cluster.Cluster.devices.(d.Decision.device) in
-        let srv = cluster.Cluster.servers.(d.Decision.server) in
-        let work = Plan.server_time srv.Cluster.sproc.Processor.perf d.Decision.plan in
-        load.(d.Decision.server) <- load.(d.Decision.server) +. (dev.Cluster.rate *. work)
-      end)
-    decisions;
-  load
-
-let device_stable_ref cluster (d : Decision.t) =
-  let dev = cluster.Cluster.devices.(d.Decision.device) in
-  let b = breakdown cluster d in
-  let local_ok = dev.Cluster.rate *. b.device_s < 1.0 in
-  let remote_ok =
-    (not (Decision.offloads d)) || dev.Cluster.rate *. b.server_s < 1.0
-  in
-  local_ok && remote_ok
-
 let device_stable cluster (d : Decision.t) =
   let dev = cluster.Cluster.devices.(d.Decision.device) in
   let plan = d.Decision.plan in
@@ -118,18 +92,6 @@ let inflate rate service =
     let rho = rate *. service in
     if rho >= 1.0 then infinity else service /. (1.0 -. rho)
   end
-
-let mm1_estimate_ref cluster (d : Decision.t) =
-  let dev = cluster.Cluster.devices.(d.Decision.device) in
-  let rate = dev.Cluster.rate in
-  let b = breakdown cluster d in
-  let rtt = if Decision.offloads d then dev.Cluster.link.Link.rtt_s else 0.0 in
-  let half_rtt = rtt /. 2.0 in
-  inflate rate b.device_s
-  +. inflate rate (Float.max 0.0 (b.uplink_s -. half_rtt))
-  +. inflate rate b.server_s
-  +. inflate rate (Float.max 0.0 (b.downlink_s -. half_rtt))
-  +. rtt
 
 let mm1_estimate cluster (d : Decision.t) =
   let dev = cluster.Cluster.devices.(d.Decision.device) in
@@ -158,18 +120,6 @@ let mm1_estimate cluster (d : Decision.t) =
     +. rtt
   end
 
-let deadline_satisfaction_ref cluster decisions =
-  if Array.length decisions = 0 then 1.0
-  else begin
-    let hits =
-      (* es_lint: cold — fold/closure reference oracle *)
-      Array.fold_left
-        (fun acc d -> if meets_deadline cluster d then acc + 1 else acc)
-        0 decisions
-    in
-    float_of_int hits /. float_of_int (Array.length decisions)
-  end
-
 let deadline_satisfaction cluster decisions =
   let n = Array.length decisions in
   if n = 0 then 1.0
@@ -180,13 +130,6 @@ let deadline_satisfaction cluster decisions =
     done;
     float_of_int !hits /. float_of_int n
   end
-
-let mean_latency_ref cluster decisions =
-  if Array.length decisions = 0 then 0.0
-  else
-    (* es_lint: cold — fold/closure reference oracle *)
-    Array.fold_left (fun acc d -> acc +. of_decision_ref cluster d) 0.0 decisions
-    /. float_of_int (Array.length decisions)
 
 let mean_latency cluster decisions =
   let n = Array.length decisions in

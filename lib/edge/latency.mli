@@ -20,11 +20,7 @@ val total : breakdown -> float
 val of_decision : Cluster.t -> Decision.t -> float
 (** The end-to-end latency, computed straight-line (no intermediate
     {!breakdown} record) — the optimizer's hottest scalar.  Bit-identical
-    to {!of_decision_ref} on every input (qcheck-asserted). *)
-
-val of_decision_ref : Cluster.t -> Decision.t -> float
-(** [total (breakdown c d)] — the record-allocating original, kept as the
-    reference oracle for {!of_decision}. *)
+    to [total (breakdown c d)] on every input (qcheck-asserted). *)
 
 val meets_deadline : Cluster.t -> Decision.t -> bool
 
@@ -36,15 +32,9 @@ val server_load_into : Cluster.t -> Decision.t array -> float array -> unit
 (** {!server_load} into a caller-owned buffer of length ≥ n_servers
     (cleared first) — the allocation-free form for per-iteration use. *)
 
-val server_load_ref : Cluster.t -> Decision.t array -> float array
-(** Closure-based original of {!server_load}, kept as the oracle. *)
-
 val device_stable : Cluster.t -> Decision.t -> bool
 (** λ_i · (device service time) < 1 and, when offloading, λ_i · (server
     service time at its share) < 1 — the queueing-stability conditions. *)
-
-val device_stable_ref : Cluster.t -> Decision.t -> bool
-(** Breakdown-based original of {!device_stable}, kept as the oracle. *)
 
 val mm1_estimate : Cluster.t -> Decision.t -> float
 (** Queueing-aware expected latency: every stage's service time is inflated
@@ -55,14 +45,7 @@ val mm1_estimate : Cluster.t -> Decision.t -> float
     plain analytic latency is the zero-load limit and is optimistic under
     contention. *)
 
-val mm1_estimate_ref : Cluster.t -> Decision.t -> float
-(** Breakdown-based original of {!mm1_estimate}, kept as the oracle. *)
-
 val deadline_satisfaction : Cluster.t -> Decision.t array -> float
 (** Fraction of devices whose analytic latency meets their deadline. *)
 
-val deadline_satisfaction_ref : Cluster.t -> Decision.t array -> float
-
 val mean_latency : Cluster.t -> Decision.t array -> float
-
-val mean_latency_ref : Cluster.t -> Decision.t array -> float

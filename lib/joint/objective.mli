@@ -18,18 +18,9 @@ val latency_cap : float
 
 val of_decisions : Es_edge.Cluster.t -> Es_edge.Decision.t array -> float
 
-val of_decisions_ref : Es_edge.Cluster.t -> Es_edge.Decision.t array -> float
-(** Closure-based original of {!of_decisions} (over
-    {!Es_edge.Latency.of_decision_ref}), kept as the qcheck oracle — both
-    must agree to the last bit on every input. *)
-
 val misses : Es_edge.Cluster.t -> Es_edge.Decision.t array -> int
 
-val misses_ref : Es_edge.Cluster.t -> Es_edge.Decision.t array -> int
-
 val mm1_misses : Es_edge.Cluster.t -> Es_edge.Decision.t array -> int
-
-val mm1_misses_ref : Es_edge.Cluster.t -> Es_edge.Decision.t array -> int
 (** Deadline misses under the queueing-aware {!Es_edge.Latency.mm1_estimate}
     — the criterion capacity planning must use: the plain analytic latency
     ignores congestion, so a deployment can be "zero-miss" analytically yet

@@ -7,9 +7,7 @@ type config = {
   precisions : Precision.t list;
   max_iters : int;
   allocator : Policy.allocator;
-  reassign : bool;
   local_search_passes : int;
-  seed : int;
   max_candidates : int option;
   jobs : int;
   multi_start : bool;
@@ -21,9 +19,7 @@ let default_config =
     precisions = Candidate.default_precisions;
     max_iters = 12;
     allocator = Policy.Minmax_alloc;
-    reassign = true;
     local_search_passes = 2;
-    seed = 1;
     max_candidates = None;
     jobs = 0;
     multi_start = true;
@@ -47,30 +43,6 @@ type output = {
 type solver = warm:Decision.t array option -> Cluster.t -> output
 
 let stability_margin = 0.95
-
-let plan_latency cluster ~device ~server plan ~bandwidth_bps ~compute_share =
-  let d =
-    Decision.make ~device ~server ~plan
-      ~bandwidth_bps:(Float.max bandwidth_bps 1.0)
-      ~compute_share:(Float.max compute_share 1e-6) ()
-  in
-  Latency.of_decision cluster d
-
-let plan_stable cluster ~device ~server plan ~bandwidth_bps ~compute_share =
-  let dev = cluster.Cluster.devices.(device) in
-  let rate = dev.Cluster.rate in
-  let dev_time = Plan.device_time dev.Cluster.proc.Processor.perf plan in
-  Plan.device_mem_bytes plan <= dev.Cluster.proc.Processor.mem_bytes
-  && rate *. dev_time < stability_margin
-  && (Plan.is_device_only plan
-     ||
-     let bits = 8.0 *. (Plan.transfer_bytes plan +. Plan.result_bytes plan) in
-     let bw = Float.min bandwidth_bps dev.Cluster.link.Link.peak_bps in
-     let srv = cluster.Cluster.servers.(server) in
-     let work = Plan.server_time srv.Cluster.sproc.Processor.perf plan in
-     bw > 0.0
-     && rate *. bits /. bw < stability_margin
-     && (work = 0.0 || (compute_share > 0.0 && rate *. work /. compute_share < stability_margin)))
 
 (* Per-plan invariants, so the surgery step scores a (plan, grants) pair
    with a handful of float operations and zero allocation — no Decision
@@ -167,10 +139,11 @@ let clear_pool_cache () =
   Condition.broadcast pool_cache_cond;
   Mutex.unlock pool_cache_lock
 
-(* The surgery step over a scored pool.  Float arithmetic mirrors
-   [plan_latency] (Decision clamps + Link.transfer_time + Latency.total, in
-   the same operation order) and [plan_stable] exactly, so decisions are
-   bit-identical to the record-allocating path; selection replicates
+(* The surgery step over a scored pool.  Float arithmetic mirrors the
+   reference surgery step in test/oracle/optimizer.ml (Decision clamps +
+   Link.transfer_time + Latency.total, in the same operation order, and its
+   stability test) exactly, so decisions are bit-identical to that
+   record-allocating path; selection replicates
    argmin_by's first-wins tie-break over (eligible | all) × (stable | any). *)
 let best_scored cluster ~device ~server (pool : scored array) ~bandwidth_bps ~compute_share =
   let dev = cluster.Cluster.devices.(device) in
@@ -293,31 +266,6 @@ let best_plan_for_grants ?exits ?max_candidates ?precisions ~widths cluster ~dev
   let pool = device_pool ?exits ?max_candidates ?precisions ~widths cluster ~device in
   best_scored cluster ~device ~server pool ~bandwidth_bps ~compute_share
 
-(* The original list-based surgery step (one Decision + Latency.breakdown per
-   candidate), kept as the qcheck oracle: [best_plan_for_grants] must return
-   the bit-identical plan on every input. *)
-let best_plan_for_grants_ref ?exits ?max_candidates ?precisions ~widths cluster ~device ~server
-    ~bandwidth_bps ~compute_share =
-  let dev = cluster.Cluster.devices.(device) in
-  let candidates = Candidate.pareto_candidates ?exits ?precisions ~widths dev.Cluster.model in
-  let candidates =
-    match max_candidates with Some k -> Candidate.subsample k candidates | None -> candidates
-  in
-  let acc_ok (p : Plan.t) = p.Plan.accuracy >= dev.Cluster.accuracy_floor -. 1e-9 in
-  let latency p = plan_latency cluster ~device ~server p ~bandwidth_bps ~compute_share in
-  let eligible = List.filter acc_ok candidates in
-  let pool = if eligible = [] then candidates else eligible in
-  let stable =
-    List.filter (fun p -> plan_stable cluster ~device ~server p ~bandwidth_bps ~compute_share) pool
-  in
-  let pick pool = Es_util.Numeric.argmin_by latency pool in
-  match pick stable with
-  | Some p -> p
-  | None -> (
-      match pick pool with
-      | Some p -> p
-      | None -> (* candidate sets are never empty: full model always present *) assert false)
-
 let best_allocation ?(allocator = Policy.Minmax_alloc) cluster ~assignment ~plans =
   (* The configured allocator is accepted as-is (the min-max solver is
      stable by construction; ablation arms keep their naive rule, warts and
@@ -379,32 +327,6 @@ let load_proxy cluster ~plans assignment =
   Es_util.Scratch.release_floats bw;
   w
 
-let load_proxy_ref cluster ~plans assignment =
-  let ns = Cluster.n_servers cluster in
-  let bw = Array.make ns 0.0 and cpu = Array.make ns 0.0 in
-  Array.iteri
-    (fun dev_id s ->
-      let plan = plans.(dev_id) in
-      if not (Plan.is_device_only plan) then begin
-        let dev = cluster.Cluster.devices.(dev_id) in
-        let srv = cluster.Cluster.servers.(s) in
-        bw.(s) <-
-          bw.(s)
-          +. dev.Cluster.rate
-             *. 8.0
-             *. (Plan.transfer_bytes plan +. Plan.result_bytes plan)
-             /. srv.Cluster.ap_bandwidth_bps;
-        cpu.(s) <-
-          cpu.(s)
-          +. (dev.Cluster.rate *. Plan.server_time srv.Cluster.sproc.Processor.perf plan)
-      end)
-    assignment;
-  let worst = ref 0.0 in
-  for s = 0 to ns - 1 do
-    worst := Float.max !worst (Float.max bw.(s) cpu.(s))
-  done;
-  !worst
-
 (* Fair-share grant estimate for a device that currently holds none, so the
    surgery step can evaluate (re-)entering the network. *)
 let fair_share_estimate cluster ~plans ~assignment ~device =
@@ -415,18 +337,6 @@ let fair_share_estimate cluster ~plans ~assignment ~device =
     if assignment.(i) = s && not (Plan.is_device_only plans.(i)) then incr n_active
   done;
   let k = float_of_int (!n_active + 1) in
-  (srv.Cluster.ap_bandwidth_bps /. k, 1.0 /. k)
-
-let fair_share_estimate_ref cluster ~plans ~assignment ~device =
-  let s = assignment.(device) in
-  let srv = cluster.Cluster.servers.(s) in
-  let n_active =
-    Array.to_list assignment
-    |> List.mapi (fun i a -> (i, a))
-    |> List.filter (fun (i, a) -> a = s && not (Plan.is_device_only plans.(i)))
-    |> List.length
-  in
-  let k = float_of_int (n_active + 1) in
   (srv.Cluster.ap_bandwidth_bps /. k, 1.0 /. k)
 
 let force_feasible config cluster plans assignment =
@@ -503,44 +413,6 @@ let force_feasible config cluster plans assignment =
   Es_util.Scratch.release_floats weight;
   Es_util.Scratch.release_ints order;
   out
-
-(* The original list-sorting, candidate-regenerating implementation, kept
-   as the qcheck oracle: [force_feasible] must make the same plan flips and
-   return the same decisions on every input. *)
-let force_feasible_ref config cluster plans assignment =
-  let order =
-    Array.init (Array.length plans) (fun i -> i)
-    |> Array.to_list
-    |> List.sort (fun a b ->
-           Float.compare
-             (cluster.Cluster.devices.(b).Cluster.rate *. Plan.srv_flops plans.(b))
-             (cluster.Cluster.devices.(a).Cluster.rate *. Plan.srv_flops plans.(a)))
-  in
-  let rec go = function
-    | [] -> Policy.decisions config.allocator cluster ~assignment ~plans
-    | i :: rest -> (
-        match Policy.decisions config.allocator cluster ~assignment ~plans with
-        | Some ds -> Some ds
-        | None ->
-            let dev = cluster.Cluster.devices.(i) in
-            let local =
-              let all =
-                Candidate.pareto_candidates ~widths:config.widths
-                  ~precisions:config.precisions dev.Cluster.model
-              in
-              (match config.max_candidates with
-              | Some k -> Candidate.subsample k all
-              | None -> all)
-              |> List.filter Plan.is_device_only
-              |> Es_util.Numeric.argmin_by (fun p ->
-                     Plan.device_time dev.Cluster.proc.Processor.perf p)
-            in
-            (match local with
-            | Some p -> plans.(i) <- p
-            | None -> plans.(i) <- Plan.device_only dev.Cluster.model);
-            go rest)
-  in
-  go order
 
 (* Fastest server by sustained throughput: the deterministic anchor for
    cold initial surgery and for warm-start repairs. *)
@@ -663,7 +535,7 @@ let solve_one ~config ?metrics ?spans ?init cluster =
                plans.(device) <- best_plan ~device ~server ~bandwidth_bps ~compute_share)
              working;
            (* --- Assignment step --- *)
-           if config.reassign && Array.length servers > 1 then begin
+           if Array.length servers > 1 then begin
              let greedy = Assign.balanced_greedy cluster ~plans in
              assignment :=
                Assign.local_search ~max_passes:config.local_search_passes

@@ -28,9 +28,7 @@ type config = {
   precisions : Es_surgery.Precision.t list;  (** quantization levels on offer *)
   max_iters : int;  (** outer-loop bound (default 12) *)
   allocator : Es_alloc.Policy.allocator;  (** inner step (default Minmax) *)
-  reassign : bool;  (** run the assignment step each iteration *)
   local_search_passes : int;
-  seed : int;
   max_candidates : int option;
       (** cap each device's Pareto set (evenly subsampled); [None] = full.
           Used to compare against {!Exhaustive} on an identical plan grid *)
@@ -157,21 +155,6 @@ val best_plan_for_grants :
     is stable).  Scores candidates over precomputed per-plan invariants with
     no per-plan allocation — the solver's hottest loop. *)
 
-val best_plan_for_grants_ref :
-  ?exits:int option list ->
-  ?max_candidates:int ->
-  ?precisions:Es_surgery.Precision.t list ->
-  widths:float list ->
-  Es_edge.Cluster.t ->
-  device:int ->
-  server:int ->
-  bandwidth_bps:float ->
-  compute_share:float ->
-  Es_surgery.Plan.t
-(** The original list-based implementation (allocates a Decision per
-    candidate), kept as the qcheck reference oracle for
-    {!best_plan_for_grants}: both must return bit-identical plans. *)
-
 type scored
 (** Precomputed per-plan invariants for one device archetype (device time,
     transfer bytes, per-server work), the unit the surgery step scans. *)
@@ -205,20 +188,11 @@ val force_feasible :
   Es_edge.Decision.t array option
 (** Last-resort degradation: flip the heaviest offloaders to device-only
     (mutating [plans]) until the allocator accepts the assignment.  Exposed
-    for the oracle test against {!force_feasible_ref}. *)
-
-val force_feasible_ref :
-  config -> Es_edge.Cluster.t -> Es_surgery.Plan.t array -> int array ->
-  Es_edge.Decision.t array option
-(** List-sorting original of {!force_feasible}; both must make identical
-    plan flips and return identical decisions. *)
+    for the oracle test. *)
 
 val load_proxy : Es_edge.Cluster.t -> plans:Es_surgery.Plan.t array -> int array -> float
 (** The local-search load proxy (worst server's max of bandwidth and
     compute load), accumulating into borrowed scratch. *)
-
-val load_proxy_ref :
-  Es_edge.Cluster.t -> plans:Es_surgery.Plan.t array -> int array -> float
 
 val fair_share_estimate :
   Es_edge.Cluster.t ->
@@ -227,10 +201,3 @@ val fair_share_estimate :
   device:int ->
   float * float
 (** Fair-share (bandwidth, compute) guess for a device holding no grant. *)
-
-val fair_share_estimate_ref :
-  Es_edge.Cluster.t ->
-  plans:Es_surgery.Plan.t array ->
-  assignment:int array ->
-  device:int ->
-  float * float

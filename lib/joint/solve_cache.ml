@@ -67,9 +67,7 @@ let fingerprint t ~config cluster =
     config.Optimizer.precisions;
   Es_util.Fnv.add_int h config.Optimizer.max_iters;
   Es_util.Fnv.add_string h (allocator_tag config.Optimizer.allocator);
-  Es_util.Fnv.add_bool h config.Optimizer.reassign;
   Es_util.Fnv.add_int h config.Optimizer.local_search_passes;
-  Es_util.Fnv.add_int h config.Optimizer.seed;
   Es_util.Fnv.add_int h (Option.value config.Optimizer.max_candidates ~default:(-1));
   Es_util.Fnv.add_bool h config.Optimizer.multi_start;
   (* config.jobs deliberately excluded: output is jobs-invariant. *)

@@ -1,43 +1,21 @@
-type backend = Heap | Calendar
-
-type queue =
-  | Q_heap of (unit -> unit) Es_util.Heap.t
-  | Q_cal of (unit -> unit) Es_util.Calendar_queue.t
-
 type t = {
   mutable clock : float;
-  q : queue;
+  q : (unit -> unit) Es_util.Calendar_queue.t;
   mutable events_processed : int;
   mutable max_pending : int;
 }
 
 type stats = { events_processed : int; max_pending : int; pending : int }
 
-let create ?(backend = Calendar) () =
-  let q =
-    match backend with
-    | Heap -> Q_heap (Es_util.Heap.create ())
-    | Calendar -> Q_cal (Es_util.Calendar_queue.create ())
-  in
-  { clock = 0.0; q; events_processed = 0; max_pending = 0 }
+let create () =
+  { clock = 0.0; q = Es_util.Calendar_queue.create (); events_processed = 0; max_pending = 0 }
 
 let now t = t.clock
-
-let pending t =
-  match t.q with
-  | Q_heap h -> Es_util.Heap.length h
-  | Q_cal c -> Es_util.Calendar_queue.length c
+let pending t = Es_util.Calendar_queue.length t.q
 
 let push t time f =
-  let n =
-    match t.q with
-    | Q_heap h ->
-        Es_util.Heap.push h time f;
-        Es_util.Heap.length h
-    | Q_cal c ->
-        Es_util.Calendar_queue.push c time f;
-        Es_util.Calendar_queue.length c
-  in
+  Es_util.Calendar_queue.push t.q time f;
+  let n = Es_util.Calendar_queue.length t.q in
   if n > t.max_pending then t.max_pending <- n
 
 let schedule t delay f =
@@ -46,34 +24,20 @@ let schedule t delay f =
 
 let schedule_at t time f = push t (Float.max time t.clock) f
 
-(* The backend dispatch is hoisted out of the drain loop: inside it each
-   event is exactly one queue pop (the calendar resumes its bucket scan
-   where the previous pop stopped, so a run of same-timestamp events
-   drains at the head of one bucket; the heap peeks before popping), the
-   clock update and the callback. *)
+(* Each event is exactly one queue pop (the calendar resumes its bucket
+   scan where the previous pop stopped, so a run of same-timestamp events
+   drains at the head of one bucket), the clock update and the callback. *)
 let run ?(until = infinity) t =
   let continue = ref true in
-  (match t.q with
-  | Q_cal c ->
-      while !continue do
-        match Es_util.Calendar_queue.pop_before c until with
-        | Some (time, f) ->
-            t.clock <- time;
-            t.events_processed <- t.events_processed + 1;
-            f ()
-        | None -> continue := false
-      done
-  | Q_heap h ->
-      while !continue do
-        match Es_util.Heap.peek h with
-        | Some (time, _) when time <= until ->
-            let time, f = Es_util.Heap.pop_exn h in
-            t.clock <- time;
-            t.events_processed <- t.events_processed + 1;
-            f ()
-        | _ -> continue := false
-      done);
-  if pending t > 0 then t.clock <- until
+  while !continue do
+    match Es_util.Calendar_queue.pop_before t.q until with
+    | Some (time, f) ->
+        t.clock <- time;
+        t.events_processed <- t.events_processed + 1;
+        f ()
+    | None -> continue := false
+  done;
+  if pending t > 0 then t.clock <- Float.max t.clock until
 
 let stats (t : t) : stats =
   { events_processed = t.events_processed; max_pending = t.max_pending; pending = pending t }

@@ -1,21 +1,15 @@
-(** Discrete-event simulation core: a clock and a time-ordered event list.
+(** Discrete-event simulation core: a clock and a time-ordered event list,
+    held in a calendar queue ({!Es_util.Calendar_queue}, O(1) amortized per
+    operation).
 
-    Events scheduled for the same instant fire in scheduling order (both
-    queue backends are stabilized with sequence numbers), so runs are fully
-    deterministic — and identical across backends, a property the test
-    suite pins by running the same schedules on both. *)
+    Events scheduled for the same instant fire in scheduling order (the
+    queue is stabilized with sequence numbers), so runs are fully
+    deterministic.  The test suite replays callback programs on this engine
+    and on a binary-heap reference loop and requires identical event logs. *)
 
 type t
 
-type backend =
-  | Heap  (** binary heap — O(log n) per op; kept as the reference oracle *)
-  | Calendar
-      (** calendar queue ({!Es_util.Calendar_queue}) — O(1) amortized per
-          op, the default; the win over the heap grows with the pending
-          population (pre-scheduled arrival traces, heavy traffic) *)
-
-val create : ?backend:backend -> unit -> t
-(** [backend] defaults to [Calendar]. *)
+val create : unit -> t
 
 val now : t -> float
 
@@ -26,13 +20,14 @@ val schedule : t -> float -> (unit -> unit) -> unit
 val schedule_at : t -> float -> (unit -> unit) -> unit
 (** Absolute-time variant; clamps to the current time if in the past.
     @raise Invalid_argument on a NaN or infinite time (the calendar
-    backend buckets by finite timestamps). *)
+    queue buckets by finite timestamps). *)
 
 val run : ?until:float -> t -> unit
 (** Drain events until the list is empty or the clock passes [until]
-    (events scheduled beyond the horizon stay unexecuted but the clock stops
-    at [until]).  One queue operation per event: no separate peek-then-pop
-    rescan per timestamp. *)
+    (events scheduled beyond the horizon stay unexecuted and the clock
+    advances to [until], never backwards: a horizon earlier than the
+    current time leaves the clock where it is).  One queue operation per
+    event: no separate peek-then-pop rescan per timestamp. *)
 
 val pending : t -> int
 

@@ -119,8 +119,8 @@ let on_shed c ~device ~now =
 
 let on_timeout c ~device ~arrival =
   (* Attribute to the arrival, like completions, so the window's
-     conservation law (generated = completed + dropped + timed out) holds
-     for requests that expire after the horizon's edge. *)
+     conservation law ([conserved]) holds for requests that expire after
+     the horizon's edge. *)
   if in_window c arrival then begin
     let d = c.devs.(device) in
     d.timed_out <- d.timed_out + 1;
@@ -250,6 +250,9 @@ let finalize c ~server_busy ~duration =
     events;
     event_hits;
   }
+
+let conserved r =
+  r.total_generated = r.total_completed + r.total_dropped + r.total_timed_out + r.total_shed
 
 let pp_report fmt r =
   (* Every summary path goes through here so the human-readable report and

@@ -103,6 +103,11 @@ val finalize :
 (** [server_busy] is cumulative busy seconds per server over the whole run;
     utilization is normalized by the measurement window. *)
 
+val conserved : report -> bool
+(** The five-term conservation law: every generated request ended in
+    exactly one outcome, generated = completed + dropped + timed out + shed
+    (degraded completions count as completed). *)
+
 val pp_report : Format.formatter -> report -> unit
 (** Totals (generated/completed/dropped), DSR, pooled latency quantiles,
     then one line of utilization per server — the same fields, same

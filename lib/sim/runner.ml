@@ -24,7 +24,6 @@ type options = {
   faults : Faults.t;
   resilience : resilience option;
   streaming : bool;
-  engine : Engine.backend;
   overload : Overload.policy;
 }
 
@@ -40,7 +39,6 @@ let default_options =
     faults = Faults.empty;
     resilience = None;
     streaming = false;
-    engine = Engine.Calendar;
     overload = Overload.off;
   }
 
@@ -136,7 +134,7 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
   (match Faults.validate ~n_devices:nd ~n_servers:ns options.faults with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Runner.run: bad fault schedule: " ^ msg));
-  let engine = Engine.create ~backend:options.engine () in
+  let engine = Engine.create () in
   let tracer =
     match spans with
     | None -> Es_obs.Span.null

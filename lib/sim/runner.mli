@@ -75,9 +75,6 @@ type options = {
           sample lists (default [false]); see
           {!Metrics.create_collector} for the accuracy contract and which
           report fields come back empty *)
-  engine : Engine.backend;
-      (** event-queue backend (default {!Engine.Calendar}); {!Engine.Heap}
-          is the reference oracle — both produce identical runs *)
   overload : Overload.policy;
       (** overload protection: deadline-aware admission shedding, per-server
           circuit breakers, brownout plan degradation, and per-server token

@@ -14,7 +14,7 @@
     scan.
 
     Ties pop in insertion order (entries carry a sequence number), exactly
-    like {!Heap} — which the test suite keeps as the reference oracle for
+    like the binary heap the test suite keeps as the reference oracle for
     this module. *)
 
 type 'a t

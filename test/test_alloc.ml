@@ -509,7 +509,7 @@ let solve_agrees ?stability_margin ?tol (bandwidth_bps, specs) =
   let items = items_of specs in
   match
     ( Minmax.solve ?stability_margin ?tol ~bandwidth_bps items,
-      Minmax.solve_ref ?stability_margin ?tol ~bandwidth_bps items )
+      Es_oracle.Minmax.solve ?stability_margin ?tol ~bandwidth_bps items )
   with
   | None, None -> true
   | Some r, Some r' ->
@@ -529,16 +529,18 @@ let prop_share_rules_match_oracle =
     (fun (bandwidth_bps, specs) ->
       let items = items_of specs in
       let w (it : Minmax.item) = it.Minmax.bits +. 1.0 in
-      grants_eq (Share.equal ~bandwidth_bps items) (Share.equal_ref ~bandwidth_bps items)
+      grants_eq
+        (Share.equal ~bandwidth_bps items)
+        (Es_oracle.Share.equal ~bandwidth_bps items)
       && grants_eq
            (Share.proportional ~bandwidth_bps items)
-           (Share.proportional_ref ~bandwidth_bps items)
+           (Es_oracle.Share.proportional ~bandwidth_bps items)
       && grants_eq
            (Share.sqrt_rule ~bandwidth_bps items)
-           (Share.sqrt_rule_ref ~bandwidth_bps items)
+           (Es_oracle.Share.sqrt_rule ~bandwidth_bps items)
       && grants_eq
            (Share.sqrt_rule ~weights:w ~bandwidth_bps items)
-           (Share.sqrt_rule_ref ~weights:w ~bandwidth_bps items))
+           (Es_oracle.Share.sqrt_rule ~weights:w ~bandwidth_bps items))
 
 let () =
   Alcotest.run "es_alloc"

@@ -345,14 +345,17 @@ let prop_latency_flat_matches_breakdown =
                if i = device then d
                else Decision.make ~device:i ~server:0 ~plan:(Plan.device_only resnet18) ())
          in
-         let loads = Latency.server_load c ds and loads' = Latency.server_load_ref c ds in
-         feq (Latency.of_decision c d) (Latency.of_decision_ref c d)
-         && Latency.device_stable c d = Latency.device_stable_ref c d
-         && feq (Latency.mm1_estimate c d) (Latency.mm1_estimate_ref c d)
+         let loads = Latency.server_load c ds
+         and loads' = Es_oracle.Latency.server_load c ds in
+         feq (Latency.of_decision c d) (Es_oracle.Latency.of_decision c d)
+         && Latency.device_stable c d = Es_oracle.Latency.device_stable c d
+         && feq (Latency.mm1_estimate c d) (Es_oracle.Latency.mm1_estimate c d)
          && Array.length loads = Array.length loads'
          && Array.for_all2 feq loads loads'
-         && feq (Latency.deadline_satisfaction c ds) (Latency.deadline_satisfaction_ref c ds)
-         && feq (Latency.mean_latency c ds) (Latency.mean_latency_ref c ds)))
+         && feq
+              (Latency.deadline_satisfaction c ds)
+              (Es_oracle.Latency.deadline_satisfaction c ds)
+         && feq (Latency.mean_latency c ds) (Es_oracle.Latency.mean_latency c ds)))
 
 (* ---------- Scenario ---------- *)
 

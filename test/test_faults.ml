@@ -172,14 +172,13 @@ let test_down_intervals () =
     [ (0, 25.0, 40.0); (1, 20.0, 30.0) ]
     (List.sort compare (Faults.down_intervals t ~horizon_s:40.0))
 
-(* ---------- backend equivalence under faults ---------- *)
+(* ---------- repeat-run equality under faults ---------- *)
 
-(* The Calendar engine is the production default, the Heap the oracle:
-   the whole fault machinery (evictions, retries, timeouts, fallbacks,
-   and overload shedding on top) must produce field-for-field identical
-   reports on both. *)
+(* The whole fault machinery (evictions, retries, timeouts, fallbacks, and
+   overload shedding on top) draws no hidden state: two runs of the same
+   inputs must produce field-for-field identical reports. *)
 
-let faulty_report ?(overload = Es_sim.Overload.off) engine faults =
+let faulty_report ?(overload = Es_sim.Overload.off) faults =
   let c = Es_edge.Scenario.build Es_edge.Scenario.default in
   let ds = Es_baselines.Baselines.neurosurgeon.Es_baselines.Baselines.solve c in
   let options =
@@ -188,7 +187,6 @@ let faulty_report ?(overload = Es_sim.Overload.off) engine faults =
       Runner.duration_s = 40.0;
       faults;
       resilience = Some Runner.default_resilience;
-      engine;
       overload;
     }
   in
@@ -202,25 +200,26 @@ let mixed_faults =
     @ Faults.straggle ~at:20.0 ~for_s:10.0 ~factor:3.0 1
     @ [ (25.0, Faults.Link_degraded (4, 0.25)); (32.0, Faults.Link_restored 4) ])
 
-let test_backends_equal_under_faults () =
-  let rh = faulty_report Engine.Heap mixed_faults in
-  let rc = faulty_report Engine.Calendar mixed_faults in
-  Alcotest.(check bool) "scripted faults: reports identical" true (rh = rc);
+let test_repeat_runs_equal_under_faults () =
+  let r1 = faulty_report mixed_faults in
+  let r2 = faulty_report mixed_faults in
+  Alcotest.(check bool) "scripted faults: reports identical" true (r1 = r2);
   Alcotest.(check bool) "the run actually exercised resilience" true
-    (rh.Metrics.total_degraded > 0 || rh.Metrics.total_timed_out > 0
-   || rh.Metrics.total_dropped > 0)
+    (r1.Metrics.total_degraded > 0 || r1.Metrics.total_timed_out > 0
+   || r1.Metrics.total_dropped > 0)
 
-let test_backends_equal_under_random_faults () =
+let test_repeat_runs_equal_under_random_faults () =
   let faults =
     Faults.random ~seed:5 ~duration_s:40.0 ~n_servers:2 ~n_devices:20 ~server_mtbf_s:30.0
       ~server_mttr_s:5.0 ~outage_rate:0.02 ~outage_mean_s:3.0 ~straggler_rate:0.01
       ~straggler_factor:2.5 ~straggler_mean_s:10.0 ()
   in
-  let rh = faulty_report Engine.Heap faults in
-  let rc = faulty_report Engine.Calendar faults in
-  Alcotest.(check bool) "random faults: reports identical" true (rh = rc)
+  let r1 = faulty_report faults in
+  let r2 = faulty_report faults in
+  Alcotest.(check bool) "random faults: reports identical" true (r1 = r2);
+  Alcotest.(check bool) "random faults: conservation holds" true (Metrics.conserved r1)
 
-let test_backends_equal_faults_with_overload () =
+let test_repeat_runs_equal_faults_with_overload () =
   (* Faults and overload protection together: breaker trips feed on the
      fault-induced failures, admission sheds on the induced backlog. *)
   let overload =
@@ -237,12 +236,10 @@ let test_backends_equal_faults_with_overload () =
       rate_limit = Some Es_sim.Overload.default_rate_limit;
     }
   in
-  let rh = faulty_report ~overload Engine.Heap mixed_faults in
-  let rc = faulty_report ~overload Engine.Calendar mixed_faults in
-  Alcotest.(check bool) "faults + overload: reports identical" true (rh = rc);
-  Alcotest.(check int) "conservation with shed holds" rh.Metrics.total_generated
-    (rh.Metrics.total_completed + rh.Metrics.total_dropped + rh.Metrics.total_timed_out
-   + rh.Metrics.total_shed)
+  let r1 = faulty_report ~overload mixed_faults in
+  let r2 = faulty_report ~overload mixed_faults in
+  Alcotest.(check bool) "faults + overload: reports identical" true (r1 = r2);
+  Alcotest.(check bool) "conservation with shed holds" true (Metrics.conserved r1)
 
 let () =
   Alcotest.run "es_sim_faults"
@@ -273,10 +270,10 @@ let () =
         ] );
       ( "backends",
         [
-          Alcotest.test_case "scripted faults equal" `Quick test_backends_equal_under_faults;
+          Alcotest.test_case "scripted faults equal" `Quick test_repeat_runs_equal_under_faults;
           Alcotest.test_case "random faults equal" `Quick
-            test_backends_equal_under_random_faults;
+            test_repeat_runs_equal_under_random_faults;
           Alcotest.test_case "faults + overload equal" `Quick
-            test_backends_equal_faults_with_overload;
+            test_repeat_runs_equal_faults_with_overload;
         ] );
     ]

@@ -236,7 +236,7 @@ let best_plan_matches_reference =
              ~compute_share
          in
          let p' =
-           Optimizer.best_plan_for_grants_ref ~widths c ~device ~server ~bandwidth_bps
+           Es_oracle.Optimizer.best_plan_for_grants ~widths c ~device ~server ~bandwidth_bps
              ~compute_share
          in
          plan_fingerprint p = plan_fingerprint p'))
@@ -527,12 +527,12 @@ let test_objective_flat_matches_ref () =
     Alcotest.(check bool)
       (label ^ ": of_decisions bit-identical")
       true
-      (feq (Objective.of_decisions c ds) (Objective.of_decisions_ref c ds));
-    Alcotest.(check int) (label ^ ": misses") (Objective.misses_ref c ds)
+      (feq (Objective.of_decisions c ds) (Es_oracle.Objective.of_decisions c ds));
+    Alcotest.(check int) (label ^ ": misses") (Es_oracle.Objective.misses c ds)
       (Objective.misses c ds);
     Alcotest.(check int)
       (label ^ ": mm1_misses")
-      (Objective.mm1_misses_ref c ds)
+      (Es_oracle.Objective.mm1_misses c ds)
       (Objective.mm1_misses c ds)
   in
   check_set "solved" out.Optimizer.decisions;
@@ -576,7 +576,7 @@ let test_force_feasible_matches_ref () =
   let assignment = Array.make n 0 in
   let p = fresh () and p' = fresh () in
   let r = Optimizer.force_feasible config c p assignment in
-  let r' = Optimizer.force_feasible_ref config c p' (Array.copy assignment) in
+  let r' = Es_oracle.Optimizer.force_feasible config c p' (Array.copy assignment) in
   (match (r, r') with
   | Some d, Some d' ->
       Alcotest.(check int) "same arity" (Array.length d) (Array.length d');
@@ -613,10 +613,10 @@ let test_assignment_helpers_match_ref () =
       Alcotest.(check bool) "load_proxy bit-identical" true
         (feq
            (Optimizer.load_proxy c ~plans assignment)
-           (Optimizer.load_proxy_ref c ~plans assignment));
+           (Es_oracle.Optimizer.load_proxy c ~plans assignment));
       for device = 0 to Cluster.n_devices c - 1 do
         let b, s = Optimizer.fair_share_estimate c ~plans ~assignment ~device in
-        let b', s' = Optimizer.fair_share_estimate_ref c ~plans ~assignment ~device in
+        let b', s' = Es_oracle.Optimizer.fair_share_estimate c ~plans ~assignment ~device in
         Alcotest.(check bool)
           (Printf.sprintf "fair share %d bit-identical" device)
           true

@@ -1,4 +1,5 @@
 open Es_util
+module Heap = Es_oracle.Heap
 
 let qtest ?(count = 200) name arb law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
@@ -199,7 +200,7 @@ let stats_merge_matches_sequential =
          || Numeric.float_equal ~eps:1e-9 (Stats.mean m) (Stats.mean whole)
             && Numeric.float_equal ~eps:1e-6 (Stats.variance m) (Stats.variance whole)))
 
-(* ---------- Heap ---------- *)
+(* ---------- Heap (the reference queue) ---------- *)
 
 let test_heap_ordering () =
   let h = Heap.create () in
