@@ -58,10 +58,10 @@ let pareto_micro ~repeats =
   List.iter
     (fun ps ->
       assert (
-        Es_util.Pareto.frontier plan_key ps = Es_util.Pareto.frontier_naive plan_key ps))
+        Es_util.Pareto.frontier plan_key ps = Es_oracle.Pareto.frontier plan_key ps))
     plan_sets;
   let skyline_s = time_best ~repeats (fun () -> frontier_all Es_util.Pareto.frontier) in
-  let naive_s = time_best ~repeats (fun () -> frontier_all Es_util.Pareto.frontier_naive) in
+  let naive_s = time_best ~repeats (fun () -> frontier_all Es_oracle.Pareto.frontier) in
   let speedup = naive_s /. skyline_s in
   Printf.printf "pareto_micro    %d plans  skyline %.4fs  naive %.4fs  speedup %.2fx\n%!"
     n_plans skyline_s naive_s speedup;

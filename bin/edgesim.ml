@@ -1031,7 +1031,18 @@ let () =
     Cmd.info "edgesim" ~version:"1.0.0"
       ~doc:"Joint model surgery and resource allocation for edge DNN inference"
   in
+  let cmd =
+    Cmd.group info
+      [ models_cmd; plan_cmd; solve_cmd; run_cmd; compare_cmd; sweep_cmd; online_cmd; trace_cmd ]
+  in
+  (* Library boundaries reject bad input with Invalid_argument/Failure:
+     report those as usage errors.  Anything else is a bug and keeps
+     cmdliner's internal-error report and exit code. *)
   exit
-    (Cmd.eval'
-       (Cmd.group info
-          [ models_cmd; plan_cmd; solve_cmd; run_cmd; compare_cmd; sweep_cmd; online_cmd; trace_cmd ]))
+    (try Cmd.eval' ~catch:false cmd with
+    | Invalid_argument msg | Failure msg ->
+        prerr_endline ("edgesim: " ^ msg);
+        2
+    | e ->
+        prerr_endline ("edgesim: internal error, uncaught exception:\n" ^ Printexc.to_string e);
+        Cmd.Exit.internal_error)

@@ -3,27 +3,19 @@
    Parses every .ml under the given paths (default: lib bin bench) and
    reports D1–D10 findings as sorted `file:line:col [rule] message` lines,
    then a per-rule summary table.  Exit status: 0 clean, 1 unsuppressed
-   (or, under --baseline, non-baselined) findings, 2 usage/IO error.
-   Output is byte-identical across runs, across any ordering or
-   duplication of the input paths, and across cold/warm summary caches. *)
+   findings, 2 usage/IO error.  Output is byte-identical across runs and
+   across any ordering or duplication of the input paths. *)
 
 let usage () =
   prerr_endline
     "usage: es_lint [--root DIR] [--allow FILE|none] [--rules LIST] [--disable LIST]\n\
-    \               [--jsonl FILE] [--baseline FILE] [--write-baseline FILE]\n\
-    \               [--summary-cache DIR] [--effects-dump FILE] [--why RULE:FILE:LINE]\n\
-    \               [PATHS...]\n\
+    \               [--why RULE:FILE:LINE] [PATHS...]\n\
      \n\
     \  PATHS           files or directories, relative to --root (default: lib bin bench)\n\
     \  --root DIR      repo root the paths resolve against (default: .)\n\
     \  --allow F       allowlist of legacy RULE:PATH exceptions (default: lint.allow if present)\n\
     \  --rules L       comma-separated rule ids to enable (default: all of D1..D10)\n\
     \  --disable L     comma-separated rule ids to disable\n\
-    \  --jsonl F       also write findings as JSON lines to F\n\
-    \  --baseline F    ratchet mode: fail only on findings not in the committed baseline\n\
-    \  --write-baseline F  regenerate the baseline from this run's findings and exit\n\
-    \  --summary-cache D   cache per-file effect summaries in D (content-hash keyed)\n\
-    \  --effects-dump F    write the fixpointed per-function effect sets to F\n\
     \  --why R:F:L     print the call chain behind the interprocedural finding\n\
     \                  of rule R at file F line L, instead of the report";
   exit 2
@@ -67,11 +59,6 @@ let () =
   let root = ref "." in
   let allow_file = ref None in
   let rules = ref Es_lint.Rule.all in
-  let jsonl_out = ref None in
-  let baseline_in = ref None in
-  let baseline_out = ref None in
-  let cache_dir = ref None in
-  let effects_out = ref None in
   let why = ref None in
   let paths = ref [] in
   let rec parse = function
@@ -87,21 +74,6 @@ let () =
     | "--disable" :: l :: rest ->
         let off = parse_rule_list l in
         rules := List.filter (fun r -> not (List.mem r off)) !rules;
-        parse rest
-    | "--jsonl" :: f :: rest ->
-        jsonl_out := Some f;
-        parse rest
-    | "--baseline" :: f :: rest ->
-        baseline_in := Some f;
-        parse rest
-    | "--write-baseline" :: f :: rest ->
-        baseline_out := Some f;
-        parse rest
-    | "--summary-cache" :: d :: rest ->
-        cache_dir := Some d;
-        parse rest
-    | "--effects-dump" :: f :: rest ->
-        effects_out := Some f;
         parse rest
     | "--why" :: spec :: rest ->
         why := Some (parse_why spec);
@@ -134,23 +106,9 @@ let () =
       [] roots
   in
   let config =
-    {
-      Es_lint.Engine.default_config with
-      rules = !rules;
-      allow;
-      root = !root;
-      cache_dir = !cache_dir;
-    }
+    { Es_lint.Engine.default_config with rules = !rules; allow; root = !root }
   in
   let analysis = Es_lint.Engine.analyze_files config files in
-  let result = analysis.Es_lint.Engine.result in
-  (match !effects_out with
-  | Some f ->
-      let oc = open_out_bin f in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Es_lint.Callgraph.dump analysis.Es_lint.Engine.graph))
-  | None -> ());
   match !why with
   | Some (rule, file, line) -> (
       match Es_lint.Callgraph.explain analysis.Es_lint.Engine.graph ~rule ~file ~line with
@@ -160,39 +118,11 @@ let () =
       | lines ->
           List.iter print_endline lines;
           exit 0)
-  | None -> (
-      match !baseline_out with
-      | Some f ->
-          Es_lint.Baseline.save ~path:f result.Es_lint.Engine.findings;
-          Printf.printf "es_lint: wrote %d findings to %s\n"
-            (List.length result.Es_lint.Engine.findings)
-            f;
-          exit 0
-      | None ->
-          let gate_findings, note =
-            match !baseline_in with
-            | None -> (result.Es_lint.Engine.findings, None)
-            | Some f -> (
-                match Es_lint.Baseline.load f with
-                | Error m -> fail "bad baseline: %s" m
-                | Ok b ->
-                    let fresh = Es_lint.Baseline.diff b result.Es_lint.Engine.findings in
-                    let covered =
-                      List.length result.Es_lint.Engine.findings - List.length fresh
-                    in
-                    ( fresh,
-                      Some
-                        (Printf.sprintf
-                           "es_lint: baseline %s covers %d finding(s); %d new\n" f covered
-                           (List.length fresh)) ))
-          in
-          print_string (Es_lint.Report.render_findings gate_findings);
-          (match !jsonl_out with
-          | Some f -> Es_lint.Report.write_jsonl ~path:f result.Es_lint.Engine.findings
-          | None -> ());
-          (* Summary always prints (and flushes) before the failing exit, so a
-             CI log that stops at the exit code still shows every finding. *)
-          print_string (Es_lint.Report.render_summary result);
-          (match note with Some n -> print_string n | None -> ());
-          flush stdout;
-          if gate_findings <> [] then exit 1)
+  | None ->
+      let result = analysis.Es_lint.Engine.result in
+      print_string (Es_lint.Report.render_findings result.Es_lint.Engine.findings);
+      (* Summary always prints (and flushes) before the failing exit, so a
+         CI log that stops at the exit code still shows every finding. *)
+      print_string (Es_lint.Report.render_summary result);
+      flush stdout;
+      if result.Es_lint.Engine.findings <> [] then exit 1

@@ -653,33 +653,3 @@ let explain t ~rule ~file ~line =
             ])
         t.lock_edges
   | _ -> []
-
-(* ------------------------------------------------------------------ *)
-(* Effects dump                                                        *)
-
-let dump t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "es_lint effects dump v1\n";
-  SMap.iter
-    (fun id node ->
-      let e = eff_of t id in
-      let locks = match SMap.find_opt id t.eff_locks with Some l -> SSet.elements l | None -> [] in
-      if e.clock <> [] || e.alloc <> [] || e.races <> [] || locks <> [] then begin
-        Buffer.add_string b id;
-        let field name ws =
-          if ws <> [] then begin
-            Buffer.add_string b
-              (Printf.sprintf "\t%s=[%s]" name
-                 (String.concat ";"
-                    (List.map (fun w -> Printf.sprintf "%s@%s:%d" w.w_what w.w_file w.w_line) ws)))
-          end
-        in
-        field "clock" e.clock;
-        field "alloc" e.alloc;
-        field "races" e.races;
-        if locks <> [] then Buffer.add_string b (Printf.sprintf "\tlocks=[%s]" (String.concat ";" locks));
-        ignore node;
-        Buffer.add_char b '\n'
-      end)
-    t.nodes;
-  Buffer.contents b

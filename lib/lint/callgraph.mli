@@ -4,8 +4,8 @@
     [[@@es_lint.guarded]] verification (DESIGN.md §16).
 
     Determinism contract: nodes, adjacency lists and witness sets are all
-    kept canonically sorted, so {!findings}, {!explain} and {!dump} are
-    pure functions of the summary {e set} — any permutation of the input
+    kept canonically sorted, so {!findings} and {!explain} are pure
+    functions of the summary {e set} — any permutation of the input
     list produces byte-identical output. *)
 
 type t
@@ -29,8 +29,3 @@ val explain : t -> rule:Rule.t -> file:string -> line:int -> string list
     ending in the witness source position; for D9, the lock cycle the
     witnessed edge completes.  Empty when no interprocedural finding is
     anchored there. *)
-
-val dump : t -> string
-(** The [--effects-dump] artifact: one line per node with a non-empty
-    transitive effect set ([clock]/[alloc]/[races]/[locks]), sorted by
-    node id. *)

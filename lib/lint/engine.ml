@@ -1,11 +1,11 @@
 (* The analysis orchestrator.  Phase 1 ({!Summary}) parses each .ml once
-   and produces both its per-file raw findings (D1–D4, D6, parse) and a
-   serializable effect summary; phase 2 ({!Callgraph}) resolves the
+   and produces both its per-file raw findings (D1–D4, D6, parse) and an
+   effect summary; phase 2 ({!Callgraph}) resolves the
    summaries into a whole-program call graph, fixpoints the effect
    lattice over its SCCs and fires the interprocedural rules (D7–D10)
    plus the cross-unit [@@es_lint.guarded] verifications.  This module
    wires the phases together, evaluates the one filesystem-dependent rule
-   (D5) fresh every run, and applies the configuration — enabled rules
+   (D5), and applies the configuration — enabled rules
    and the allowlist — to the union.
 
    Everything stays list/Map-based on purpose: the linter that enforces
@@ -30,7 +30,6 @@ type config = {
   allow : Allowlist.t;
   mli_mode : mli_mode;
   root : string;
-  cache_dir : string option;
 }
 
 let default_config =
@@ -39,12 +38,11 @@ let default_config =
     allow = Allowlist.empty;
     mli_mode = Mli_by_path;
     root = ".";
-    cache_dir = None;
   }
 
 type result = { findings : Finding.t list; suppressed : Finding.t list }
 
-type analysis = { summaries : Summary.t list; graph : Callgraph.t; result : result }
+type analysis = { graph : Callgraph.t; result : result }
 
 (* ------------------------------------------------------------------ *)
 (* Path scoping                                                        *)
@@ -75,9 +73,7 @@ let analyze_files config paths =
   in
   let summaries =
     List.map
-      (fun rel ->
-        Summary.of_file ?cache_dir:config.cache_dir ~rel ~exempt:(d1_exempt rel)
-          ~root:config.root ())
+      (fun rel -> Summary.of_file ~rel ~exempt:(d1_exempt rel) ~root:config.root)
       paths
   in
   let graph = Callgraph.build summaries in
@@ -92,8 +88,8 @@ let analyze_files config paths =
   in
   List.iter
     (fun (s : Summary.t) ->
-      (* D5 is filesystem state, not parse state: evaluated fresh every
-         run so a cache hit can never mask a deleted interface. *)
+      (* D5 is filesystem state, not parse state, so it is evaluated here
+         rather than in the summary. *)
       let mli_required =
         match config.mli_mode with
         | Mli_always -> true
@@ -116,7 +112,6 @@ let analyze_files config paths =
     summaries;
   List.iter (fun (f, inline) -> route ~inline f) (Callgraph.findings graph);
   {
-    summaries;
     graph;
     result =
       {

@@ -1,7 +1,7 @@
 (** The analysis orchestrator: phase 1 ({!Summary}, one parse per unit —
-    per-file rules D1–D4/D6 plus effect extraction, optionally cached)
+    per-file rules D1–D4/D6 plus effect extraction)
     feeding phase 2 ({!Callgraph}, the whole-program SCC effect fixpoint
-    behind D7–D10), with the filesystem-dependent D5 evaluated fresh and
+    behind D7–D10), with the filesystem-dependent D5 evaluated separately and
     the configuration (enabled rules, allowlist) applied to the union.
 
     The engine is purely syntactic (no typing pass) and deliberately
@@ -18,13 +18,10 @@ type config = {
   allow : Allowlist.t;  (** committed legacy exceptions (rule:path) *)
   mli_mode : mli_mode;
   root : string;  (** directory the relative input paths resolve against *)
-  cache_dir : string option;
-      (** per-file summary cache directory ([None] = no caching); entries
-          are keyed by content hash, so cold and warm runs are identical *)
 }
 
 val default_config : config
-(** All rules, empty allowlist, [Mli_by_path], root ["."], no cache. *)
+(** All rules, empty allowlist, [Mli_by_path], root ["."]. *)
 
 type result = {
   findings : Finding.t list;  (** unsuppressed, sorted by {!Finding.compare} *)
@@ -35,8 +32,7 @@ type result = {
 }
 
 type analysis = {
-  summaries : Summary.t list;  (** phase-1 unit summaries, path-sorted *)
-  graph : Callgraph.t;  (** the phase-2 call graph (for --why / --effects-dump) *)
+  graph : Callgraph.t;  (** the phase-2 call graph (for --why) *)
   result : result;
 }
 
@@ -48,8 +44,8 @@ val d1_exempt : string -> bool
 
 val analyze_files : config -> string list -> analysis
 (** Full two-phase analysis over a set of root-relative paths.  Paths are
-    normalized, deduplicated and sorted first; the analysis — summaries,
-    graph and both finding lists — is byte-identical for any permutation
+    normalized, deduplicated and sorted first; the analysis — graph and
+    both finding lists — is byte-identical for any permutation
     or duplication of the input.  Non-[.ml] paths are ignored. *)
 
 val lint_files : config -> string list -> result

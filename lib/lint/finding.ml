@@ -16,24 +16,3 @@ let compare a b =
         if c <> 0 then c else String.compare a.msg b.msg
 
 let to_line f = Printf.sprintf "%s:%d:%d [%s] %s" f.file f.line f.col (Rule.id f.rule) f.msg
-
-(* Minimal JSON string escaping — enough for paths and messages (ASCII
-   source text; control chars escaped numerically). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_jsonl f =
-  Printf.sprintf {|{"rule":"%s","file":"%s","line":%d,"col":%d,"message":"%s"}|}
-    (Rule.id f.rule) (json_escape f.file) f.line f.col (json_escape f.msg)

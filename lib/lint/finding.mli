@@ -10,6 +10,3 @@ val compare : t -> t -> int
 
 val to_line : t -> string
 (** ["file:line:col [rule-id] message"] — the grep-able report line. *)
-
-val to_jsonl : t -> string
-(** One JSON object per finding (no trailing newline). *)

@@ -27,11 +27,3 @@ let render_summary (r : Engine.result) =
     | n -> Printf.sprintf "es_lint: %d findings" n
   in
   table ^ verdict ^ "\n"
-
-let jsonl findings = String.concat "" (List.map (fun f -> Finding.to_jsonl f ^ "\n") findings)
-
-let write_jsonl ~path findings =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (jsonl findings))

@@ -1,4 +1,4 @@
-(** Rendering: report lines, the per-rule summary table and JSONL export.
+(** Rendering: report lines and the per-rule summary table.
     All output is a pure function of the (already sorted) finding lists. *)
 
 val render_findings : Finding.t list -> string
@@ -6,8 +6,3 @@ val render_findings : Finding.t list -> string
 
 val render_summary : Engine.result -> string
 (** Per-rule table of fired/suppressed counts plus a one-line verdict. *)
-
-val jsonl : Finding.t list -> string
-(** One JSON object per line (see {!Finding.to_jsonl}). *)
-
-val write_jsonl : path:string -> Finding.t list -> unit

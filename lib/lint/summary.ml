@@ -1,19 +1,17 @@
 (* Phase 1 of the interprocedural analysis: one parse of a compilation
    unit produces (a) the per-file D1–D6 raw findings exactly as the old
-   single-phase engine emitted them, and (b) a serializable effect summary
-   — per-function direct effects (clock/RNG reads, list-builder
-   allocations, candidate toplevel mutations, lock acquisitions and the
-   lock-order pairs observed while holding one) plus the call edges and
-   Par/Domain fan-out sites phase 2 propagates over.
+   single-phase engine emitted them, and (b) an effect summary — per-
+   function direct effects (clock/RNG reads, list-builder allocations,
+   candidate toplevel mutations, lock acquisitions and the lock-order
+   pairs observed while holding one) plus the call edges and Par/Domain
+   fan-out sites phase 2 propagates over.
 
    Raw findings are config-independent: every rule is evaluated, inline
    suppressions (sorted/cold markers, locally-verified guards) are
    recorded as a flag, and the engine applies the enabled-rule filter and
-   the allowlist afterwards.  That is what makes the summary cacheable:
-   a cache hit must be byte-equivalent to a fresh parse under any
-   configuration.  D5 (interface presence) is the one rule excluded here
-   — it depends on the filesystem, not the parse, so the engine always
-   evaluates it fresh.
+   the allowlist afterwards.  D5 (interface presence) is the one rule
+   excluded here — it depends on the filesystem, not the parse, so the
+   engine evaluates it separately.
 
    Like the rest of the linter, this module is Hashtbl-free and appends
    in source order, so a summary is a deterministic function of the file
@@ -729,236 +727,4 @@ let analyze ~rel ~exempt text =
         raw = List.rev st.raw_rev;
       }
 
-(* ------------------------------------------------------------------ *)
-(* Serialization                                                       *)
-
-let format_version = "eslint-summary 3"
-
-let dot = String.concat "."
-let undot s = String.split_on_char '.' s
-
-let to_string (t : t) =
-  let b = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  line "%s" format_version;
-  line "file\t%s" t.file;
-  line "unit\t%s" t.unit_name;
-  line "hot\t%d" (if t.hot then 1 else 0);
-  line "exempt\t%d" (if t.exempt then 1 else 0);
-  List.iter (fun l -> line "cold\t%d" l) t.cold_lines;
-  List.iter (fun v -> line "value\t%s" v) t.top_values;
-  List.iter (fun m -> line "mutex\t%s" m) t.top_mutexes;
-  List.iter (fun f -> line "mutexfield\t%s" f) t.mutex_fields;
-  List.iter (fun (n, g) -> line "mutable\t%s\t%d" n (if g then 1 else 0)) t.mutables;
-  List.iter
-    (fun p -> line "pending\t%s\t%s\t%s\t%d\t%d" p.pg_name p.pg_what (dot p.pg_guard) p.pg_line p.pg_col)
-    t.pending_guards;
-  List.iter
-    (fun r ->
-      line "raw\t%s\t%d\t%d\t%d\t%s" (Rule.id r.rf_rule) r.rf_line r.rf_col
-        (if r.rf_inline then 1 else 0)
-        r.rf_msg)
-    t.raw;
-  List.iter
-    (fun p -> line "par\t%s\t%s\t%s\t%d\t%d" p.ps_parent p.ps_node p.ps_sink p.ps_line p.ps_col)
-    t.par_sites;
-  List.iter
-    (fun f ->
-      line "fn\t%s" f.f_name;
-      List.iter (fun (w, l) -> line "clock\t%s\t%d" w l) f.f_clock;
-      List.iter (fun (w, l) -> line "alloc\t%s\t%d" w l) f.f_allocs;
-      List.iter (fun m -> line "mut\t%s\t%d\t%d" (dot m.s_path) m.s_line m.s_col) f.f_muts;
-      List.iter (fun (n, l) -> line "cap\t%s\t%d" n l) f.f_captured;
-      List.iter (fun m -> line "lock\t%s\t%d\t%d" (dot m.s_path) m.s_line m.s_col) f.f_locks;
-      List.iter
-        (fun p -> line "pair\t%s\t%s\t%d\t%d" (dot p.pr_held) (dot p.pr_acq) p.pr_line p.pr_col)
-        f.f_pairs;
-      List.iter
-        (fun h -> line "hcall\t%s\t%s\t%d\t%d" (dot h.hc_held) (dot h.hc_callee) h.hc_line h.hc_col)
-        f.f_held_calls;
-      List.iter (fun c -> line "call\t%s\t%d\t%d" (dot c.s_path) c.s_line c.s_col) f.f_calls)
-    t.fns;
-  Buffer.contents b
-
-let of_string text =
-  let lines = String.split_on_char '\n' text in
-  match lines with
-  | v :: lines when v = format_version -> (
-      let t =
-        ref
-          {
-            file = "";
-            unit_name = "";
-            hot = false;
-            exempt = false;
-            cold_lines = [];
-            top_values = [];
-            top_mutexes = [];
-            mutex_fields = [];
-            mutables = [];
-            pending_guards = [];
-            fns = [];
-            par_sites = [];
-            raw = [];
-          }
-      in
-      let cur : fn option ref = ref None in
-      let flush_fn () =
-        match !cur with
-        | Some f ->
-            (* Reverse the accumulated per-fn lists back to file order. *)
-            let f =
-              {
-                f with
-                f_clock = List.rev f.f_clock;
-                f_allocs = List.rev f.f_allocs;
-                f_muts = List.rev f.f_muts;
-                f_captured = List.rev f.f_captured;
-                f_locks = List.rev f.f_locks;
-                f_pairs = List.rev f.f_pairs;
-                f_held_calls = List.rev f.f_held_calls;
-                f_calls = List.rev f.f_calls;
-              }
-            in
-            t := { !t with fns = f :: !t.fns };
-            cur := None
-        | None -> ()
-      in
-      let bad = ref false in
-      let int_of s = match int_of_string_opt s with Some i -> i | None -> bad := true; 0 in
-      let with_fn k =
-        match !cur with Some f -> k f | None -> bad := true
-      in
-      List.iter
-        (fun line ->
-          if line <> "" && not !bad then
-            match String.split_on_char '\t' line with
-            | [ "file"; v ] -> t := { !t with file = v }
-            | [ "unit"; v ] -> t := { !t with unit_name = v }
-            | [ "hot"; v ] -> t := { !t with hot = v = "1" }
-            | [ "exempt"; v ] -> t := { !t with exempt = v = "1" }
-            | [ "cold"; v ] -> t := { !t with cold_lines = int_of v :: !t.cold_lines }
-            | [ "value"; v ] -> t := { !t with top_values = v :: !t.top_values }
-            | [ "mutex"; v ] -> t := { !t with top_mutexes = v :: !t.top_mutexes }
-            | [ "mutexfield"; v ] -> t := { !t with mutex_fields = v :: !t.mutex_fields }
-            | [ "mutable"; n; g ] -> t := { !t with mutables = (n, g = "1") :: !t.mutables }
-            | [ "pending"; n; w; g; l; c ] ->
-                t :=
-                  {
-                    !t with
-                    pending_guards =
-                      { pg_name = n; pg_what = w; pg_guard = undot g; pg_line = int_of l; pg_col = int_of c }
-                      :: !t.pending_guards;
-                  }
-            | "raw" :: rule :: l :: c :: inl :: msg_parts -> (
-                match Rule.of_id rule with
-                | Some r ->
-                    t :=
-                      {
-                        !t with
-                        raw =
-                          {
-                            rf_rule = r;
-                            rf_line = int_of l;
-                            rf_col = int_of c;
-                            rf_inline = inl = "1";
-                            rf_msg = String.concat "\t" msg_parts;
-                          }
-                          :: !t.raw;
-                      }
-                | None -> bad := true)
-            | [ "par"; parent; node; sink; l; c ] ->
-                t :=
-                  {
-                    !t with
-                    par_sites =
-                      { ps_parent = parent; ps_node = node; ps_sink = sink; ps_line = int_of l; ps_col = int_of c }
-                      :: !t.par_sites;
-                  }
-            | [ "fn"; name ] ->
-                flush_fn ();
-                cur := Some (new_fn name)
-            | [ "clock"; w; l ] -> with_fn (fun f -> f.f_clock <- (w, int_of l) :: f.f_clock)
-            | [ "alloc"; w; l ] -> with_fn (fun f -> f.f_allocs <- (w, int_of l) :: f.f_allocs)
-            | [ "mut"; p; l; c ] ->
-                with_fn (fun f ->
-                    f.f_muts <- { s_path = undot p; s_line = int_of l; s_col = int_of c } :: f.f_muts)
-            | [ "cap"; n; l ] -> with_fn (fun f -> f.f_captured <- (n, int_of l) :: f.f_captured)
-            | [ "lock"; p; l; c ] ->
-                with_fn (fun f ->
-                    f.f_locks <- { s_path = undot p; s_line = int_of l; s_col = int_of c } :: f.f_locks)
-            | [ "pair"; h; a; l; c ] ->
-                with_fn (fun f ->
-                    f.f_pairs <-
-                      { pr_held = undot h; pr_acq = undot a; pr_line = int_of l; pr_col = int_of c }
-                      :: f.f_pairs)
-            | [ "hcall"; h; callee; l; c ] ->
-                with_fn (fun f ->
-                    f.f_held_calls <-
-                      { hc_held = undot h; hc_callee = undot callee; hc_line = int_of l; hc_col = int_of c }
-                      :: f.f_held_calls)
-            | [ "call"; p; l; c ] ->
-                with_fn (fun f ->
-                    f.f_calls <- { s_path = undot p; s_line = int_of l; s_col = int_of c } :: f.f_calls)
-            | _ -> bad := true)
-        lines;
-      flush_fn ();
-      if !bad then None
-      else
-        Some
-          {
-            !t with
-            cold_lines = List.rev !t.cold_lines;
-            top_values = List.rev !t.top_values;
-            top_mutexes = List.rev !t.top_mutexes;
-            mutex_fields = List.rev !t.mutex_fields;
-            mutables = List.rev !t.mutables;
-            pending_guards = List.rev !t.pending_guards;
-            fns = List.rev !t.fns;
-            par_sites = List.rev !t.par_sites;
-            raw = List.rev !t.raw;
-          })
-  | _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* The per-file summary cache                                          *)
-
-let content_key text =
-  let h = Es_util.Fnv.create () in
-  Es_util.Fnv.add_string h format_version;
-  Es_util.Fnv.add_string h text;
-  Es_util.Fnv.to_hex h
-
-let mangle rel =
-  String.map (fun c -> match c with '/' | '\\' -> '_' | c -> c) rel
-
-let cache_path ~dir ~rel ~text = Filename.concat dir (mangle rel ^ "." ^ content_key text ^ ".sum")
-
-let load_cached ~dir ~rel ~text =
-  let path = cache_path ~dir ~rel ~text in
-  if Sys.file_exists path then (
-    match of_string (Source.read_file path) with
-    | Some t when t.file = rel -> Some t
-    | _ -> None)
-  else None
-
-let store_cached ~dir ~rel ~text t =
-  (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755 with Sys_error _ -> ());
-  let path = cache_path ~dir ~rel ~text in
-  try
-    let oc = open_out_bin path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string t))
-  with Sys_error _ -> ()
-
-let of_file ?cache_dir ~rel ~exempt ~root () =
-  let abs = Filename.concat root rel in
-  let text = Source.read_file abs in
-  match cache_dir with
-  | None -> analyze ~rel ~exempt text
-  | Some dir -> (
-      match load_cached ~dir ~rel ~text with
-      | Some t when t.exempt = exempt -> t
-      | _ ->
-          let t = analyze ~rel ~exempt text in
-          store_cached ~dir ~rel ~text t;
-          t)
+let of_file ~rel ~exempt ~root = analyze ~rel ~exempt (Source.read_file (Filename.concat root rel))

@@ -1,13 +1,11 @@
 (** Phase 1 of the interprocedural analysis: one parse of a compilation
     unit yields its per-file raw findings (D1–D4 and D6, evaluated under
     every configuration with inline suppressions recorded as a flag — the
-    engine filters afterwards) plus a serializable effect summary: per-
-    function direct effects, call edges, lock-order observations and
-    Par/Domain fan-out sites for phase 2 ({!Callgraph}) to propagate.
+    engine filters afterwards) plus an effect summary: per-function
+    direct effects, call edges, lock-order observations and Par/Domain
+    fan-out sites for phase 2 ({!Callgraph}) to propagate.
 
-    Summaries are a deterministic function of the file text alone, which
-    makes them cacheable: {!of_file} keys cache entries by an FNV-1a
-    content hash, so a warm run never re-parses an unchanged unit.  D5
+    A summary is a deterministic function of the file text alone.  D5
     (interface presence) depends on the filesystem rather than the parse
     and is never part of a summary. *)
 
@@ -95,19 +93,6 @@ val analyze : rel:string -> exempt:bool -> string -> t
     clock effect to D8 propagation.  Parse failures yield a summary whose
     only content is the [parse] raw finding. *)
 
-val of_file : ?cache_dir:string -> rel:string -> exempt:bool -> root:string -> unit -> t
-(** Read [root/rel] and summarize it, going through the per-file cache in
-    [cache_dir] when given: a hit (same path, same content hash, same
-    format version) skips the parse entirely; a miss stores the fresh
-    summary.  Cache corruption degrades to re-analysis, never to wrong
-    results. *)
-
-val format_version : string
-(** First line of every serialized summary; bumping it invalidates all
-    caches. *)
-
-val to_string : t -> string
-(** Serialize (stable text form; [of_string] round-trips). *)
-
-val of_string : string -> t option
-(** Parse a serialized summary; [None] on version mismatch or damage. *)
+val of_file : rel:string -> exempt:bool -> root:string -> t
+(** Read [root/rel] and {!analyze} it.  Raises [Sys_error] if the file
+    cannot be read. *)

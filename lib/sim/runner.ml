@@ -106,6 +106,17 @@ let check_resilience (r : resilience) =
   if not (Float.is_finite r.backoff_base_s) || r.backoff_base_s < 0.0 then
     invalid_arg "Runner.run: resilience backoff_base_s must be finite and >= 0"
 
+(* A window that ends before the warm-up does would measure nothing and
+   report garbage (NaN means, 0-request DSR). *)
+let check_window (o : options) =
+  if not (Float.is_finite o.duration_s && Float.is_finite o.warmup_s) then
+    invalid_arg "Runner.run: duration_s and warmup_s must be finite";
+  if o.warmup_s < 0.0 then invalid_arg "Runner.run: warmup_s must be >= 0";
+  if o.duration_s <= o.warmup_s then
+    invalid_arg
+      (Printf.sprintf "Runner.run: duration_s (%g) must exceed warmup_s (%g)" o.duration_s
+         o.warmup_s)
+
 (* The fastest device-only plan for a model: the degraded-mode fallback a
    device runs when its offload path is gone.  Accuracy floors are
    deliberately ignored — a degraded answer beats a dropped request. *)
@@ -128,6 +139,7 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
     ?(work_scale = fun ~device:_ _ -> 1.0) ?on_stats cluster decisions =
   let nd = Cluster.n_devices cluster and ns = Cluster.n_servers cluster in
   if Array.length decisions <> nd then invalid_arg "Runner.run: decisions size mismatch";
+  check_window options;
   Array.iteri (check_decision ~ns) decisions;
   Option.iter check_resilience options.resilience;
   Overload.validate options.overload;

@@ -145,5 +145,6 @@ val run :
     [Invalid_argument] — bad plans fail loudly instead of being clamped.
 
     @raise Invalid_argument on malformed decision arrays, a fault schedule
-    referencing out-of-range devices/servers, or a negative/non-finite
-    resilience parameter. *)
+    referencing out-of-range devices/servers, a negative/non-finite
+    resilience parameter, a non-finite [duration_s]/[warmup_s], a negative
+    [warmup_s], or [duration_s <= warmup_s]. *)

@@ -11,24 +11,6 @@ let dominates a b =
   done;
   !no_worse && !strictly
 
-let frontier_naive key items =
-  (* es_lint: cold — the O(n²) reference oracle, list-based on purpose *)
-  let keyed = List.map (fun x -> (key x, x)) items in
-  let non_dominated (k, _) =
-    (* es_lint: cold *)
-    not (List.exists (fun (k', _) -> dominates k' k) keyed)
-  in
-  (* Keep one representative among exact duplicates: the first occurrence. *)
-  let rec dedup seen = function
-    | [] -> []
-    | ((k, _) as item) :: rest ->
-        (* es_lint: cold *)
-        if List.exists (fun k' -> k' = k) seen then dedup seen rest
-        else item :: dedup (k :: seen) rest
-  in
-  (* es_lint: cold *)
-  dedup [] (List.filter non_dominated keyed) |> List.map snd
-
 (* The skyline internals run on rows of one flat scratch buffer: row [i]
    lives at [flat.(i*d) .. flat.(i*d + d - 1)].  Comparators and dominance
    tests are top-level functions over (buffer, d, row, row) so the sort and
@@ -108,9 +90,10 @@ let sort_order flat d order n =
    something lexicographically even smaller — following that chain bottoms
    out at a kept dominator of x.  Exact-duplicate keys sort adjacent with the
    smallest input index first, matching the first-occurrence dedup of the
-   naive version.  O(n log n + n·F·d) for frontier size F vs the old
-   O(n²·d); all working state is borrowed scratch, so the steady state
-   allocates only the caller-visible outputs. *)
+   naive scan (the test oracle in test/oracle/pareto.ml).  O(n log n +
+   n·F·d) for frontier size F vs the old O(n²·d); all working state is
+   borrowed scratch, so the steady state allocates only the caller-visible
+   outputs. *)
 let skyline ~n ~key_at =
   let k0 = key_at 0 in
   let d = Array.length k0 in

@@ -14,8 +14,4 @@ val frontier : ('a -> float array) -> 'a list -> 'a list
     first occurrence.  Sort-based skyline, O(n log n + n·F·d) for frontier
     size F — the candidate-generation hot path. *)
 
-val frontier_naive : ('a -> float array) -> 'a list -> 'a list
-(** The original O(n²·d) scan, kept as the qcheck reference oracle:
-    [frontier key items = frontier_naive key items] for all inputs. *)
-
 val frontier_arr : ('a -> float array) -> 'a array -> 'a array

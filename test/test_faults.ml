@@ -268,7 +268,7 @@ let () =
           Alcotest.test_case "down_at" `Quick test_down_at;
           Alcotest.test_case "down_intervals" `Quick test_down_intervals;
         ] );
-      ( "backends",
+      ( "repeat runs",
         [
           Alcotest.test_case "scripted faults equal" `Quick test_repeat_runs_equal_under_faults;
           Alcotest.test_case "random faults equal" `Quick

@@ -12,8 +12,8 @@ let qtest ?(count = 100) name arb law =
    `dune exec test/test_lint.exe` runs from the repo root. *)
 let root = if Sys.file_exists "lint_fixtures" then "lint_fixtures" else "test/lint_fixtures"
 
-let cfg ?(rules = Rule.all) ?(allow = Allowlist.empty) ?(mli = Engine.Mli_never) ?cache () =
-  { Engine.rules; allow; mli_mode = mli; root; cache_dir = cache }
+let cfg ?(rules = Rule.all) ?(allow = Allowlist.empty) ?(mli = Engine.Mli_never) () =
+  { Engine.rules; allow; mli_mode = mli; root }
 
 let all_fixtures =
   [
@@ -199,9 +199,9 @@ let shuffle seed xs =
   done;
   Array.to_list arr
 
-let render_all ?cache files =
-  let r = Engine.lint_files (cfg ~mli:Engine.Mli_always ?cache ()) files in
-  Report.render_findings r.findings ^ Report.render_summary r ^ Report.jsonl r.findings
+let render_all files =
+  let r = Engine.lint_files (cfg ~mli:Engine.Mli_always ()) files in
+  Report.render_findings r.findings ^ Report.render_summary r
 
 let qcheck_order_invariance =
   let baseline = lazy (render_all all_fixtures) in
@@ -214,9 +214,7 @@ let test_finding_format () =
   let first = List.hd r.findings in
   Alcotest.(check bool) "file:line:col [rule] message" true
     (contains ~sub:"bad_d1.ml:1:" (Finding.to_line first)
-    && contains ~sub:"[D1]" (Finding.to_line first));
-  Alcotest.(check bool) "jsonl carries the rule id" true
-    (contains ~sub:{|"rule":"D1"|} (Finding.to_jsonl first))
+    && contains ~sub:"[D1]" (Finding.to_line first))
 
 (* ---------- interprocedural rules (D7–D10) ---------- *)
 
@@ -311,76 +309,6 @@ let test_why_chain () =
     "no anchored finding, no chain" []
     (Callgraph.explain a.graph ~rule:Rule.D8 ~file:"clean.ml" ~line:1)
 
-let test_summary_cache () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "es_lint_cache_test" in
-  (* Stale entries from a previous run are fine: the key embeds the content
-     hash and the format version, so they can only miss. *)
-  let cold = render_all ~cache:dir all_fixtures in
-  Alcotest.(check bool) "cold run populates the cache" true
-    (Sys.file_exists dir && Array.length (Sys.readdir dir) > 0);
-  let warm = render_all ~cache:dir all_fixtures in
-  Alcotest.(check string) "warm run is byte-identical" cold warm;
-  Alcotest.(check string) "…and matches the uncached analysis" (render_all all_fixtures) cold
-
-let qcheck_cache_order_invariance =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "es_lint_cache_qtest" in
-  let baseline = lazy (render_all all_fixtures) in
-  qtest ~count:20 "cached analysis is byte-identical under shuffled file order" QCheck.int
-    (fun seed ->
-      let files = shuffle seed all_fixtures in
-      String.equal (Lazy.force baseline) (render_all ~cache:dir files))
-
-(* ---------- ratchet baseline ---------- *)
-
-let mk_finding ?(rule = Rule.D4) ?(file = "x.ml") ?(line = 1) ?(col = 0) msg =
-  Finding.make ~rule ~file ~line ~col msg
-
-let test_baseline_round_trip () =
-  let fs =
-    [
-      mk_finding ~rule:Rule.D7 ~file:"b.ml" ~line:9 "races on B.state";
-      mk_finding ~rule:Rule.D4 ~file:"a.ml" ~line:2 {|mutable "t" with \ and "quotes"|};
-    ]
-  in
-  let text = Baseline.render fs in
-  Alcotest.(check bool) "render leads with the schema header" true
-    (contains ~sub:Baseline.schema_line text);
-  match Baseline.of_string ~file:"<mem>" text with
-  | Error m -> Alcotest.fail m
-  | Ok b ->
-      List.iter (fun f -> Alcotest.(check bool) "round-trips" true (Baseline.mem b f)) fs;
-      (* Matching is by (rule, file, message): line drift stays baselined,
-         a new message or file does not. *)
-      Alcotest.(check bool) "line shift still matches" true
-        (Baseline.mem b (mk_finding ~rule:Rule.D7 ~file:"b.ml" ~line:99 "races on B.state"));
-      check_rule_lines "rogue finding survives the diff"
-        [ ("D7", 9) ]
-        (Baseline.diff b (fs @ [ mk_finding ~rule:Rule.D7 ~file:"c.ml" ~line:9 "races on B.state" ]))
-
-let test_baseline_rejects_bad_header () =
-  (match Baseline.of_string ~file:"<mem>" "{\"rule\":\"D1\"}\n" with
-  | Ok _ -> Alcotest.fail "missing schema header accepted"
-  | Error m -> Alcotest.(check bool) "error mentions the schema" true (contains ~sub:"schema" m));
-  match Baseline.of_string ~file:"<mem>" (Baseline.schema_line ^ "\nnot json\n") with
-  | Ok _ -> Alcotest.fail "garbage line accepted"
-  | Error _ -> ()
-
-let test_baseline_gates_engine_output () =
-  (* Freeze the current D4 fixture findings, then check only a fresh rule
-     violation escapes the ratchet. *)
-  let r = Engine.lint_files (cfg ~rules:[ Rule.D4 ] ()) [ "bad_d4.ml" ] in
-  let b =
-    match Baseline.of_string ~file:"<mem>" (Baseline.render r.findings) with
-    | Ok b -> b
-    | Error m -> Alcotest.fail m
-  in
-  Alcotest.(check (list (pair string int))) "baselined run is clean" [] (rule_lines (Baseline.diff b r.findings));
-  let r2 = Engine.lint_files (cfg ~rules:[ Rule.D4; Rule.D7 ] ()) [ "bad_d4.ml"; "par_race_d7.ml" ] in
-  (* The new file brings one new D4 (its unguarded ref) and three D7s. *)
-  check_rule_lines "new findings escape the ratchet"
-    [ ("D4", 1); ("D7", 3); ("D7", 7); ("D7", 10) ]
-    (Baseline.diff b r2.findings)
-
 let () =
   Alcotest.run "es_lint"
     [
@@ -407,14 +335,6 @@ let () =
           Alcotest.test_case "D10 transitive hot-path allocation" `Quick test_d10;
           Alcotest.test_case "D4 guard aliases and cross-unit mutexes" `Quick test_alias_d4;
           Alcotest.test_case "--why call chains" `Quick test_why_chain;
-          Alcotest.test_case "summary cache cold vs warm" `Quick test_summary_cache;
-          qcheck_cache_order_invariance;
-        ] );
-      ( "baseline",
-        [
-          Alcotest.test_case "render/of_string round-trip" `Quick test_baseline_round_trip;
-          Alcotest.test_case "rejects bad header" `Quick test_baseline_rejects_bad_header;
-          Alcotest.test_case "gates engine output" `Quick test_baseline_gates_engine_output;
         ] );
       ( "suppression",
         [

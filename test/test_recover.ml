@@ -245,7 +245,7 @@ let () =
         [
           Alcotest.test_case "timing" `Quick test_schedule_for_faults_timing;
           Alcotest.test_case "ignores link events" `Quick test_schedule_ignores_non_server_events;
-          Alcotest.test_case "backend equality" `Quick test_schedule_repeat_runs_equal;
+          Alcotest.test_case "repeat runs equal" `Quick test_schedule_repeat_runs_equal;
         ] );
       ( "end-to-end",
         [

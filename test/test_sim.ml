@@ -511,6 +511,25 @@ let test_runner_rejects_invalid_decisions () =
   | `Raised -> ()
   | `No_raise -> Alcotest.fail "invalid reconfiguration accepted"
 
+let test_runner_rejects_bad_window () =
+  let c = one_device_cluster () in
+  let ds = [| Decision.make ~device:0 ~server:0 ~plan:(Plan.device_only resnet18) () |] in
+  let rejects what ~duration_s ~warmup_s =
+    let options = { Es_sim.Runner.default_options with duration_s; warmup_s } in
+    match Es_sim.Runner.run ~options c ds with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "duration shorter than the warm-up" ~duration_s:2.0 ~warmup_s:5.0;
+  rejects "duration equal to the warm-up" ~duration_s:5.0 ~warmup_s:5.0;
+  rejects "negative warm-up" ~duration_s:10.0 ~warmup_s:(-1.0);
+  rejects "NaN duration" ~duration_s:Float.nan ~warmup_s:0.0;
+  rejects "infinite duration" ~duration_s:Float.infinity ~warmup_s:0.0;
+  rejects "NaN warm-up" ~duration_s:10.0 ~warmup_s:Float.nan;
+  let options = { Es_sim.Runner.default_options with duration_s = 2.0; warmup_s = 0.0 } in
+  let r = Es_sim.Runner.run ~options ~arrivals:[| (0.5, 0); (1.0, 0) |] c ds in
+  Alcotest.(check int) "a short run without warm-up measures" 2 r.Es_sim.Metrics.total_generated
+
 (* Streaming metrics trade raw samples for constant memory; the contract
    (metrics.mli) is exact counts/DSR, float-rounding-level mean, and
    quantiles within one sketch bucket (~4.5% in value). *)
@@ -1092,6 +1111,7 @@ let () =
           Alcotest.test_case "zero-grant drain" `Quick test_runner_reconfigure_zero_grant_drain;
           Alcotest.test_case "rejects invalid decisions" `Quick
             test_runner_rejects_invalid_decisions;
+          Alcotest.test_case "rejects bad window" `Quick test_runner_rejects_bad_window;
           Alcotest.test_case "streaming tolerance" `Quick test_runner_streaming_tolerance;
         ] );
       ( "faults",

@@ -461,7 +461,7 @@ let pareto_skyline_matches_oracle_2d =
     QCheck.(list_of_size (Gen.int_range 0 60) (pair (int_range 0 6) (int_range 0 6)))
     (fun pts ->
       let key (a, b) = [| float_of_int a; float_of_int b |] in
-      Pareto.frontier key pts = Pareto.frontier_naive key pts)
+      Pareto.frontier key pts = Es_oracle.Pareto.frontier key pts)
 
 let pareto_skyline_matches_oracle_4d =
   qtest ~count:300 "sorted skyline = naive frontier (4-d)"
@@ -472,7 +472,7 @@ let pareto_skyline_matches_oracle_4d =
       let key (a, b, c, d) =
         [| float_of_int a; float_of_int b; float_of_int c; float_of_int d |]
       in
-      Pareto.frontier key pts = Pareto.frontier_naive key pts)
+      Pareto.frontier key pts = Es_oracle.Pareto.frontier key pts)
 
 let pareto_frontier_arr_agrees =
   qtest ~count:200 "frontier_arr = frontier on the same input"
