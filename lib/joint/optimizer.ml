@@ -86,21 +86,8 @@ let score_candidates cluster ~device candidates =
    every Pareto candidate), yet the result is archetype-keyed: devices
    sharing (model, processor, candidate knobs) against the same server perf
    vector — and the same device across shard re-solves, trajectories and
-   epochs — share one build.  Same domain-safety posture as
-   [Candidate.cache]: the first caller publishes a [Building] marker and
-   builds outside the lock; racing callers wait on the condition.  Presence
-   or absence of an entry never changes any result, only its cost. *)
-type pool_entry = Pool_building | Pool_ready of scored array
-
-let pool_cache : (string, pool_entry) Hashtbl.t = Hashtbl.create 64
-[@@es_lint.guarded "pool_cache_lock"]
-
-let pool_cache_lock = Mutex.create ()
-let pool_cache_cond = Condition.create ()
-
-(* Entry count is bounded by archetype combinations in practice; the cap is
-   a backstop for adversarial churn (e.g. qcheck sweeping server perf). *)
-let pool_cache_cap = 512
+   epochs — share one build. *)
+let pool_cache : (int64, scored array) Es_util.Once.t = Es_util.Once.create ()
 
 let pool_key ?exits ?max_candidates ?precisions ~widths cluster ~device =
   let dev = cluster.Cluster.devices.(device) in
@@ -131,13 +118,9 @@ let pool_key ?exits ?max_candidates ?precisions ~widths cluster ~device =
       Es_util.Fnv.add_int h (List.length es);
       List.iter (fun e -> Es_util.Fnv.add_int h (Option.value e ~default:(-2))) es);
   Es_util.Fnv.add_int h (Option.value max_candidates ~default:(-1));
-  Es_util.Fnv.to_hex h
+  Es_util.Fnv.value h
 
-let clear_pool_cache () =
-  Mutex.lock pool_cache_lock;
-  Hashtbl.reset pool_cache;
-  Condition.broadcast pool_cache_cond;
-  Mutex.unlock pool_cache_lock
+let clear_pool_cache () = Es_util.Once.clear pool_cache
 
 (* The surgery step over a scored pool.  Float arithmetic mirrors the
    reference surgery step in test/oracle/optimizer.ml (Decision clamps +
@@ -223,43 +206,13 @@ let build_pool ?exits ?max_candidates ?precisions ~widths cluster ~device =
   score_candidates cluster ~device candidates
 
 let device_pool ?exits ?max_candidates ?precisions ~widths cluster ~device =
-  let key = pool_key ?exits ?max_candidates ?precisions ~widths cluster ~device in
-  let rec await () =
-    match Hashtbl.find_opt pool_cache key with
-    | Some (Pool_ready pool) ->
-        Mutex.unlock pool_cache_lock;
-        pool
-    | Some Pool_building ->
-        Condition.wait pool_cache_cond pool_cache_lock;
-        await ()
-    | None ->
-        Hashtbl.replace pool_cache key Pool_building;
-        Mutex.unlock pool_cache_lock;
-        let pool =
-          try build_pool ?exits ?max_candidates ?precisions ~widths cluster ~device
-          with e ->
-            (* Withdraw the marker so waiters retry rather than hang. *)
-            Mutex.lock pool_cache_lock;
-            Hashtbl.remove pool_cache key;
-            Condition.broadcast pool_cache_cond;
-            Mutex.unlock pool_cache_lock;
-            raise e
-        in
-        Mutex.lock pool_cache_lock;
-        (if Hashtbl.length pool_cache >= pool_cache_cap then begin
-           (* Backstop flush, as in Candidate.cache: dropping a [Pool_building]
-              marker is safe — its builder re-publishes on completion, and
-              woken waiters finding no entry become builders themselves. *)
-           Hashtbl.reset pool_cache;
-           Condition.broadcast pool_cache_cond
-         end);
-        Hashtbl.replace pool_cache key (Pool_ready pool);
-        Condition.broadcast pool_cache_cond;
-        Mutex.unlock pool_cache_lock;
-        pool
-  in
-  Mutex.lock pool_cache_lock;
-  await ()
+  Es_util.Once.find_or_build pool_cache
+    (pool_key ?exits ?max_candidates ?precisions ~widths cluster ~device)
+    (fun () -> build_pool ?exits ?max_candidates ?precisions ~widths cluster ~device)
+
+let config_pool config cluster ~device =
+  device_pool ?max_candidates:config.max_candidates ~precisions:config.precisions
+    ~widths:config.widths cluster ~device
 
 let best_plan_for_grants ?exits ?max_candidates ?precisions ~widths cluster ~device ~server
     ~bandwidth_bps ~compute_share =
@@ -392,10 +345,7 @@ let force_feasible config cluster plans assignment =
       | None ->
           let i = order.(k) in
           let dev = cluster.Cluster.devices.(i) in
-          let pool =
-            device_pool ?max_candidates:config.max_candidates ~precisions:config.precisions
-              ~widths:config.widths cluster ~device:i
-          in
+          let pool = config_pool config cluster ~device:i in
           (* Fastest device-only candidate, first-wins like argmin_by. *)
           let best = ref (-1) and best_t = ref infinity in
           for j = 0 to Array.length pool - 1 do
@@ -427,6 +377,22 @@ let fastest_server (servers : Cluster.server array) =
     servers;
   !best
 
+let cold_start ?pools config cluster =
+  let servers = cluster.Cluster.servers in
+  let nd = Cluster.n_devices cluster in
+  let fastest = fastest_server servers in
+  let per_server = float_of_int (max 1 (nd / Array.length servers)) in
+  let bandwidth_bps = servers.(fastest).Cluster.ap_bandwidth_bps /. per_server in
+  let compute_share = 1.0 /. per_server in
+  let plans =
+    Array.init nd (fun device ->
+        let pool =
+          match pools with Some p -> p.(device) | None -> config_pool config cluster ~device
+        in
+        best_scored cluster ~device ~server:fastest pool ~bandwidth_bps ~compute_share)
+  in
+  (plans, Assign.balanced_greedy cluster ~plans)
+
 let solve_one ~config ?metrics ?spans ?init cluster =
   let t0 = Es_obs.Obs.wall_clock () in
   let nd = Cluster.n_devices cluster in
@@ -447,33 +413,15 @@ let solve_one ~config ?metrics ?spans ?init cluster =
           Es_obs.Metric.inc iters;
           Es_obs.Histogram.observe obj_h obj
   in
-  let widths = config.widths in
-  let pools =
-    Array.init nd (fun device ->
-        device_pool ?max_candidates:config.max_candidates ~precisions:config.precisions ~widths
-          cluster ~device)
-  in
-  let best_plan ~device ~server ~bandwidth_bps ~compute_share =
-    best_scored cluster ~device ~server pools.(device) ~bandwidth_bps ~compute_share
-  in
-  (* Starting point: a warm seed when given, else cold initial surgery
-     against a fair-share estimate on the fastest server. *)
+  let pools = Array.init nd (fun device -> config_pool config cluster ~device) in
+  (* Starting point: a warm seed when given, else the cold start. *)
   let servers = cluster.Cluster.servers in
   let plans, assignment =
     match init with
-    | Some (seed_plans, seed_assignment) ->
-        (Array.copy seed_plans, ref (Array.copy seed_assignment))
-    | None ->
-        let fastest = fastest_server servers in
-        let per_server = float_of_int (max 1 (nd / Array.length servers)) in
-        let plans =
-          Array.init nd (fun device ->
-              let bw = servers.(fastest).Cluster.ap_bandwidth_bps /. per_server in
-              best_plan ~device ~server:fastest ~bandwidth_bps:bw
-                ~compute_share:(1.0 /. per_server))
-        in
-        (plans, ref (Assign.balanced_greedy cluster ~plans))
+    | Some (seed_plans, seed_assignment) -> (Array.copy seed_plans, Array.copy seed_assignment)
+    | None -> cold_start ~pools config cluster
   in
+  let assignment = ref assignment in
   let best : (float * Decision.t array) option ref = ref None in
   let trace = ref [] in
   let iterations = ref 0 in
@@ -532,7 +480,8 @@ let solve_one ~config ?metrics ?spans ?init cluster =
                    (d.Decision.bandwidth_bps, d.Decision.compute_share)
                  else fair_share_estimate cluster ~plans ~assignment:!assignment ~device
                in
-               plans.(device) <- best_plan ~device ~server ~bandwidth_bps ~compute_share)
+               plans.(device) <-
+                 best_scored cluster ~device ~server pools.(device) ~bandwidth_bps ~compute_share)
              working;
            (* --- Assignment step --- *)
            if Array.length servers > 1 then begin
@@ -584,7 +533,7 @@ let set_final_gauges metrics ~objective ~solve_time_s =
    is unusable wholesale (wrong arity for this cluster).  Per-device
    repairs, for incumbents that went stale between solves:
    - a plan built for a different model (the device changed) is replaced by
-     the cold-start plan (fair share against the fastest server);
+     the cold-start plan;
    - a decision referencing an out-of-range server (downed, or renumbered
      away in a residual cluster) is re-pointed at the fastest surviving
      server, keeping its plan — the descent's assignment step re-places it
@@ -593,23 +542,16 @@ let warm_seed config cluster (incumbent : Decision.t array) =
   let nd = Cluster.n_devices cluster in
   if Array.length incumbent <> nd then None
   else begin
-    let servers = cluster.Cluster.servers in
-    let ns = Array.length servers in
-    let fastest = fastest_server servers in
-    let per_server = float_of_int (max 1 (nd / ns)) in
-    let cold_plan device =
-      let bw = servers.(fastest).Cluster.ap_bandwidth_bps /. per_server in
-      best_plan_for_grants ?max_candidates:config.max_candidates
-        ~precisions:config.precisions ~widths:config.widths cluster ~device ~server:fastest
-        ~bandwidth_bps:bw ~compute_share:(1.0 /. per_server)
-    in
+    let ns = Cluster.n_servers cluster in
+    let cold_plans = lazy (fst (cold_start config cluster)) in
     let plans =
       Array.init nd (fun device ->
           let plan = incumbent.(device).Decision.plan in
           let model = cluster.Cluster.devices.(device).Cluster.model in
           if plan.Es_surgery.Plan.base_name = model.Es_dnn.Graph.name then plan
-          else cold_plan device)
+          else (Lazy.force cold_plans).(device))
     in
+    let fastest = fastest_server cluster.Cluster.servers in
     let assignment =
       Array.init nd (fun device ->
           let s = incumbent.(device).Decision.server in
@@ -646,127 +588,50 @@ let fanout_jobs config cluster =
   if Es_util.Par.default_jobs () = 1 || Cluster.n_devices cluster < par_fanout_min_devices then 1
   else config.jobs
 
+(* A portfolio of descent trajectories.  Without multi-start: the warm one
+   when an incumbent is given, else the cold one.  With it: cold first; the
+   equal-share one under min-max, since descent is sensitive to the
+   allocator driving its surgery steps (so the joint result never loses to
+   the surgery-only ablation); the warm one last.  Trajectories are
+   independent and deterministic, so they fan out over the domain pool and
+   merge in input order, first wins on a tie: bit-identical for every
+   [jobs], and a warm start never worse than the cold solve. *)
 let solve ?(config = default_config) ?metrics ?spans ?warm_start cluster =
   let t0 = Es_obs.Obs.wall_clock () in
-  let warm_init = Option.bind warm_start (warm_seed config cluster) in
-  if not config.multi_start then begin
-    (* Single-trajectory mode for callers that already provide diversity
-       elsewhere (the sharded solver runs many shard solves per sweep):
-       descend once, warm when an incumbent is given, cold otherwise.  The
-       warm-never-worse-than-cold guarantee of the multi-start merge does
-       not apply here — the caller owns that guard. *)
-    let out =
-      match warm_init with
-      | Some init -> solve_one ~config ?metrics ?spans ~init cluster
-      | None -> solve_one ~config ?metrics ?spans cluster
-    in
-    set_final_gauges metrics ~objective:out.objective ~solve_time_s:out.solve_time_s;
-    out
-  end
-  else
-  match (config.allocator, warm_init) with
-  | alloc, Some init when alloc <> Policy.Minmax_alloc ->
-      (* Ablation allocators keep their single cold trajectory, plus the
-         warm one; the better landing point wins, cold first on ties. *)
-      let spans = Option.map Es_obs.Span.locked_sink spans in
-      let cold, warm =
-        Es_util.Par.both ~jobs:(fanout_jobs config cluster)
-          (fun () -> solve_one ~config ?metrics ?spans cluster)
-          (fun () -> solve_one ~config ?metrics ?spans ~init cluster)
-      in
-      let candidates =
-        [ cold.decisions ] @ trajectory_candidates ~allocator:alloc cluster warm
-      in
-      let best =
-        match Es_util.Numeric.argmin_by (Objective.of_decisions cluster) candidates with
-        | Some ds -> ds
-        | None -> cold.decisions
-      in
-      let solve_time_s = Es_obs.Obs.wall_clock () -. t0 in
-      let objective = Objective.of_decisions cluster best in
-      set_final_gauges metrics ~objective ~solve_time_s;
-      { cold with decisions = best; objective; solve_time_s }
-  | alloc, None when alloc <> Policy.Minmax_alloc ->
-      let out = solve_one ~config ?metrics ?spans cluster in
-      set_final_gauges metrics ~objective:out.objective ~solve_time_s:out.solve_time_s;
-      out
-  | _, Some init ->
-      (* Full joint configuration with an incumbent: the two cold
-         multi-start trajectories (primary min-max and equal-share, exactly
-         as in the cold path) plus one warm trajectory seeded from the
-         incumbent.  The merge evaluates the cold candidates first, so on an
-         exact objective tie the result is bit-identical to the cold solve —
-         a warm start can therefore never be worse, and never perturbs a
-         solve it cannot improve.  The thunk list is fanned out over the
-         domain pool in fixed order; results are merged in input order, so
-         decisions are bit-identical for every [jobs]. *)
-      let spans = Option.map Es_obs.Span.locked_sink spans in
-      let outs =
-        Es_util.Par.parallel_map ~jobs:(fanout_jobs config cluster)
-          (fun f -> f ())
-          [
-            (fun () -> solve_one ~config ?metrics ?spans cluster);
-            (fun () ->
-              solve_one ~config:{ config with allocator = Policy.Equal } ?metrics ?spans
-                cluster);
-            (fun () -> solve_one ~config ?metrics ?spans ~init cluster);
-          ]
-      in
-      let primary, alt, warm =
-        match outs with [ p; a; w ] -> (p, a, w) | _ -> assert false
-      in
-      let candidates =
-        [ primary.decisions ]
-        @ trajectory_candidates ~allocator:Policy.Minmax_alloc cluster alt
-        @ trajectory_candidates ~allocator:Policy.Minmax_alloc cluster warm
-      in
-      let best =
-        match Es_util.Numeric.argmin_by (Objective.of_decisions cluster) candidates with
-        | Some ds -> ds
-        | None -> primary.decisions
-      in
-      let solve_time_s = Es_obs.Obs.wall_clock () -. t0 in
-      let objective = Objective.of_decisions cluster best in
-      set_final_gauges metrics ~objective ~solve_time_s;
-      { primary with decisions = best; objective; solve_time_s }
-  | _, None -> begin
-    (* Multi-start: coordinate descent is sensitive to the allocator driving
-       its surgery steps, so the full joint configuration also runs the
-       equal-share trajectory and keeps the better landing point (with its
-       allocation re-polished by the optimal inner step).  This makes the
-       joint result never worse than the surgery-only ablation by
-       construction.
-
-       The two trajectories are independent and deterministic (no shared
-       mutable state beyond the domain-safe caches and the metrics registry),
-       so they run concurrently under [config.jobs] with results identical to
-       the sequential order.  A shared span sink is serialized; the
-       [optimizer/iterations] counter accumulates both trajectories. *)
-    let spans = Option.map Es_obs.Span.locked_sink spans in
-    let primary, alt =
-      Es_util.Par.both ~jobs:(fanout_jobs config cluster)
-        (fun () -> solve_one ~config ?metrics ?spans cluster)
-        (fun () ->
-          solve_one ~config:{ config with allocator = Policy.Equal } ?metrics ?spans cluster)
-    in
-    let alt_plans = Array.map (fun (d : Decision.t) -> d.Decision.plan) alt.decisions in
-    let alt_assignment = Array.map (fun (d : Decision.t) -> d.Decision.server) alt.decisions in
-    let candidates =
-      [ primary.decisions ]
-      @ (if Array.for_all (Latency.device_stable cluster) alt.decisions then [ alt.decisions ]
-         else [])
-      @
-      match best_allocation cluster ~assignment:alt_assignment ~plans:alt_plans with
-      | Some ds -> [ ds ]
-      | None -> []
-    in
-    let best =
-      match Es_util.Numeric.argmin_by (Objective.of_decisions cluster) candidates with
-      | Some ds -> ds
-      | None -> primary.decisions
-    in
-    let solve_time_s = Es_obs.Obs.wall_clock () -. t0 in
-    let objective = Objective.of_decisions cluster best in
-    set_final_gauges metrics ~objective ~solve_time_s;
-    { primary with decisions = best; objective; solve_time_s }
-  end
+  let init = Option.bind warm_start (warm_seed config cluster) in
+  let trajectories =
+    if not config.multi_start then [ (config, init) ]
+    else
+      let equal_share = ({ config with allocator = Policy.Equal }, None) in
+      ((config, None) :: (if config.allocator = Policy.Minmax_alloc then [ equal_share ] else []))
+      @ if Option.is_some init then [ (config, init) ] else []
+  in
+  let spans = Option.map Es_obs.Span.locked_sink spans in
+  let outs =
+    Es_util.Par.parallel_map ~jobs:(fanout_jobs config cluster)
+      (fun (config, init) -> solve_one ~config ?metrics ?spans ?init cluster)
+      trajectories
+  in
+  let out =
+    match outs with
+    | [] -> assert false
+    | [ out ] -> out
+    | first :: rest ->
+        let candidates =
+          first.decisions
+          :: List.concat_map (trajectory_candidates ~allocator:config.allocator cluster) rest
+        in
+        let best =
+          match Es_util.Numeric.argmin_by (Objective.of_decisions cluster) candidates with
+          | Some ds -> ds
+          | None -> first.decisions
+        in
+        {
+          first with
+          decisions = best;
+          objective = Objective.of_decisions cluster best;
+          solve_time_s = Es_obs.Obs.wall_clock () -. t0;
+        }
+  in
+  set_final_gauges metrics ~objective:out.objective ~solve_time_s:out.solve_time_s;
+  out

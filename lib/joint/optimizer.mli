@@ -33,24 +33,25 @@ type config = {
       (** cap each device's Pareto set (evenly subsampled); [None] = full.
           Used to compare against {!Exhaustive} on an identical plan grid *)
   jobs : int;
-      (** domains for the multi-start fan-out: [1] sequential, [0] (the
-          default) auto-sizes from {!Es_util.Par.default_jobs}.  Decisions
-          and objective are bit-identical for every [jobs] value — the
-          trajectories are deterministic and independent.  Regardless of
-          [jobs], the fan-out runs sequentially when the solve is too
-          fine-grained to win ({!par_fanout_min_devices}) or when jobs
-          auto-sizing reports a single usable core — dispatch overhead then
-          exceeds the overlap (the fine-grain loss measured in
-          [BENCH_solver.json]); only timing changes, never decisions *)
+      (** domains for the trajectory fan-out (see [multi_start]): [1]
+          sequential, [0] (the default) auto-sizes from
+          {!Es_util.Par.default_jobs}.  Decisions and objective are
+          bit-identical for every [jobs] value — the trajectories are
+          deterministic and independent.  Regardless of [jobs], the fan-out
+          runs sequentially when the solve is too fine-grained to win
+          ({!par_fanout_min_devices}) or when jobs auto-sizing reports a
+          single usable core — dispatch overhead then exceeds the overlap
+          (the fine-grain loss measured in [BENCH_solver.json]); only
+          timing changes, never decisions *)
   multi_start : bool;
-      (** [true] (the default): the full multi-start portfolio — primary
-          trajectory, equal-share alternate, warm trajectory when an
-          incumbent is given, merged best-first.  [false]: exactly one
-          descent trajectory (warm when an incumbent is given, cold
-          otherwise) — the cheap mode for callers that already supply
-          diversity across many solves, e.g. {!Es_scale}'s per-shard
-          subproblems; the warm-never-worse-than-cold merge guarantee does
-          not apply in this mode *)
+      (** [true] (the default): the cold descent trajectory, then the
+          equal-share one when [allocator] is [Minmax_alloc], then the warm
+          one when an incumbent is given, merged in that order (a later
+          trajectory wins only by scoring strictly better).  [false]:
+          exactly one trajectory, warm when an incumbent is given and cold
+          otherwise — for callers that supply diversity across many
+          solves, e.g. {!Es_scale}'s shards.  A lone trajectory's output is
+          returned unchanged *)
 }
 
 val default_config : config
@@ -83,18 +84,16 @@ val solve :
     stabilize a server, the offending devices fall back to device-only
     execution (their requests never enter the network).
 
-    [warm_start] seeds one extra descent trajectory from an incumbent
-    decision set (the previous epoch's deployment, a bisection bracket
-    endpoint, the pre-failure baseline) alongside the cold multi-start
-    trajectories.  The incumbent is validated and repaired first: a stale
-    plan (device model changed) reverts to the cold initial plan, a
-    decision referencing an out-of-range server (downed or renumbered) is
-    re-pointed at the fastest surviving server; an incumbent of the wrong
-    arity is ignored entirely.  The merge evaluates the cold candidates
-    first, so the result is equal-or-better than the cold solve by
-    construction and bit-identical to it on an exact objective tie — and the
-    bit-identical-for-all-[jobs] determinism contract is preserved (fixed
-    fan-out order, input-order merge).
+    [warm_start] seeds the warm descent trajectory (see [multi_start]) from
+    an incumbent decision set (the previous epoch's deployment, a bisection
+    bracket endpoint, the pre-failure baseline).  The incumbent is
+    validated and repaired first: a stale plan (device model changed)
+    reverts to its {!cold_start} plan, a decision referencing an
+    out-of-range server (downed or renumbered) is re-pointed at the
+    fastest surviving server; an incumbent of the wrong arity is ignored
+    entirely.  Under multi-start the result is equal-or-better than the
+    cold solve by construction and bit-identical to it on an exact
+    objective tie.
 
     Telemetry (both optional, off by default): [metrics] accrues
     [optimizer/iterations] (summed across multi-start trajectories), the
@@ -182,6 +181,18 @@ val best_scored :
     and the zero-allocation kernel: a steady-state call performs no minor-
     heap allocation at all (asserted by the Alloc_probe test; the alloc
     gate in [bench/perf_gate.exe] budgets the full solve around it). *)
+
+val fastest_server : Es_edge.Cluster.server array -> int
+(** The highest-FLOP/s server, lowest index on ties: the anchor for cold
+    starts and for re-pointing decisions at vanished servers. *)
+
+val cold_start :
+  ?pools:scored array array -> config -> Es_edge.Cluster.t -> Es_surgery.Plan.t array * int array
+(** The cold starting point of a descent: each device's best plan under a
+    fair share (1 / max 1 (devices / servers)) of the fastest server's
+    bandwidth and compute, and the {!Es_alloc.Assign.balanced_greedy}
+    placement of those plans.  [pools] holds the devices' {!device_pool}s
+    under [config] when the caller has them; they are looked up otherwise. *)
 
 val force_feasible :
   config -> Es_edge.Cluster.t -> Es_surgery.Plan.t array -> int array ->

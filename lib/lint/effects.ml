@@ -75,15 +75,14 @@ let d6_violation path =
 
 (* The fan-out sinks whose function arguments escape to other domains.
    Matched on the qualified suffix so [Es_util.Par.parallel_map],
-   [Par.parallel_map] and a local [Par.both] all count. *)
+   [Par.parallel_map] and a local [Par.parallel_iter] all count. *)
 let par_sink path =
   match path with
   | [ "Domain"; "spawn" ] -> Some "Domain.spawn"
   | _ -> (
       match List.rev path with
       | fn :: "Par" :: _
-        when fn = "parallel_map" || fn = "parallel_map_array" || fn = "parallel_iter"
-             || fn = "both" ->
+        when fn = "parallel_map" || fn = "parallel_map_array" || fn = "parallel_iter" ->
           Some ("Par." ^ fn)
       | _ -> None)
 

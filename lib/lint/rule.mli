@@ -34,7 +34,7 @@
 
     - {b D7} domain-escape race: a closure literal or function reference
       shipped to [Es_util.Par.parallel_map]/[parallel_map_array]/
-      [parallel_iter]/[both] or [Domain.spawn] whose transitive effect set
+      [parallel_iter] or [Domain.spawn] whose transitive effect set
       mutates unguarded toplevel state, or which assigns a mutable local
       captured from the enclosing scope.
     - {b D8} transitive nondeterminism: a call site whose callee's

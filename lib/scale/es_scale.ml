@@ -29,10 +29,6 @@ type config = {
   shard : Optimizer.config;
   max_sweeps : int;
   delta_sweeps : int;
-  price_step : float;
-  price_target : float;
-  move_tolerance : float;
-  max_moves_per_sweep : int;
   jobs : int;
 }
 
@@ -41,12 +37,19 @@ let default_config =
     shard = { Optimizer.default_config with Optimizer.jobs = 1; multi_start = false };
     max_sweeps = 3;
     delta_sweeps = 1;
-    price_step = 0.5;
-    price_target = 0.75;
-    move_tolerance = 0.05;
-    max_moves_per_sweep = 32;
     jobs = 0;
   }
+
+(* Coordination constants.  Prices ascend by [price_step] per unit of
+   utilization above [price_target]; a device moves only when the target
+   beats staying put by the relative margin [move_tolerance] (hysteresis
+   against price noise); at most [max_moves_per_sweep] moves land per sweep,
+   since each dirties two shards and unbounded churn would re-solve nearly
+   everything next round. *)
+let price_step = 0.5
+let price_target = 0.75
+let move_tolerance = 0.05
+let max_moves_per_sweep = 32
 
 let shard_config cfg = { cfg.shard with Optimizer.jobs = 1 }
 
@@ -102,64 +105,44 @@ type tally = { mutable offloaders : int; mutable bw_frac : float; mutable cpu_fr
 
 let validate_config cfg =
   if cfg.max_sweeps < 1 then invalid_arg "Es_scale: max_sweeps must be >= 1";
-  if cfg.delta_sweeps < 0 then invalid_arg "Es_scale: negative delta_sweeps";
-  if cfg.price_step < 0.0 || not (Float.is_finite cfg.price_step) then
-    invalid_arg "Es_scale: bad price_step";
-  if cfg.price_target <= 0.0 || not (Float.is_finite cfg.price_target) then
-    invalid_arg "Es_scale: bad price_target";
-  if cfg.move_tolerance < 0.0 || cfg.move_tolerance >= 1.0 then
-    invalid_arg "Es_scale: move_tolerance must be in [0, 1)";
-  if cfg.max_moves_per_sweep < 0 then invalid_arg "Es_scale: negative max_moves_per_sweep"
+  if cfg.delta_sweeps < 0 then invalid_arg "Es_scale: negative delta_sweeps"
 
-let fastest_server (servers : Cluster.server array) =
-  let best = ref 0 in
-  Array.iteri
-    (fun s (srv : Cluster.server) ->
-      if
-        srv.Cluster.sproc.Processor.perf.Es_dnn.Profile.flops_per_s
-        > servers.(!best).Cluster.sproc.Processor.perf.Es_dnn.Profile.flops_per_s
-      then best := s)
-    servers;
-  !best
+(* Add ([sign = 1]) or withdraw ([sign = -1]) one offloader's load on
+   [server]: the bandwidth fraction of its AP and the compute
+   seconds-per-second it offers. *)
+let charge cluster (tallies : tally array) ~server ~sign (d : Decision.t) =
+  let rate = cluster.Cluster.devices.(d.Decision.device).Cluster.rate in
+  let srv = cluster.Cluster.servers.(server) in
+  let plan = d.Decision.plan in
+  let bits = 8.0 *. (Es_surgery.Plan.transfer_bytes plan +. Es_surgery.Plan.result_bytes plan) in
+  let work = Es_surgery.Plan.server_time srv.Cluster.sproc.Processor.perf plan in
+  let t = tallies.(server) and f = float_of_int sign in
+  t.offloaders <- t.offloaders + sign;
+  t.bw_frac <- t.bw_frac +. (f *. (rate *. bits /. srv.Cluster.ap_bandwidth_bps));
+  t.cpu_frac <- t.cpu_frac +. (f *. (rate *. work))
 
-(* Applied utilization per server under a decision set: offloader count,
-   bandwidth fraction of the AP and compute seconds-per-second offered. *)
+(* Applied utilization per server under a decision set. *)
 let util_tallies cluster (decisions : Decision.t array) =
-  let ns = Cluster.n_servers cluster in
   let tallies =
-    Array.init ns (fun _ -> { offloaders = 0; bw_frac = 0.0; cpu_frac = 0.0 })
+    Array.init (Cluster.n_servers cluster) (fun _ ->
+        { offloaders = 0; bw_frac = 0.0; cpu_frac = 0.0 })
   in
   Array.iter
     (fun (d : Decision.t) ->
-      if Decision.offloads d then begin
-        let s = d.Decision.server in
-        let dev = cluster.Cluster.devices.(d.Decision.device) in
-        let srv = cluster.Cluster.servers.(s) in
-        let plan = d.Decision.plan in
-        let bits =
-          8.0 *. (Es_surgery.Plan.transfer_bytes plan +. Es_surgery.Plan.result_bytes plan)
-        in
-        let t = tallies.(s) in
-        t.offloaders <- t.offloaders + 1;
-        t.bw_frac <- t.bw_frac +. (dev.Cluster.rate *. bits /. srv.Cluster.ap_bandwidth_bps);
-        t.cpu_frac <-
-          t.cpu_frac
-          +. dev.Cluster.rate
-             *. Es_surgery.Plan.server_time srv.Cluster.sproc.Processor.perf plan
-      end)
+      if Decision.offloads d then charge cluster tallies ~server:d.Decision.server ~sign:1 d)
     decisions;
   tallies
 
 (* Price ascent on utilization above target, clamped at zero: an overloaded
    server's resources get more expensive, pushing best responses elsewhere;
    an idle server's prices decay back toward free. *)
-let price_update cfg ~prices_bw ~prices_cpu (tallies : tally array) =
+let price_update ~prices_bw ~prices_cpu (tallies : tally array) =
   Array.iteri
     (fun s (t : tally) ->
       prices_bw.(s) <-
-        Float.max 0.0 (prices_bw.(s) +. (cfg.price_step *. (t.bw_frac -. cfg.price_target)));
+        Float.max 0.0 (prices_bw.(s) +. (price_step *. (t.bw_frac -. price_target)));
       prices_cpu.(s) <-
-        Float.max 0.0 (prices_cpu.(s) +. (cfg.price_step *. (t.cpu_frac -. cfg.price_target))))
+        Float.max 0.0 (prices_cpu.(s) +. (price_step *. (t.cpu_frac -. price_target))))
     tallies
 
 (* Price-augmented cost of running [d]'s current plan on [server]: a
@@ -193,16 +176,13 @@ let move_cost cluster ~prices_bw ~prices_cpu ~(tallies : tally array) (d : Decis
    earlier moves within the same sweep — still deterministic, the order is
    fixed.  Returns the number of devices moved; marks source and target
    shards dirty. *)
-let move_pass cfg cluster ~prices_bw ~prices_cpu ~tallies ~(decisions : Decision.t array)
+let move_pass cluster ~prices_bw ~prices_cpu ~tallies ~(decisions : Decision.t array)
     ~assignment ~dirty ~(st : sweep_state) =
   let ns = Cluster.n_servers cluster in
-  let budget =
-    if cfg.max_moves_per_sweep = 0 then max_int else cfg.max_moves_per_sweep
-  in
   let moved = ref 0 in
   Array.iter
     (fun (d : Decision.t) ->
-      if !moved < budget && Decision.offloads d then begin
+      if !moved < max_moves_per_sweep && Decision.offloads d then begin
         let i = d.Decision.device in
         let cur = d.Decision.server in
         let cost_cur = move_cost cluster ~prices_bw ~prices_cpu ~tallies d ~server:cur in
@@ -216,30 +196,9 @@ let move_pass cfg cluster ~prices_bw ~prices_cpu ~tallies ~(decisions : Decision
             end
           end
         done;
-        if !best_s <> cur && !best_c < cost_cur *. (1.0 -. cfg.move_tolerance) then begin
-          let dev = cluster.Cluster.devices.(i) in
-          let plan = d.Decision.plan in
-          let bits =
-            8.0
-            *. (Es_surgery.Plan.transfer_bytes plan +. Es_surgery.Plan.result_bytes plan)
-          in
-          let src = tallies.(cur) and dst = tallies.(!best_s) in
-          let cap_src = cluster.Cluster.servers.(cur).Cluster.ap_bandwidth_bps in
-          let cap_dst = cluster.Cluster.servers.(!best_s).Cluster.ap_bandwidth_bps in
-          let work_src =
-            Es_surgery.Plan.server_time
-              cluster.Cluster.servers.(cur).Cluster.sproc.Processor.perf plan
-          in
-          let work_dst =
-            Es_surgery.Plan.server_time
-              cluster.Cluster.servers.(!best_s).Cluster.sproc.Processor.perf plan
-          in
-          src.offloaders <- src.offloaders - 1;
-          src.bw_frac <- src.bw_frac -. (dev.Cluster.rate *. bits /. cap_src);
-          src.cpu_frac <- src.cpu_frac -. (dev.Cluster.rate *. work_src);
-          dst.offloaders <- dst.offloaders + 1;
-          dst.bw_frac <- dst.bw_frac +. (dev.Cluster.rate *. bits /. cap_dst);
-          dst.cpu_frac <- dst.cpu_frac +. (dev.Cluster.rate *. work_dst);
+        if !best_s <> cur && !best_c < cost_cur *. (1.0 -. move_tolerance) then begin
+          charge cluster tallies ~server:cur ~sign:(-1) d;
+          charge cluster tallies ~server:!best_s ~sign:1 d;
           assignment.(i) <- !best_s;
           dirty.(cur) <- true;
           dirty.(!best_s) <- true;
@@ -308,9 +267,9 @@ let coordinate cfg ~cache ~cluster ~assignment ~current ~warm_first ~dirty ~max_
         warm := Some stitched;
         if !sweep < max_sweeps then begin
           let tallies = util_tallies cluster stitched in
-          price_update cfg ~prices_bw ~prices_cpu tallies;
+          price_update ~prices_bw ~prices_cpu tallies;
           let moved =
-            move_pass cfg cluster ~prices_bw ~prices_cpu ~tallies ~decisions:stitched
+            move_pass cluster ~prices_bw ~prices_cpu ~tallies ~decisions:stitched
               ~assignment ~dirty ~st
           in
           if moved = 0 then stop := true
@@ -319,25 +278,6 @@ let coordinate cfg ~cache ~cluster ~assignment ~current ~warm_first ~dirty ~max_
   match !best with
   | Some (objective, decisions, assignment) -> (decisions, objective, assignment)
   | None -> assert false (* max_sweeps >= 1: at least one round ran *)
-
-(* Cold start, mirroring the monolithic optimizer's: per-device best plan
-   against a fair share of the fastest server, then balanced greedy
-   placement on those plans. *)
-let cold_assignment cfg cluster =
-  let servers = cluster.Cluster.servers in
-  let nd = Cluster.n_devices cluster in
-  let fastest = fastest_server servers in
-  let per_server = float_of_int (max 1 (nd / Array.length servers)) in
-  let sc = cfg.shard in
-  let plans =
-    Array.init nd (fun device ->
-        Optimizer.best_plan_for_grants ?max_candidates:sc.Optimizer.max_candidates
-          ~precisions:sc.Optimizer.precisions ~widths:sc.Optimizer.widths cluster ~device
-          ~server:fastest
-          ~bandwidth_bps:(servers.(fastest).Cluster.ap_bandwidth_bps /. per_server)
-          ~compute_share:(1.0 /. per_server))
-  in
-  Es_alloc.Assign.balanced_greedy cluster ~plans
 
 (* Full-arity placeholder so the first stitch has an array to write over;
    every slot is replaced in the first sweep (all shards dirty). *)
@@ -372,13 +312,13 @@ let solve ?(config = default_config) ?cache ?warm_start ?assignment cluster =
     | Some _ | None -> (
         match warm with
         | Some w ->
-            let fastest = fastest_server cluster.Cluster.servers in
+            let fastest = Optimizer.fastest_server cluster.Cluster.servers in
             Array.map
               (fun (d : Decision.t) ->
                 let s = d.Decision.server in
                 if s >= 0 && s < ns then s else fastest)
               w
-        | None -> cold_assignment config cluster)
+        | None -> snd (Optimizer.cold_start config.shard cluster))
   in
   let current, warm_first =
     match warm with

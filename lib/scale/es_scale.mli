@@ -29,26 +29,17 @@ type config = {
   max_sweeps : int;  (** coordination rounds cap for a full solve, >= 1 *)
   delta_sweeps : int;
       (** extra rounds after the first on a {!Delta.apply} re-solve, >= 0 *)
-  price_step : float;  (** dual ascent step on utilization violation *)
-  price_target : float;  (** utilization fraction prices steer toward *)
-  move_tolerance : float;
-      (** a device moves only when the target beats staying put by this
-          relative margin, in [0, 1) — hysteresis against price noise *)
-  max_moves_per_sweep : int;
-      (** accepted-migration budget per sweep (0 = unbounded): every move
-          dirties two shards, so unbounded churn makes the next round
-          re-solve nearly everything; the budget keeps incremental rounds
-          incremental.  Moves past the budget wait for the next sweep. *)
   jobs : int;  (** shard fan-out parallelism; 0 = auto *)
 }
 
 val default_config : config
-(** [max_sweeps = 3], [delta_sweeps = 1], [price_step = 0.5],
-    [price_target = 0.75], [move_tolerance = 0.05],
-    [max_moves_per_sweep = 32], [jobs = 0]; the shard
-    config is {!Es_joint.Optimizer.default_config} with a single
-    trajectory ([multi_start = false]) — inter-shard coordination replaces
-    multi-start diversification. *)
+(** [max_sweeps = 3], [delta_sweeps = 1], [jobs = 0]; the shard config is
+    {!Es_joint.Optimizer.default_config} with a single trajectory
+    ([multi_start = false]) — inter-shard coordination replaces multi-start
+    diversification.  The coordination constants are fixed: dual prices
+    step by 0.5 per unit of utilization above a 0.75 target, a device
+    migrates only when the target beats staying put by 5%, and at most 32
+    devices migrate per sweep. *)
 
 val shard_config : config -> Es_joint.Optimizer.config
 (** The exact per-shard optimizer config a solve uses: [cfg.shard] with
@@ -74,9 +65,9 @@ val solve :
   output
 (** Solve the cluster by sharded coordination.  [warm_start] follows the
     monolithic solver's contract (wrong arity ignored); [assignment] seeds
-    the device→server map (wrong arity or range ignored) — absent both, a
-    cold assignment is derived per-device against a fair share of the
-    fastest server and placed by {!Es_alloc.Assign.balanced_greedy}.
+    the device→server map (wrong arity or range ignored) — absent both,
+    the assignment is {!Es_joint.Optimizer.cold_start}'s under the shard
+    config.
     [cache] memoizes shard solves by sub-cluster fingerprint, so untouched
     shards re-solve as lookups.
     @raise Invalid_argument on an empty cluster or a nonsensical config. *)

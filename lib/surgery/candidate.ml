@@ -29,67 +29,33 @@ let plan_key (p : Plan.t) =
 
 let pareto plans = Es_util.Pareto.frontier plan_key plans
 
-(* Domain-safe with per-model once semantics: the first caller to ask for a
-   key publishes a [Building] marker and generates outside the lock; racing
-   callers block on the condition until the plans are [Ready] instead of
-   duplicating the (expensive) generate + frontier work. *)
-type cache_entry = Building | Ready of Plan.t list
-
-let cache : (string, cache_entry) Hashtbl.t = Hashtbl.create 16 [@@es_lint.guarded "cache_lock"]
-let cache_lock = Mutex.create ()
-let cache_cond = Condition.create ()
+(* Candidate sets are queried once per model per experiment but reused
+   across devices, trajectories and sweep points. *)
+let cache : (int64, Plan.t list) Es_util.Once.t = Es_util.Once.create ()
 
 (* Keyed by name *and* a structural fingerprint, so distinct user models
    sharing a name don't collide, while fresh instances of the same zoo
-   architecture (one per Scenario.build) still share candidates. *)
+   architecture (one per Scenario.build) still share candidates.  Widths
+   hash by their exact bits. *)
 let cache_key g widths exits precisions =
-  Printf.sprintf "%s|%d|%.0f|%s|%s|%s" g.Es_dnn.Graph.name (Es_dnn.Graph.n_nodes g)
-    (Es_dnn.Graph.total_flops g)
-    (String.concat "," (List.map (Printf.sprintf "%.3f") widths))
-    (String.concat ","
-       (List.map (function None -> "full" | Some i -> string_of_int i) exits))
-    (String.concat "," (List.map Precision.name precisions))
+  let h = Es_util.Fnv.create () in
+  Es_util.Fnv.add_string h g.Es_dnn.Graph.name;
+  Es_util.Fnv.add_int h (Es_dnn.Graph.n_nodes g);
+  Es_util.Fnv.add_float h (Es_dnn.Graph.total_flops g);
+  Es_util.Fnv.add_int h (List.length widths);
+  List.iter (Es_util.Fnv.add_float h) widths;
+  Es_util.Fnv.add_int h (List.length exits);
+  List.iter (fun e -> Es_util.Fnv.add_int h (Option.value e ~default:(-1))) exits;
+  Es_util.Fnv.add_int h (List.length precisions);
+  List.iter (fun p -> Es_util.Fnv.add_string h (Precision.name p)) precisions;
+  Es_util.Fnv.value h
 
 let pareto_candidates ?(widths = default_widths) ?exits ?(precisions = default_precisions) g =
   let exits = match exits with Some e -> e | None -> exit_nodes g in
-  let key = cache_key g widths exits precisions in
-  let rec await () =
-    match Hashtbl.find_opt cache key with
-    | Some (Ready plans) ->
-        Mutex.unlock cache_lock;
-        plans
-    | Some Building ->
-        Condition.wait cache_cond cache_lock;
-        await ()
-    | None ->
-        Hashtbl.replace cache key Building;
-        Mutex.unlock cache_lock;
-        let plans =
-          try pareto (generate ~widths ~exits ~precisions g)
-          with e ->
-            (* Withdraw the marker so waiters retry rather than hang. *)
-            Mutex.lock cache_lock;
-            Hashtbl.remove cache key;
-            Condition.broadcast cache_cond;
-            Mutex.unlock cache_lock;
-            raise e
-        in
-        Mutex.lock cache_lock;
-        Hashtbl.replace cache key (Ready plans);
-        Condition.broadcast cache_cond;
-        Mutex.unlock cache_lock;
-        plans
-  in
-  Mutex.lock cache_lock;
-  await ()
+  Es_util.Once.find_or_build cache (cache_key g widths exits precisions) (fun () ->
+      pareto (generate ~widths ~exits ~precisions g))
 
-let clear_cache () =
-  Mutex.lock cache_lock;
-  Hashtbl.reset cache;
-  (* Any in-flight builder re-publishes its entry on completion; waiters on a
-     dropped [Building] marker wake here and become builders themselves. *)
-  Condition.broadcast cache_cond;
-  Mutex.unlock cache_lock
+let clear_cache () = Es_util.Once.clear cache
 
 let subsample k plans =
   if k <= 0 then invalid_arg "Candidate.subsample: k must be positive";

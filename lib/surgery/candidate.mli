@@ -37,11 +37,13 @@ val pareto_candidates :
   ?precisions:Precision.t list ->
   Es_dnn.Graph.t ->
   Plan.t list
-(** [pareto (generate g)] with memoization keyed by (model name, widths,
-    exits) — candidate sets are queried once per model per experiment but
-    reused across devices and sweep points. *)
+(** [pareto (generate g)], memoized process-wide ({!Es_util.Once}) by model
+    name and structure, the exact bits of every width, the exits and the
+    precisions — candidate sets are queried once per model per experiment
+    but reused across devices and sweep points. *)
 
 val clear_cache : unit -> unit
+(** Drop the memoized candidate sets; results never change, only cost. *)
 
 val subsample : int -> Plan.t list -> Plan.t list
 (** [subsample k plans] keeps at most [k] plans, evenly spaced over the

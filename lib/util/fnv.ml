@@ -10,20 +10,27 @@ let prime = 0x100000001b3L
 
 let create () = ref offset_basis
 
-let add_byte (h : t) b =
-  h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xff))) prime
+(* Each adder folds its bytes into a local accumulator, which the native
+   compiler keeps unboxed, and stores the digest back once. *)
 
 let add_int64 h x =
+  let v = ref !h in
   for i = 0 to 7 do
-    add_byte h (Int64.to_int (Int64.shift_right_logical x (8 * i)))
-  done
+    let byte = Int64.logand (Int64.shift_right_logical x (8 * i)) 0xffL in
+    v := Int64.mul (Int64.logxor !v byte) prime
+  done;
+  h := !v
 
 let add_int h x = add_int64 h (Int64.of_int x)
 let add_float h x = add_int64 h (Int64.bits_of_float x)
-let add_bool h b = add_byte h (if b then 1 else 0)
+let add_bool h b = h := Int64.mul (Int64.logxor !h (if b then 1L else 0L)) prime
 
 let add_string h s =
-  String.iter (fun c -> add_byte h (Char.code c)) s;
+  let v = ref !h in
+  for i = 0 to String.length s - 1 do
+    v := Int64.mul (Int64.logxor !v (Int64.of_int (Char.code (String.unsafe_get s i)))) prime
+  done;
+  h := !v;
   (* Length terminator: "ab"+"c" must not collide with "a"+"bc". *)
   add_int h (String.length s)
 

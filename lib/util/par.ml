@@ -158,21 +158,3 @@ let parallel_map ?jobs f l =
       else Array.to_list (parallel_map_array ~jobs f (Array.of_list l))
 
 let parallel_iter ?jobs f l = ignore (parallel_map ?jobs f l)
-
-let both ?jobs fa fb =
-  let jobs = resolve_jobs jobs in
-  if jobs <= 1 || inside_pool () then begin
-    let a = fa () in
-    let b = fb () in
-    (a, b)
-  end
-  else begin
-    let a = ref None and b = ref None in
-    run_indexed ~jobs:2 ~n:2 (fun lo hi ->
-        for i = lo to hi - 1 do
-          if i = 0 then a := Some (fa ()) else b := Some (fb ())
-        done);
-    match (!a, !b) with
-    | Some a, Some b -> (a, b)
-    | _ -> assert false
-  end

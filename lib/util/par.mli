@@ -38,10 +38,6 @@ val parallel_map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 val parallel_iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
 (** [parallel_map] for effects only. *)
 
-val both : ?jobs:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
-(** [both fa fb] runs the two thunks concurrently (when [jobs] > 1) and
-    returns both results; the sequential fallback runs [fa] first. *)
-
 val inside_pool : unit -> bool
 (** True while executing on a pool worker or inside a chunk the caller is
     processing — i.e. when a nested parallel call would run sequentially.

@@ -219,6 +219,96 @@ let test_solve_jobs_bit_identical () =
       check_outputs_identical name (solve 1) (solve 4))
     [ "default"; "smart_city"; "ar_assistant"; "drone_swarm" ]
 
+(* The solve portfolio pinned bit for bit: every (allocator, multi_start,
+   warm) shape Optimizer.solve accepts, re-solving named scenarios after a
+   1.7x rate shift, cold or warm from the pre-shift solve.  The recorded
+   decisions, objective bits, iteration count and trace length predate the
+   single fan-out and merge; 12-device smart_city is where the multi-start
+   merge lands away from the single trajectory. *)
+let pin_config = { Optimizer.default_config with max_iters = 4; local_search_passes = 1 }
+
+let pin_expected =
+  [
+    ("smart_city-8/minmax/multi=true/cold", "eabc3d59753428c8", 4588502731925032690L, 4, 4);
+    ("smart_city-8/minmax/multi=true/warm", "eabc3d59753428c8", 4588502731925032690L, 4, 4);
+    ("smart_city-8/minmax/multi=false/cold", "eabc3d59753428c8", 4588502731925032690L, 4, 4);
+    ("smart_city-8/minmax/multi=false/warm", "eabc3d59753428c8", 4588502731925032690L, 4, 4);
+    ("smart_city-8/equal/multi=true/cold", "8c60e72579556d99", 4588711102749470950L, 4, 4);
+    ("smart_city-8/equal/multi=true/warm", "8c60e72579556d99", 4588711102749470950L, 4, 4);
+    ("smart_city-8/equal/multi=false/cold", "8c60e72579556d99", 4588711102749470950L, 4, 4);
+    ("smart_city-8/equal/multi=false/warm", "8c60e72579556d99", 4588711102749470950L, 4, 4);
+    ("drone_swarm-8/minmax/multi=true/cold", "e61f802402ef92cc", 4597215271489604188L, 4, 4);
+    ("drone_swarm-8/minmax/multi=true/warm", "e61f802402ef92cc", 4597215271489604188L, 4, 4);
+    ("drone_swarm-8/minmax/multi=false/cold", "e61f802402ef92cc", 4597215271489604188L, 4, 4);
+    ("drone_swarm-8/minmax/multi=false/warm", "e61f802402ef92cc", 4597215271489604188L, 4, 4);
+    ("drone_swarm-8/equal/multi=true/cold", "eccf7b3f60ece229", 4597215471912294880L, 4, 4);
+    ("drone_swarm-8/equal/multi=true/warm", "eccf7b3f60ece229", 4597215471912294880L, 4, 4);
+    ("drone_swarm-8/equal/multi=false/cold", "eccf7b3f60ece229", 4597215471912294880L, 4, 4);
+    ("drone_swarm-8/equal/multi=false/warm", "eccf7b3f60ece229", 4597215471912294880L, 4, 4);
+    ("smart_city-12/minmax/multi=true/cold", "2740506755692fd1", 4591516826694304215L, 4, 4);
+    ("smart_city-12/minmax/multi=true/warm", "2740506755692fd1", 4591516826694304215L, 4, 4);
+    ("smart_city-12/minmax/multi=false/cold", "8d2315f80fe69c07", 4592643240468785875L, 4, 4);
+    ("smart_city-12/minmax/multi=false/warm", "2740506755692fd1", 4591516826694304215L, 4, 4);
+    ("smart_city-12/equal/multi=true/cold", "4c600efab97f8c36", 4591808704959377157L, 4, 4);
+    ("smart_city-12/equal/multi=true/warm", "4c600efab97f8c36", 4591808704959377157L, 4, 4);
+    ("smart_city-12/equal/multi=false/cold", "4c600efab97f8c36", 4591808704959377157L, 4, 4);
+    ("smart_city-12/equal/multi=false/warm", "4c600efab97f8c36", 4591808704959377157L, 4, 4);
+  ]
+
+let pin_runs () =
+  List.concat_map
+    (fun (name, n) ->
+      let spec = Scenario.with_n_devices n (Es_workload.Scenarios.by_name name) in
+      let cluster = Scenario.build spec in
+      let incumbent = (Optimizer.solve ~config:pin_config cluster).Optimizer.decisions in
+      let shifted = Online.scale_rates cluster 1.7 in
+      List.concat_map
+        (fun (alloc_name, allocator) ->
+          List.concat_map
+            (fun multi_start ->
+              let config = { pin_config with Optimizer.allocator; multi_start } in
+              List.map
+                (fun (warm_name, warm_start) ->
+                  ( Printf.sprintf "%s-%d/%s/multi=%b/%s" name n alloc_name multi_start warm_name,
+                    Optimizer.solve ~config ?warm_start shifted ))
+                [ ("cold", None); ("warm", Some incumbent) ])
+            [ true; false ])
+        [ ("minmax", Es_alloc.Policy.Minmax_alloc); ("equal", Es_alloc.Policy.Equal) ])
+    [ ("smart_city", 8); ("drone_swarm", 8); ("smart_city", 12) ]
+
+let test_solve_portfolio_pinned () =
+  let runs = pin_runs () in
+  Alcotest.(check int) "every pinned shape ran" (List.length pin_expected) (List.length runs);
+  List.iter2
+    (fun (label, (o : Optimizer.output)) (label', fp, obj_bits, iters, trace_len) ->
+      Alcotest.(check string) "pin order" label' label;
+      Alcotest.(check string) (label ^ ": decisions") fp
+        (Decision.fingerprint o.Optimizer.decisions);
+      Alcotest.(check int64) (label ^ ": objective bits") obj_bits
+        (Int64.bits_of_float o.Optimizer.objective);
+      Alcotest.(check int) (label ^ ": iterations") iters o.Optimizer.iterations;
+      Alcotest.(check int) (label ^ ": trace length") trace_len (List.length o.Optimizer.trace))
+    runs pin_expected;
+  let find label = List.assoc label runs in
+  List.iter
+    (fun sc ->
+      List.iter
+        (fun alloc ->
+          let prefix = Printf.sprintf "%s/%s/multi=" sc alloc in
+          let cold = find (prefix ^ "true/cold") and warm = find (prefix ^ "true/warm") in
+          Alcotest.(check bool)
+            (prefix ^ "true: warm never worse than cold")
+            true
+            (warm.Optimizer.objective <= cold.Optimizer.objective))
+        [ "minmax"; "equal" ];
+      let on = find (sc ^ "/equal/multi=true/cold") in
+      let off = find (sc ^ "/equal/multi=false/cold") in
+      Alcotest.(check string)
+        (sc ^ ": Equal ignores multi_start without an incumbent")
+        (Decision.fingerprint off.Optimizer.decisions)
+        (Decision.fingerprint on.Optimizer.decisions))
+    [ "smart_city-8"; "drone_swarm-8"; "smart_city-12" ]
+
 (* The allocation-free surgery step must pick the bit-identical plan the old
    Decision-per-candidate implementation picks, for arbitrary grants. *)
 let best_plan_matches_reference =
@@ -679,6 +769,7 @@ let () =
           Alcotest.test_case "exhaustive across jobs" `Quick test_exhaustive_jobs_identical;
           Alcotest.test_case "final gauges from landing point" `Quick
             test_final_gauges_from_landing_point;
+          Alcotest.test_case "solve portfolio pinned" `Quick test_solve_portfolio_pinned;
         ] );
       ( "zero-alloc",
         [

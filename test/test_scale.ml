@@ -228,8 +228,6 @@ let test_config_validation () =
     [
       ("max_sweeps 0", { Es_scale.default_config with Es_scale.max_sweeps = 0 });
       ("negative delta_sweeps", { Es_scale.default_config with Es_scale.delta_sweeps = -1 });
-      ("move_tolerance 1", { Es_scale.default_config with Es_scale.move_tolerance = 1.0 });
-      ("negative price_step", { Es_scale.default_config with Es_scale.price_step = -0.5 });
     ]
 
 let test_counters () =

@@ -270,6 +270,17 @@ let test_cache_distinguishes_same_name () =
   Alcotest.(check bool) "different architectures, different candidates" true
     (max_dev large > 2.0 *. max_dev small)
 
+(* Widths that agree to three decimals are still different widths: the
+   second call must build its own plans, not return the first call's. *)
+let test_cache_distinguishes_nearby_widths () =
+  Candidate.clear_cache ();
+  let widths_of ws =
+    List.sort_uniq Float.compare
+      (List.map (fun (p : Plan.t) -> p.Plan.width) (Candidate.pareto_candidates ~widths:ws alexnet))
+  in
+  ignore (widths_of [ 0.5001 ]);
+  Alcotest.(check (list (float 0.0))) "second width's own plans" [ 0.5004 ] (widths_of [ 0.5004 ])
+
 let test_exit_nodes_listing () =
   let exits = Candidate.exit_nodes resnet18 in
   Alcotest.(check int) "all flagged exits plus full depth"
@@ -520,6 +531,7 @@ let () =
           Alcotest.test_case "keeps best accuracy" `Quick test_pareto_keeps_best_accuracy;
           Alcotest.test_case "cache" `Quick test_candidate_cache;
           Alcotest.test_case "cache name collision" `Quick test_cache_distinguishes_same_name;
+          Alcotest.test_case "cache nearby widths" `Quick test_cache_distinguishes_nearby_widths;
           Alcotest.test_case "exit nodes" `Quick test_exit_nodes_listing;
         ] );
       ( "precision",

@@ -520,16 +520,48 @@ let test_par_iter_covers () =
   Alcotest.(check bool) "each element visited exactly once" true
     (Array.for_all (fun c -> c = 1) hits)
 
-let test_par_both () =
-  let a, b = Par.both ~jobs:2 (fun () -> 21 * 2) (fun () -> "x" ^ "y") in
-  Alcotest.(check int) "first thunk" 42 a;
-  Alcotest.(check string) "second thunk" "xy" b;
-  let a, b = Par.both ~jobs:1 (fun () -> 1) (fun () -> 2) in
-  Alcotest.(check (pair int int)) "sequential fallback" (1, 2) (a, b)
-
 let test_par_default_jobs () =
   Alcotest.(check bool) "default_jobs >= 1" true (Par.default_jobs () >= 1);
   Alcotest.(check bool) "not inside pool at top level" false (Par.inside_pool ())
+
+(* ---------- Once ---------- *)
+
+(* A build slow enough that racing callers find its [Building] marker. *)
+let counted_build builds v () =
+  Atomic.incr builds;
+  let acc = ref 0 in
+  for i = 1 to 2_000_000 do
+    acc := !acc + (i land 7)
+  done;
+  ignore (Sys.opaque_identity !acc);
+  v
+
+let test_once_builds_once () =
+  let t = Once.create () and builds = Atomic.make 0 in
+  let got =
+    Par.parallel_map ~jobs:4
+      (fun _ -> Once.find_or_build t 0 (counted_build builds 7))
+      (List.init 16 Fun.id)
+  in
+  Alcotest.(check int) "one build for 16 racing callers" 1 (Atomic.get builds);
+  Alcotest.(check (list int)) "every caller sees the value" (List.init 16 (fun _ -> 7)) got
+
+let test_once_failed_build_withdrawn () =
+  let t = Once.create () and builds = Atomic.make 0 in
+  Alcotest.check_raises "the build's exception reaches the caller" (Failure "boom") (fun () ->
+      ignore (Once.find_or_build t 0 (fun () -> Atomic.incr builds; failwith "boom")));
+  Alcotest.(check int) "next call builds again" 5 (Once.find_or_build t 0 (counted_build builds 5));
+  Alcotest.(check int) "two builds" 2 (Atomic.get builds)
+
+let test_once_clear () =
+  let t = Once.create () and builds = Atomic.make 0 in
+  let get () = ignore (Once.find_or_build t 0 (counted_build builds 1)) in
+  get ();
+  get ();
+  Alcotest.(check int) "hit after the first build" 1 (Atomic.get builds);
+  Once.clear t;
+  get ();
+  Alcotest.(check int) "rebuilt after clear" 2 (Atomic.get builds)
 
 (* ---------- Numeric ---------- *)
 
@@ -772,8 +804,13 @@ let () =
           Alcotest.test_case "nested" `Quick test_par_nested;
           Alcotest.test_case "exception" `Quick test_par_exception;
           Alcotest.test_case "iter covers" `Quick test_par_iter_covers;
-          Alcotest.test_case "both" `Quick test_par_both;
           Alcotest.test_case "default_jobs" `Quick test_par_default_jobs;
+        ] );
+      ( "once",
+        [
+          Alcotest.test_case "one build under racing callers" `Quick test_once_builds_once;
+          Alcotest.test_case "failed build withdrawn" `Quick test_once_failed_build_withdrawn;
+          Alcotest.test_case "clear" `Quick test_once_clear;
         ] );
       ( "numeric",
         [
