@@ -591,18 +591,7 @@ let f13 () =
   let local_plan i =
     (* Fastest on-device candidate: the rejected device sacrifices accuracy
        to keep its own queue stable. *)
-    let dev = cluster.Cluster.devices.(i) in
-    let locals =
-      Es_surgery.Candidate.pareto_candidates dev.Cluster.model
-      |> List.filter Es_surgery.Plan.is_device_only
-    in
-    match
-      Es_util.Numeric.argmin_by
-        (fun p -> Es_surgery.Plan.device_time dev.Cluster.proc.Processor.perf p)
-        locals
-    with
-    | Some p -> p
-    | None -> Es_surgery.Plan.device_only dev.Cluster.model
+    Es_sim.Overload.fastest_local cluster.Cluster.devices.(i)
   in
   let admitted =
     Es_alloc.Admission.control ~weight:(fun d -> d.Cluster.rate) ~until:`Deadlines

@@ -27,8 +27,10 @@ let epochs_of ~epoch_s ~duration_s =
 
 let run ?(options = Es_sim.Runner.default_options) ?config ?cache ?solver
     ?(warm_start = true) ~epoch_s ~rate_profile cluster =
-  if epoch_s <= 0.0 then invalid_arg "Online.run: non-positive epoch";
   let duration_s = options.Es_sim.Runner.duration_s in
+  (* a NaN epoch or horizon would never end the epoch list *)
+  if Float.is_nan duration_s then invalid_arg "Online.run: NaN duration_s";
+  if not (epoch_s > 0.0) then invalid_arg "Online.run: non-positive epoch";
   let arrivals =
     piecewise_arrivals ~seed:options.Es_sim.Runner.seed ~duration_s ~rate_profile cluster
   in
@@ -112,17 +114,4 @@ let run ?(options = Es_sim.Runner.default_options) ?config ?cache ?solver
       }
 
 let run_static ?(options = Es_sim.Runner.default_options) ?config ~rate_profile cluster =
-  let duration_s = options.Es_sim.Runner.duration_s in
-  let arrivals =
-    piecewise_arrivals ~seed:options.Es_sim.Runner.seed ~duration_s ~rate_profile cluster
-  in
-  let nominal = scale_rates cluster (Float.max 1e-9 (rate_profile 0.0)) in
-  let out = Optimizer.solve ?config nominal in
-  let report = Es_sim.Runner.run ~options ~arrivals cluster out.Optimizer.decisions in
-  {
-    report;
-    schedule = [ (0.0, out.Optimizer.decisions) ];
-    resolve_count = 1;
-    resolve_rejected = 0;
-    cache_hits = 0;
-  }
+  run ~options ?config ~epoch_s:options.Es_sim.Runner.duration_s ~rate_profile cluster

@@ -63,7 +63,8 @@ val run :
     same cache per shard ([cache_hits] then stays 0 unless the solver was
     built over this cache).  The guard still applies to its output.
 
-    @raise Invalid_argument on non-positive [epoch_s]. *)
+    @raise Invalid_argument on a non-positive or NaN [epoch_s] or a NaN
+    [duration_s]. *)
 
 val run_static :
   ?options:Es_sim.Runner.options ->
@@ -71,5 +72,6 @@ val run_static :
   rate_profile:(float -> float) ->
   Es_edge.Cluster.t ->
   result
-(** Control arm: one optimization at the nominal (t = 0) load, never
-    revisited, over the identical arrival trace. *)
+(** Control arm: {!run} with one epoch spanning the run — one optimization
+    at the nominal (t = 0) load, never revisited, over the identical
+    arrival trace. *)

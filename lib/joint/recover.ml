@@ -8,13 +8,6 @@ type t = {
   fallbacks : Decision.t array array;
 }
 
-(* All-local decisions: per device, the fastest device-only plan meeting its
-   accuracy floor, or failing that the fastest device-only plan outright —
-   when no server is left, degraded answers beat dropped requests.  The
-   selection lives in [Es_sim.Overload] so the runner's breaker/brownout
-   reroutes and this recovery path degrade to the same plans. *)
-let local_decisions = Es_sim.Overload.local_decisions
-
 let solve_without ?(config = Optimizer.default_config) ?solver ?warm_start cluster ~failed =
   let ns = Cluster.n_servers cluster in
   List.iter
@@ -25,7 +18,7 @@ let solve_without ?(config = Optimizer.default_config) ?solver ?warm_start clust
   let keep =
     List.filter (fun s -> not (List.mem s failed)) (List.init ns Fun.id)
   in
-  if keep = [] then local_decisions cluster
+  if keep = [] then Es_sim.Overload.local_decisions cluster
   else begin
     (* Re-solve the residual problem on the surviving servers.  Cluster.make
        re-numbers server ids to positions, so map the reduced indices back

@@ -20,11 +20,6 @@
 type t
 (** Precomputed fallback table for one cluster. *)
 
-val local_decisions : Es_edge.Cluster.t -> Es_edge.Decision.t array
-(** All-device-only decisions: per device, the fastest local plan meeting
-    its accuracy floor, else the fastest local plan outright.  The fallback
-    of last resort when no server survives. *)
-
 val solve_without :
   ?config:Optimizer.config ->
   ?solver:Optimizer.solver ->
@@ -35,7 +30,8 @@ val solve_without :
 (** Best decision set with the [failed] servers removed: a fresh
     {!Optimizer.solve} on the residual cluster, server indices mapped back
     to the original cluster's numbering.  No fallback decision ever targets
-    a failed server.  All servers failed degrades to {!local_decisions}.
+    a failed server.  All servers failed degrades to
+    {!Es_sim.Overload.local_decisions}.
 
     [warm_start] (in the {e original} cluster's server numbering, e.g. the
     healthy-cluster solution) seeds the residual solve: decisions on

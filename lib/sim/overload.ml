@@ -88,66 +88,42 @@ let validate p =
 
 (* ---------- degraded-plan selection (shared with Es_joint.Recover) ---------- *)
 
-let fastest_by perf plans =
-  match plans with
+(* [plans] meeting [dev]'s accuracy floor, or all of them when none does. *)
+let floor_first (dev : Cluster.device) plans =
+  let meets p = p.Es_surgery.Plan.accuracy >= dev.Cluster.accuracy_floor -. 1e-9 in
+  match List.filter meets plans with [] -> plans | ok -> ok
+
+(* The first plan minimizing [key] (ties keep the earlier one). *)
+let least key = function
   | [] -> None
-  | p :: rest ->
-      Some
-        (List.fold_left
-           (fun acc q ->
-             if Es_surgery.Plan.device_time perf q < Es_surgery.Plan.device_time perf acc then q
-             else acc)
-           p rest)
+  | p :: rest -> Some (List.fold_left (fun acc q -> if key q < key acc then q else acc) p rest)
 
-let local_plan (dev : Cluster.device) =
-  let perf = dev.Cluster.proc.Processor.perf in
-  let locals =
-    List.filter Es_surgery.Plan.is_device_only
-      (Es_surgery.Candidate.pareto_candidates dev.Cluster.model)
-  in
-  let meeting_floor =
-    List.filter
-      (fun p -> p.Es_surgery.Plan.accuracy >= dev.Cluster.accuracy_floor -. 1e-9)
-      locals
-  in
-  match fastest_by perf meeting_floor with
+let fastest_among (dev : Cluster.device) plans =
+  match least (Es_surgery.Plan.device_time dev.Cluster.proc.Processor.perf) plans with
   | Some p -> p
-  | None -> (
-      match fastest_by perf locals with
-      | Some p -> p
-      | None -> Es_surgery.Plan.device_only dev.Cluster.model)
+  | None -> Es_surgery.Plan.device_only dev.Cluster.model
 
-let local_decision (dev : Cluster.device) =
-  Decision.make ~device:dev.Cluster.dev_id ~server:0 ~plan:(local_plan dev) ()
+let device_only_plans (dev : Cluster.device) =
+  List.filter Es_surgery.Plan.is_device_only
+    (Es_surgery.Candidate.pareto_candidates dev.Cluster.model)
 
-let local_decisions cluster = Array.map local_decision cluster.Cluster.devices
+let fastest_local dev = fastest_among dev (device_only_plans dev)
+
+let local_decisions cluster =
+  Array.map
+    (fun (dev : Cluster.device) ->
+      let plan = fastest_among dev (floor_first dev (device_only_plans dev)) in
+      Decision.make ~device:dev.Cluster.dev_id ~server:0 ~plan ())
+    cluster.Cluster.devices
 
 (* The lowest-server-load offloading plan on the Pareto frontier: the
    brownout swap that keeps the device remote but minimizes what it asks of
    the congested server.  Plans meeting the device's accuracy floor win over
    plans that merely offload less. *)
 let min_server_plan (dev : Cluster.device) =
-  let offloading =
-    List.filter
-      (fun p -> not (Es_surgery.Plan.is_device_only p))
-      (Es_surgery.Candidate.pareto_candidates dev.Cluster.model)
-  in
-  let lightest plans =
-    match plans with
-    | [] -> None
-    | p :: rest ->
-        Some
-          (List.fold_left
-             (fun acc q ->
-               if Es_surgery.Plan.srv_flops q < Es_surgery.Plan.srv_flops acc then q else acc)
-             p rest)
-  in
-  let meeting_floor =
-    List.filter
-      (fun p -> p.Es_surgery.Plan.accuracy >= dev.Cluster.accuracy_floor -. 1e-9)
-      offloading
-  in
-  match lightest meeting_floor with Some p -> Some p | None -> lightest offloading
+  Es_surgery.Candidate.pareto_candidates dev.Cluster.model
+  |> List.filter (fun p -> not (Es_surgery.Plan.is_device_only p))
+  |> floor_first dev |> least Es_surgery.Plan.srv_flops
 
 (* ---------- circuit breaker ---------- *)
 

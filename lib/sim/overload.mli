@@ -97,16 +97,19 @@ val validate : policy -> unit
 
 (** {2 Degraded-plan selection}
 
-    The local-decision machinery shared with [Es_joint.Recover]: per
-    device, the fastest device-only Pareto plan meeting its accuracy
-    floor, or failing that the fastest device-only plan outright. *)
+    Shared by the runner's local fallback, its breaker and brownout
+    reroutes, and [Es_joint.Recover], so every degraded path picks the same
+    plans. *)
 
-val local_plan : Es_edge.Cluster.device -> Es_surgery.Plan.t
-
-val local_decision : Es_edge.Cluster.device -> Es_edge.Decision.t
-(** Device-only decision on {!local_plan} (placement fields unused). *)
+val fastest_local : Es_edge.Cluster.device -> Es_surgery.Plan.t
+(** The device's fastest device-only Pareto plan, ignoring its accuracy
+    floor (first wins on ties); the bare device-only plan when the frontier
+    has none. *)
 
 val local_decisions : Es_edge.Cluster.t -> Es_edge.Decision.t array
+(** Per device, a device-only decision (placement fields unused) on the
+    fastest device-only Pareto plan meeting its accuracy floor, or failing
+    that on {!fastest_local}. *)
 
 val min_server_plan : Es_edge.Cluster.device -> Es_surgery.Plan.t option
 (** The offloading Pareto plan with the least server work (floor-meeting

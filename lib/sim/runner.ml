@@ -53,30 +53,75 @@ let stage_names = [| "device"; "uplink"; "uplink_prop"; "server"; "downlink"; "d
 let stages = Array.to_list stage_names
 
 (* Stage indices into [stage_names]. *)
-let s_device = 0
-
-and s_uplink = 1
-
-and s_uplink_prop = 2
-
-and s_server = 3
-
-and s_downlink = 4
-
-and s_downlink_prop = 5
+let s_device, s_uplink, s_uplink_prop, s_server, s_downlink, s_downlink_prop = (0, 1, 2, 3, 4, 5)
 
 (* Per-request state is packed into one int per request: outcome in bits
    0–2, the fallback-started flag in bit 3, the retry attempt count in the
-   bits above.  Outcome 0 is "in flight". *)
-let o_completed = 1
+   bits above.  Outcome 0 is "in flight"; [outcome_names] gives the root
+   span's [outcome] attribute. *)
+let o_completed, o_degraded, o_dropped, o_timed_out, o_shed = (1, 2, 3, 4, 5)
 
-and o_degraded = 2
+let outcome_names = [| ""; "completed"; "completed_degraded"; "dropped"; "timed_out"; "shed" |]
 
-and o_dropped = 3
+(* The station a queueing stage submits to (not the propagation stages). *)
+let station_at st stage =
+  if stage = s_device then st.cpu
+  else if stage = s_uplink then st.up
+  else if stage = s_server then st.srv
+  else st.down
 
-and o_timed_out = 4
+(* Every telemetry handle a run writes, resolved once from [?metrics]; an
+   uninstrumented run carries [None] and skips each site with one match.
+   Handles live in arrays indexed by stage, device or server, so the
+   per-event path does no lookups.  Overload handles are registered only
+   when their mechanism is on, so unprotected registries are unchanged. *)
+type telemetry = {
+  generated : Es_obs.Metric.counter;
+  completed : Es_obs.Metric.counter;
+  degraded : Es_obs.Metric.counter;
+  timed_out : Es_obs.Metric.counter;
+  shed : Es_obs.Metric.counter;
+  dropped : Es_obs.Metric.counter array;  (** by stage *)
+  latency : Es_obs.Histogram.t;
+  segment : Es_obs.Histogram.t array;  (** by stage *)
+  queue_depth : Es_obs.Metric.gauge array array;
+      (** by stage, then device; empty for the propagation stages *)
+  breaker_state : Es_obs.Metric.gauge array;  (** by server *)
+  brownout_active : Es_obs.Metric.gauge array;  (** by server *)
+  brownout_switches : Es_obs.Metric.counter option;
+}
 
-and o_shed = 5
+let telemetry reg ~ns (ov : Overload.policy) stations =
+  let counter = Es_obs.Metric.counter reg and gauge = Es_obs.Metric.gauge reg in
+  let by_stage f = Array.map (fun s -> f ~labels:[ ("stage", s) ]) stage_names in
+  let by_server on name =
+    if on then Array.init ns (fun s -> gauge ~labels:[ ("server", string_of_int s) ] name)
+    else [||]
+  in
+  {
+    generated = counter "requests_generated";
+    completed = counter "requests_completed";
+    degraded = counter "requests_completed_degraded";
+    timed_out = counter "requests_timed_out";
+    shed = counter "requests_shed";
+    dropped = by_stage (fun ~labels -> counter ~labels "requests_dropped");
+    latency = Es_obs.Metric.histogram reg "request_latency_s";
+    segment = by_stage (fun ~labels -> Es_obs.Metric.histogram reg ~labels "segment_s");
+    queue_depth =
+      Array.mapi
+        (fun stage _ ->
+          if stage = s_uplink_prop || stage = s_downlink_prop then [||]
+          else
+            Array.map
+              (fun st ->
+                gauge ~labels:[ ("station", Station.name (station_at st stage)) ] "queue_depth")
+              stations)
+        stage_names;
+    breaker_state = by_server (Option.is_some ov.Overload.breaker) "overload/breaker_state";
+    brownout_active = by_server (Option.is_some ov.Overload.brownout) "overload/brownout_active";
+    brownout_switches =
+      Option.map (fun _ -> counter "overload/brownout_switches") ov.Overload.brownout;
+  }
 
 (* Bad plans used to be masked by clamping speeds to a tiny positive value;
    now they fail loudly at the boundary.  A decision that leaves a stage
@@ -116,24 +161,6 @@ let check_window (o : options) =
     invalid_arg
       (Printf.sprintf "Runner.run: duration_s (%g) must exceed warmup_s (%g)" o.duration_s
          o.warmup_s)
-
-(* The fastest device-only plan for a model: the degraded-mode fallback a
-   device runs when its offload path is gone.  Accuracy floors are
-   deliberately ignored — a degraded answer beats a dropped request. *)
-let fallback_work_of (dev : Cluster.device) =
-  let perf = dev.Cluster.proc.Processor.perf in
-  let locals =
-    List.filter Plan.is_device_only (Candidate.pareto_candidates dev.Cluster.model)
-  in
-  let best =
-    match locals with
-    | [] -> Plan.device_only dev.Cluster.model
-    | p :: rest ->
-        List.fold_left
-          (fun acc q -> if Plan.device_time perf q < Plan.device_time perf acc then q else acc)
-          p rest
-  in
-  Plan.device_time perf best
 
 let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
     ?(work_scale = fun ~device:_ _ -> 1.0) ?on_stats cluster decisions =
@@ -215,161 +242,96 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
     Metrics.create_collector ~streaming:options.streaming ~n_devices:nd
       ~window_start:options.warmup_s ~window_end:options.duration_s ()
   in
-  (* Metric handles are resolved once up front; with [metrics = None] every
-     note_* is a constant no-op closure, so the uninstrumented hot path pays
-     only the call.  Counting windows mirror the collector's, so live
-     counters, the end-of-run report and the JSONL export all agree.
-     Per-stage handles live in arrays indexed by stage id — the per-event
-     path does no list or string lookups. *)
+  let tel = Option.map (fun reg -> telemetry reg ~ns ov stations) metrics in
+  (* Live counters count in the collector's window, so they, the end-of-run
+     report and the JSONL export all agree. *)
   let in_window t = t >= options.warmup_s && t <= options.duration_s in
-  let note_arrival, note_completion, note_drop, note_segment, note_timeout, note_shed =
-    match metrics with
-    | None ->
-        ( (fun _ -> ()),
-          (fun ~arrival:_ ~degraded:_ _ -> ()),
-          (fun _ _ -> ()),
-          (fun _ _ -> ()),
-          (fun _ -> ()),
-          fun _ -> () )
-    | Some reg ->
-        let generated = Es_obs.Metric.counter reg "requests_generated" in
-        let completed = Es_obs.Metric.counter reg "requests_completed" in
-        let latency = Es_obs.Metric.histogram reg "request_latency_s" in
-        let seg_h =
-          Array.map
-            (fun s -> Es_obs.Metric.histogram reg ~labels:[ ("stage", s) ] "segment_s")
-            stage_names
-        in
-        let drop_c =
-          Array.map
-            (fun s -> Es_obs.Metric.counter reg ~labels:[ ("stage", s) ] "requests_dropped")
-            stage_names
-        in
-        let degraded_c = Es_obs.Metric.counter reg "requests_completed_degraded" in
-        let timed_out_c = Es_obs.Metric.counter reg "requests_timed_out" in
-        let shed_c = Es_obs.Metric.counter reg "requests_shed" in
-        ( (fun now -> if in_window now then Es_obs.Metric.inc generated),
-          (fun ~arrival ~degraded l ->
-            if in_window arrival then begin
-              Es_obs.Metric.inc completed;
-              if degraded then Es_obs.Metric.inc degraded_c;
-              Es_obs.Histogram.observe latency l
-            end),
-          (fun stage now -> if in_window now then Es_obs.Metric.inc drop_c.(stage)),
-          (fun stage dt -> Es_obs.Histogram.observe seg_h.(stage) dt),
-          (fun arrival -> if in_window arrival then Es_obs.Metric.inc timed_out_c),
-          fun now -> if in_window now then Es_obs.Metric.inc shed_c )
+  let note_queue stage dev station =
+    match tel with
+    | None -> ()
+    | Some t ->
+        Es_obs.Metric.set t.queue_depth.(stage).(dev) (float_of_int (Station.queue_length station))
   in
-  let note_queue =
-    match metrics with
-    | None -> fun _ -> ()
-    | Some reg ->
-        let tbl = Hashtbl.create (4 * nd) in
-        Array.iter
-          (fun s ->
-            List.iter
-              (fun st ->
-                Hashtbl.replace tbl (Station.name st)
-                  (Es_obs.Metric.gauge reg ~labels:[ ("station", Station.name st) ] "queue_depth"))
-              [ s.cpu; s.up; s.srv; s.down ])
-          stations;
-        fun st ->
-          match Hashtbl.find_opt tbl (Station.name st) with
-          | Some g -> Es_obs.Metric.set g (float_of_int (Station.queue_length st))
-          | None -> ()
+  (* A station hop submitted at [since] ends now. *)
+  let note_segment stage since =
+    match tel with
+    | None -> ()
+    | Some t -> Es_obs.Histogram.observe t.segment.(stage) (Engine.now engine -. since)
   in
-  (* Per-server circuit breakers.  State transitions export a gauge
-     (Closed 0 / Half_open 1 / Open 2) when a registry is attached;
-     overload gauges/counters are created only when the corresponding
-     mechanism is on, so unprotected runs' metric registries are
-     unchanged. *)
+  (* Per-server circuit breakers; a transition sets the server's
+     breaker_state gauge (Closed 0 / Half_open 1 / Open 2). *)
   let breakers =
     match ov.Overload.breaker with
     | None -> [||]
     | Some cfg ->
-        let gauge_of =
-          match metrics with
-          | None -> fun _ -> fun _ -> ()
-          | Some reg ->
-              fun s ->
-                let g =
-                  Es_obs.Metric.gauge reg
-                    ~labels:[ ("server", string_of_int s) ]
-                    "overload/breaker_state"
-                in
-                fun st -> Es_obs.Metric.set g (float_of_int (Overload.Breaker.state_code st))
-        in
-        Array.init ns (fun s -> Overload.Breaker.create ~on_transition:(gauge_of s) cfg)
+        Array.init ns (fun s ->
+            let gauge t st =
+              Es_obs.Metric.set t.breaker_state.(s) (float_of_int (Overload.Breaker.state_code st))
+            in
+            Overload.Breaker.create ?on_transition:(Option.map gauge tel) cfg)
   in
   (* Per-server token buckets.  A configured rate of 0 derives the refill
      rate from the server's aggregate granted service capacity
      (Σ share / service-time over its offloaders), re-derived on every
      reconfiguration and straggler fault — the utilization-aware mode. *)
-  let refresh_bucket_rates = ref (fun () -> ()) in
   let buckets =
     match ov.Overload.rate_limit with
     | None -> [||]
     | Some rl ->
-        let bks =
-          Array.init ns (fun _ ->
-              Es_alloc.Admission.Token_bucket.create ~rate:rl.Overload.rate_per_server
-                ~burst:rl.Overload.burst ())
-        in
-        if rl.Overload.rate_per_server <= 0.0 then begin
-          let refresh () =
-            let now = Engine.now engine in
-            let cap = Array.make ns 0.0 in
-            Array.iteri
-              (fun _ (d : Decision.t) ->
-                if Decision.offloads d && d.Decision.compute_share > 0.0 then begin
-                  let srv = cluster.Cluster.servers.(d.Decision.server) in
-                  let w = Plan.server_time srv.Cluster.sproc.Processor.perf d.Decision.plan in
-                  if w > 0.0 then
-                    cap.(d.Decision.server) <-
-                      cap.(d.Decision.server)
-                      +. d.Decision.compute_share
-                         /. (w *. server_factor.(d.Decision.server))
-                end)
-              current;
-            Array.iteri
-              (fun s b -> Es_alloc.Admission.Token_bucket.set_rate b ~now cap.(s))
-              bks
-          in
-          refresh ();
-          refresh_bucket_rates := refresh
-        end;
-        bks
+        Array.init ns (fun _ ->
+            Es_alloc.Admission.Token_bucket.create ~rate:rl.Overload.rate_per_server
+              ~burst:rl.Overload.burst ())
   in
-  let brownout_gauge, note_brownout_switch =
-    match (ov.Overload.brownout, metrics) with
-    | Some _, Some reg ->
-        let g =
-          Array.init ns (fun s ->
-              Es_obs.Metric.gauge reg
-                ~labels:[ ("server", string_of_int s) ]
-                "overload/brownout_active")
-        in
-        let c = Es_obs.Metric.counter reg "overload/brownout_switches" in
-        ((fun s v -> Es_obs.Metric.set g.(s) v), fun () -> Es_obs.Metric.inc c)
-    | _ -> ((fun _ _ -> ()), fun () -> ())
+  let refresh_bucket_rates () =
+    match ov.Overload.rate_limit with
+    | Some rl when rl.Overload.rate_per_server <= 0.0 ->
+        let now = Engine.now engine in
+        let cap = Array.make ns 0.0 in
+        Array.iter
+          (fun (d : Decision.t) ->
+            if Decision.offloads d && d.Decision.compute_share > 0.0 then begin
+              let srv = cluster.Cluster.servers.(d.Decision.server) in
+              let w = Plan.server_time srv.Cluster.sproc.Processor.perf d.Decision.plan in
+              if w > 0.0 then
+                cap.(d.Decision.server) <-
+                  cap.(d.Decision.server)
+                  +. d.Decision.compute_share /. (w *. server_factor.(d.Decision.server))
+            end)
+          current;
+        Array.iteri (fun s b -> Es_alloc.Admission.Token_bucket.set_rate b ~now cap.(s)) buckets
+    | _ -> ()
+  in
+  refresh_bucket_rates ();
+  let note_brownout s active =
+    brownout_active.(s) <- active;
+    match tel with
+    | None -> ()
+    | Some t ->
+        Option.iter Es_obs.Metric.inc t.brownout_switches;
+        Es_obs.Metric.set t.brownout_active.(s) (if active then 1.0 else 0.0)
+  in
+  (* The one station-speed rule: transfers run at the granted bandwidth
+     times the link's degradation factor, server work at the granted share
+     over the server's straggler factor.  A zero grant means the plan no
+     longer uses the stage; its old speed stays so in-flight jobs drain
+     instead of stalling. *)
+  let set_speeds i =
+    let d = current.(i) and st = stations.(i) in
+    if d.Decision.bandwidth_bps > 0.0 then begin
+      let bw = d.Decision.bandwidth_bps *. link_factor.(i) in
+      Station.set_speed st.up bw;
+      Station.set_speed st.down bw
+    end;
+    if d.Decision.compute_share > 0.0 then
+      Station.set_speed st.srv (d.Decision.compute_share /. server_factor.(d.Decision.server))
   in
   let apply_decisions ds =
     Array.iteri
-      (fun i (d : Decision.t) ->
+      (fun i d ->
         current.(i) <- d;
-        let st = stations.(i) in
-        (* A zero grant means the new plan no longer uses the stage; keep
-           the old speed so in-flight jobs drain instead of stalling. *)
-        if d.Decision.bandwidth_bps > 0.0 then begin
-          let bw = d.Decision.bandwidth_bps *. link_factor.(i) in
-          Station.set_speed st.up bw;
-          Station.set_speed st.down bw
-        end;
-        if d.Decision.compute_share > 0.0 then
-          Station.set_speed st.srv
-            (d.Decision.compute_share /. server_factor.(d.Decision.server)))
+        set_speeds i)
       ds;
-    !refresh_bucket_rates ()
+    refresh_bucket_rates ()
   in
   let apply_fault = function
     | Faults.Server_down s ->
@@ -391,22 +353,16 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
     | Faults.Link_restored d -> link_up.(d) <- true
     | Faults.Link_degraded (d, f) ->
         link_factor.(d) <- f;
-        let dec = current.(d) in
-        if dec.Decision.bandwidth_bps > 0.0 then begin
-          let bw = dec.Decision.bandwidth_bps *. f in
-          Station.set_speed stations.(d).up bw;
-          Station.set_speed stations.(d).down bw
-        end
+        set_speeds d
     | Faults.Straggler (s, f) ->
         server_factor.(s) <- f;
         Array.iteri
-          (fun i st ->
-            let dec = current.(i) in
+          (fun i (dec : Decision.t) ->
             if Decision.offloads dec && dec.Decision.server = s
                && dec.Decision.compute_share > 0.0
-            then Station.set_speed st.srv (dec.Decision.compute_share /. f))
-          stations;
-        !refresh_bucket_rates ()
+            then set_speeds i)
+          current;
+        refresh_bucket_rates ()
   in
   (* Fault events are scheduled before reconfigurations and arrivals, so at
      an equal timestamp the fault applies first — a recovery schedule firing
@@ -445,24 +401,22 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
                 stations;
               for s = 0 to ns - 1 do
                 if (not brownout_active.(s)) && backlog.(s) >= b.Overload.high_watermark
-                then begin
-                  brownout_active.(s) <- true;
-                  note_brownout_switch ();
-                  brownout_gauge s 1.0
-                end
+                then note_brownout s true
                 else if brownout_active.(s) && backlog.(s) <= b.Overload.low_watermark
-                then begin
-                  brownout_active.(s) <- false;
-                  note_brownout_switch ();
-                  brownout_gauge s 0.0
-                end
+                then note_brownout s false
               done;
               tick (t +. b.Overload.check_every_s))
       in
       tick b.Overload.check_every_s);
+  (* Local-fallback work per device; accuracy floors are waived, as a
+     degraded answer beats a lost request. *)
   let fallback_work =
     match options.resilience with
-    | Some r when r.local_fallback -> Some (Array.map fallback_work_of cluster.Cluster.devices)
+    | Some r when r.local_fallback ->
+        let work (dev : Cluster.device) =
+          Plan.device_time dev.Cluster.proc.Processor.perf (Overload.fastest_local dev)
+        in
+        Some (Array.map work cluster.Cluster.devices)
     | _ -> None
   in
   let jitter () =
@@ -527,7 +481,6 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
     end
   in
   let resolved rid = (!req_state).(rid) land 7 <> 0 in
-  let set_outcome rid o = (!req_state).(rid) <- (!req_state).(rid) lor o in
   let fallback_started rid = (!req_state).(rid) land 8 <> 0 in
   let set_fallback rid = (!req_state).(rid) <- (!req_state).(rid) lor 8 in
   let attempts rid = (!req_state).(rid) lsr 4 in
@@ -543,90 +496,49 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
         Overload.Breaker.record breakers.(d.Decision.server) ~now:(Engine.now engine) ~ok
     end
   in
-  (* Under resilience a request can have several racing continuations (a
-     retry, the fallback, a late original completion); the outcome bits
-     make the first one the only one that touches metrics and finishes the
-     request's root span. *)
-  let complete rid =
+  (* The one request exit, and the only writer of the outcome bits.  Under
+     resilience a request can have several racing continuations (a retry,
+     the fallback, a late original completion); the first to get here
+     decides the outcome [o], and only it feeds the breaker, counts, and
+     finishes the root span.  [stage] is where a drop happened; the other
+     outcomes ignore it.  A shed is overload protection refusing the
+     request at arrival, before it entered any queue. *)
+  let resolve rid o stage =
     if not (resolved rid) then begin
-      breaker_note rid true;
-      set_outcome rid o_completed;
+      if o = o_completed || o = o_timed_out then breaker_note rid (o = o_completed);
+      (!req_state).(rid) <- (!req_state).(rid) lor o;
       let now = Engine.now engine in
-      let arrival = (!req_arrival).(rid) in
-      let dev_id = (!req_dev).(rid) in
-      note_completion ~arrival ~degraded:false (now -. arrival);
-      if tracing then
+      let arrival = (!req_arrival).(rid) and device = (!req_dev).(rid) in
+      let completed = o = o_completed || o = o_degraded in
+      (match tel with
+      | None -> ()
+      | Some t ->
+          (* drops and sheds count at resolution, the rest at arrival *)
+          if in_window (if o = o_dropped || o = o_shed then now else arrival) then
+            if completed then begin
+              Es_obs.Metric.inc t.completed;
+              if o = o_degraded then Es_obs.Metric.inc t.degraded;
+              Es_obs.Histogram.observe t.latency (now -. arrival)
+            end
+            else if o = o_dropped then Es_obs.Metric.inc t.dropped.(stage)
+            else Es_obs.Metric.inc (if o = o_timed_out then t.timed_out else t.shed));
+      if tracing then begin
+        let detail =
+          if completed then [ ("latency_s", Es_obs.Json.Float (now -. arrival)) ]
+          else if o = o_dropped then [ ("stage", Es_obs.Json.String stage_names.(stage)) ]
+          else []
+        in
         Es_obs.Span.finish tracer
-          ~attrs:
-            [
-              ("outcome", Es_obs.Json.String "completed");
-              ("latency_s", Es_obs.Json.Float (now -. arrival));
-            ]
-          (!req_span).(rid);
-      Metrics.on_completion collector ~device:dev_id ~arrival ~now
-        ~deadline:cluster.Cluster.devices.(dev_id).Cluster.deadline ()
-    end
-  in
-  let complete_degraded rid =
-    if not (resolved rid) then begin
-      set_outcome rid o_degraded;
-      let now = Engine.now engine in
-      let arrival = (!req_arrival).(rid) in
-      let dev_id = (!req_dev).(rid) in
-      note_completion ~arrival ~degraded:true (now -. arrival);
-      if tracing then
-        Es_obs.Span.finish tracer
-          ~attrs:
-            [
-              ("outcome", Es_obs.Json.String "completed_degraded");
-              ("latency_s", Es_obs.Json.Float (now -. arrival));
-            ]
-          (!req_span).(rid);
-      Metrics.on_completion collector ~degraded:true ~device:dev_id ~arrival ~now
-        ~deadline:cluster.Cluster.devices.(dev_id).Cluster.deadline ()
-    end
-  in
-  let drop rid stage =
-    if not (resolved rid) then begin
-      set_outcome rid o_dropped;
-      let now = Engine.now engine in
-      note_drop stage now;
-      if tracing then
-        Es_obs.Span.finish tracer
-          ~attrs:
-            [
-              ("outcome", Es_obs.Json.String "dropped");
-              ("stage", Es_obs.Json.String stage_names.(stage));
-            ]
-          (!req_span).(rid);
-      Metrics.on_drop collector ~device:(!req_dev).(rid) ~now
-    end
-  in
-  let timed_out rid =
-    if not (resolved rid) then begin
-      breaker_note rid false;
-      set_outcome rid o_timed_out;
-      let arrival = (!req_arrival).(rid) in
-      note_timeout arrival;
-      if tracing then
-        Es_obs.Span.finish tracer
-          ~attrs:[ ("outcome", Es_obs.Json.String "timed_out") ]
-          (!req_span).(rid);
-      Metrics.on_timeout collector ~device:(!req_dev).(rid) ~arrival
-    end
-  in
-  (* Exactly-once shed: overload protection refused the request at arrival,
-     before it entered any queue. *)
-  let shed rid =
-    if not (resolved rid) then begin
-      set_outcome rid o_shed;
-      let now = Engine.now engine in
-      note_shed now;
-      if tracing then
-        Es_obs.Span.finish tracer
-          ~attrs:[ ("outcome", Es_obs.Json.String "shed") ]
-          (!req_span).(rid);
-      Metrics.on_shed collector ~device:(!req_dev).(rid) ~now
+          ~attrs:(("outcome", Es_obs.Json.String outcome_names.(o)) :: detail)
+          (!req_span).(rid)
+      end;
+      if completed then
+        Metrics.on_completion collector
+          ?degraded:(if o = o_degraded then Some true else None)
+          ~device ~arrival ~now ~deadline:cluster.Cluster.devices.(device).Cluster.deadline ()
+      else if o = o_dropped then Metrics.on_drop collector ~device ~now
+      else if o = o_timed_out then Metrics.on_timeout collector ~device ~arrival
+      else Metrics.on_shed collector ~device ~now
     end
   in
   let start_fallback rid =
@@ -648,18 +560,18 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
           let ok =
             Station.submit st.cpu ?on_start ~work (fun () ->
                 Es_obs.Span.finish tracer sp;
-                complete_degraded rid)
+                resolve rid o_degraded s_device)
           in
-          note_queue st.cpu;
+          note_queue s_device dev_id st.cpu;
           if not ok then begin
             Es_obs.Span.finish tracer ~attrs:[ ("outcome", Es_obs.Json.String "dropped") ] sp;
-            drop rid s_device
+            resolve rid o_dropped s_device
           end
         end
         else begin
-          let ok = Station.submit st.cpu ~work (fun () -> complete_degraded rid) in
-          note_queue st.cpu;
-          if not ok then drop rid s_device
+          let ok = Station.submit st.cpu ~work (fun () -> resolve rid o_degraded s_device) in
+          note_queue s_device dev_id st.cpu;
+          if not ok then resolve rid o_dropped s_device
         end
     | _ -> ()
   in
@@ -671,7 +583,7 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
     if not (resolved rid) then begin
       if stage = s_server then breaker_note rid false;
       match options.resilience with
-      | None -> drop rid stage
+      | None -> resolve rid o_dropped stage
       | Some r ->
           incr_attempts rid;
           if attempts rid <= r.max_retries then begin
@@ -679,7 +591,7 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
             Engine.schedule engine backoff (fun () -> if not (resolved rid) then restart rid)
           end
           else if r.local_fallback then start_fallback rid
-          else drop rid stage
+          else resolve rid o_dropped stage
     end
   in
   (* A traced station hop: the segment span opens at submission; queueing
@@ -701,11 +613,11 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
       in
       let ok =
         Station.submit station ?on_start ~on_evict ~work (fun () ->
-            note_segment stage (Engine.now engine -. submitted);
+            note_segment stage submitted;
             Es_obs.Span.finish tracer sp;
             k ())
       in
-      note_queue station;
+      note_queue stage (!req_dev).(rid) station;
       if not ok then begin
         Es_obs.Span.finish tracer ~attrs:[ ("outcome", Es_obs.Json.String "dropped") ] sp;
         fail rid stage restart
@@ -716,10 +628,10 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
       let on_evict () = fail rid stage restart in
       let ok =
         Station.submit station ~on_evict ~work (fun () ->
-            note_segment stage (Engine.now engine -. submitted);
+            note_segment stage submitted;
             k ())
       in
-      note_queue station;
+      note_queue stage (!req_dev).(rid) station;
       if not ok then fail rid stage restart
     end
   in
@@ -729,13 +641,13 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
     if tracing then begin
       let sp = Es_obs.Span.start tracer ~parent:(!req_span).(rid) stage_names.(stage) in
       Engine.schedule engine delay (fun () ->
-          note_segment stage delay;
+          (match tel with None -> () | Some t -> Es_obs.Histogram.observe t.segment.(stage) delay);
           Es_obs.Span.finish tracer sp;
           k ())
     end
     else
       Engine.schedule engine delay (fun () ->
-          note_segment stage delay;
+          (match tel with None -> () | Some t -> Es_obs.Histogram.observe t.segment.(stage) delay);
           k ())
   in
   let rec attempt_device rid =
@@ -746,7 +658,7 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
       Plan.device_time dev.Cluster.proc.Processor.perf d.Decision.plan *. (!req_scale).(rid)
     in
     submit rid s_device stations.(dev_id).cpu ~work:dev_work ~restart:attempt_device (fun () ->
-        if not (Decision.offloads d) then complete rid else attempt_offload rid)
+        if not (Decision.offloads d) then resolve rid o_completed s_device else attempt_offload rid)
   and attempt_offload rid =
     let dev_id = (!req_dev).(rid) in
     let d = (!req_dec).(rid) in
@@ -771,7 +683,9 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
                   else begin
                     let down_bits = 8.0 *. Plan.result_bytes plan *. fade_factor link in
                     submit rid s_downlink st.down ~work:down_bits ~restart:attempt_offload
-                      (fun () -> propagate rid s_downlink_prop half_rtt (fun () -> complete rid))
+                      (fun () ->
+                        propagate rid s_downlink_prop half_rtt (fun () ->
+                            resolve rid o_completed s_downlink_prop))
                   end
                 in
                 match options.batching with
@@ -784,14 +698,14 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
                       let sp = Es_obs.Span.start tracer ~parent:(!req_span).(rid) "server" in
                       let submitted = Engine.now engine in
                       Batcher.submit batchers.(d.Decision.server) ~work:work_s (fun () ->
-                          note_segment s_server (Engine.now engine -. submitted);
+                          note_segment s_server submitted;
                           Es_obs.Span.finish tracer sp;
                           after_server ())
                     end
                     else begin
                       let submitted = Engine.now engine in
                       Batcher.submit batchers.(d.Decision.server) ~work:work_s (fun () ->
-                          note_segment s_server (Engine.now engine -. submitted);
+                          note_segment s_server submitted;
                           after_server ())
                     end
                 | None ->
@@ -929,16 +843,17 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
               ("server", Es_obs.Json.Int d.Decision.server);
             ]
           "request";
-    note_arrival arrival;
+    (match tel with
+    | Some t when in_window arrival -> Es_obs.Metric.inc t.generated
+    | _ -> ());
     Metrics.on_arrival collector ~device:dev_id ~now:arrival;
-    if shed_now then shed rid
+    if shed_now then resolve rid o_shed s_device
     else begin
       (match options.resilience with
       | Some r when r.timeout_factor > 0.0 ->
           Engine.schedule engine (r.timeout_factor *. dev.Cluster.deadline) (fun () ->
-              if not (resolved rid) then
-                if r.local_fallback && not (fallback_started rid) then start_fallback rid
-                else if not (fallback_started rid) then timed_out rid)
+              if not (resolved rid || fallback_started rid) then
+                if r.local_fallback then start_fallback rid else resolve rid o_timed_out s_device)
       | _ -> ());
       attempt_device rid
     end
@@ -947,28 +862,27 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
   | Some trace ->
       Array.iter
         (fun (t, dev_id) ->
-          if dev_id < 0 || dev_id >= nd then invalid_arg "Runner.run: bad device in trace";
+          if dev_id < 0 || dev_id >= nd || not (t >= 0.0) then
+            invalid_arg
+              (Printf.sprintf "Runner.run: bad trace entry (%g, device %d)" t dev_id);
           if t <= options.duration_s then
             Engine.schedule_at engine t (fun () -> process dev_id t))
         trace
   | None ->
       (* Per-device Poisson processes, generated event-recursively. *)
       let rngs = Array.init nd (fun _ -> Es_util.Prng.split arrival_rng) in
+      let gap dev_id =
+        Es_util.Prng.exponential rngs.(dev_id) cluster.Cluster.devices.(dev_id).Cluster.rate
+      in
       let rec arrive dev_id t =
-        if t <= options.duration_s then begin
+        if t <= options.duration_s then
           Engine.schedule_at engine t (fun () ->
               process dev_id t;
-              let gap =
-                Es_util.Prng.exponential rngs.(dev_id) cluster.Cluster.devices.(dev_id).Cluster.rate
-              in
-              arrive dev_id (t +. gap))
-        end
+              arrive dev_id (t +. gap dev_id))
       in
-      Array.iteri
-        (fun dev_id _ ->
-          let first = Es_util.Prng.exponential rngs.(dev_id) cluster.Cluster.devices.(dev_id).Cluster.rate in
-          arrive dev_id first)
-        cluster.Cluster.devices);
+      for dev_id = 0 to nd - 1 do
+        arrive dev_id (gap dev_id)
+      done);
   (* Arrivals stop at the horizon; the system then drains so every admitted
      request completes and horizon-edge requests are not unfairly counted as
      deadline misses. *)

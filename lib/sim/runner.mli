@@ -21,10 +21,12 @@
     per-request timeout, and an optional local fallback that re-executes
     the request on the device with the fastest device-only surgery plan
     (accuracy floors deliberately waived: a degraded answer beats a lost
-    request).  Requests then end in one of five outcomes — completed,
-    completed-degraded, dropped, timed-out, or shed (refused at arrival by
-    an {!Overload} policy) — each traced (root-span [outcome] attribute)
-    and counted ({!Metrics}, live registry counters).
+    request).  Every request leaves through one exit in one of five
+    outcomes — completed, completed-degraded, dropped, timed-out, or shed
+    (refused at arrival by an {!Overload} policy); the first outcome wins
+    over racing retries and fallbacks.  The exit feeds the breaker,
+    finishes the root span ([outcome] attribute) and counts the outcome
+    ({!Metrics}, live registry counters).
 
     Everything stays deterministic under [seed]: fault injection draws no
     simulation randomness, and with [faults = Faults.empty] and
@@ -117,15 +119,15 @@ val run :
       reconfigurations, which apply before arrivals.
     - [work_scale]: per-request work multiplier hook (e.g. multi-exit
       early-exit draws); applied to device and server compute.
-    - [metrics]: live telemetry — counters [requests_generated] /
+    - [metrics]: live telemetry, every handle registered once before the
+      first event — counters [requests_generated] /
       [requests_completed] / [requests_completed_degraded] /
       [requests_timed_out] / [requests_shed] /
-      [requests_dropped{stage}] and histograms
-      [request_latency_s] / [segment_s{stage}] restricted to the
-      measurement window (matching the report), [queue_depth{station}]
-      gauges, plus the end-of-run [report/…] gauges via
-      {!Metrics.record_to}.  With an overload policy on, also
-      [overload/breaker_state{server}] and
+      [requests_dropped{stage}] and the [request_latency_s] histogram,
+      all counted in the report's measurement window; [segment_s{stage}]
+      histograms; [queue_depth{station}] gauges; plus the end-of-run
+      [report/…] gauges via {!Metrics.record_to}.  With breakers on, also
+      [overload/breaker_state{server}] gauges; with brownout on,
       [overload/brownout_active{server}] gauges and an
       [overload/brownout_switches] counter.
     - [on_stats]: called once after the run drains with the engine's
@@ -144,7 +146,9 @@ val run :
     offloading plan, or an offloading plan with no bandwidth raise
     [Invalid_argument] — bad plans fail loudly instead of being clamped.
 
-    @raise Invalid_argument on malformed decision arrays, a fault schedule
-    referencing out-of-range devices/servers, a negative/non-finite
-    resilience parameter, a non-finite [duration_s]/[warmup_s], a negative
-    [warmup_s], or [duration_s <= warmup_s]. *)
+    @raise Invalid_argument on malformed decision arrays, an [arrivals]
+    entry with an out-of-range device or a negative or NaN time, a fault
+    schedule referencing out-of-range devices/servers, a
+    negative/non-finite resilience parameter, a non-finite
+    [duration_s]/[warmup_s], a negative [warmup_s], or
+    [duration_s <= warmup_s]. *)

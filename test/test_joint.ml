@@ -601,6 +601,19 @@ let test_online_burst_beats_static () =
     (adaptive.Online.report.Es_sim.Metrics.dsr
      >= static.Online.report.Es_sim.Metrics.dsr -. 0.02)
 
+let test_online_static_is_one_epoch () =
+  (* The static arm is the online loop with a single epoch spanning the run:
+     one solve at the t = 0 load, never revisited. *)
+  let c = Scenario.build (Scenario.with_n_devices 6 Scenario.default) in
+  let profile = Es_workload.Profiles.step_burst ~start_s:6.0 ~stop_s:12.0 ~factor:3.0 in
+  let options = { Es_sim.Runner.default_options with duration_s = 18.0; warmup_s = 2.0 } in
+  let static = Online.run_static ~options ~rate_profile:profile c in
+  let one_epoch = Online.run ~options ~epoch_s:18.0 ~rate_profile:profile c in
+  Alcotest.(check int) "one solve" 1 static.Online.resolve_count;
+  Alcotest.(check bool) "same result" true (compare static one_epoch = 0);
+  Alcotest.check_raises "NaN horizon" (Invalid_argument "Online.run: NaN duration_s") (fun () ->
+      ignore (Online.run_static ~options:{ options with duration_s = nan } ~rate_profile:profile c))
+
 (* ---------- Zero-allocation kernels vs their oracles (DESIGN.md §15) ---------- *)
 
 (* Bit-pattern equality: stricter than (=), which conflates 0.0 and -0.0. *)
@@ -803,5 +816,6 @@ let () =
           Alcotest.test_case "scale rates" `Quick test_online_scale_rates;
           Alcotest.test_case "arrivals sorted" `Quick test_online_piecewise_arrivals_sorted;
           Alcotest.test_case "burst adaptivity" `Slow test_online_burst_beats_static;
+          Alcotest.test_case "static is one epoch" `Quick test_online_static_is_one_epoch;
         ] );
     ]

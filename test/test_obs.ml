@@ -344,6 +344,72 @@ let test_runner_report_gauges_recorded () =
       | _ -> Alcotest.fail "per-server utilization gauge missing")
     report.Es_sim.Metrics.server_utilization
 
+(* The exact bytes an instrumented run exports — report, metric samples and
+   every span — pinned by digest, so a runner refactor that keeps outputs
+   identical keeps these values.  Run (a) crosses scripted server-down,
+   link-outage and straggler faults under resilience with all four overload
+   mechanisms armed; run (b) batches, fades, jitters, bounds queues and
+   reconfigures mid-run with the local fallback off.  Between them every
+   outcome occurs. *)
+let test_runner_telemetry_pinned () =
+  let module R = Es_sim.Runner in
+  let module M = Es_sim.Metrics in
+  let digest j = Digest.to_hex (Digest.string (Json.to_string j)) in
+  let instrumented ?reconfigure options cluster decisions =
+    let reg = Metric.create () in
+    let sink, collected = Span.memory_sink () in
+    let report = R.run ~options ~metrics:reg ~spans:sink ?reconfigure cluster decisions in
+    let samples = Json.List (List.map Export.sample_to_json (Metric.snapshot reg)) in
+    let spans = Json.List (List.map Export.span_to_json (collected ())) in
+    (report, [ digest (M.report_to_json report); digest samples; digest spans ])
+  in
+  let cluster = Es_edge.Scenario.build (Es_workload.Scenarios.by_name "default") in
+  let decisions = (Es_joint.Optimizer.solve cluster).Es_joint.Optimizer.decisions in
+  let server = (Array.get decisions 0).Es_edge.Decision.server in
+  let faults =
+    Es_sim.Faults.scripted
+      (Es_sim.Faults.crash ~at:3.0 ~for_s:3.0 server
+      @ Es_sim.Faults.outage ~at:4.0 ~for_s:2.0 1
+      @ Es_sim.Faults.straggle ~at:5.0 ~for_s:3.0 ~factor:4.0 ((server + 1) mod 2))
+  in
+  let overload =
+    let module O = Es_sim.Overload in
+    { O.admission = Some O.default_admission; breaker = Some O.default_breaker;
+      brownout = Some O.default_brownout; rate_limit = Some O.default_rate_limit }
+  in
+  let busy = Es_joint.Online.scale_rates cluster 3.0 in
+  let short = { R.default_options with duration_s = 10.0; warmup_s = 1.0 } in
+  let ra, da =
+    instrumented
+      { short with faults; resilience = Some R.default_resilience; overload }
+      busy decisions
+  in
+  let rb, db =
+    instrumented
+      ~reconfigure:[ (5.0, (Es_joint.Optimizer.solve busy).Es_joint.Optimizer.decisions) ]
+      { short with
+        batching = Some { R.max_batch = 4; window_s = 0.005; alpha = 0.7 };
+        fading = true; compute_jitter = 0.3; queue_capacity = Some 3;
+        resilience =
+          Some { R.default_resilience with timeout_factor = 0.5; local_fallback = false } }
+      busy decisions
+  in
+  List.iter
+    (fun (what, n) -> Alcotest.(check bool) (what ^ " occurs") true (n > 0))
+    [ ("completed", ra.M.total_completed + rb.M.total_completed);
+      ("degraded", ra.M.total_degraded + rb.M.total_degraded);
+      ("dropped", ra.M.total_dropped + rb.M.total_dropped);
+      ("timed out", ra.M.total_timed_out + rb.M.total_timed_out);
+      ("shed", ra.M.total_shed + rb.M.total_shed) ];
+  Alcotest.(check (list string)) "run (a): report, metric samples, spans"
+    [ "91ca2d84bb93d29493cf697d20d280b3"; "026692a2670882e71f4f5489802f0c4a";
+      "67eb6359702d8473e8606cdbbcbcc619" ]
+    da;
+  Alcotest.(check (list string)) "run (b): report, metric samples, spans"
+    [ "bd763ab632b3604b70574e0a17e98a37"; "ce8b318ae6d2294e155dfb432987ff87";
+      "f7fabccd9db3080cc4218d7fdbe7c84f" ]
+    db
+
 let test_optimizer_emits_iteration_telemetry () =
   let spec =
     Es_edge.Scenario.with_n_devices 4 (Es_workload.Scenarios.by_name "default")
@@ -400,6 +466,7 @@ let () =
         [
           Alcotest.test_case "spans tile latency" `Quick test_runner_spans_tile_latency;
           Alcotest.test_case "report gauges" `Quick test_runner_report_gauges_recorded;
+          Alcotest.test_case "runner telemetry pinned" `Quick test_runner_telemetry_pinned;
           Alcotest.test_case "optimizer telemetry" `Quick test_optimizer_emits_iteration_telemetry;
         ] );
     ]

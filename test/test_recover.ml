@@ -13,7 +13,7 @@ let solved = lazy (Es_joint.Optimizer.solve (Lazy.force default_cluster))
 
 let test_local_decisions_all_local () =
   let cluster = Lazy.force default_cluster in
-  let ds = Es_joint.Recover.local_decisions cluster in
+  let ds = Es_sim.Overload.local_decisions cluster in
   Alcotest.(check int) "one decision per device" (Cluster.n_devices cluster) (Array.length ds);
   Array.iter
     (fun d -> Alcotest.(check bool) "device-only" false (Decision.offloads d))

@@ -410,6 +410,18 @@ let test_runner_explicit_arrivals () =
   let r = Es_sim.Runner.run ~arrivals c [| d |] in
   Alcotest.(check int) "exactly the trace" 3 r.Es_sim.Metrics.total_generated
 
+let test_runner_rejects_bad_trace_times () =
+  (* Rejected like a bad device id: a NaN time would be skipped silently and
+     a negative one served at t = 0 without being counted. *)
+  let c = one_device_cluster () in
+  let d = Decision.make ~device:0 ~server:0 ~plan:(Plan.device_only resnet18) () in
+  List.iter
+    (fun t ->
+      match Es_sim.Runner.run ~arrivals:[| (t, 0); (1.0, 0) |] c [| d |] with
+      | _ -> Alcotest.failf "trace time %g accepted" t
+      | exception Invalid_argument _ -> ())
+    [ nan; -5.0; neg_infinity ]
+
 let test_runner_reconfigure_changes_plan () =
   (* Device-only until t=30, then full offload: post-switch requests must be
      faster on this weak device. *)
@@ -1104,6 +1116,7 @@ let () =
           Alcotest.test_case "queue capacity" `Quick test_runner_queue_capacity_drops;
           Alcotest.test_case "fading" `Quick test_runner_fading_slows_transfers;
           Alcotest.test_case "explicit arrivals" `Quick test_runner_explicit_arrivals;
+          Alcotest.test_case "rejects bad trace times" `Quick test_runner_rejects_bad_trace_times;
           Alcotest.test_case "reconfigure" `Quick test_runner_reconfigure_changes_plan;
           Alcotest.test_case "work scale" `Quick test_runner_work_scale;
           Alcotest.test_case "warmup" `Quick test_runner_warmup_discards;
