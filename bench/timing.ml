@@ -33,16 +33,6 @@ let time_best ~repeats f =
 (* pareto_micro — candidate-generation kernel                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The same key Candidate.pareto ranks plans under. *)
-let plan_key (p : Es_surgery.Plan.t) =
-  let scale = Es_surgery.Precision.compute_scale p.Es_surgery.Plan.precision in
-  [|
-    Es_surgery.Plan.dev_flops p /. scale;
-    Es_surgery.Plan.transfer_bytes p;
-    Es_surgery.Plan.srv_flops p /. scale;
-    -.p.Es_surgery.Plan.accuracy;
-  |]
-
 let pareto_micro ~repeats =
   let models =
     [
@@ -54,6 +44,7 @@ let pareto_micro ~repeats =
   in
   let plan_sets = List.map (fun (_, g) -> Es_surgery.Candidate.generate g) models in
   let n_plans = List.fold_left (fun acc ps -> acc + List.length ps) 0 plan_sets in
+  let plan_key = Es_surgery.Candidate.plan_key in
   let frontier_all impl = List.iter (fun ps -> ignore (impl plan_key ps)) plan_sets in
   List.iter
     (fun ps ->

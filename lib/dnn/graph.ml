@@ -13,6 +13,10 @@ type t = {
   nodes : node array;
   output : int;
   shapes : Shape.t array;
+  flops : float array;
+  params : float array;
+  cum_flops : float array;
+  last_use : int array;
 }
 
 let pred_shapes input_shape shapes node =
@@ -24,21 +28,37 @@ module Builder = struct
     bname : string;
     binput : Shape.t;
     mutable rev_nodes : node list;
-    mutable bshapes : Shape.t list;  (* reversed *)
+    mutable bshapes : Shape.t array;  (* [0, count) live, the rest spare capacity *)
     mutable count : int;
   }
 
   let create ~name ~input =
-    let b = { bname = name; binput = input; rev_nodes = []; bshapes = []; count = 0 } in
     let input_node =
       { id = 0; node_name = "input"; layer = Layer.Input; preds = [||]; exitable = false }
     in
-    b.rev_nodes <- [ input_node ];
-    b.bshapes <- [ input ];
-    b.count <- 1;
+    let b =
+      {
+        bname = name;
+        binput = input;
+        rev_nodes = [ input_node ];
+        bshapes = Array.make 16 input;
+        count = 1;
+      }
+    in
     (b, 0)
 
-  let shape_of b id = List.nth b.bshapes (b.count - 1 - id)
+  let shape_of b id =
+    if id < 0 || id >= b.count then
+      invalid_arg (Printf.sprintf "Graph.Builder.shape_of: unknown node %d" id);
+    b.bshapes.(id)
+
+  let push_shape b shape =
+    if b.count = Array.length b.bshapes then begin
+      let grown = Array.make (2 * b.count) b.binput in
+      Array.blit b.bshapes 0 grown 0 b.count;
+      b.bshapes <- grown
+    end;
+    b.bshapes.(b.count) <- shape
 
   let add b ?name ?(exitable = false) layer preds =
     List.iter
@@ -52,7 +72,7 @@ module Builder = struct
     let shape = Layer.output_shape layer (List.map (shape_of b) preds) in
     let node = { id; node_name; layer; preds = Array.of_list preds; exitable } in
     b.rev_nodes <- node :: b.rev_nodes;
-    b.bshapes <- shape :: b.bshapes;
+    push_shape b shape;
     b.count <- id + 1;
     id
 
@@ -63,12 +83,36 @@ module Builder = struct
     let counter = Atomic.make 0 in
     fun () -> Atomic.fetch_and_add counter 1 + 1
 
+  (* The cost tables every query reads.  [cum_flops.(k)] is the FLOPs of
+     nodes [0, k) summed left to right from [0.0], the same order as a fold
+     over the nodes, so prefix sums are bit-identical to the folds they
+     replace. *)
   let finish ?output b =
     let nodes = Array.of_list (List.rev b.rev_nodes) in
-    let shapes = Array.of_list (List.rev b.bshapes) in
+    let shapes = Array.sub b.bshapes 0 b.count in
     let output = match output with Some o -> o | None -> b.count - 1 in
     if output < 0 || output >= b.count then invalid_arg "Graph.Builder.finish: bad output id";
-    { uid = next_uid (); name = b.bname; input_shape = b.binput; nodes; output; shapes }
+    let n = b.count in
+    let cost f = Array.map (fun nd -> f nd.layer (pred_shapes b.binput shapes nd)) nodes in
+    let flops = cost Layer.flops and params = cost Layer.params in
+    let cum_flops = Array.make (n + 1) 0.0 in
+    let last_use = Array.make n (-1) in
+    for i = 0 to n - 1 do
+      cum_flops.(i + 1) <- cum_flops.(i) +. flops.(i);
+      Array.iter (fun p -> last_use.(p) <- i) nodes.(i).preds
+    done;
+    {
+      uid = next_uid ();
+      name = b.bname;
+      input_shape = b.binput;
+      nodes;
+      output;
+      shapes;
+      flops;
+      params;
+      cum_flops;
+      last_use;
+    }
 end
 
 let sequential ~name ~input layers =
@@ -85,13 +129,8 @@ let node_shape g id = g.shapes.(id)
 
 let node_pred_shapes g node = pred_shapes g.input_shape g.shapes node
 
-let node_flops g id =
-  let node = g.nodes.(id) in
-  Layer.flops node.layer (node_pred_shapes g node)
-
-let node_params g id =
-  let node = g.nodes.(id) in
-  Layer.params node.layer (node_pred_shapes g node)
+let node_flops g id = g.flops.(id)
+let node_params g id = g.params.(id)
 
 let fold_nodes f init g =
   let acc = ref init in
@@ -100,8 +139,8 @@ let fold_nodes f init g =
   done;
   !acc
 
-let total_flops g = fold_nodes (fun acc i -> acc +. node_flops g i) 0.0 g
-let total_params g = fold_nodes (fun acc i -> acc +. node_params g i) 0.0 g
+let total_flops g = g.cum_flops.(n_nodes g)
+let total_params g = Array.fold_left ( +. ) 0.0 g.params
 let output_shape g = g.shapes.(g.output)
 
 let successors g id =
@@ -140,23 +179,28 @@ let validate g =
     check 0
   end
 
-let prefix_flops g k = fold_nodes (fun acc i -> if i < k then acc +. node_flops g i else acc) 0.0 g
-let suffix_flops g k = fold_nodes (fun acc i -> if i >= k then acc +. node_flops g i else acc) 0.0 g
+let prefix_flops g k = g.cum_flops.(max 0 (min k (n_nodes g)))
+
+(* Summed upwards from the cut, as the fold did: [total - prefix] would
+   round differently. *)
+let suffix_flops g k =
+  let acc = ref 0.0 in
+  for i = max 0 k to n_nodes g - 1 do
+    acc := !acc +. g.flops.(i)
+  done;
+  !acc
 
 let cut_transfer_bytes ?(bytes_per_elt = 4) g k =
   let n = n_nodes g in
   if k <= 0 then float_of_int (Shape.bytes ~bytes_per_elt g.input_shape)
   else if k >= n then 0.0
   else begin
-    (* A node i < k crosses the cut when some consumer has id >= k.  Each
-       crossing activation is shipped once even with several consumers. *)
-    let crosses = Array.make k false in
-    for i = k to n - 1 do
-      Array.iter (fun p -> if p < k then crosses.(p) <- true) g.nodes.(i).preds
-    done;
+    (* A node i < k crosses the cut when its last consumer has id >= k.
+       Each crossing activation is shipped once even with several consumers. *)
     let total = ref 0.0 in
     for i = 0 to k - 1 do
-      if crosses.(i) then total := !total +. float_of_int (Shape.bytes ~bytes_per_elt g.shapes.(i))
+      if g.last_use.(i) >= k then
+        total := !total +. float_of_int (Shape.elements g.shapes.(i) * bytes_per_elt)
     done;
     !total
   end

@@ -25,7 +25,15 @@ type t = private {
   nodes : node array;
   output : int;  (** id of the node producing the model's final output *)
   shapes : Shape.t array;  (** inferred output shape of every node *)
+  flops : float array;  (** per-node FLOPs, computed once by [finish] *)
+  params : float array;  (** per-node parameter counts *)
+  cum_flops : float array;
+      (** [cum_flops.(k)]: FLOPs of nodes [0, k), summed left to right;
+          length [n_nodes + 1] *)
+  last_use : int array;  (** highest consumer id of each node, or [-1] *)
 }
+(** The cost tables are filled once per graph by [Builder.finish]; read them
+    through the queries below. *)
 
 (** {1 Construction} *)
 
@@ -41,10 +49,13 @@ module Builder : sig
       shape errors. *)
 
   val shape_of : b -> int -> Shape.t
-  (** Inferred output shape of an already-added node. *)
+  (** Inferred output shape of an already-added node, O(1).
+      @raise Invalid_argument on an unknown id. *)
 
   val finish : ?output:int -> b -> t
-  (** Seal the graph.  [output] defaults to the last node added.
+  (** Seal the graph and compute its cost tables (O(n) once, so every cost
+      query below is a table read or a loop over a float array).  [output]
+      defaults to the last node added.
       @raise Invalid_argument if the output id is out of range. *)
 end
 
@@ -77,14 +88,14 @@ val validate : t -> (unit, string) result
     transferred). *)
 
 val prefix_flops : t -> int -> float
-(** FLOPs of nodes [0, k). *)
+(** FLOPs of nodes [0, k), O(1). *)
 
 val suffix_flops : t -> int -> float
-(** FLOPs of nodes [k, n). *)
+(** FLOPs of nodes [k, n), summed upwards from [k], O(n − k). *)
 
 val cut_transfer_bytes : ?bytes_per_elt:int -> t -> int -> float
 (** Bytes crossing the cut: activations produced before [k] and consumed at
-    or after [k] (the raw input for [k = 0]; [0.] for [k = n_nodes]). *)
+    or after [k] (the raw input for [k = 0]; [0.] for [k = n_nodes]), O(k). *)
 
 (** {1 Transforms} *)
 

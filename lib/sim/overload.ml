@@ -93,13 +93,9 @@ let floor_first (dev : Cluster.device) plans =
   let meets p = p.Es_surgery.Plan.accuracy >= dev.Cluster.accuracy_floor -. 1e-9 in
   match List.filter meets plans with [] -> plans | ok -> ok
 
-(* The first plan minimizing [key] (ties keep the earlier one). *)
-let least key = function
-  | [] -> None
-  | p :: rest -> Some (List.fold_left (fun acc q -> if key q < key acc then q else acc) p rest)
-
 let fastest_among (dev : Cluster.device) plans =
-  match least (Es_surgery.Plan.device_time dev.Cluster.proc.Processor.perf) plans with
+  let time = Es_surgery.Plan.device_time dev.Cluster.proc.Processor.perf in
+  match Es_util.Numeric.argmin_by time plans with
   | Some p -> p
   | None -> Es_surgery.Plan.device_only dev.Cluster.model
 
@@ -123,7 +119,7 @@ let local_decisions cluster =
 let min_server_plan (dev : Cluster.device) =
   Es_surgery.Candidate.pareto_candidates dev.Cluster.model
   |> List.filter (fun p -> not (Es_surgery.Plan.is_device_only p))
-  |> floor_first dev |> least Es_surgery.Plan.srv_flops
+  |> floor_first dev |> Es_util.Numeric.argmin_by Es_surgery.Plan.srv_flops
 
 (* ---------- circuit breaker ---------- *)
 

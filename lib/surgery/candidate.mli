@@ -27,6 +27,11 @@ val generate :
     share their executed graph, so generation is O(exits·widths) graph
     builds plus O(total cuts) records. *)
 
+val plan_key : Plan.t -> float array
+(** The plan's frontier key, all minimized: (device FLOPs, transfer bytes,
+    server FLOPs) with the FLOPs divided by the precision's
+    {!Precision.compute_scale}, then −accuracy. *)
+
 val pareto : Plan.t list -> Plan.t list
 (** Non-dominated plans under (dev_flops, transfer_bytes, srv_flops,
     −accuracy), all minimized. *)

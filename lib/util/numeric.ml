@@ -1,4 +1,4 @@
-let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
+let clamp ~lo ~hi (x : float) = if x < lo then lo else if x > hi then hi else x
 
 let lerp a b t = a +. (t *. (b -. a))
 
@@ -33,7 +33,7 @@ let bisect ?(tol = 1e-9) ?(max_iter = 200) ~lo ~hi pred =
 
 let sum_by f l = List.fold_left (fun acc x -> acc +. f x) 0.0 l
 
-let argmin_by key = function
+let argmin_by (key : 'a -> float) = function
   | [] -> None
   | x :: rest ->
       let best, _ =

@@ -1,6 +1,6 @@
 (* es_lint: hot *)
 
-let dominates a b =
+let dominates (a : float array) (b : float array) =
   let n = Array.length a in
   if n <> Array.length b then invalid_arg "Pareto.dominates: dimension mismatch";
   let no_worse = ref true in
@@ -13,8 +13,8 @@ let dominates a b =
 
 (* The skyline internals run on rows of one flat scratch buffer: row [i]
    lives at [flat.(i*d) .. flat.(i*d + d - 1)].  Comparators and dominance
-   tests are top-level functions over (buffer, d, row, row) so the sort and
-   the frontier scan construct no closures and box no floats. *)
+   tests are top-level functions over (buffers, d, row indices) so the sort
+   and the frontier scan construct no closures and box no floats. *)
 
 (* Lexicographic row order, ties broken by row index — a strict total
    order, so any comparison sort produces the same permutation the old
@@ -38,16 +38,30 @@ let rows_lex_equal flat d i j =
   done;
   !eq
 
-(* Same float comparisons as [dominates], reading two rows of [flat]. *)
-let row_dominates flat d i j =
-  let no_worse = ref true in
-  let strictly = ref false in
-  for c = 0 to d - 1 do
-    let a = flat.((i * d) + c) and b = flat.((j * d) + c) in
-    if a > b then no_worse := false;
-    if a < b then strictly := true
+(* Whether one of the first [kept_n] rows of [kflat] dominates row [i] of
+   [flat]: the same float comparisons as [dominates], on unboxed floats
+   (untyped, [>] and [<] are polymorphic compares on boxed floats).  Each
+   kept row is rejected at its first worse coordinate; only a row no worse
+   anywhere is tested for a strictly better one.  Coordinate 0 is never
+   worse: kept rows precede row [i] in [row_cmp] order, and [Float.compare]
+   ranks NaN below every float, so [y.(0) > x.(0)] cannot hold. *)
+let kept_dominates (kflat : float array) kept_n (flat : float array) d i =
+  let x = i * d in
+  let found = ref false in
+  let j = ref 0 in
+  while (not !found) && !j < kept_n do
+    let y = !j * d in
+    let c = ref 1 in
+    while !c < d && not (kflat.(y + !c) > flat.(x + !c)) do
+      incr c
+    done;
+    if !c = d then
+      for c = 0 to d - 1 do
+        if kflat.(y + c) < flat.(x + c) then found := true
+      done;
+    incr j
   done;
-  !no_worse && !strictly
+  !found
 
 (* In-place heapsort of [order.(0..n-1)] under [row_cmp] (strict total
    order, so stability is moot and the result is unique). *)
@@ -91,16 +105,18 @@ let sort_order flat d order n =
    out at a kept dominator of x.  Exact-duplicate keys sort adjacent with the
    smallest input index first, matching the first-occurrence dedup of the
    naive scan (the test oracle in test/oracle/pareto.ml).  O(n log n +
-   n·F·d) for frontier size F vs the old O(n²·d); all working state is
-   borrowed scratch, so the steady state allocates only the caller-visible
-   outputs. *)
+   n·F·d) for frontier size F vs the old O(n²·d).  The row buffers are
+   borrowed scratch and every comparison is on unboxed floats, so a steady
+   state call allocates the [keep] mask, the callers' keys and outputs, and
+   nothing per comparison. *)
 let skyline ~n ~key_at =
   let k0 = key_at 0 in
   let d = Array.length k0 in
   let flat = Scratch.borrow_floats (n * d) in
   let order = Scratch.borrow_ints n in
-  (* kept.(0..kept_n-1): row indices of frontier members found so far *)
-  let kept = Scratch.borrow_ints n in
+  (* kflat: the frontier members found so far, copied contiguously in the
+     order found, so the scan reads them sequentially *)
+  let kflat = Scratch.borrow_floats (n * d) in
   let keep = Array.make n false in
   let dim_ok = ref true in
   for i = 0 to n - 1 do
@@ -113,7 +129,7 @@ let skyline ~n ~key_at =
     order.(i) <- i
   done;
   if not !dim_ok then begin
-    Scratch.release_ints kept;
+    Scratch.release_floats kflat;
     Scratch.release_ints order;
     Scratch.release_floats flat;
     invalid_arg "Pareto.frontier: dimension mismatch"
@@ -123,21 +139,13 @@ let skyline ~n ~key_at =
   for r = 0 to n - 1 do
     let i = order.(r) in
     let duplicate = r > 0 && rows_lex_equal flat d i order.(r - 1) in
-    if not duplicate then begin
-      let dominated = ref false in
-      let j = ref 0 in
-      while (not !dominated) && !j < !kept_n do
-        if row_dominates flat d kept.(!j) i then dominated := true;
-        incr j
-      done;
-      if not !dominated then begin
-        kept.(!kept_n) <- i;
-        incr kept_n;
-        keep.(i) <- true
-      end
+    if not (duplicate || kept_dominates kflat !kept_n flat d i) then begin
+      Array.blit flat (i * d) kflat (!kept_n * d) d;
+      incr kept_n;
+      keep.(i) <- true
     end
   done;
-  Scratch.release_ints kept;
+  Scratch.release_floats kflat;
   Scratch.release_ints order;
   Scratch.release_floats flat;
   keep
@@ -155,24 +163,3 @@ let frontier key items =
         if keep.(i) then out := arr.(i) :: !out
       done;
       !out
-
-let frontier_arr key items =
-  let n = Array.length items in
-  if n <= 1 then Array.copy items
-  else begin
-    (* es_lint: cold — per-call key adapter, one closure per frontier *)
-    let keep = skyline ~n ~key_at:(fun i -> key items.(i)) in
-    let count = ref 0 in
-    for i = 0 to n - 1 do
-      if keep.(i) then incr count
-    done;
-    let out = Array.make !count items.(0) in
-    let w = ref 0 in
-    for i = 0 to n - 1 do
-      if keep.(i) then begin
-        out.(!w) <- items.(i);
-        incr w
-      end
-    done;
-    out
-  end

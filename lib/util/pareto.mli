@@ -13,5 +13,3 @@ val frontier : ('a -> float array) -> 'a list -> 'a list
     the relative order of survivors and deduplicating exact-key ties to the
     first occurrence.  Sort-based skyline, O(n log n + n·F·d) for frontier
     size F — the candidate-generation hot path. *)
-
-val frontier_arr : ('a -> float array) -> 'a array -> 'a array

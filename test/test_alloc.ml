@@ -542,6 +542,26 @@ let prop_share_rules_match_oracle =
            (Share.sqrt_rule ~weights:w ~bandwidth_bps items)
            (Es_oracle.Share.sqrt_rule ~weights:w ~bandwidth_bps items))
 
+(* ---------- Pareto skyline allocation ---------- *)
+
+(* One frontier over mobilenet_v2's 3,162 candidate keys.  The dominance
+   tests compare unboxed floats, so the call allocates little beyond its
+   output: the surviving cons cells (the array-sized scratch is large enough
+   to go straight to the major heap). *)
+let test_skyline_allocation () =
+  let keys =
+    List.map Candidate.plan_key (Candidate.generate (Es_dnn.Zoo.mobilenet_v2 ()))
+  in
+  let n = List.length keys in
+  let words =
+    Es_util.Alloc_probe.minor_words (fun () ->
+        ignore (Sys.opaque_identity (Es_util.Pareto.frontier Fun.id keys)))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words <= 4n = %d" words (4 * n))
+    true
+    (words <= float_of_int (4 * n))
+
 let () =
   Alcotest.run "es_alloc"
     [
@@ -585,6 +605,7 @@ let () =
           Alcotest.test_case "deterministic sampling" `Quick test_bucket_deterministic_sampling;
           Alcotest.test_case "rejects bad params" `Quick test_bucket_rejects_bad_params;
         ] );
+      ("pareto", [ Alcotest.test_case "skyline allocation" `Quick test_skyline_allocation ]);
       ( "policy+assign",
         [
           Alcotest.test_case "decisions cover devices" `Quick test_policy_decisions_cover_all_devices;

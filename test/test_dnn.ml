@@ -313,6 +313,47 @@ let prop_prefix_monotone =
       let lo = min a b and hi = max a b in
       Graph.prefix_flops g lo <= Graph.prefix_flops g hi +. 1e-6)
 
+(* Every cost query against the per-query folds of [Es_oracle.Graph], bit
+   for bit, on every zoo model at every width, exit and cut (the graphs the
+   candidate generator builds). *)
+let test_graph_costs_match_oracle () =
+  let module O = Es_oracle.Graph in
+  let mismatches = ref [] in
+  let check what g i expected actual =
+    if Int64.bits_of_float expected <> Int64.bits_of_float actual then
+      mismatches :=
+        Printf.sprintf "%s %s@%d: %h <> %h" g.Graph.name what i expected actual :: !mismatches
+  in
+  let graphs = ref 0 in
+  List.iter
+    (fun base ->
+      List.iter
+        (fun width ->
+          List.iter
+            (fun exit_node ->
+              let g = (Es_surgery.Plan.make ~width ?exit_node base).Es_surgery.Plan.graph in
+              incr graphs;
+              let n = Graph.n_nodes g in
+              for i = 0 to n - 1 do
+                check "node_flops" g i (O.node_flops g i) (Graph.node_flops g i);
+                check "node_params" g i (O.node_params g i) (Graph.node_params g i)
+              done;
+              check "total_flops" g n (O.total_flops g) (Graph.total_flops g);
+              for k = 0 to n do
+                check "prefix_flops" g k (O.prefix_flops g k) (Graph.prefix_flops g k);
+                check "suffix_flops" g k (O.suffix_flops g k) (Graph.suffix_flops g k);
+                check "cut_transfer_bytes" g k (O.cut_transfer_bytes g k)
+                  (Graph.cut_transfer_bytes g k);
+                check "cut_transfer_bytes int8" g k
+                  (O.cut_transfer_bytes ~bytes_per_elt:1 g k)
+                  (Graph.cut_transfer_bytes ~bytes_per_elt:1 g k)
+              done)
+            (Es_surgery.Candidate.exit_nodes base))
+        [ 1.0; 0.75; 0.5 ])
+    (Zoo.all ());
+  Alcotest.(check bool) "graphs checked" true (!graphs > 100);
+  Alcotest.(check (list string)) "no cost differs from the oracle" [] (List.rev !mismatches)
+
 (* ---------- Serialize ---------- *)
 
 let graphs_equivalent (a : Graph.t) (b : Graph.t) =
@@ -455,6 +496,7 @@ let () =
           Alcotest.test_case "successors" `Quick test_graph_successors;
           Alcotest.test_case "scale width" `Quick test_scale_width;
           Alcotest.test_case "scale width on zoo" `Quick test_scale_width_zoo;
+          Alcotest.test_case "costs match the oracle" `Quick test_graph_costs_match_oracle;
           prop_cut_transfer_nonneg;
           prop_prefix_monotone;
         ] );

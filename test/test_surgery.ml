@@ -221,18 +221,51 @@ let test_pareto_subset_and_nondominated () =
   Alcotest.(check bool) "frontier is a subset" true
     (List.for_all (fun p -> List.memq p plans) frontier);
   Alcotest.(check bool) "frontier smaller" true (List.length frontier < List.length plans);
-  let key (p : Plan.t) =
-    let scale = Precision.compute_scale p.Plan.precision in
-    [|
-      Plan.dev_flops p /. scale; Plan.transfer_bytes p; Plan.srv_flops p /. scale;
-      -.p.Plan.accuracy;
-    |]
-  in
+  let key = Candidate.plan_key in
   List.iter
     (fun p ->
       Alcotest.(check bool) "non-dominated" false
         (List.exists (fun q -> Es_util.Pareto.dominates (key q) (key p)) frontier))
     frontier
+
+(* FNV digest of each zoo model's default frontier: every survivor's
+   (exit, width, precision, cut) and the bits of its four keys, in order.
+   Recorded before the graph cost tables and the typed skyline replaced the
+   per-query folds; any change to a plan, a key bit or the survivor order
+   moves a digest. *)
+let frontier_digests =
+  [
+    ("alexnet", "1002d138bfdf2765");
+    ("vgg16", "4f5119bcd5d43444");
+    ("resnet18", "8449fc43ef90c5f7");
+    ("resnet34", "854bd2239e520591");
+    ("resnet50", "8a5d778932c6b2ea");
+    ("mobilenet_v1", "269b523c46465d7b");
+    ("mobilenet_v2", "fd63dc6a7dd8bc0c");
+    ("inception_lite", "1ab15e04bf602c08");
+    ("yolo_tiny", "36c16e63450a54dc");
+    ("squeezenet", "dba5ab0db2d37028");
+    ("densenet_lite", "5300515ae2c262ea");
+  ]
+
+let frontier_digest g =
+  let h = Es_util.Fnv.create () in
+  List.iter
+    (fun (p : Plan.t) ->
+      Es_util.Fnv.add_int h (Option.value p.Plan.exit_node ~default:(-1));
+      Es_util.Fnv.add_float h p.Plan.width;
+      Es_util.Fnv.add_string h (Precision.name p.Plan.precision);
+      Es_util.Fnv.add_int h p.Plan.cut;
+      Array.iter (Es_util.Fnv.add_float h) (Candidate.plan_key p))
+    (Candidate.pareto_candidates g);
+  Es_util.Fnv.to_hex h
+
+let test_frontier_digests_pinned () =
+  Alcotest.(check (list string)) "every zoo model" Zoo.names (List.map fst frontier_digests);
+  List.iter
+    (fun (name, digest) ->
+      Alcotest.(check string) name digest (frontier_digest (Zoo.by_name name)))
+    frontier_digests
 
 let test_pareto_keeps_best_accuracy () =
   let frontier = Candidate.pareto_candidates resnet18 in
@@ -529,6 +562,7 @@ let () =
           Alcotest.test_case "covers extremes" `Quick test_generate_covers_extremes;
           Alcotest.test_case "pareto sound" `Quick test_pareto_subset_and_nondominated;
           Alcotest.test_case "keeps best accuracy" `Quick test_pareto_keeps_best_accuracy;
+          Alcotest.test_case "frontier digests pinned" `Quick test_frontier_digests_pinned;
           Alcotest.test_case "cache" `Quick test_candidate_cache;
           Alcotest.test_case "cache name collision" `Quick test_cache_distinguishes_same_name;
           Alcotest.test_case "cache nearby widths" `Quick test_cache_distinguishes_nearby_widths;

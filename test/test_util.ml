@@ -474,13 +474,6 @@ let pareto_skyline_matches_oracle_4d =
       in
       Pareto.frontier key pts = Es_oracle.Pareto.frontier key pts)
 
-let pareto_frontier_arr_agrees =
-  qtest ~count:200 "frontier_arr = frontier on the same input"
-    QCheck.(list_of_size (Gen.int_range 0 40) (pair (int_range 0 6) (int_range 0 6)))
-    (fun pts ->
-      let key (a, b) = [| float_of_int a; float_of_int b |] in
-      Array.to_list (Pareto.frontier_arr key (Array.of_list pts)) = Pareto.frontier key pts)
-
 (* ---------- Par ---------- *)
 
 let par_map_matches_sequential =
@@ -795,7 +788,6 @@ let () =
           pareto_frontier_sound;
           pareto_skyline_matches_oracle_2d;
           pareto_skyline_matches_oracle_4d;
-          pareto_frontier_arr_agrees;
         ] );
       ( "par",
         [
