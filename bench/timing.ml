@@ -208,9 +208,9 @@ let sharded_vs_mono ~repeats n =
    and dispatch buffers that belong to the runtime, not to the solver.
    Each record also re-scores the landing point through the reference
    kernels in the test-only Es_oracle library (oracle_ok), so a flat/oracle divergence fails the
-   gate even if no test caught it.  words_per_solve (minor + major -
-   promoted) is recorded for context only: direct-to-major block counters
-   lag the running collection slice, so that figure is not exact. *)
+   gate even if no test caught it.  words_per_solve (minor words plus
+   words allocated directly on the major heap) is recorded for context
+   only. *)
 
 let alloc_per_solve_record ~scenario ~cluster ~(solve : unit -> Es_edge.Decision.t array) =
   let open Es_edge in

@@ -48,19 +48,11 @@ let trace_out_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
-let no_obs_arg =
-  let doc =
-    "Disable all observability (overrides $(b,--metrics-out)/$(b,--trace-out)): the simulator \
-     runs on its uninstrumented noop path, for overhead measurements."
-  in
-  Arg.(value & flag & info [ "no-obs" ] ~doc)
-
-(* Run [body ~metrics ~spans], honouring the three obs flags: the span sink
+(* Run [body ~metrics ~spans], honouring the two obs flags: the span sink
    streams to --trace-out while [body] runs; the metric registry is dumped
-   to --metrics-out afterwards. *)
-let with_obs ~metrics_out ~trace_out ~no_obs body =
-  let metrics_out = if no_obs then None else metrics_out in
-  let trace_out = if no_obs then None else trace_out in
+   to --metrics-out afterwards.  With neither flag [body] gets [None] for
+   both, and the simulator runs on its uninstrumented path. *)
+let with_obs ~metrics_out ~trace_out body =
   (* Open both files before the (possibly long) run so a bad path fails
      fast — and cleanly — instead of after the simulation has finished. *)
   let open_out_or_die path =
@@ -210,87 +202,11 @@ let plan_cmd =
 
 (* ---------- run ---------- *)
 
-(* Colon-separated overload flag specs ("32:0.5:5:3"); empty or missing
-   fields fall back to the Overload defaults, so bare [--breaker] works. *)
-let overload_policy ~admission ~breaker ~brownout ~shed =
-  let fields s = if s = "" then [||] else Array.of_list (String.split_on_char ':' s) in
-  let fget a i = if i < Array.length a && a.(i) <> "" then Some a.(i) else None in
-  let ffloat ~flag a i ~default =
-    match fget a i with
-    | None -> default
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some v -> v
-        | None -> failwith (Printf.sprintf "--%s: bad field %S (want a number)" flag s))
-  in
-  let fint ~flag a i ~default =
-    match fget a i with
-    | None -> default
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some v -> v
-        | None -> failwith (Printf.sprintf "--%s: bad field %S (want an integer)" flag s))
-  in
-  try
-    let admission =
-      Option.map
-        (fun s ->
-          let a = fields s in
-          let d = Es_sim.Overload.default_admission in
-          { Es_sim.Overload.slack = ffloat ~flag:"admission" a 0 ~default:d.Es_sim.Overload.slack })
-        admission
-    in
-    let breaker =
-      Option.map
-        (fun s ->
-          let a = fields s in
-          let d = Es_sim.Overload.default_breaker in
-          {
-            d with
-            Es_sim.Overload.window = fint ~flag:"breaker" a 0 ~default:d.Es_sim.Overload.window;
-            failure_rate = ffloat ~flag:"breaker" a 1 ~default:d.Es_sim.Overload.failure_rate;
-            cooldown_s = ffloat ~flag:"breaker" a 2 ~default:d.Es_sim.Overload.cooldown_s;
-            half_open_probes =
-              fint ~flag:"breaker" a 3 ~default:d.Es_sim.Overload.half_open_probes;
-          })
-        breaker
-    in
-    let brownout =
-      Option.map
-        (fun s ->
-          let a = fields s in
-          let d = Es_sim.Overload.default_brownout in
-          {
-            d with
-            Es_sim.Overload.high_watermark =
-              fint ~flag:"brownout" a 0 ~default:d.Es_sim.Overload.high_watermark;
-            low_watermark = fint ~flag:"brownout" a 1 ~default:d.Es_sim.Overload.low_watermark;
-            check_every_s = ffloat ~flag:"brownout" a 2 ~default:d.Es_sim.Overload.check_every_s;
-          })
-        brownout
-    in
-    let rate_limit =
-      Option.map
-        (fun s ->
-          let a = fields s in
-          let d = Es_sim.Overload.default_rate_limit in
-          {
-            Es_sim.Overload.rate_per_server =
-              ffloat ~flag:"shed" a 0 ~default:d.Es_sim.Overload.rate_per_server;
-            burst = ffloat ~flag:"shed" a 1 ~default:d.Es_sim.Overload.burst;
-          })
-        shed
-    in
-    let policy = { Es_sim.Overload.admission; breaker; brownout; rate_limit } in
-    Es_sim.Overload.validate policy;
-    Ok policy
-  with Failure e | Invalid_argument e -> Error e
-
 let print_report name (r : Es_sim.Metrics.report) =
-  (* Mirrors Metrics.pp_report's coverage: totals incl. drops, pooled
-     quantiles, and per-server utilization — the same fields the JSONL
-     export carries.  Degraded/timed-out counts appear only when non-zero,
-     keeping fault-free output byte-identical to earlier builds. *)
+  (* One summary line: DSR, pooled quantiles, totals incl. drops and the
+     per-server utilization — the fields the JSONL report carries.
+     Degraded/timed-out counts appear only when non-zero, keeping
+     fault-free output byte-identical to earlier builds. *)
   let resilience_part =
     (if r.Es_sim.Metrics.total_degraded > 0 then
        Printf.sprintf ", %d degraded" r.Es_sim.Metrics.total_degraded
@@ -418,7 +334,7 @@ let run_cmd =
   in
   let run scenario devices seed ap_mbps duration policy verbose faults retries timeout_factor
       fallback admission breaker brownout shed heavy_devices heavy_archetypes load_profile
-      streaming metrics_out trace_out no_obs =
+      streaming metrics_out trace_out =
     let heavy_setup =
       (* Heavy population and/or explicit profiled arrivals; [None] leaves
          the classic path (and its golden output) untouched. *)
@@ -507,7 +423,7 @@ let run_cmd =
                 Printf.eprintf "bad --faults: %s\n" e;
                 1
             | Ok fault_schedule -> (
-            match overload_policy ~admission ~breaker ~brownout ~shed with
+            match Es_sim.Overload.of_specs ~admission ~breaker ~brownout ~shed with
             | Error e ->
                 Printf.eprintf "bad overload flags: %s\n" e;
                 1
@@ -565,7 +481,7 @@ let run_cmd =
                 let engine_stats = ref None in
                 let t0 = Es_obs.Obs.wall_clock () in
                 let report =
-                  with_obs ~metrics_out ~trace_out ~no_obs (fun ~metrics ~spans ->
+                  with_obs ~metrics_out ~trace_out (fun ~metrics ~spans ->
                       Es_sim.Runner.run ~options ?metrics ?spans ~reconfigure ?arrivals
                         ~on_stats:(fun s -> engine_stats := Some s)
                         cluster decisions)
@@ -611,7 +527,7 @@ let run_cmd =
       const run $ scenario_arg $ devices_arg $ seed_arg $ ap_mbps_arg $ duration_arg $ policy
       $ verbose $ faults $ retries $ timeout_factor $ fallback $ admission $ breaker
       $ brownout $ shed $ heavy_devices $ heavy_archetypes $ load_profile $ streaming
-      $ metrics_out_arg $ trace_out_arg $ no_obs_arg)
+      $ metrics_out_arg $ trace_out_arg)
 
 (* ---------- compare ---------- *)
 
@@ -936,10 +852,8 @@ let online_cmd =
         | None -> ()
         | Some sc ->
             let s = Es_joint.Solve_cache.stats sc in
-            Printf.printf
-              "solve cache: %d hits, %d misses, %d evictions, %d entries\n"
-              s.Es_joint.Solve_cache.hits s.Es_joint.Solve_cache.misses
-              s.Es_joint.Solve_cache.evictions s.Es_joint.Solve_cache.entries);
+            Printf.printf "solve cache: %d hits, %d misses\n" s.Es_joint.Solve_cache.hits
+              s.Es_joint.Solve_cache.misses);
         0
   in
   Cmd.v (Cmd.info "online" ~doc:"Online re-optimization under a load burst")
@@ -968,7 +882,7 @@ let trace_cmd =
       & info [ "burst" ] ~docv:"FACTOR"
           ~doc:"Generate with a step burst of this factor in the middle third.")
   in
-  let run scenario devices seed duration out replay burst metrics_out trace_out no_obs =
+  let run scenario devices seed duration out replay burst metrics_out trace_out =
     match build_cluster scenario devices seed None with
     | Error e ->
         Printf.eprintf "%s\n" e;
@@ -986,9 +900,9 @@ let trace_cmd =
                       ~stop_s:(2.0 *. duration /. 3.0) ~factor
               in
               Ok
-                (Es_workload.Traces.piecewise
+                (Es_workload.Heavy.trace
                    ~seed:(Option.value seed ~default:7)
-                   ~duration_s:duration ~rate_profile:profile cluster)
+                   ~duration_s:duration ~profile cluster)
         in
         match arrivals with
         | Error e ->
@@ -1007,7 +921,7 @@ let trace_cmd =
                    registry/sink: solver iterations in wall-clock spans,
                    requests in simulated-time spans. *)
                 let report =
-                  with_obs ~metrics_out ~trace_out ~no_obs (fun ~metrics ~spans ->
+                  with_obs ~metrics_out ~trace_out (fun ~metrics ~spans ->
                       let decisions =
                         (Es_joint.Optimizer.solve ?metrics ?spans cluster)
                           .Es_joint.Optimizer.decisions
@@ -1024,7 +938,7 @@ let trace_cmd =
     (Cmd.info "trace" ~doc:"Generate, save, or replay arrival traces")
     Term.(
       const run $ scenario_arg $ devices_arg $ seed_arg $ duration_arg $ out $ replay $ burst
-      $ metrics_out_arg $ trace_out_arg $ no_obs_arg)
+      $ metrics_out_arg $ trace_out_arg)
 
 let () =
   let info =

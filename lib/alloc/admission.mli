@@ -73,7 +73,3 @@ val control :
     [metrics] (optional, off by default) accrues [admission/served] and
     [admission/rejected{reason=stable|deadlines}] counters per call, plus
     [admission/allocation_attempts] counting inner allocator solves. *)
-
-val load_density : Es_edge.Cluster.t -> assignment:int array -> Es_surgery.Plan.t -> int -> float
-(** The eviction key: (rate × server work + normalized uplink demand) of a
-    device's plan at its assigned server, for tests and introspection. *)

@@ -283,9 +283,3 @@ let solve ?(stability_margin = 0.95) ?(tol = 1e-3) ~bandwidth_bps items =
           end
         end)
   end
-
-let grants_array result ~n =
-  let arr = Array.make n None in
-  (* es_lint: cold *)
-  List.iter (fun (k, g) -> if k >= 0 && k < n then arr.(k) <- Some g) result.grants;
-  arr

@@ -50,6 +50,3 @@ val solve :
     redistributed after the min-max point is found, so grants are
     leftover-free.  [stability_margin] defaults to 0.95; [tol] is the
     relative bisection tolerance on θ (default 1e-3). *)
-
-val grants_array : result -> n:int -> grant option array
-(** Scatter the keyed grants into a device-indexed array. *)

@@ -4,24 +4,6 @@
 
 type allocator = Minmax_alloc | Sum_sqrt | Equal | Proportional
 
-val item_of :
-  Es_edge.Cluster.device -> server:Es_edge.Cluster.server -> Es_surgery.Plan.t -> Minmax.item
-(** The allocator's view of one offloading device: fixed latency (device
-    compute + RTT), transfer bits, server work at the assigned server's
-    speed, deadline, radio peak, rate. *)
-
-val allocate_server :
-  allocator ->
-  Es_edge.Cluster.t ->
-  server:int ->
-  (int * Es_surgery.Plan.t) list ->
-  (int * Minmax.grant) list option
-(** Allocate one server's bandwidth and compute among the given
-    (device id, plan) pairs.  [None] when the chosen allocator is
-    {!Minmax_alloc} and no stable allocation exists; the share-rule
-    allocators always return grants (possibly unstable — the simulator will
-    show the queues growing, which is the point of those baselines). *)
-
 val decisions :
   allocator ->
   Es_edge.Cluster.t ->

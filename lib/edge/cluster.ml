@@ -64,10 +64,7 @@ let add_proc h (p : Processor.t) =
   Es_util.Fnv.add_float h pw.Processor.tx_w;
   Es_util.Fnv.add_float h pw.Processor.rx_w
 
-(* Rates are hashed quantized to [rate_grain] (nearest multiple), so small
-   load jitter maps to the same fingerprint while epoch-scale level changes
-   do not; [rate_grain <= 0] hashes the exact float bits. *)
-let fingerprint ?(rate_grain = 0.0) t =
+let fingerprint t =
   let h = Es_util.Fnv.create () in
   Es_util.Fnv.add_int h (n_devices t);
   Es_util.Fnv.add_int h (n_servers t);
@@ -82,9 +79,7 @@ let fingerprint ?(rate_grain = 0.0) t =
       Es_util.Fnv.add_string h d.model.Es_dnn.Graph.name;
       Es_util.Fnv.add_int h (Es_dnn.Graph.n_nodes d.model);
       Es_util.Fnv.add_float h (Es_dnn.Graph.total_flops d.model);
-      (if rate_grain > 0.0 then
-         Es_util.Fnv.add_int64 h (Int64.of_float (Float.round (d.rate /. rate_grain)))
-       else Es_util.Fnv.add_float h d.rate);
+      Es_util.Fnv.add_float h d.rate;
       Es_util.Fnv.add_float h d.deadline;
       Es_util.Fnv.add_float h d.accuracy_floor)
     t.devices;

@@ -47,16 +47,12 @@ val server :
 val n_devices : t -> int
 val n_servers : t -> int
 
-val fingerprint : ?rate_grain:float -> t -> string
+val fingerprint : t -> string
 (** Structural digest (16 hex chars) of the whole cluster: every device's
     processor (perf, memory, power), link, model identity (name, node count,
-    total FLOPs), rate, deadline and accuracy floor, plus every server's
-    processor and AP capacity.  Two clusters with the same fingerprint are
-    interchangeable inputs to the solvers up to hash collision (64-bit).
-
-    [rate_grain > 0] quantizes each device rate to the nearest multiple of
-    the grain before hashing, so load levels that recur within jitter share
-    a fingerprint — the knob behind {!Es_joint.Solve_cache} hits on diurnal
-    profiles.  The default ([0.]) hashes exact rate bits. *)
+    total FLOPs), exact rate bits, deadline and accuracy floor, plus every
+    server's processor and AP capacity.  Two clusters with the same
+    fingerprint are interchangeable inputs to the solvers up to hash
+    collision (64-bit); {!Es_joint.Solve_cache} keys on it. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -24,9 +24,6 @@ val total : breakdown -> float
 
 val per_request : Cluster.t -> Decision.t -> float
 
-val mean_power_w : Cluster.t -> Decision.t -> float
-(** Sustained inference power draw above idle: rate × per-request joules. *)
-
 val fleet_joules_per_s : Cluster.t -> Decision.t array -> float
 (** Aggregate device-side draw of a decision set (W). *)
 

@@ -28,10 +28,6 @@ val server_load : Cluster.t -> Decision.t array -> float array
 (** Per-server offered load: Σ λ_i · server-work_i / capacity — must stay
     below the compute shares granted for the system to be stable. *)
 
-val server_load_into : Cluster.t -> Decision.t array -> float array -> unit
-(** {!server_load} into a caller-owned buffer of length ≥ n_servers
-    (cleared first) — the allocation-free form for per-iteration use. *)
-
 val device_stable : Cluster.t -> Decision.t -> bool
 (** λ_i · (device service time) < 1 and, when offloading, λ_i · (server
     service time at its share) < 1 — the queueing-stability conditions. *)

@@ -64,8 +64,6 @@ let edge_gpu =
   make ~name:"edge_gpu" ~gflops:6000.0 ~mem_gbps:450.0 ~overhead_us:5.0 ~power:server_power
     ~mem_gb:64.0 ()
 
-let server_classes = [| edge_cpu; edge_gpu_small; edge_gpu |]
-
 let scaled p f =
   if f <= 0.0 then invalid_arg "Processor.scaled: non-positive factor";
   {

@@ -45,11 +45,9 @@ val smartphone : t
 val jetson_nano : t
 (** Jetson Nano GPU, ~120 GFLOP/s sustained fp32. *)
 
-val jetson_tx2 : t
-(** Jetson TX2 GPU, ~400 GFLOP/s. *)
-
 val device_classes : t array
-(** All of the above, weakest first. *)
+(** All of the above plus a Jetson TX2 GPU (~400 GFLOP/s), weakest
+    first. *)
 
 (** {1 Edge-server classes} *)
 
@@ -61,8 +59,6 @@ val edge_gpu_small : t
 
 val edge_gpu : t
 (** Server GPU (2080Ti/T4-class), ~6 TFLOP/s sustained. *)
-
-val server_classes : t array
 
 val scaled : t -> float -> t
 (** [scaled p f] multiplies compute and memory throughput by [f]; used by

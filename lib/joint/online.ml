@@ -18,9 +18,6 @@ let scale_rates cluster m =
         cluster.Cluster.devices;
   }
 
-let piecewise_arrivals ~seed ~duration_s ~rate_profile cluster =
-  Es_workload.Traces.piecewise ~seed ~duration_s ~rate_profile cluster
-
 let epochs_of ~epoch_s ~duration_s =
   let rec go acc t = if t >= duration_s then List.rev acc else go (t :: acc) (t +. epoch_s) in
   go [] 0.0
@@ -32,7 +29,8 @@ let run ?(options = Es_sim.Runner.default_options) ?config ?cache ?solver
   if Float.is_nan duration_s then invalid_arg "Online.run: NaN duration_s";
   if not (epoch_s > 0.0) then invalid_arg "Online.run: non-positive epoch";
   let arrivals =
-    piecewise_arrivals ~seed:options.Es_sim.Runner.seed ~duration_s ~rate_profile cluster
+    Es_workload.Heavy.trace ~seed:options.Es_sim.Runner.seed ~duration_s ~profile:rate_profile
+      cluster
   in
   (* Structural sanity for a fresh solve: a candidate that would crash the
      runner (NaN grants, out-of-range server) can never replace a working

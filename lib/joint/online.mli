@@ -23,16 +23,6 @@ type result = {
 val scale_rates : Es_edge.Cluster.t -> float -> Es_edge.Cluster.t
 (** Cluster with every device's request rate multiplied. *)
 
-val piecewise_arrivals :
-  seed:int ->
-  duration_s:float ->
-  rate_profile:(float -> float) ->
-  Es_edge.Cluster.t ->
-  (float * int) array
-(** Sorted (time, device) trace: per-device Poisson whose instantaneous rate
-    is [device.rate × rate_profile t], with the profile sampled per inter-
-    arrival step (adequate for profiles that vary on epoch scale). *)
-
 val run :
   ?options:Es_sim.Runner.options ->
   ?config:Optimizer.config ->
@@ -45,7 +35,8 @@ val run :
   result
 (** Simulate [options.duration_s] seconds, re-optimizing every [epoch_s]
     against the profile value at the epoch start, over arrivals drawn from
-    the same profile.
+    the same profile by {!Es_workload.Heavy.trace} (seeded with
+    [options.seed]).
 
     [warm_start] (default true) seeds every epoch re-solve from the
     incumbent — the decisions actually applied at the previous epoch — so

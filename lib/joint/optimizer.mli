@@ -39,7 +39,7 @@ type config = {
           bit-identical for every [jobs] value — the trajectories are
           deterministic and independent.  Regardless of [jobs], the fan-out
           runs sequentially when the solve is too fine-grained to win
-          ({!par_fanout_min_devices}) or when jobs auto-sizing reports a
+          (fewer than 32 devices) or when jobs auto-sizing reports a
           single usable core — dispatch overhead then exceeds the overlap
           (the fine-grain loss measured in [BENCH_solver.json]); only
           timing changes, never decisions *)
@@ -113,10 +113,6 @@ type solver = warm:Es_edge.Decision.t array option -> Es_edge.Cluster.t -> outpu
     and recovery drivers ({!Online.run}, {!Recover}): given an optional
     incumbent and a cluster, produce a full decision set.  Implemented by
     the sharded solver ([Es_scale.solver]). *)
-
-val par_fanout_min_devices : int
-(** Device-count threshold below which the multi-start fan-out is
-    sequential regardless of [jobs] (see the [jobs] field). *)
 
 val clear_pool_cache : unit -> unit
 (** Drop the process-wide scored-candidate pools (archetype-keyed: model ×

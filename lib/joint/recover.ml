@@ -116,7 +116,8 @@ let run_online ?(options = Es_sim.Runner.default_options) ?(config = Optimizer.d
   in
   let duration_s = options.Es_sim.Runner.duration_s in
   let arrivals =
-    Online.piecewise_arrivals ~seed:options.Es_sim.Runner.seed ~duration_s ~rate_profile cluster
+    Es_workload.Heavy.trace ~seed:options.Es_sim.Runner.seed ~duration_s ~profile:rate_profile
+      cluster
   in
   let rec epochs acc time =
     if time >= duration_s then List.rev acc else epochs (time :: acc) (time +. epoch_s)

@@ -1,64 +1,31 @@
 (** Keyed memoization of {!Optimizer.solve}.
 
     Every repeated-solve consumer in the system — {!Online.run} revisiting a
-    diurnal load level, {!Planner} bisection probing the same trial point
-    from both planners, {!Recover.precompute} rebuilt after a transient —
-    re-pays a full block-coordinate descent for an input it has already
-    solved.  This cache closes that loop: a solve is fingerprinted by
-    everything its output depends on and the memoized {!Optimizer.output} is
-    returned bit-identically on a hit.
+    load level, {!Es_scale} re-solving an untouched shard — re-pays a full
+    block-coordinate descent for an input it has already solved.  This
+    cache closes that loop: a solve is keyed by everything its output
+    depends on and the memoized {!Optimizer.output} is returned
+    bit-identically on a hit.
 
-    {b Key.} {!Es_edge.Cluster.fingerprint} of the cluster (devices,
-    servers, links, models, deadlines, floors) with the rate vector
-    quantized to [rate_grain], combined with the optimizer config —
-    excluding [jobs], whose value never changes the output (the solver's
-    determinism contract), so sequential and parallel callers share
-    entries.
+    {b Key.} An FNV-1a digest over the exact bits of
+    {!Es_edge.Cluster.fingerprint} (devices, servers, links, models, rates,
+    deadlines, floors) and the optimizer config — excluding [jobs], whose
+    value never changes the output (the solver's determinism contract), so
+    sequential and parallel callers share entries.
 
-    {b Bounds and safety.} A mutex-protected LRU bounded by [capacity]
-    (like [Candidate.cache], it may be shared across domains — e.g. under
-    {!Recover.precompute}'s fan-out).  Hit / miss / eviction counts are kept
-    internally and, when a registry is supplied, mirrored to the
-    [solve_cache/hits|misses|evictions] counters in {!Es_obs}.
+    {b Storage.} An {!Es_util.Once} table, the same build-once table as the
+    candidate and pool caches: it may be shared across domains, and
+    callers racing on a key wait for the one solve in flight.
 
-    {b When the cache is bypassed.} Consumers skip the cache rather than
-    widening the key: any input outside the fingerprint (a different
-    scenario axis, a hand-mutated cluster) simply produces a different
-    fingerprint, and callers that must observe telemetry of the actual
-    descent (spans) should call {!Optimizer.solve} directly — a cache hit
-    emits no spans and runs no trajectories. *)
+    {b When the cache is bypassed.} Callers that must observe telemetry of
+    the actual descent (spans) should call {!Optimizer.solve} directly — a
+    cache hit emits no spans and runs no trajectories. *)
 
 type t
 
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  entries : int;  (** currently resident *)
-}
+type stats = { hits : int; misses : int  (** solves actually run *) }
 
-val create :
-  ?capacity:int -> ?rate_grain:float -> ?metrics:Es_obs.Metric.registry -> unit -> t
-(** [capacity] bounds resident entries (default 64); [rate_grain] is the
-    rate-vector quantization grain in req/s (default 1e-6 — effectively
-    exact recurrence; raise it to absorb load jitter).  [metrics] registers
-    the hit/miss/eviction counters.
-    @raise Invalid_argument on a non-positive capacity or negative grain. *)
-
-val capacity : t -> int
-val rate_grain : t -> float
-
-val fingerprint : t -> config:Optimizer.config -> Es_edge.Cluster.t -> string
-(** The cache key for this (cluster, config) under the cache's grain.
-    Exposed for tests and for callers managing entries directly. *)
-
-val find : t -> string -> Optimizer.output option
-(** Lookup by key; counts a hit or a miss and refreshes LRU order. *)
-
-val store : t -> string -> Optimizer.output -> unit
-(** Insert, evicting least-recently-used entries past capacity.  An
-    existing key is left untouched (first solve wins — all solves for a key
-    are identical by the determinism contract). *)
+val create : unit -> t
 
 val solve :
   t ->
@@ -76,5 +43,4 @@ val solve :
     first is the entry. *)
 
 val stats : t -> stats
-val clear : t -> unit
-(** Drops entries; counters keep accumulating. *)
+(** Calls answered from the table, and solves run, since [create]. *)

@@ -121,7 +121,3 @@ let analyze_files config paths =
   }
 
 let lint_files config paths = (analyze_files config paths).result
-
-let lint_one config rel =
-  let r = lint_files config [ rel ] in
-  (r.findings, r.suppressed)

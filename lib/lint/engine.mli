@@ -36,12 +36,6 @@ type analysis = {
   result : result;
 }
 
-val normalize_rel : string -> string
-(** Canonicalize a root-relative path (strip [./], collapse separators). *)
-
-val d1_exempt : string -> bool
-(** D1/D8 carve-outs: the clock module and [bench/]. *)
-
 val analyze_files : config -> string list -> analysis
 (** Full two-phase analysis over a set of root-relative paths.  Paths are
     normalized, deduplicated and sorted first; the analysis — graph and
@@ -50,8 +44,3 @@ val analyze_files : config -> string list -> analysis
 
 val lint_files : config -> string list -> result
 (** [analyze_files] keeping only the findings. *)
-
-val lint_one : config -> string -> Finding.t list * Finding.t list
-(** Lint a single root-relative [.ml] path; returns (findings, suppressed)
-    sorted by {!Finding.compare}.  Interprocedural rules see only this one
-    unit.  Raises [Sys_error] if the file cannot be read. *)

@@ -81,18 +81,12 @@ type t = {
   raw : raw_finding list;
 }
 
-val unit_of_path : string -> string
-(** Lowercased module basename: ["lib/util/par.ml"] ↦ ["par"]. *)
-
 val display_unit : string -> string
 (** Capitalized module name for messages: ["par"] ↦ ["Par"]. *)
 
-val analyze : rel:string -> exempt:bool -> string -> t
-(** Summarize file text.  [exempt] marks D1-exempt files (the clock
-    module and [bench/]): they produce no D1 findings and contribute no
-    clock effect to D8 propagation.  Parse failures yield a summary whose
-    only content is the [parse] raw finding. *)
-
 val of_file : rel:string -> exempt:bool -> root:string -> t
-(** Read [root/rel] and {!analyze} it.  Raises [Sys_error] if the file
-    cannot be read. *)
+(** Read [root/rel] and summarize its text.  [exempt] marks D1-exempt
+    files (the clock module and [bench/]): they produce no D1 findings and
+    contribute no clock effect to D8 propagation.  Parse failures yield a
+    summary whose only content is the [parse] raw finding.  Raises
+    [Sys_error] if the file cannot be read. *)

@@ -101,38 +101,6 @@ let jsonl_span_sink oc : Span.sink = fun s -> write_jsonl_line oc (span_to_json 
 let metrics_to_jsonl oc reg =
   List.iter (fun s -> write_jsonl_line oc (sample_to_json s)) (Metric.snapshot reg)
 
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let labels_string labels =
-  String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
-
-let metrics_to_csv oc reg =
-  output_string oc "name,labels,kind,count,value,sum,p50,p95,p99\n";
-  List.iter
-    (fun (s : Metric.sample) ->
-      let name = csv_escape s.Metric.name in
-      let labels = csv_escape (labels_string s.Metric.labels) in
-      match s.Metric.value with
-      | Metric.Counter c -> Printf.fprintf oc "%s,%s,counter,,%d,,,,\n" name labels c
-      | Metric.Gauge g -> Printf.fprintf oc "%s,%s,gauge,,%.9g,,,,\n" name labels g
-      | Metric.Histo h ->
-          Printf.fprintf oc "%s,%s,histogram,%d,,%.9g,%.9g,%.9g,%.9g\n" name labels
-            (Histogram.count h) (Histogram.sum h) (Histogram.quantile h 50.0)
-            (Histogram.quantile h 95.0) (Histogram.quantile h 99.0))
-    (Metric.snapshot reg)
-
-let spans_to_csv oc spans =
-  output_string oc "trace,id,parent,name,start_s,end_s,duration_s\n";
-  List.iter
-    (fun (s : Span.t) ->
-      Printf.fprintf oc "%d,%d,%s,%s,%.9g,%.9g,%.9g\n" s.Span.trace s.Span.id
-        (match s.Span.parent with Some p -> string_of_int p | None -> "")
-        (csv_escape s.Span.name) s.Span.start_s s.Span.end_s (Span.duration_s s))
-    spans
-
 let with_file path f =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)

@@ -1,9 +1,8 @@
-(** Telemetry exporters: JSONL (one JSON object per line) and CSV.
+(** Telemetry export as JSONL (one JSON object per line).
 
     JSONL is the interchange format between the simulator/CLI and the bench
     harness: it streams (spans are written as they finish), appends cleanly,
-    and every line is independently parseable.  CSV is provided for
-    spreadsheet-style consumption of metric snapshots.
+    and every line is independently parseable.
 
     Span lines carry ([kind="span"], ids, times, attrs); metric lines carry
     ([kind="metric"], instrument type, value — histograms additionally
@@ -40,14 +39,6 @@ val jsonl_span_sink : out_channel -> Span.sink
 
 val metrics_to_jsonl : out_channel -> Metric.registry -> unit
 (** One line per registered instrument, snapshot order (sorted). *)
-
-val metrics_to_csv : out_channel -> Metric.registry -> unit
-(** Header then one row per instrument:
-    [name,labels,kind,count,value,sum,p50,p95,p99] — non-applicable cells
-    are empty. *)
-
-val spans_to_csv : out_channel -> Span.t list -> unit
-(** Header then one row per span: [trace,id,parent,name,start_s,end_s,duration_s]. *)
 
 val with_file : string -> (out_channel -> 'a) -> 'a
 (** Opens (truncating), runs, closes — also on exception. *)

@@ -59,8 +59,6 @@ let rec add g v =
   let old = Atomic.get g in
   if not (Atomic.compare_and_set g old (old +. v)) then add g v
 
-let gauge_value g = Atomic.get g
-
 type sample = { name : string; labels : (string * string) list; value : value }
 
 let value_of_instrument = function

@@ -44,7 +44,6 @@ val counter_value : counter -> int
 
 val set : gauge -> float -> unit
 val add : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** {1 Introspection and export} *)
 

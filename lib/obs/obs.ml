@@ -1,15 +1,4 @@
-let noop = Span.noop_sink
-
 (* Wall clock, not [Sys.time]: process CPU time double-counts across domains
    and would misreport solver runtimes the moment multi-start runs under
    --jobs. *)
 let wall_clock () = Unix.gettimeofday ()
-
-type scope = {
-  metrics : Metric.registry option;
-  spans : Span.sink option;
-}
-
-let disabled = { metrics = None; spans = None }
-
-let scoped ?metrics ?spans () = { metrics; spans }

@@ -1,26 +1,8 @@
-(** Facade: the handles instrumented code passes around.
-
-    Instrumentation sites across the simulator, optimizer and allocator take
-    an optional {!Metric.registry} and {!Span.sink}; this module supplies
-    the disabled defaults and a convenience bundle for enabling everything
-    at once from the CLI. *)
-
-val noop : Span.sink
-(** The global no-op sink: spans are dropped.  Combined with {!Span.null}
-    this is the disabled path instrumented code compiles down to. *)
+(** The solvers' clock: the one place es_lint's D1 rule lets library code
+    read the wall clock. *)
 
 val wall_clock : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]) — the clock solvers use for
     spans and runtimes, as distinct from the simulator's virtual clock.
     Wall time (not process CPU time) so parallel solver trajectories are
     measured by elapsed time rather than by summed per-domain CPU. *)
-
-type scope = {
-  metrics : Metric.registry option;
-  spans : Span.sink option;
-}
-(** What a caller wants recorded.  [disabled] is all-[None]. *)
-
-val disabled : scope
-
-val scoped : ?metrics:Metric.registry -> ?spans:Span.sink -> unit -> scope

@@ -30,10 +30,8 @@ type sink = t -> unit
 
 type tracer
 
-val noop_sink : sink
-
 val tracer : ?sink:sink -> clock:(unit -> float) -> unit -> tracer
-(** A live tracer.  [sink] defaults to {!noop_sink} (spans are still
+(** A live tracer.  [sink] defaults to dropping each span (spans are still
     created and timed, useful when only attributes read back matter). *)
 
 val null : tracer

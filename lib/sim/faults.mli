@@ -86,9 +86,6 @@ val down_intervals : t -> horizon_s:float -> (int * float * float) list
 (** Per-server down intervals [(server, from, until)] clipped to
     [0, horizon_s]; a crash that is never repaired extends to the horizon. *)
 
-val spec_syntax : string
-(** One-line grammar summary for CLI help/errors. *)
-
 val of_spec : string -> ((float * event) list, string) result
 (** Parse a comma/semicolon-separated scripted spec.  Tokens:
     [down:S\@T], [up:S\@T], [down:S\@T+DUR], [outage:D\@T+DUR],

@@ -254,27 +254,6 @@ let finalize c ~server_busy ~duration =
 let conserved r =
   r.total_generated = r.total_completed + r.total_dropped + r.total_timed_out + r.total_shed
 
-let pp_report fmt r =
-  (* Every summary path goes through here so the human-readable report and
-     the JSONL export never disagree on what they cover: totals (including
-     drops), pooled quantiles, and per-server utilization. *)
-  Format.fprintf fmt
-    "requests: %d generated, %d completed, %d dropped | DSR %.1f%% | latency mean %.1f ms p50 \
-     %.1f p95 %.1f p99 %.1f@."
-    r.total_generated r.total_completed r.total_dropped (100.0 *. r.dsr)
-    (1000.0 *. r.mean_latency_s) (1000.0 *. r.p50_s) (1000.0 *. r.p95_s) (1000.0 *. r.p99_s);
-  (* Printed only when fault injection / resilience actually fired, so a
-     fault-free run's report is byte-identical to pre-fault builds. *)
-  if r.total_degraded > 0 || r.total_timed_out > 0 then
-    Format.fprintf fmt "resilience: %d degraded completions, %d timed out@." r.total_degraded
-      r.total_timed_out;
-  if r.total_shed > 0 then
-    Format.fprintf fmt "overload: %d shed | admitted DSR %.1f%%@." r.total_shed
-      (100.0 *. r.dsr_admitted);
-  Array.iteri
-    (fun s u -> Format.fprintf fmt "  server %d: utilization %.2f@." s u)
-    r.server_utilization
-
 let report_to_json (r : report) =
   let open Es_obs.Json in
   Obj

@@ -108,18 +108,9 @@ val conserved : report -> bool
     exactly one outcome, generated = completed + dropped + timed out + shed
     (degraded completions count as completed). *)
 
-val pp_report : Format.formatter -> report -> unit
-(** Totals (generated/completed/dropped), DSR, pooled latency quantiles,
-    then one line of utilization per server — the same fields, same
-    grouping, as the JSONL export.  A resilience line (degraded/timed-out
-    counts) and an overload line (shed count, admitted DSR) appear only
-    when those counts are non-zero, so fault-free unprotected output is
-    unchanged from pre-fault builds. *)
-
 val report_to_json : report -> Es_obs.Json.t
 (** One [kind="report"] JSON object: totals, quantiles, per-server
-    utilization and a per-device summary array.  Exactly the fields
-    {!pp_report} prints (plus per-device detail), for machine consumers. *)
+    utilization and a per-device summary array, for machine consumers. *)
 
 val record_to : Es_obs.Metric.registry -> report -> unit
 (** Mirror the report's summary into gauges ([report/dsr],

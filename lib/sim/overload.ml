@@ -86,6 +86,59 @@ let validate p =
         bad "Overload: rate-limit burst must be finite and >= 1"
   | None -> ()
 
+let of_specs ~admission ~breaker ~brownout ~shed =
+  let fields s = if s = "" then [||] else Array.of_list (String.split_on_char ':' s) in
+  let field a i = if i < Array.length a && a.(i) <> "" then Some a.(i) else None in
+  let parse ~flag ~want conv a i ~default =
+    match field a i with
+    | None -> default
+    | Some s -> (
+        match conv s with
+        | Some v -> v
+        | None -> failwith (Printf.sprintf "--%s: bad field %S (want %s)" flag s want))
+  in
+  let float ~flag = parse ~flag ~want:"a number" float_of_string_opt in
+  let int ~flag = parse ~flag ~want:"an integer" int_of_string_opt in
+  let spec s build = Option.map (fun s -> build (fields s)) s in
+  try
+    let admission =
+      spec admission (fun a ->
+          { slack = float ~flag:"admission" a 0 ~default:default_admission.slack })
+    in
+    let breaker =
+      spec breaker (fun a ->
+          let d = default_breaker in
+          {
+            d with
+            window = int ~flag:"breaker" a 0 ~default:d.window;
+            failure_rate = float ~flag:"breaker" a 1 ~default:d.failure_rate;
+            cooldown_s = float ~flag:"breaker" a 2 ~default:d.cooldown_s;
+            half_open_probes = int ~flag:"breaker" a 3 ~default:d.half_open_probes;
+          })
+    in
+    let brownout =
+      spec brownout (fun a ->
+          let d = default_brownout in
+          {
+            d with
+            high_watermark = int ~flag:"brownout" a 0 ~default:d.high_watermark;
+            low_watermark = int ~flag:"brownout" a 1 ~default:d.low_watermark;
+            check_every_s = float ~flag:"brownout" a 2 ~default:d.check_every_s;
+          })
+    in
+    let rate_limit =
+      spec shed (fun a ->
+          let d = default_rate_limit in
+          {
+            rate_per_server = float ~flag:"shed" a 0 ~default:d.rate_per_server;
+            burst = float ~flag:"shed" a 1 ~default:d.burst;
+          })
+    in
+    let policy = { admission; breaker; brownout; rate_limit } in
+    validate policy;
+    Ok policy
+  with Failure e | Invalid_argument e -> Error e
+
 (* ---------- degraded-plan selection (shared with Es_joint.Recover) ---------- *)
 
 (* [plans] meeting [dev]'s accuracy floor, or all of them when none does. *)

@@ -95,6 +95,20 @@ val validate : policy -> unit
 (** @raise Invalid_argument on out-of-range parameters (non-positive
     slack, failure rate outside (0,1], inverted watermarks, …). *)
 
+val of_specs :
+  admission:string option ->
+  breaker:string option ->
+  brownout:string option ->
+  shed:string option ->
+  (policy, string) result
+(** The policy of [edgesim run]'s [--admission SLACK],
+    [--breaker W:F:C:P], [--brownout HIGH:LOW:PERIOD] and
+    [--shed RATE:BURST] flags: [None] leaves a mechanism off; each spec is
+    colon-separated fields, and an empty or missing field takes the
+    default above, so [Some ""] arms a mechanism with its defaults.  The
+    result is {!validate}d; a malformed field or out-of-range value gives
+    [Error] with a message naming the flag. *)
+
 (** {2 Degraded-plan selection}
 
     Shared by the runner's local fallback, its breaker and brownout

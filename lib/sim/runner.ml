@@ -50,7 +50,6 @@ type dev_stations = {
 }
 
 let stage_names = [| "device"; "uplink"; "uplink_prop"; "server"; "downlink"; "downlink_prop" |]
-let stages = Array.to_list stage_names
 
 (* Stage indices into [stage_names]. *)
 let s_device, s_uplink, s_uplink_prop, s_server, s_downlink, s_downlink_prop = (0, 1, 2, 3, 4, 5)

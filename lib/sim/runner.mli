@@ -89,14 +89,6 @@ type options = {
 
 val default_options : options
 
-val stages : string list
-(** The segment names a request can traverse, in path order:
-    ["device"; "uplink"; "uplink_prop"; "server"; "downlink";
-    "downlink_prop"].  Span names and the [stage] label on [segment_s] /
-    [requests_dropped] metrics draw from this list.  (The local-fallback
-    re-execution is traced as a separate ["fallback"] span and is not a
-    stage.) *)
-
 val run :
   ?options:options ->
   ?metrics:Es_obs.Metric.registry ->
@@ -136,9 +128,13 @@ val run :
       also land in [engine/events_processed] / [engine/max_pending]
       gauges.
     - [spans]: per-request traces in *simulated* time — a ["request"] root
-      span per request whose child segments ({!stages}) tile
-      [arrival, completion] exactly, each with a [queue_s] attribute
-      splitting waiting from service.  Omitting both [metrics] and [spans]
+      span per request whose child segments tile [arrival, completion]
+      exactly, each with a [queue_s] attribute splitting waiting from
+      service.  The segments, in path order, are ["device"], ["uplink"],
+      ["uplink_prop"], ["server"], ["downlink"] and ["downlink_prop"]; they
+      also name the [stage] label on [segment_s] / [requests_dropped]
+      metrics.  (The local-fallback re-execution is a separate
+      ["fallback"] span, not a stage.)  Omitting both [metrics] and [spans]
       leaves the simulator on its uninstrumented (near-zero-cost) path.
 
     Decision arrays (initial and every reconfiguration) are validated up

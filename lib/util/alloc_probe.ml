@@ -1,4 +1,4 @@
-(* Exact allocation measurement around a thunk, via Gc.counters deltas.
+(* Exact allocation measurement around a thunk.
 
    Allocated words are a machine-independent, noise-free metric: the same
    binary on the same compiler allocates the same number of words on every
@@ -7,64 +7,24 @@
    (bench/timing.exe --alloc), and the test suite asserts exact zeros for
    the steady-state kernels.
 
-   Gc.counters itself allocates its result (a tuple of three boxed floats),
-   so raw deltas carry a small constant harness overhead.  [calibrate]
-   measures that constant against a no-op thunk once (minimum over a few
-   trials, in case a minor collection lands mid-measurement) and every
-   reported figure subtracts it. *)
-
-type sample = { minor_words : float; promoted_words : float; major_words : float }
-
-let sample () =
-  let minor_words, promoted_words, major_words = Gc.counters () in
-  { minor_words; promoted_words; major_words }
-
-(* Total words allocated between two samples: minor plus major, minus
-   promotions (promoted words appear in both counters). *)
-let allocated_words a b =
-  b.minor_words -. a.minor_words
-  +. (b.major_words -. a.major_words)
-  -. (b.promoted_words -. a.promoted_words)
-
-let minor_delta a b = b.minor_words -. a.minor_words
-
-let raw_words f =
-  let a = sample () in
-  f ();
-  let b = sample () in
-  allocated_words a b
-
-let raw_minor f =
-  let a = sample () in
-  f ();
-  let b = sample () in
-  minor_delta a b
-
-let noop () = ()
-
-let calibrate raw =
-  ignore (raw noop);
-  let best = ref infinity in
-  for _ = 1 to 5 do
-    let w = raw noop in
-    if w < !best then best := w
-  done;
-  !best
-
-let words_overhead = lazy (calibrate raw_words)
-let minor_overhead = lazy (calibrate raw_minor)
-
-let words f =
-  let overhead = Lazy.force words_overhead in
-  f ();
-  (* warm-up call: caches, arena growth, lazy init *)
-  raw_words f -. overhead
+   Minor words come from [Gc.minor_words], which is exact and, read as an
+   unboxed float, allocates nothing itself.  The minor count of
+   [Gc.counters] is not exact: on OCaml 5.1 it undercounts words still in
+   the minor heap.  Its major and promoted counts are exact, and their
+   difference is the words allocated directly on the major heap — promoted
+   words appear in both. *)
 
 let minor_words f =
-  let overhead = Lazy.force minor_overhead in
   f ();
-  raw_minor f -. overhead
+  let m0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. m0
 
-let words_cold f =
-  let overhead = Lazy.force words_overhead in
-  raw_words f -. overhead
+let words f =
+  f ();
+  let _, p0, j0 = Gc.counters () in
+  let m0 = Gc.minor_words () in
+  f ();
+  let m1 = Gc.minor_words () in
+  let _, p1, j1 = Gc.counters () in
+  m1 -. m0 +. (j1 -. j0 -. (p1 -. p0))

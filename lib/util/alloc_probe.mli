@@ -1,34 +1,19 @@
-(** Exact allocation measurement around a thunk ([Gc.counters] deltas).
+(** Exact allocation measurement around a thunk.
 
     Allocated words are deterministic for a given binary and compiler —
     the machine-independent regression metric the allocation gate in
     [bench/perf_gate.exe] checks absolutely, where wall-clock ratios on
-    shared CI runners are noise.  The harness's own constant overhead (the
-    [Gc.counters] result tuples) is calibrated once and subtracted from
-    every reported figure.
+    shared CI runners are noise.  Both figures report the steady state:
+    the thunk is run once first as warm-up (caches, scratch-arena growth,
+    lazy init), then measured.
 
     The thunk must return [unit]: a polymorphic return value would make
     the measured call allocate its own boxed result. *)
 
-type sample = { minor_words : float; promoted_words : float; major_words : float }
-
-val sample : unit -> sample
-(** Current allocation counters.  Allocates (its own result); take samples
-    outside the region you care about. *)
-
-val allocated_words : sample -> sample -> float
-(** Total words allocated between two samples: minor + major − promoted
-    (promotions appear in both counters). *)
-
 val words : (unit -> unit) -> float
-(** Calibrated total allocated words of one call of the thunk.  The thunk
-    is run once first as warm-up (caches, scratch-arena growth, lazy init),
-    then measured — i.e. this reports the steady state. *)
+(** Total words allocated by one call: minor-heap words plus words
+    allocated directly on the major heap (large blocks). *)
 
 val minor_words : (unit -> unit) -> float
-(** Calibrated minor-heap words of one steady-state call — the figure the
-    zero-allocation kernel tests assert to be exactly [0.0]. *)
-
-val words_cold : (unit -> unit) -> float
-(** Like {!words} but without the warm-up call: includes first-touch
-    allocation (cache fills, arena growth). *)
+(** Minor-heap words of one call — the figure the zero-allocation kernel
+    tests assert to be exactly [0.0]. *)

@@ -12,7 +12,6 @@ type t
 val create : unit -> t
 
 val add_int : t -> int -> unit
-val add_int64 : t -> int64 -> unit
 
 val add_float : t -> float -> unit
 (** Hashes [Int64.bits_of_float]: distinguishes [-0.] from [0.] and every

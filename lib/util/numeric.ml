@@ -31,8 +31,6 @@ let bisect ?(tol = 1e-9) ?(max_iter = 200) ~lo ~hi pred =
     !hi
   end
 
-let sum_by f l = List.fold_left (fun acc x -> acc +. f x) 0.0 l
-
 let argmin_by (key : 'a -> float) = function
   | [] -> None
   | x :: rest ->

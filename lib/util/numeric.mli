@@ -3,9 +3,6 @@
 val clamp : lo:float -> hi:float -> float -> float
 (** Restrict a value to [lo, hi]. *)
 
-val lerp : float -> float -> float -> float
-(** [lerp a b t] = a + t·(b−a). *)
-
 val interp1 : (float * float) array -> float -> float
 (** Piecewise-linear interpolation through sorted (x, y) knots; clamps
     outside the knot range.  @raise Invalid_argument on an empty array. *)
@@ -16,8 +13,6 @@ val bisect :
     true, assuming [pred] is monotone (false … false true … true).  Returns
     [hi] if [pred] is false everywhere on the interval.  Used by the min-max
     allocator's bisection on the latency bound. *)
-
-val sum_by : ('a -> float) -> 'a list -> float
 
 val argmin_by : ('a -> float) -> 'a list -> 'a option
 (** First element minimizing the key. *)

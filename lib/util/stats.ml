@@ -65,15 +65,6 @@ let mean_of xs =
   let n = Array.length xs in
   if n = 0 then nan else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
 
-let stddev_of xs =
-  let n = Array.length xs in
-  if n < 2 then 0.0
-  else begin
-    let mu = mean_of xs in
-    let ss = Array.fold_left (fun acc x -> acc +. ((x -. mu) *. (x -. mu))) 0.0 xs in
-    sqrt (ss /. float_of_int (n - 1))
-  end
-
 let cdf_points xs n =
   if Array.length xs = 0 || n <= 0 then []
   else begin
@@ -84,15 +75,6 @@ let cdf_points xs n =
         let p = float_of_int i /. float_of_int n in
         let idx = int_of_float (Float.round (p *. float_of_int last)) in
         (sorted.(idx), p))
-  end
-
-let confidence_interval_95 xs =
-  let n = Array.length xs in
-  if n = 0 then (nan, nan)
-  else begin
-    let mu = mean_of xs in
-    let half = 1.96 *. stddev_of xs /. sqrt (float_of_int n) in
-    (mu -. half, mu +. half)
   end
 
 let jain_index xs =

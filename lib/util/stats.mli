@@ -33,14 +33,10 @@ val percentile : float array -> float -> float
 
 val median : float array -> float
 val mean_of : float array -> float
-val stddev_of : float array -> float
 
 val cdf_points : float array -> int -> (float * float) list
 (** [cdf_points xs n] returns [n+1] (value, cumulative-probability) points
     of the empirical CDF, suitable for plotting. *)
-
-val confidence_interval_95 : float array -> float * float
-(** Normal-approximation 95% CI of the mean: (lo, hi). *)
 
 val histogram : float array -> bins:int -> (float * int) array
 (** [(bin_left_edge, count)] pairs over [bins] equal-width bins. *)

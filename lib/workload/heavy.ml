@@ -103,9 +103,8 @@ let population ?(k = 4) ?(rate_spread = 0.1) ?(devices_per_server = 40) ~devices
 let trace ~seed ~duration_s ~profile cluster =
   let rng = Es_util.Prng.create seed in
   (* Flat time/device arrays grown by doubling; events land unsorted
-     (device-major) and a final index sort restores time order — same
-     result as Traces.piecewise's list build, without a cons + tuple per
-     event. *)
+     (device-major) and a final index sort by (time, device) restores time
+     order, without a cons + tuple per event. *)
   let cap = ref 1024 in
   let times = ref (Array.make !cap 0.0) in
   let devs = ref (Array.make !cap 0) in

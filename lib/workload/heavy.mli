@@ -50,11 +50,13 @@ val trace :
   profile:Profiles.t ->
   Es_edge.Cluster.t ->
   (float * int) array
-(** Non-stationary Poisson arrivals under a load profile — draw-for-draw
-    identical to {!Traces.piecewise} (a property the test suite pins), but
-    generated into flat arrays with an index sort, so building a
-    multi-million-event trace allocates O(1) per event instead of a list
-    cell plus a tuple. *)
+(** Sorted (time, device id) arrivals: per-device Poisson whose
+    instantaneous rate is [device.rate × profile t], with the profile
+    sampled at each inter-arrival step (accurate for profiles varying
+    slower than the arrival process).  Generated into flat arrays with an
+    index sort, so a multi-million-event trace allocates O(1) per event
+    beyond the result; the test suite pins it draw for draw against a
+    list-based reference. *)
 
 val profile_by_name : duration_s:float -> string -> Profiles.t
 (** Named load shapes scaled to the run horizon:

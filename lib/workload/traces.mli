@@ -1,20 +1,5 @@
-(** Request arrival traces for the simulator. *)
-
-val poisson :
-  seed:int -> duration_s:float -> Es_edge.Cluster.t -> (float * int) array
-(** Stationary per-device Poisson at each device's nominal rate; sorted
-    (time, device id) pairs. *)
-
-val piecewise :
-  seed:int ->
-  duration_s:float ->
-  rate_profile:Profiles.t ->
-  Es_edge.Cluster.t ->
-  (float * int) array
-(** Non-stationary Poisson: the instantaneous rate of device [i] at time
-    [t] is [rate_i × rate_profile t], with the profile sampled at each
-    inter-arrival step (accurate for profiles varying slower than the
-    arrival process). *)
+(** Arrival-trace files and merging.  Traces are sorted (time, device id)
+    pairs; {!Heavy.trace} generates them. *)
 
 val merge : (float * int) array list -> (float * int) array
 (** Merge several traces into one time-sorted trace. *)

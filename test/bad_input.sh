@@ -4,7 +4,8 @@
 # message, never as an uncaught exception (cmdliner's "internal error").
 edgesim=$1
 status=0
-for args in "--timeout-factor nan" "--devices 0" "--ap-mbps 0" "--duration 2"; do
+for args in "--timeout-factor nan" "--devices 0" "--ap-mbps 0" "--duration 2" \
+  "--breaker x" "--brownout 1:2:z"; do
   # shellcheck disable=SC2086 # the flag and its value are two words
   if out=$("$edgesim" run $args 2>&1); then
     echo "edgesim run $args: exited 0"

@@ -574,8 +574,8 @@ let test_online_scale_rates () =
 let test_online_piecewise_arrivals_sorted () =
   let c = Lazy.force default_cluster in
   let arr =
-    Online.piecewise_arrivals ~seed:3 ~duration_s:20.0
-      ~rate_profile:(Es_workload.Profiles.constant 1.0) c
+    Es_workload.Heavy.trace ~seed:3 ~duration_s:20.0
+      ~profile:(Es_workload.Profiles.constant 1.0) c
   in
   Alcotest.(check bool) "non-empty" true (Array.length arr > 0);
   Array.iteri

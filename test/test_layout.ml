@@ -1,30 +1,87 @@
-(* Reference oracles live in the test-only Es_oracle library (test/oracle/),
-   so no lib/*/*.mli may declare a [val <name>_ref] or [val <name>_naive]. *)
+(* Machine checks on what lib/ exports:
+   - reference oracles live in the test-only Es_oracle library
+     (test/oracle/), so no lib/*/*.mli may declare a [val <name>_ref] or
+     [val <name>_naive];
+   - every [val] in a lib/ interface has a caller: its name appears as a
+     whole word in some .ml under lib/ bin/ bench/ examples/ test/ other
+     than its own module's. *)
 
 let readdir d = Sys.readdir d |> Array.to_list |> List.sort compare |> List.map (Filename.concat d)
 
-let oracle_vals path =
-  In_channel.with_open_text path In_channel.input_all
+let rec files_under d =
+  List.concat_map (fun f -> if Sys.is_directory f then files_under f else [ f ]) (readdir d)
+
+let lib_mlis () =
+  let mlis = List.filter (fun f -> Filename.check_suffix f ".mli") (files_under "../lib") in
+  Alcotest.(check bool) "found the lib/ interfaces" true (List.length mlis > 20);
+  mlis
+
+let read path = In_channel.with_open_text path In_channel.input_all
+
+(* The names of the [val] declarations of an interface, in order. *)
+let vals path =
+  read path
   |> String.split_on_char '\n'
   |> List.filter_map (fun line ->
          match String.split_on_char ' ' (String.trim line) with
-         | "val" :: name :: _ ->
-             let name = List.hd (String.split_on_char ':' name) in
-             if String.ends_with ~suffix:"_ref" name || String.ends_with ~suffix:"_naive" name
-             then Some (path ^ ": val " ^ name)
-             else None
+         | "val" :: name :: _ -> Some (List.hd (String.split_on_char ':' name))
          | _ -> None)
 
 let test_no_oracle_exports () =
-  let mlis =
-    readdir "../lib"
-    |> List.filter Sys.is_directory
-    |> List.concat_map readdir
-    |> List.filter (fun f -> Filename.check_suffix f ".mli")
+  let oracle_vals path =
+    List.filter_map
+      (fun name ->
+        if String.ends_with ~suffix:"_ref" name || String.ends_with ~suffix:"_naive" name then
+          Some (path ^ ": val " ^ name)
+        else None)
+      (vals path)
   in
-  Alcotest.(check bool) "found the lib/ interfaces" true (List.length mlis > 20);
-  Alcotest.(check (list string)) "no _ref or _naive exports" [] (List.concat_map oracle_vals mlis)
+  Alcotest.(check (list string)) "no _ref or _naive exports" []
+    (List.concat_map oracle_vals (lib_mlis ()))
+
+let is_ident_char = function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true | _ -> false
+
+(* Every identifier-shaped word of a source text. *)
+let words text =
+  let seen = Hashtbl.create 1024 in
+  let n = String.length text in
+  let rec go i =
+    if i < n then
+      if is_ident_char text.[i] then begin
+        let j = ref i in
+        while !j < n && is_ident_char text.[!j] do
+          incr j
+        done;
+        Hashtbl.replace seen (String.sub text i (!j - i)) ();
+        go !j
+      end
+      else go (i + 1)
+  in
+  go 0;
+  seen
+
+let test_every_export_called () =
+  let sources =
+    List.concat_map files_under [ "../lib"; "../bin"; "../bench"; "../examples"; "." ]
+    |> List.filter (fun f -> Filename.check_suffix f ".ml")
+    |> List.map (fun f -> (f, words (read f)))
+  in
+  Alcotest.(check bool) "found the sources" true (List.length sources > 100);
+  let uncalled path =
+    let own = Filename.remove_extension path ^ ".ml" in
+    List.filter_map
+      (fun name ->
+        if List.exists (fun (f, ws) -> f <> own && Hashtbl.mem ws name) sources then None
+        else Some (path ^ ": val " ^ name))
+      (vals path)
+  in
+  Alcotest.(check (list string)) "exports without a caller" []
+    (List.concat_map uncalled (lib_mlis ()))
 
 let () =
   Alcotest.run "es_layout"
-    [ ("oracles", [ Alcotest.test_case "none exported from lib" `Quick test_no_oracle_exports ]) ]
+    [
+      ("oracles", [ Alcotest.test_case "none exported from lib" `Quick test_no_oracle_exports ]);
+      ( "exports",
+        [ Alcotest.test_case "every val has a caller" `Quick test_every_export_called ] );
+    ]

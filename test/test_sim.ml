@@ -742,6 +742,43 @@ let test_timeout_without_fallback () =
 let conserved r =
   Alcotest.(check bool) "conservation with shed" true (Es_sim.Metrics.conserved r)
 
+let test_overload_specs () =
+  let specs ?admission ?breaker ?brownout ?shed () =
+    Es_sim.Overload.of_specs ~admission ~breaker ~brownout ~shed
+  in
+  (match specs () with
+  | Ok p -> Alcotest.(check bool) "no flag is off" true (Es_sim.Overload.is_off p)
+  | Error e -> Alcotest.fail e);
+  (match specs ~breaker:"" ~brownout:"16:4" ~shed:"50" () with
+  | Ok p ->
+      Alcotest.(check bool) "bare breaker takes the defaults" true
+        (p.Es_sim.Overload.breaker = Some Es_sim.Overload.default_breaker);
+      Alcotest.(check bool) "missing fields take the defaults" true
+        (p.Es_sim.Overload.brownout
+        = Some { Es_sim.Overload.default_brownout with high_watermark = 16; low_watermark = 4 });
+      Alcotest.(check bool) "shed rate set, burst defaulted" true
+        (p.Es_sim.Overload.rate_limit
+        = Some { Es_sim.Overload.default_rate_limit with rate_per_server = 50.0 })
+  | Error e -> Alcotest.fail e);
+  let error name want r =
+    match r with
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+    | Error e -> Alcotest.(check string) name want e
+  in
+  error "bad integer" "--breaker: bad field \"x\" (want an integer)" (specs ~breaker:"x" ());
+  error "bad number" "--brownout: bad field \"z\" (want a number)" (specs ~brownout:"1:2:z" ());
+  error "validated" "Overload: brownout low watermark must be in [0, high)"
+    (specs ~brownout:"5:9" ())
+
+(* Any flag strings give [Ok] or [Error], never an exception. *)
+let overload_specs_total =
+  let field = QCheck.(string_gen (Gen.oneofl [ '0'; '1'; '7'; '.'; ':'; '-'; 'e'; 'x'; 'n' ])) in
+  QCheck.Test.make ~count:500 ~name:"overload specs never raise"
+    QCheck.(quad (option field) (option field) (option field) (option (oneof [ field; string ])))
+    (fun (admission, breaker, brownout, shed) ->
+      match Es_sim.Overload.of_specs ~admission ~breaker ~brownout ~shed with
+      | Ok _ | Error _ -> true)
+
 let test_station_backlog_eta () =
   let e = Es_sim.Engine.create () in
   let st = Es_sim.Station.create e ~speed:2.0 () in
@@ -1143,6 +1180,9 @@ let () =
         ] );
       ( "overload",
         [
+          Alcotest.test_case "flag specs" `Quick test_overload_specs;
+          Alcotest.test_case "flag specs never raise" `Quick (fun () ->
+              QCheck.Test.check_exn overload_specs_total);
           Alcotest.test_case "station backlog eta" `Quick test_station_backlog_eta;
           Alcotest.test_case "breaker state machine" `Quick test_breaker_state_machine;
           Alcotest.test_case "admission sheds" `Quick test_overload_admission_sheds;

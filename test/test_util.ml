@@ -680,22 +680,30 @@ let test_scratch_canary () =
 (* ---------- Alloc_probe ---------- *)
 
 let test_alloc_probe_sees_allocation () =
-  (* Small enough to land on the minor heap (large blocks go straight to the
-     major heap, whose counters lag the running slice).  The probe's unit is
-     whatever Gc.counters reports on this runtime — the gate and the tests
-     only need zero-vs-nonzero and same-binary comparability, so assert
-     positivity and proportionality rather than an absolute word count. *)
-  let measure n =
-    Alloc_probe.minor_words (fun () -> ignore (Sys.opaque_identity (Array.make n 0.0)))
-  in
-  let small = measure 32 and big = measure 96 in
-  Alcotest.(check bool)
-    (Printf.sprintf "allocating thunk measured positive (got %g)" small)
-    true (small > 0.0);
-  Alcotest.(check bool)
-    (Printf.sprintf "measure scales with allocation (%g < %g)" small big)
-    true
-    (big > 2.0 *. small && big < 4.0 *. small)
+  (* A float array of n elements is n words plus a header.  Small arrays
+     land on the minor heap; a large one goes straight to the major heap,
+     which [words] counts and [minor_words] does not. *)
+  let array n () = ignore (Sys.opaque_identity (Array.make n 0.0)) in
+  Alcotest.(check (float 0.0)) "32 floats" 33.0 (Alloc_probe.minor_words (array 32));
+  Alcotest.(check (float 0.0)) "96 floats" 97.0 (Alloc_probe.words (array 96));
+  Alcotest.(check (float 0.0)) "large block: no minor words" 0.0
+    (Alloc_probe.minor_words (array 100_000));
+  Alcotest.(check (float 0.0)) "large block: major words" 100_001.0
+    (Alloc_probe.words (array 100_000))
+
+(* [List.init n] allocates exactly n cons cells of 3 words each, all on the
+   minor heap; at n = 100,000 minor collections land mid-call, and the
+   promoted cells must not be counted twice. *)
+let test_alloc_probe_exact () =
+  List.iter
+    (fun n ->
+      let thunk () = ignore (Sys.opaque_identity (List.init n Fun.id)) in
+      let want = float_of_int (3 * n) in
+      Alcotest.(check (float 0.0)) (Printf.sprintf "minor words, n = %d" n) want
+        (Alloc_probe.minor_words thunk);
+      Alcotest.(check (float 0.0)) (Printf.sprintf "words, n = %d" n) want
+        (Alloc_probe.words thunk))
+    [ 10; 1000; 100_000 ]
 
 let test_alloc_probe_pure_loop_zero () =
   let buf = Array.make 64 1.5 in
@@ -828,6 +836,7 @@ let () =
       ( "alloc-probe",
         [
           Alcotest.test_case "sees allocation" `Quick test_alloc_probe_sees_allocation;
+          Alcotest.test_case "exact on List.init" `Quick test_alloc_probe_exact;
           Alcotest.test_case "pure loop zero" `Quick test_alloc_probe_pure_loop_zero;
           Alcotest.test_case "scratch steady state zero" `Quick
             test_scratch_steady_state_zero_alloc;

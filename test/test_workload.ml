@@ -37,7 +37,7 @@ let test_ramp () =
 
 let test_poisson_sorted_and_in_range () =
   let c = Lazy.force cluster in
-  let tr = Traces.poisson ~seed:1 ~duration_s:30.0 c in
+  let tr = Heavy.trace ~seed:1 ~duration_s:30.0 ~profile:(Profiles.constant 1.0) c in
   Alcotest.(check bool) "non-empty" true (Array.length tr > 0);
   Array.iteri
     (fun i (t, d) ->
@@ -49,7 +49,7 @@ let test_poisson_sorted_and_in_range () =
 let test_poisson_rate_matches () =
   let c = Lazy.force cluster in
   let duration = 400.0 in
-  let tr = Traces.poisson ~seed:2 ~duration_s:duration c in
+  let tr = Heavy.trace ~seed:2 ~duration_s:duration ~profile:(Profiles.constant 1.0) c in
   let expected =
     Array.fold_left (fun acc (d : Cluster.device) -> acc +. d.Cluster.rate) 0.0 c.Cluster.devices
     *. duration
@@ -62,15 +62,15 @@ let test_poisson_rate_matches () =
 
 let test_poisson_deterministic () =
   let c = Lazy.force cluster in
-  let a = Traces.poisson ~seed:3 ~duration_s:10.0 c in
-  let b = Traces.poisson ~seed:3 ~duration_s:10.0 c in
+  let a = Heavy.trace ~seed:3 ~duration_s:10.0 ~profile:(Profiles.constant 1.0) c in
+  let b = Heavy.trace ~seed:3 ~duration_s:10.0 ~profile:(Profiles.constant 1.0) c in
   Alcotest.(check int) "same length" (Array.length a) (Array.length b);
   Array.iteri (fun i (t, d) -> Alcotest.(check bool) "same events" true (b.(i) = (t, d))) a
 
 let test_piecewise_burst_density () =
   let c = Lazy.force cluster in
   let profile = Profiles.step_burst ~start_s:50.0 ~stop_s:100.0 ~factor:5.0 in
-  let tr = Traces.piecewise ~seed:4 ~duration_s:150.0 ~rate_profile:profile c in
+  let tr = Heavy.trace ~seed:4 ~duration_s:150.0 ~profile c in
   let count lo hi =
     Array.fold_left (fun acc (t, _) -> if t >= lo && t < hi then acc + 1 else acc) 0 tr
   in
@@ -80,6 +80,28 @@ let test_piecewise_burst_density () =
     true
     (float_of_int during > 3.0 *. float_of_int before)
 
+(* Heavy.trace generates into flat arrays; the list-based generator is the
+   reference it must match draw for draw, under a constant and a bursty
+   profile and across seeds. *)
+let test_heavy_trace_matches_reference () =
+  let c = Lazy.force cluster in
+  List.iter
+    (fun (seed, profile) ->
+      let want = Es_oracle.Traces.piecewise ~seed ~duration_s:60.0 ~rate_profile:profile c in
+      let got = Heavy.trace ~seed ~duration_s:60.0 ~profile c in
+      Alcotest.(check int) "same length" (Array.length want) (Array.length got);
+      Array.iteri
+        (fun i (t, d) ->
+          let t', d' = got.(i) in
+          if Int64.bits_of_float t <> Int64.bits_of_float t' || d <> d' then
+            Alcotest.failf "seed %d event %d: (%h, %d) vs (%h, %d)" seed i t d t' d')
+        want)
+    [
+      (1, Profiles.constant 1.0);
+      (9, Profiles.step_burst ~start_s:20.0 ~stop_s:40.0 ~factor:5.0);
+      (42, Profiles.diurnal ~period_s:60.0 ~amplitude:0.6);
+    ]
+
 let test_merge () =
   let a = [| (1.0, 0); (3.0, 0) |] and b = [| (2.0, 1); (4.0, 1) |] in
   let m = Traces.merge [ a; b ] in
@@ -88,7 +110,7 @@ let test_merge () =
 
 let test_csv_roundtrip () =
   let c = Lazy.force cluster in
-  let tr = Traces.poisson ~seed:5 ~duration_s:10.0 c in
+  let tr = Heavy.trace ~seed:5 ~duration_s:10.0 ~profile:(Profiles.constant 1.0) c in
   let path = Filename.temp_file "es_trace" ".csv" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -160,6 +182,8 @@ let () =
           Alcotest.test_case "rate matches" `Quick test_poisson_rate_matches;
           Alcotest.test_case "deterministic" `Quick test_poisson_deterministic;
           Alcotest.test_case "burst density" `Quick test_piecewise_burst_density;
+          Alcotest.test_case "heavy trace matches the reference" `Quick
+            test_heavy_trace_matches_reference;
           Alcotest.test_case "merge" `Quick test_merge;
           Alcotest.test_case "csv round-trip" `Quick test_csv_roundtrip;
           Alcotest.test_case "csv rejects garbage" `Quick test_csv_rejects_garbage;
