@@ -56,27 +56,27 @@ let t2 () =
             }
           in
           let cluster = Scenario.build spec in
-          let opt = Es_joint.Exhaustive.solve ~max_candidates_per_device:4 cluster in
+          let opt = Es_oracle.Exhaustive.solve ~max_candidates_per_device:4 cluster in
           let config =
             { Es_joint.Optimizer.default_config with max_candidates = Some 4 }
           in
           let heur = Es_joint.Optimizer.solve ~config cluster in
           let gap =
-            if opt.Es_joint.Exhaustive.objective > 0.0 then
+            if opt.Es_oracle.Exhaustive.objective > 0.0 then
               100.0
-              *. (heur.Es_joint.Optimizer.objective -. opt.Es_joint.Exhaustive.objective)
-              /. opt.Es_joint.Exhaustive.objective
+              *. (heur.Es_joint.Optimizer.objective -. opt.Es_oracle.Exhaustive.objective)
+              /. opt.Es_oracle.Exhaustive.objective
             else 0.0
           in
           rows :=
             [
               string_of_int n_devices;
               string_of_int seed;
-              fmt_f ~digits:4 opt.Es_joint.Exhaustive.objective;
+              fmt_f ~digits:4 opt.Es_oracle.Exhaustive.objective;
               fmt_f ~digits:4 heur.Es_joint.Optimizer.objective;
               fmt_f ~digits:2 gap;
-              string_of_int opt.Es_joint.Exhaustive.combinations;
-              fmt_f ~digits:3 opt.Es_joint.Exhaustive.solve_time_s;
+              string_of_int opt.Es_oracle.Exhaustive.combinations;
+              fmt_f ~digits:3 opt.Es_oracle.Exhaustive.solve_time_s;
               fmt_f ~digits:3 heur.Es_joint.Optimizer.solve_time_s;
             ]
             :: !rows)
@@ -535,21 +535,17 @@ let f12 () =
     (fun seed ->
       let cluster = Scenario.build (Scenario.with_seed seed Scenario.default) in
       let jm = Es_joint.Optimizer.solve cluster in
-      let sa = Es_joint.Annealing.solve cluster in
-      let sa_long =
-        Es_joint.Annealing.solve
-          ~config:{ Es_joint.Annealing.default_config with iterations = 10_000 }
-          cluster
-      in
+      let sa = Es_oracle.Annealing.solve cluster in
+      let sa_long = Es_oracle.Annealing.solve ~iterations:10_000 cluster in
       rows :=
         [
           string_of_int seed;
           fmt_f ~digits:4 jm.Es_joint.Optimizer.objective;
           fmt_f ~digits:2 jm.Es_joint.Optimizer.solve_time_s;
-          fmt_f ~digits:4 sa.Es_joint.Annealing.objective;
-          fmt_f ~digits:2 sa.Es_joint.Annealing.solve_time_s;
-          fmt_f ~digits:4 sa_long.Es_joint.Annealing.objective;
-          fmt_f ~digits:2 sa_long.Es_joint.Annealing.solve_time_s;
+          fmt_f ~digits:4 sa.Es_oracle.Annealing.objective;
+          fmt_f ~digits:2 sa.Es_oracle.Annealing.solve_time_s;
+          fmt_f ~digits:4 sa_long.Es_oracle.Annealing.objective;
+          fmt_f ~digits:2 sa_long.Es_oracle.Annealing.solve_time_s;
         ]
         :: !rows)
     [ 42; 123; 777 ];
@@ -854,16 +850,16 @@ let t4 () =
         List.iter
           (fun bw ->
             let dev, srv, xfer =
-              Es_surgery.Dag_cut.latency_costs ~device ~server ~bandwidth_bps:(bw *. 1e6) g
+              Es_oracle.Dag_cut.latency_costs ~device ~server ~bandwidth_bps:(bw *. 1e6) g
             in
             let split =
-              Es_surgery.Dag_cut.optimal_split ~dev_cost:dev ~srv_cost:srv ~transfer_cost:xfer g
+              Es_oracle.Dag_cut.optimal_split ~dev_cost:dev ~srv_cost:srv ~transfer_cost:xfer g
             in
             let _, prefix =
-              Es_surgery.Dag_cut.best_prefix_cost ~dev_cost:dev ~srv_cost:srv
+              Es_oracle.Dag_cut.best_prefix_cost ~dev_cost:dev ~srv_cost:srv
                 ~transfer_cost:xfer g
             in
-            let gain = 100.0 *. (prefix -. split.Es_surgery.Dag_cut.total_cost) /. prefix in
+            let gain = 100.0 *. (prefix -. split.Es_oracle.Dag_cut.total_cost) /. prefix in
             if gain > !worst_gain then begin
               worst_gain := gain;
               worst_bw := bw

@@ -54,15 +54,9 @@ let trace_out_arg =
    both, and the simulator runs on its uninstrumented path. *)
 let with_obs ~metrics_out ~trace_out body =
   (* Open both files before the (possibly long) run so a bad path fails
-     fast — and cleanly — instead of after the simulation has finished. *)
-  let open_out_or_die path =
-    try open_out path
-    with Sys_error e ->
-      Printf.eprintf "edgesim: cannot open %s: %s\n" path e;
-      exit 1
-  in
-  let metrics_oc = Option.map (fun path -> (path, open_out_or_die path)) metrics_out in
-  let trace_oc = Option.map (fun path -> (path, open_out_or_die path)) trace_out in
+     fast instead of after the simulation has finished. *)
+  let metrics_oc = Option.map (fun path -> (path, open_out path)) metrics_out in
+  let trace_oc = Option.map (fun path -> (path, open_out path)) trace_out in
   let metrics = Option.map (fun _ -> Es_obs.Metric.create ()) metrics_out in
   let finally () =
     Option.iter (fun (_, oc) -> close_out oc) metrics_oc;
@@ -949,12 +943,13 @@ let () =
     Cmd.group info
       [ models_cmd; plan_cmd; solve_cmd; run_cmd; compare_cmd; sweep_cmd; online_cmd; trace_cmd ]
   in
-  (* Library boundaries reject bad input with Invalid_argument/Failure:
-     report those as usage errors.  Anything else is a bug and keeps
-     cmdliner's internal-error report and exit code. *)
+  (* Library boundaries reject bad input with Invalid_argument/Failure, and
+     a file that cannot be opened raises Sys_error: report those as usage
+     errors.  Anything else is a bug and keeps cmdliner's internal-error
+     report and exit code. *)
   exit
     (try Cmd.eval' ~catch:false cmd with
-    | Invalid_argument msg | Failure msg ->
+    | Invalid_argument msg | Failure msg | Sys_error msg ->
         prerr_endline ("edgesim: " ^ msg);
         2
     | e ->

@@ -67,6 +67,12 @@ module Builder = struct
           invalid_arg (Printf.sprintf "Graph.Builder.add: unknown predecessor %d" p))
       preds;
     if preds = [] then invalid_arg "Graph.Builder.add: a non-input node needs predecessors";
+    (match layer with
+    | Layer.Conv { stride; groups; _ } when stride < 1 || groups < 1 ->
+        invalid_arg "Graph.Builder.add: conv stride and groups must be at least 1"
+    | Layer.Pool { stride; _ } when stride < 1 ->
+        invalid_arg "Graph.Builder.add: pool stride must be at least 1"
+    | _ -> ());
     let id = b.count in
     let node_name = match name with Some n -> n | None -> Layer.name layer in
     let shape = Layer.output_shape layer (List.map (shape_of b) preds) in
@@ -142,13 +148,6 @@ let fold_nodes f init g =
 let total_flops g = g.cum_flops.(n_nodes g)
 let total_params g = Array.fold_left ( +. ) 0.0 g.params
 let output_shape g = g.shapes.(g.output)
-
-let successors g id =
-  fold_nodes
-    (fun acc i ->
-      if Array.exists (fun p -> p = id) g.nodes.(i).preds then i :: acc else acc)
-    [] g
-  |> List.rev
 
 let exit_candidate_ids g =
   fold_nodes (fun acc i -> if g.nodes.(i).exitable then i :: acc else acc) [] g |> List.rev

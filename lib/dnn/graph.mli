@@ -45,8 +45,8 @@ module Builder : sig
 
   val add : b -> ?name:string -> ?exitable:bool -> Layer.t -> int list -> int
   (** [add b layer preds] appends a node and returns its id.  Shape inference
-      runs immediately. @raise Invalid_argument on unknown predecessor ids or
-      shape errors. *)
+      runs immediately. @raise Invalid_argument on unknown predecessor ids,
+      a conv or pool stride or conv groups below 1, or shape errors. *)
 
   val shape_of : b -> int -> Shape.t
   (** Inferred output shape of an already-added node, O(1).
@@ -71,7 +71,6 @@ val node_params : t -> int -> float
 val total_flops : t -> float
 val total_params : t -> float
 val output_shape : t -> Shape.t
-val successors : t -> int -> int list
 val exit_candidate_ids : t -> int list
 (** Ids of nodes flagged exitable, in topological order. *)
 

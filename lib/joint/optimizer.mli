@@ -21,7 +21,8 @@
     objective stops improving or after [max_iters].  Complexity per
     iteration is O(D·C + S·A) for D devices with C candidates each and A
     the allocator's bisection cost — polynomial, matching the paper-style
-    claim, vs. the exponential exhaustive search ({!Exhaustive}). *)
+    claim, vs. the exponential exhaustive search that experiment T2 and its
+    test property compare against. *)
 
 type config = {
   widths : float list;  (** width-multiplier grid for surgery candidates *)
@@ -31,7 +32,8 @@ type config = {
   local_search_passes : int;
   max_candidates : int option;
       (** cap each device's Pareto set (evenly subsampled); [None] = full.
-          Used to compare against {!Exhaustive} on an identical plan grid *)
+          Used to compare against the exhaustive search on an identical
+          plan grid *)
   jobs : int;
       (** domains for the trajectory fan-out (see [multi_start]): [1]
           sequential, [0] (the default) auto-sizes from
@@ -129,9 +131,9 @@ val best_allocation :
 (** The allocation step in isolation: the primary allocator's grants, plus —
     when the primary is the min-max solver — the queueing-stable share rules,
     keeping whichever decision set scores best on {!Objective}.  [None] when
-    nothing stable exists.  {!Exhaustive} evaluates every configuration
-    through this same function so the heuristic and the optimal search rank
-    allocations identically. *)
+    nothing stable exists.  The exhaustive search of experiment T2 evaluates
+    every configuration through this same function so the heuristic and the
+    optimal search rank allocations identically. *)
 
 val best_plan_for_grants :
   ?exits:int option list ->

@@ -9,7 +9,7 @@
 
     Naming convention (documented in DESIGN.md): lower_snake_case with a
     unit suffix where applicable ([request_latency_s], [queue_depth]),
-    namespaced by subsystem with a [/] ([annealing/accepted]).  Labels are
+    namespaced by subsystem with a [/] ([optimizer/iterations]).  Labels are
     sorted at registration, so label order at call sites is irrelevant.
 
     Thread-safety: a registry may be shared across domains (parallel solver

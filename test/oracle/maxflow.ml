@@ -1,6 +1,14 @@
-(* Adjacency-list residual network: each directed edge is stored with its
-   reverse edge; [edges.(i)] holds (destination, edge id) pairs and the
-   residual capacities live in [cap]. *)
+(* Maximum flow / minimum cut on small directed graphs (Edmonds-Karp),
+   the kernel of [Dag_cut].  Graphs here are tiny (hundreds of nodes), so
+   the O(V*E^2) bound is irrelevant.  [add_edge] accumulates parallel edges
+   and accepts [infinity] capacities (hard constraints); it raises
+   [Invalid_argument] on out-of-range vertices, self-loops or negative
+   capacity.  [max_flow] mutates the residuals, so call it once per network;
+   [min_cut_side] then gives the source side of a minimum cut.
+
+   Adjacency-list residual network: each directed edge is stored with its
+   reverse edge; [adj.(v)] holds edge ids and the residual capacities live
+   in [cap]. *)
 
 type t = {
   n : int;

@@ -155,8 +155,9 @@ let test_graph_cut_shared_activation () =
 
 let test_graph_successors () =
   let g = branchy () in
-  Alcotest.(check (list int)) "input feeds both convs" [ 1; 2 ] (Graph.successors g 0);
-  Alcotest.(check (list int)) "concat is terminal" [] (Graph.successors g 3)
+  let successors = Es_oracle.Dag_cut.successors in
+  Alcotest.(check (list int)) "input feeds both convs" [ 1; 2 ] (successors g 0);
+  Alcotest.(check (list int)) "concat is terminal" [] (successors g 3)
 
 let test_scale_width () =
   let g = small_chain () in
@@ -411,6 +412,62 @@ let test_serialize_rejects_garbage () =
   bad "model m\ninput 3x4x5\nnode 1 x relu preds=7\noutput 1\n" "dangling predecessor";
   bad "model m\ninput 3x4x5\nnode 1 x conv out_c=4 k=9 s=1 p=0 g=1 preds=0\n" "window too large"
 
+(* A zero stride or group count used to reach a division by zero in shape
+   inference or the cost tables; [Graph.Builder.add] now rejects it, and the
+   parser reports the offending line. *)
+let test_serialize_rejects_zero_stride_and_groups () =
+  let rejects what body want =
+    match Serialize.of_string ("model m\ninput 3x32x32\n" ^ body) with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e -> Alcotest.(check string) what want e
+  in
+  rejects "conv s=0" "node 1 c conv out_c=4 k=3 s=0 p=1 g=1 preds=0\noutput 1\n"
+    "line 3: Graph.Builder.add: conv stride and groups must be at least 1";
+  rejects "conv g=0" "node 1 c conv out_c=4 k=3 s=1 p=1 g=0 preds=0\noutput 1\n"
+    "line 3: Graph.Builder.add: conv stride and groups must be at least 1";
+  rejects "pool s=0" "node 1 relu relu preds=0\nnode 2 mp pool kind=max k=2 s=0 p=0 preds=1\noutput 2\n"
+    "line 4: Graph.Builder.add: pool stride must be at least 1"
+
+(* Randomly mutated zoo serializations parse to [Ok] or [Error], never an
+   exception.  Each edit, at a uniformly drawn offset, inserts a token,
+   overwrites characters with it, or puts it in place of the next field
+   value ([s=4] -> [s=0]) or the next number. *)
+let prop_serialize_mutations_never_raise =
+  let texts = Array.of_list (List.map Serialize.to_string (Zoo.all ())) in
+  let tokens =
+    [ "0"; "-1"; "1"; "2"; "7"; "65536"; "x"; "="; " "; "\n"; "node"; "preds="; ","; "exit"; "nan" ]
+  in
+  let edit = QCheck.Gen.(triple (int_bound 3) (float_bound_exclusive 1.0) (oneofl tokens)) in
+  let mutate text (kind, at, tok) =
+    let n = String.length text in
+    let pos = int_of_float (at *. float_of_int n) in
+    let cut a b = String.sub text 0 a ^ tok ^ String.sub text b (n - b) in
+    let skip from p =
+      let i = ref from in
+      while !i < n && p text.[!i] do incr i done;
+      !i
+    in
+    let digit c = c >= '0' && c <= '9' in
+    match kind with
+    | 0 -> cut pos pos
+    | 1 -> cut pos (min n (pos + String.length tok))
+    | 2 ->
+        let value = min n (skip pos (( <> ) '=') + 1) in
+        cut value (skip value (fun c -> c <> ' ' && c <> '\n'))
+    | _ ->
+        let start = skip pos (fun c -> not (digit c)) in
+        cut start (skip start digit)
+  in
+  let arb =
+    QCheck.make ~print:Fun.id
+      QCheck.Gen.(
+        map2 (List.fold_left mutate)
+          (map (Array.get texts) (int_bound (Array.length texts - 1)))
+          (list_size (int_range 1 3) edit))
+  in
+  qtest ~count:500 "mutated model files never raise" arb (fun text ->
+      match Serialize.of_string text with Ok _ | Error _ -> true)
+
 let test_serialize_preserves_semantics () =
   (* A parsed graph must behave identically under surgery-relevant queries. *)
   let g = Zoo.mobilenet_v2 () in
@@ -515,6 +572,9 @@ let () =
           Alcotest.test_case "file round-trip" `Quick test_serialize_file_roundtrip;
           Alcotest.test_case "comments tolerated" `Quick test_serialize_tolerates_comments;
           Alcotest.test_case "rejects garbage" `Quick test_serialize_rejects_garbage;
+          Alcotest.test_case "rejects zero stride and groups" `Quick
+            test_serialize_rejects_zero_stride_and_groups;
+          prop_serialize_mutations_never_raise;
           Alcotest.test_case "preserves semantics" `Quick test_serialize_preserves_semantics;
           prop_serialize_roundtrip_random;
         ] );

@@ -107,6 +107,27 @@ let test_of_spec_errors () =
   (* factor must be positive *)
   is_error "down:x@20"
 
+(* Any spec string parses to [Ok] or [Error], never an exception.  The
+   strings follow the token grammar ([kind:index[:factor]@time[+duration]],
+   comma-separated) with random kinds and numbers, and now and then a wrong
+   separator, so that both well-formed and broken specs reach every stage
+   of the parser. *)
+let prop_of_spec_never_raises =
+  let open QCheck.Gen in
+  let num = oneofl [ "0"; "1"; "3"; "-2"; "2.5"; "0.5"; "1e308"; "1e999"; "nan"; "inf"; "x"; "" ] in
+  let kind = oneofl [ "down"; "up"; "outage"; "degrade"; "straggle"; "frob"; "" ] in
+  let sep s = frequency [ (6, return s); (1, oneofl [ ""; ":"; "@"; "+"; ","; " " ]) ] in
+  let opt g = oneof [ return ""; map (String.concat "") (flatten_l g) ] in
+  let token =
+    map (String.concat "")
+      (flatten_l
+         [ kind; sep ":"; num; opt [ sep ":"; num ]; sep "@"; num; opt [ sep "+"; num ] ])
+  in
+  let spec = map (String.concat ",") (list_size (int_bound 4) token) in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"spec never raises" (QCheck.make ~print:Fun.id spec)
+       (fun spec -> match Faults.of_spec spec with Ok _ | Error _ -> true))
+
 let test_of_spec_or_file () =
   let path = Filename.temp_file "faults" ".txt" in
   let oc = open_out path in
@@ -255,6 +276,7 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_of_spec_round_trip;
           Alcotest.test_case "errors" `Quick test_of_spec_errors;
+          prop_of_spec_never_raises;
           Alcotest.test_case "file or inline" `Quick test_of_spec_or_file;
         ] );
       ( "random",

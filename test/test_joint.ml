@@ -1,5 +1,7 @@
 open Es_edge
 open Es_joint
+module Exhaustive = Es_oracle.Exhaustive
+module Annealing = Es_oracle.Annealing
 
 let default_cluster = lazy (Scenario.build Scenario.default)
 
@@ -331,61 +333,6 @@ let best_plan_matches_reference =
          in
          plan_fingerprint p = plan_fingerprint p'))
 
-let test_annealing_restarts_jobs_identical () =
-  let c = Lazy.force default_cluster in
-  let solve jobs =
-    Annealing.solve
-      ~config:{ Annealing.default_config with Annealing.iterations = 150; restarts = 3; jobs }
-      c
-  in
-  let a = solve 1 and b = solve 2 in
-  Alcotest.(check bool) "same objective" true (a.Annealing.objective = b.Annealing.objective);
-  Alcotest.(check int) "same evaluated count" a.Annealing.evaluated b.Annealing.evaluated;
-  Array.iteri
-    (fun i (d : Decision.t) ->
-      let d' = b.Annealing.decisions.(i) in
-      Alcotest.(check bool) "same decision" true
-        (d.Decision.server = d'.Decision.server
-        && d.Decision.bandwidth_bps = d'.Decision.bandwidth_bps
-        && plan_fingerprint d.Decision.plan = plan_fingerprint d'.Decision.plan))
-    a.Annealing.decisions
-
-let test_annealing_single_restart_unchanged () =
-  (* restarts = 1 must reproduce the historical single-stream result exactly
-     (the PRNG is not split in that case). *)
-  let c = Lazy.force default_cluster in
-  let config = { Annealing.default_config with Annealing.iterations = 150 } in
-  let a = Annealing.solve ~config c in
-  let b = Annealing.solve ~config:{ config with Annealing.jobs = 4 } c in
-  Alcotest.(check bool) "jobs irrelevant at one restart" true
-    (a.Annealing.objective = b.Annealing.objective)
-
-let test_exhaustive_jobs_identical () =
-  let c =
-    Scenario.build
-      {
-        Scenario.default with
-        Scenario.n_devices = 3;
-        seed = 9;
-        model_names = [ "alexnet"; "mobilenet_v2" ];
-      }
-  in
-  let solve jobs = Exhaustive.solve ~max_candidates_per_device:4 ~jobs c in
-  let a = solve 1 and b = solve 4 in
-  Alcotest.(check bool) "same objective" true (a.Exhaustive.objective = b.Exhaustive.objective);
-  Alcotest.(check int) "same combination count" a.Exhaustive.combinations
-    b.Exhaustive.combinations;
-  match (a.Exhaustive.decisions, b.Exhaustive.decisions) with
-  | Some da, Some db ->
-      Array.iteri
-        (fun i (d : Decision.t) ->
-          Alcotest.(check bool) "same decision" true
-            (d.Decision.server = db.(i).Decision.server
-            && plan_fingerprint d.Decision.plan = plan_fingerprint db.(i).Decision.plan))
-        da
-  | None, None -> ()
-  | _ -> Alcotest.fail "feasibility differs across jobs"
-
 (* Satellite: the final gauges must agree with the returned output even under
    parallel multi-start (they are written once from the landing point). *)
 let test_final_gauges_from_landing_point () =
@@ -416,33 +363,42 @@ let test_final_gauges_from_landing_point () =
 
 (* ---------- Exhaustive ---------- *)
 
-let tiny_cluster n =
-  let spec =
-    {
-      Scenario.default with
-      Scenario.n_devices = n;
-      seed = 9;
-      model_names = [ "alexnet"; "mobilenet_v2" ];
-    }
-  in
-  Scenario.build spec
+(* Experiment T2's claim: on clusters small enough to search exhaustively,
+   the polynomial optimizer lands within a factor (1 + t2_epsilon) of the
+   optimum over the same plan grid (4 candidates per device on both sides).
+   The domain is 2-4 devices of [Scenario.default], two model mixes and
+   scenario seeds 1-1000.  The claim is stated for instances whose optimum
+   meets every deadline: when a deadline must be missed the search is not a
+   lower bound (the optimizer's fallback allocations lie outside its
+   allocation step), so those draws are discarded.  Measured over all 4409
+   such instances of the domain: median gap 0.00%, p90 1.12%, p99 5.62%,
+   worst 25.06% (resnet50/vgg16/yolo_tiny, 4 devices, seed 144).
+   [t2_epsilon] is that worst case rounded up; it was fixed before the
+   property ran.  EXPERIMENTS.md T2 has the whole distribution. *)
+let t2_epsilon = 0.26
 
-let test_exhaustive_feasible_and_bounds_heuristic () =
-  let c = tiny_cluster 3 in
-  let opt = Exhaustive.solve ~max_candidates_per_device:4 c in
-  (match opt.Exhaustive.decisions with
-  | None -> Alcotest.fail "tiny instance must be feasible"
-  | Some ds -> (
-      match Decision.validate c ds with Ok () -> () | Error e -> Alcotest.fail e));
-  (* Same plan grid for the heuristic so optimal <= heuristic holds. *)
-  let config = { Optimizer.default_config with max_candidates = Some 4 } in
-  let heuristic = Optimizer.solve ~config c in
-  Alcotest.(check bool)
-    (Printf.sprintf "optimal %.4f <= heuristic %.4f" opt.Exhaustive.objective
-       heuristic.Optimizer.objective)
-    true
-    (opt.Exhaustive.objective <= heuristic.Optimizer.objective +. 1e-6);
-  Alcotest.(check bool) "searched some combinations" true (opt.Exhaustive.combinations > 10)
+let heuristic_near_optimum =
+  let mixes = [ [ "alexnet"; "mobilenet_v2" ]; [ "resnet50"; "vgg16"; "yolo_tiny" ] ] in
+  let instance =
+    QCheck.make
+      ~print:(fun (n, mix, seed) ->
+        Printf.sprintf "%d devices, %s, seed %d" n (String.concat "/" mix) seed)
+      QCheck.Gen.(triple (int_range 2 4) (oneofl mixes) (int_range 1 1000))
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2 |])
+    (QCheck.Test.make ~count:60 ~name:"heuristic within (1+eps) of optimum" instance
+       (fun (n_devices, model_names, seed) ->
+         let c = Scenario.build { Scenario.default with Scenario.n_devices; seed; model_names } in
+         let opt = Exhaustive.solve ~max_candidates_per_device:4 c in
+         let ds = Option.value opt.Exhaustive.decisions ~default:[||] in
+         QCheck.assume (ds <> [||] && Objective.misses c ds = 0);
+         let config = { Optimizer.default_config with max_candidates = Some 4 } in
+         let heur = (Optimizer.solve ~config c).Optimizer.objective in
+         let best = opt.Exhaustive.objective in
+         let bound = if best = 0.0 then t2_epsilon else (1.0 +. t2_epsilon) *. best in
+         (best <= heur +. 1e-6 && heur <= bound)
+         || QCheck.Test.fail_reportf "%d devices, %s, seed %d: optimum %.6f, heuristic %.6f"
+              n_devices (String.concat "/" model_names) seed best heur))
 
 let test_exhaustive_caps_instance_size () =
   let c = Scenario.build Scenario.default in
@@ -516,7 +472,7 @@ let test_planner_server_scale_monotone () =
 
 let test_annealing_valid_output () =
   let c = Lazy.force default_cluster in
-  let out = Annealing.solve ~config:{ Annealing.default_config with iterations = 300 } c in
+  let out = Annealing.solve ~iterations:300 c in
   (match Decision.validate c out.Annealing.decisions with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -529,18 +485,13 @@ let test_annealing_valid_output () =
 
 let test_annealing_deterministic_per_seed () =
   let c = Lazy.force default_cluster in
-  let config = { Annealing.default_config with iterations = 200 } in
-  let a = Annealing.solve ~config c and b = Annealing.solve ~config c in
+  let a = Annealing.solve ~iterations:200 c and b = Annealing.solve ~iterations:200 c in
   Alcotest.(check (float 1e-12)) "same objective" a.Annealing.objective b.Annealing.objective
 
 let test_annealing_improves_with_budget () =
   let c = Lazy.force default_cluster in
-  let short =
-    Annealing.solve ~config:{ Annealing.default_config with iterations = 50 } c
-  in
-  let long =
-    Annealing.solve ~config:{ Annealing.default_config with iterations = 3000 } c
-  in
+  let short = Annealing.solve ~iterations:50 c in
+  let long = Annealing.solve ~iterations:3000 c in
   Alcotest.(check bool)
     (Printf.sprintf "3000 iters (%.4f) <= 50 iters (%.4f)" long.Annealing.objective
        short.Annealing.objective)
@@ -570,20 +521,6 @@ let test_online_scale_rates () =
         (2.0 *. c.Cluster.devices.(i).Cluster.rate)
         d.Cluster.rate)
     c2.Cluster.devices
-
-let test_online_piecewise_arrivals_sorted () =
-  let c = Lazy.force default_cluster in
-  let arr =
-    Es_workload.Heavy.trace ~seed:3 ~duration_s:20.0
-      ~profile:(Es_workload.Profiles.constant 1.0) c
-  in
-  Alcotest.(check bool) "non-empty" true (Array.length arr > 0);
-  Array.iteri
-    (fun i (t, dev) ->
-      if i > 0 then Alcotest.(check bool) "sorted" true (fst arr.(i - 1) <= t);
-      Alcotest.(check bool) "device in range" true (dev >= 0 && dev < Cluster.n_devices c);
-      Alcotest.(check bool) "time in range" true (t >= 0.0 && t < 20.0))
-    arr
 
 let test_online_burst_beats_static () =
   (* Under a 3x burst the re-optimizing scheduler should satisfy at least as
@@ -775,11 +712,6 @@ let () =
           Alcotest.test_case "solve jobs=4 = jobs=1 (named scenarios)" `Slow
             test_solve_jobs_bit_identical;
           best_plan_matches_reference;
-          Alcotest.test_case "annealing restarts across jobs" `Quick
-            test_annealing_restarts_jobs_identical;
-          Alcotest.test_case "annealing restarts=1 unchanged" `Quick
-            test_annealing_single_restart_unchanged;
-          Alcotest.test_case "exhaustive across jobs" `Quick test_exhaustive_jobs_identical;
           Alcotest.test_case "final gauges from landing point" `Quick
             test_final_gauges_from_landing_point;
           Alcotest.test_case "solve portfolio pinned" `Quick test_solve_portfolio_pinned;
@@ -795,7 +727,7 @@ let () =
         ] );
       ( "exhaustive",
         [
-          Alcotest.test_case "bounds heuristic" `Slow test_exhaustive_feasible_and_bounds_heuristic;
+          heuristic_near_optimum;
           Alcotest.test_case "instance cap" `Quick test_exhaustive_caps_instance_size;
         ] );
       ( "planner",
@@ -814,7 +746,6 @@ let () =
       ( "online",
         [
           Alcotest.test_case "scale rates" `Quick test_online_scale_rates;
-          Alcotest.test_case "arrivals sorted" `Quick test_online_piecewise_arrivals_sorted;
           Alcotest.test_case "burst adaptivity" `Slow test_online_burst_beats_static;
           Alcotest.test_case "static is one epoch" `Quick test_online_static_is_one_epoch;
         ] );

@@ -373,6 +373,8 @@ let cq_drain_matches_heap =
 
 (* ---------- Maxflow ---------- *)
 
+module Maxflow = Es_oracle.Maxflow
+
 let test_maxflow_diamond () =
   (* s -> a (3), s -> b (2), a -> t (2), b -> t (3), a -> b (10). *)
   let net = Maxflow.create ~n:4 in
