@@ -2,10 +2,16 @@
     held in a calendar queue ({!Es_util.Calendar_queue}, O(1) amortized per
     operation).
 
-    Events scheduled for the same instant fire in scheduling order (the
-    queue is stabilized with sequence numbers), so runs are fully
-    deterministic.  The test suite replays callback programs on this engine
-    and on a binary-heap reference loop and requires identical event logs. *)
+    An event is either a closure ({!schedule}) or a data event: a plain
+    int ({!post}) that {!run} hands to its [handle] function.  The
+    simulator's per-request hops are data events, so firing one allocates
+    nothing; closures suit one-off entries such as a fault schedule.
+
+    Both kinds share one queue and one sequence counter: events for the
+    same instant fire in posting order, whatever their kind, so runs are
+    fully deterministic.  The test suite replays callback programs on this
+    engine and on a binary-heap reference loop and requires identical
+    event logs. *)
 
 type t
 
@@ -22,12 +28,25 @@ val schedule_at : t -> float -> (unit -> unit) -> unit
     @raise Invalid_argument on a NaN or infinite time (the calendar
     queue buckets by finite timestamps). *)
 
-val run : ?until:float -> t -> unit
+val post : t -> float -> int -> unit
+(** [post t delay ev] queues data event [ev] for [now t +. delay].  The
+    meaning of [ev] belongs to the caller (the runner packs an event kind
+    and a request, station or trace index into it).
+    @raise Invalid_argument on negative delay, or unless
+    [0 <= ev <= max_int lsr 1]. *)
+
+val post_at : t -> float -> int -> unit
+(** Absolute-time variant of {!post}; clamps like {!schedule_at}. *)
+
+val run : ?until:float -> ?handle:(int -> unit) -> t -> unit
 (** Drain events until the list is empty or the clock passes [until]
     (events scheduled beyond the horizon stay unexecuted and the clock
     advances to [until], never backwards: a horizon earlier than the
-    current time leaves the clock where it is).  One queue operation per
-    event: no separate peek-then-pop rescan per timestamp. *)
+    current time leaves the clock where it is).  Closure events are
+    called; data events are passed to [handle], which must be given when
+    any is queued.  One queue operation per event: no separate
+    peek-then-pop rescan per timestamp, and no allocation to pop.
+    @raise Invalid_argument on a data event without [handle]. *)
 
 val pending : t -> int
 

@@ -1,119 +1,158 @@
-type job = {
-  work : float;
-  on_start : (unit -> unit) option;
-  on_evict : (unit -> unit) option;
-  k : unit -> unit;
-}
-
-type t = {
-  engine : Engine.t;
-  name : string;
+(* Float state in an all-float record: stored flat, so the per-job
+   updates allocate nothing. *)
+type clocks = {
   mutable rate : float;
-  capacity : int;
-  waiting : job Queue.t;
-  mutable in_service : job option;
   mutable service_end : float;
-  mutable epoch : int;
-      (* bumped by [flush] so the completion closure of an evicted
-         in-service job can recognize itself as stale and do nothing *)
   mutable queued_work : float;
       (* total work units of the waiting jobs (excludes the job in
          service), maintained incrementally for O(1) backlog estimates *)
   mutable busy : float;
+}
+
+type t = {
+  (* What [eta_after], [submit] and [start_next] read comes first, so an
+     admission estimate touches one cache line of the record. *)
+  engine : Engine.t;
+  f : clocks;
+  mutable serving : int;  (* tag of the job in service, -1 when idle *)
+  mutable len : int;
+  mutable head : int;
+  (* Waiting jobs: a ring of tags and their work, capacity a power of
+     two. *)
+  mutable tags : int array;
+  mutable works : float array;
+  capacity : int;
+  event : int;
+  on_start : int -> unit;
+  mutable epoch : int;
+      (* bumped by [flush], so the completion event of an evicted job in
+         service is recognized as stale *)
+  name : string;
   mutable n_completed : int;
   mutable n_dropped : int;
   mutable n_evicted : int;
 }
 
-let create engine ?(capacity = max_int) ?(name = "station") ~speed () =
+(* A completion event is [event lor (epoch lsl 32)], the epoch taken
+   modulo 2^29 so the event stays under the engine's 2^61 bound. *)
+let epoch_shift = 32
+let epoch_mask = (1 lsl 29) - 1
+
+let ignore_start (_ : int) = ()
+
+let create engine ?(capacity = max_int) ?(name = "station") ?(on_start = ignore_start) ~event
+    ~speed () =
   if speed <= 0.0 then invalid_arg "Station.create: non-positive speed";
+  if event < 0 || event lsr epoch_shift <> 0 then invalid_arg "Station.create: event out of range";
   {
     engine;
     name;
-    rate = speed;
+    event;
     capacity;
-    waiting = Queue.create ();
-    in_service = None;
-    service_end = 0.0;
+    on_start;
+    f = { rate = speed; service_end = 0.0; queued_work = 0.0; busy = 0.0 };
+    tags = Array.make 4 0;
+    works = Array.make 4 0.0;
+    head = 0;
+    len = 0;
+    serving = -1;
     epoch = 0;
-    queued_work = 0.0;
-    busy = 0.0;
     n_completed = 0;
     n_dropped = 0;
     n_evicted = 0;
   }
 
-let queue_length t = Queue.length t.waiting + if t.in_service <> None then 1 else 0
+let queue_length t = t.len + if t.serving >= 0 then 1 else 0
 
-let rec start_next t =
-  match Queue.take_opt t.waiting with
-  | None -> t.in_service <- None
-  | Some job ->
-      t.in_service <- Some job;
-      t.queued_work <- Float.max 0.0 (t.queued_work -. job.work);
-      (match job.on_start with Some f -> f () | None -> ());
-      let service = job.work /. t.rate in
-      t.busy <- t.busy +. service;
-      t.service_end <- Engine.now t.engine +. service;
-      let epoch = t.epoch in
-      Engine.schedule t.engine service (fun () ->
-          if t.epoch = epoch then begin
-            t.n_completed <- t.n_completed + 1;
-            job.k ();
-            start_next t
-          end)
+(* The [i]-th waiting job's ring index. *)
+let slot t i = (t.head + i) land (Array.length t.tags - 1)
 
-let submit t ?on_start ?on_evict ~work k =
+let start_next t =
+  if t.len = 0 then t.serving <- -1
+  else begin
+    let i = t.head in
+    let tag = t.tags.(i) and work = t.works.(i) in
+    t.head <- slot t 1;
+    t.len <- t.len - 1;
+    t.serving <- tag;
+    t.f.queued_work <- Float.max 0.0 (t.f.queued_work -. work);
+    t.on_start tag;
+    let service = work /. t.f.rate in
+    t.f.busy <- t.f.busy +. service;
+    t.f.service_end <- Engine.now t.engine +. service;
+    Engine.post t.engine service (t.event lor ((t.epoch land epoch_mask) lsl epoch_shift))
+  end
+
+let finish t ev =
+  if t.serving >= 0 && (ev lsr epoch_shift) land epoch_mask = t.epoch land epoch_mask then begin
+    t.n_completed <- t.n_completed + 1;
+    t.serving
+  end
+  else -1
+
+let grow t =
+  let cap = Array.length t.tags in
+  let tags = Array.make (2 * cap) 0 and works = Array.make (2 * cap) 0.0 in
+  for i = 0 to t.len - 1 do
+    let j = slot t i in
+    tags.(i) <- t.tags.(j);
+    works.(i) <- t.works.(j)
+  done;
+  t.tags <- tags;
+  t.works <- works;
+  t.head <- 0
+
+let submit t ~tag ~work =
   if work < 0.0 then invalid_arg "Station.submit: negative work";
+  if tag < 0 then invalid_arg "Station.submit: negative tag";
   if queue_length t >= t.capacity then begin
     t.n_dropped <- t.n_dropped + 1;
     false
   end
   else begin
-    Queue.add { work; on_start; on_evict; k } t.waiting;
-    t.queued_work <- t.queued_work +. work;
-    if t.in_service = None then start_next t;
+    if t.len = Array.length t.tags then grow t;
+    let j = slot t t.len in
+    t.tags.(j) <- tag;
+    t.works.(j) <- work;
+    t.len <- t.len + 1;
+    t.f.queued_work <- t.f.queued_work +. work;
+    if t.serving < 0 then start_next t;
     true
   end
 
 let flush t =
-  let evicted = ref [] in
-  (match t.in_service with
-  | Some job ->
-      (* refund the unserved remainder of the busy-time we booked upfront *)
-      let remaining = t.service_end -. Engine.now t.engine in
-      if remaining > 0.0 then t.busy <- t.busy -. remaining;
-      t.epoch <- t.epoch + 1;
-      t.in_service <- None;
-      evicted := [ job ]
-  | None -> ());
-  Queue.iter (fun job -> evicted := job :: !evicted) t.waiting;
-  Queue.clear t.waiting;
-  t.queued_work <- 0.0;
-  let jobs = List.rev !evicted in
-  let n = List.length jobs in
-  t.n_evicted <- t.n_evicted + n;
-  (* state is already reset, so eviction callbacks may safely resubmit *)
-  List.iter (fun job -> match job.on_evict with Some f -> f () | None -> ()) jobs;
-  n
+  let busy = if t.serving >= 0 then 1 else 0 in
+  let evicted = Array.make (busy + t.len) 0 in
+  if t.serving >= 0 then begin
+    (* refund the unserved remainder of the busy-time we booked upfront *)
+    let remaining = t.f.service_end -. Engine.now t.engine in
+    if remaining > 0.0 then t.f.busy <- t.f.busy -. remaining;
+    t.epoch <- t.epoch + 1;
+    evicted.(0) <- t.serving;
+    t.serving <- -1
+  end;
+  for i = 0 to t.len - 1 do
+    evicted.(busy + i) <- t.tags.(slot t i)
+  done;
+  t.head <- 0;
+  t.len <- 0;
+  t.f.queued_work <- 0.0;
+  t.n_evicted <- t.n_evicted + Array.length evicted;
+  evicted
 
-let backlog_eta t =
+let eta_after t ~after ~work =
   let in_service =
-    match t.in_service with
-    | Some _ -> Float.max 0.0 (t.service_end -. Engine.now t.engine)
-    | None -> 0.0
+    if t.serving >= 0 then Float.max 0.0 (t.f.service_end -. Engine.now t.engine) else 0.0
   in
-  in_service +. (t.queued_work /. t.rate)
-
-let eta t ~work = backlog_eta t +. (work /. t.rate)
+  Float.max after (in_service +. (t.f.queued_work /. t.f.rate)) +. (work /. t.f.rate)
 
 let set_speed t speed =
   if speed <= 0.0 then invalid_arg "Station.set_speed: non-positive speed";
-  t.rate <- speed
+  t.f.rate <- speed
 
-let speed t = t.rate
+let speed t = t.f.rate
 let name t = t.name
-let busy_time t = t.busy
+let busy_time t = t.f.busy
 let completed t = t.n_completed
 let dropped t = t.n_dropped
 let evicted t = t.n_evicted

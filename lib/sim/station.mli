@@ -7,33 +7,59 @@
     online scheduler changing a bandwidth grant) affects jobs that start
     after the change.
 
+    A job is an int [tag] (the runner's request id) and its work; the
+    waiting jobs sit in a flat ring, so queueing allocates nothing.  A
+    job's completion is a data event on the engine ({!Engine.post}):
+    [event lor (epoch lsl 32)], where [event] is fixed at {!create} and the
+    epoch (modulo 2{^29}) changes at every {!flush}.  The engine's handler
+    passes it back to {!finish}, handles the returned job, then calls
+    {!start_next}.
+
     An optional queue capacity drops arrivals when the backlog (including
     the job in service) is full — overload experiments count these drops. *)
 
 type t
 
-val create : Engine.t -> ?capacity:int -> ?name:string -> speed:float -> unit -> t
-(** @raise Invalid_argument on non-positive speed. *)
+val create :
+  Engine.t ->
+  ?capacity:int ->
+  ?name:string ->
+  ?on_start:(int -> unit) ->
+  event:int ->
+  speed:float ->
+  unit ->
+  t
+(** [on_start tag] is called when a job leaves the queue and begins
+    service (telemetry uses it to split waiting from service time); for a
+    job submitted to an idle station it fires within {!submit} itself.
+    @raise Invalid_argument on non-positive speed, or unless
+    [0 <= event < 2{^32}]. *)
 
-val submit :
-  t -> ?on_start:(unit -> unit) -> ?on_evict:(unit -> unit) -> work:float -> (unit -> unit) -> bool
-(** [submit st ~work k] enqueues a job needing [work] units and calls [k]
-    at its completion.  Returns [false] (and drops the job, never calling
-    [k]) when the station is at capacity.  Zero-work jobs complete
-    immediately but still pass through the queue discipline.
-    [on_start] fires when the job leaves the queue and begins service
-    (telemetry uses it to split waiting from service time); for a job
-    submitted to an idle station it fires within [submit] itself.
-    [on_evict] fires if the job is thrown away by {!flush} before
-    completing — exactly one of [k] / [on_evict] ever runs. *)
+val submit : t -> tag:int -> work:float -> bool
+(** [submit st ~tag ~work] enqueues a job needing [work] units.  Returns
+    [false] (and drops the job) when the station is at capacity.
+    Zero-work jobs complete at the current instant but still pass through
+    the queue discipline and the engine.
+    @raise Invalid_argument on negative work or a negative tag. *)
 
-val flush : t -> int
+val finish : t -> int -> int
+(** [finish st ev] takes one of [st]'s completion events and returns the
+    tag of the job in service, or [-1] when [ev] is stale (its job was
+    evicted by a {!flush} since).  The job stays in service, and counts in
+    {!queue_length}, until {!start_next}: exactly one of a completion and
+    an eviction ever happens to a job. *)
+
+val start_next : t -> unit
+(** Start the next waiting job, if any; call once after each job that
+    {!finish} returned has been handled. *)
+
+val flush : t -> int array
 (** [flush st] evicts every queued job and cancels the job in service (its
-    already-booked busy time is refunded for the unserved remainder), then
-    fires each evicted job's [on_evict] callback, in-service job first then
-    FIFO order.  The station is idle-and-empty before the callbacks run, so
-    they may resubmit.  Returns the number of jobs evicted.  Fault
-    injection uses this when a server crashes or a link goes dark. *)
+    already-booked busy time is refunded for the unserved remainder), and
+    returns the evicted tags, the job in service first, then in FIFO
+    order.  The station is idle and empty on return, so the caller may
+    resubmit.  Fault injection uses this when a server crashes or a link
+    goes dark. *)
 
 val set_speed : t -> float -> unit
 (** Takes effect for subsequently started jobs. *)
@@ -43,15 +69,14 @@ val name : t -> string
 val queue_length : t -> int
 (** Jobs waiting or in service. *)
 
-val backlog_eta : t -> float
-(** Seconds until the current backlog (remaining service of the job in
-    service plus all waiting work) clears at the current speed — the
-    admission controller's per-station congestion signal.  Exact for a
-    dedicated FIFO station absent future speed changes and evictions. *)
-
-val eta : t -> work:float -> float
-(** [eta st ~work] = {!backlog_eta} plus the service time of a
-    hypothetical [work]-unit job submitted now. *)
+val eta_after : t -> after:float -> work:float -> float
+(** [eta_after st ~after ~work]: seconds from now until a hypothetical
+    [work]-unit job completes, when it can start no earlier than [after]
+    seconds from now nor before the current backlog (remaining service of
+    the job in service plus all waiting work) clears at the current speed
+    — the admission controller's per-station estimate, one pipeline stage
+    at a time.  Exact for a dedicated FIFO station absent future speed
+    changes and evictions. *)
 
 val busy_time : t -> float
 (** Cumulative seconds the station has been serving jobs. *)

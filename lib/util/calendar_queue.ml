@@ -6,18 +6,18 @@
 
    Entries are slots in a struct-of-arrays pool rather than heap-allocated
    nodes: priorities live in an unboxed float array, links and bucket
-   heads/tails are int arrays (slot index, -1 = nil).  A push is then a few
-   scalar array stores — no node allocation, no option boxing, and no GC
-   write barrier except the single [value] store — which is what lets the
-   push side keep up with a binary heap's near-free append while the pop
-   side stays O(1). *)
+   heads/tails are int arrays (slot index, -1 = nil), and so are the
+   payloads.  A push is then a few scalar array stores and a pop a few
+   loads — no node allocation, no option boxing, no GC write barrier —
+   which is what lets the push side keep up with a binary heap's
+   near-free append while the pop side stays O(1). *)
 
-type 'a t = {
+type t = {
   (* Slot pool: parallel arrays indexed by slot id.  [nxt] doubles as the
      free list (threaded through freed slots, [free] its head). *)
   mutable prio : float array;
   mutable seq : int array;
-  mutable value : 'a array;
+  mutable value : int array;
   mutable nxt : int array;
   mutable free : int;
   mutable pool_fill : int;  (* slots ever handed out; above = untouched *)
@@ -164,9 +164,8 @@ let rebuild t =
     all;
   t.cur_vb <- (if n = 0 then 0 else !min_vb)
 
-(* Take a free slot, growing the pool by doubling.  The pool starts empty
-   because an ['a] array needs a seed element — the first pushed value. *)
-let alloc_slot t v =
+(* Take a free slot, growing the pool by doubling. *)
+let alloc_slot t =
   if t.free <> nil then begin
     let i = t.free in
     t.free <- t.nxt.(i);
@@ -175,45 +174,33 @@ let alloc_slot t v =
   else begin
     let cap = Array.length t.prio in
     if t.pool_fill >= cap then begin
-      let ncap = max 16 (2 * cap) in
-      let np = Array.make ncap 0.0
-      and ns = Array.make ncap 0
-      and nv = Array.make ncap v
-      and nn = Array.make ncap nil in
-      Array.blit t.prio 0 np 0 cap;
-      Array.blit t.seq 0 ns 0 cap;
-      Array.blit t.value 0 nv 0 cap;
-      Array.blit t.nxt 0 nn 0 cap;
-      t.prio <- np;
-      t.seq <- ns;
-      t.value <- nv;
-      t.nxt <- nn
+      let grow a fill =
+        let b = Array.make (max 16 (2 * cap)) fill in
+        Array.blit a 0 b 0 cap;
+        b
+      in
+      t.prio <- grow t.prio 0.0;
+      t.seq <- grow t.seq 0;
+      t.value <- grow t.value 0;
+      t.nxt <- grow t.nxt nil
     end;
     let i = t.pool_fill in
     t.pool_fill <- t.pool_fill + 1;
     i
   end
 
-(* Return a slot to the free list.  The [value] slot is deliberately left
-   in place (there is no dummy ['a] to overwrite with); [release_pool]
-   drops the whole pool the moment the queue drains, so popped values are
-   retained at most until the queue next becomes empty. *)
+(* Return a slot to the free list.  Payloads are ints, so a freed slot
+   retains nothing and the pool is kept across drains: a queue that
+   empties and refills reuses it instead of growing a fresh one. *)
 let free_slot t i =
   t.nxt.(i) <- t.free;
   t.free <- i
 
-let release_pool t =
-  t.prio <- [||];
-  t.seq <- [||];
-  t.value <- [||];
-  t.nxt <- [||];
-  t.free <- nil;
-  t.pool_fill <- 0
-
 let push t prio value =
   if not (prio >= 0.0 && Float.is_finite prio) then
     invalid_arg "Calendar_queue.push: priority must be finite and >= 0";
-  let i = alloc_slot t value in
+  if value < 0 then invalid_arg "Calendar_queue.push: negative payload";
+  let i = alloc_slot t in
   t.prio.(i) <- prio;
   t.seq.(i) <- t.next_seq;
   t.value.(i) <- value;
@@ -265,44 +252,44 @@ let locate t =
     end
   end
 
-let pop_before t horizon =
+let pop_before t horizon at =
   let b = locate t in
-  if b < 0 then None
+  if b < 0 then -1
   else begin
     let h = t.heads.(b) in
-    if h = nil then None
-    else if t.prio.(h) <= horizon then begin
+    if h = nil || not (t.prio.(h) <= horizon) then -1
+    else begin
       t.heads.(b) <- t.nxt.(h);
       if t.nxt.(h) = nil then t.tails.(b) <- nil;
-      let p = t.prio.(h) and v = t.value.(h) in
+      at.(0) <- t.prio.(h);
+      let v = t.value.(h) in
       free_slot t h;
       t.size <- t.size - 1;
-      if t.size = 0 then release_pool t
       (* Wide hysteresis (grow past 2x buckets, shrink under 1/4) so a
          push/pop sequence hovering at a threshold cannot thrash
          O(n) rebuilds. *)
-      else if t.mask + 1 > min_buckets && t.size < (t.mask + 1) / 4 then rebuild t;
-      Some (p, v)
+      if t.mask + 1 > min_buckets && t.size < (t.mask + 1) / 4 then rebuild t;
+      v
     end
-    else None
   end
 
-let pop t = pop_before t infinity
+let pop t =
+  let at = [| 0.0 |] in
+  let v = pop_before t infinity at in
+  if v < 0 then None else Some (at.(0), v)
 
 let pop_exn t =
   match pop t with
   | Some e -> e
   | None -> invalid_arg "Calendar_queue.pop_exn: empty"
 
-let peek t =
-  let b = locate t in
-  if b < 0 then None
-  else
-    let h = t.heads.(b) in
-    if h = nil then None else Some (t.prio.(h), t.value.(h))
-
 let clear t =
-  release_pool t;
+  t.prio <- [||];
+  t.seq <- [||];
+  t.value <- [||];
+  t.nxt <- [||];
+  t.free <- nil;
+  t.pool_fill <- 0;
   t.heads <- Array.make min_buckets nil;
   t.tails <- Array.make min_buckets nil;
   t.mask <- min_buckets - 1;

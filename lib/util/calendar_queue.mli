@@ -1,5 +1,6 @@
 (** Calendar queue: a bucketed priority queue with O(1) amortized insert
-    and pop-min (Brown 1988), keyed by float priority.
+    and pop-min (Brown 1988), keyed by float priority, carrying an int
+    payload per entry.
 
     The future-event list of the discrete-event simulator.  Priorities map
     to a ring of time buckets of uniform [width]; pop scans forward from
@@ -15,38 +16,43 @@
 
     Ties pop in insertion order (entries carry a sequence number), exactly
     like the binary heap the test suite keeps as the reference oracle for
-    this module. *)
+    this module.
 
-type 'a t
+    Payloads are ints (the simulator's events are ints, see
+    [Es_sim.Engine]), so entries live in flat arrays: once the slot pool
+    and the bucket array have grown to the run's high-water mark, a push
+    or a {!pop_before} allocates nothing.  A drained queue keeps its pool
+    for the next push. *)
 
-val create : unit -> 'a t
+type t
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+val create : unit -> t
 
-val push : 'a t -> float -> 'a -> unit
-(** [push q prio v] inserts [v] with priority [prio]; smaller pops first,
-    equal priorities pop in insertion order.
+val length : t -> int
+val is_empty : t -> bool
+
+val push : t -> float -> int -> unit
+(** [push q prio v] inserts payload [v] with priority [prio]; smaller pops
+    first, equal priorities pop in insertion order.
     @raise Invalid_argument when [prio] is negative, NaN or infinite
     (simulation timestamps are finite and non-negative; the bucket index
-    of an infinite priority is meaningless). *)
+    of an infinite priority is meaningless), or when [v] is negative. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the minimum-priority element. *)
+val pop_before : t -> float -> float array -> int
+(** [pop_before q horizon at] pops the minimum entry if its priority is
+    [<= horizon]: it stores the priority in [at.(0)] and returns the
+    payload.  Otherwise it returns [-1] and leaves the queue and [at]
+    intact.  The single-scan, allocation-free primitive behind
+    [Engine.run ?until] (no separate peek then pop); the priority goes
+    through a float array because a returned float would be boxed. *)
 
-val pop_exn : 'a t -> float * 'a
+val pop : t -> (float * int) option
+(** Remove and return the minimum-priority entry. *)
+
+val pop_exn : t -> float * int
 (** @raise Invalid_argument when empty. *)
 
-val pop_before : 'a t -> float -> (float * 'a) option
-(** [pop_before q horizon] pops the minimum element if its priority is
-    [<= horizon], else returns [None] and leaves the queue intact — the
-    single-scan primitive behind [Engine.run ?until] (no separate peek
-    then pop). *)
+val clear : t -> unit
 
-val peek : 'a t -> (float * 'a) option
-
-val clear : 'a t -> unit
-
-val to_sorted_list : 'a t -> (float * 'a) list
-(** Non-destructive: elements in pop order (priority, then insertion). *)
-
+val to_sorted_list : t -> (float * int) list
+(** Non-destructive: entries in pop order (priority, then insertion). *)

@@ -1,5 +1,7 @@
+(* All-float, so the record is stored flat and [add]'s stores allocate
+   nothing; the count is exact in a float up to 2^53 observations. *)
 type t = {
-  mutable n : int;
+  mutable n : float;
   mutable mu : float;
   mutable m2 : float;
   mutable lo : float;
@@ -7,33 +9,33 @@ type t = {
   mutable total : float;
 }
 
-let create () = { n = 0; mu = 0.0; m2 = 0.0; lo = infinity; hi = neg_infinity; total = 0.0 }
+let create () = { n = 0.0; mu = 0.0; m2 = 0.0; lo = infinity; hi = neg_infinity; total = 0.0 }
 
 let add t x =
-  t.n <- t.n + 1;
+  t.n <- t.n +. 1.0;
   let d = x -. t.mu in
-  t.mu <- t.mu +. (d /. float_of_int t.n);
+  t.mu <- t.mu +. (d /. t.n);
   t.m2 <- t.m2 +. (d *. (x -. t.mu));
   if x < t.lo then t.lo <- x;
   if x > t.hi then t.hi <- x;
   t.total <- t.total +. x
 
-let count t = t.n
-let mean t = if t.n = 0 then nan else t.mu
-let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
+let count t = int_of_float t.n
+let mean t = if t.n = 0.0 then nan else t.mu
+let variance t = if t.n < 2.0 then 0.0 else t.m2 /. (t.n -. 1.0)
 let stddev t = sqrt (variance t)
 let min t = t.lo
 let max t = t.hi
 let sum t = t.total
 
 let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
+  if a.n = 0.0 then { b with n = b.n }
+  else if b.n = 0.0 then { a with n = a.n }
   else begin
-    let n = a.n + b.n in
+    let n = a.n +. b.n in
     let d = b.mu -. a.mu in
-    let mu = a.mu +. (d *. float_of_int b.n /. float_of_int n) in
-    let m2 = a.m2 +. b.m2 +. (d *. d *. float_of_int a.n *. float_of_int b.n /. float_of_int n) in
+    let mu = a.mu +. (d *. b.n /. n) in
+    let m2 = a.m2 +. b.m2 +. (d *. d *. a.n *. b.n /. n) in
     {
       n;
       mu;

@@ -119,49 +119,122 @@ let test_engine_stats () =
   Alcotest.(check int) "drained" 0 st2.Es_sim.Engine.pending;
   Alcotest.(check int) "high-water sticks" 3 st2.Es_sim.Engine.max_pending
 
+(* Data events and closure events share one sequence counter: at one
+   instant they fire in posting order, whatever their kind. *)
+let test_engine_data_events () =
+  let module E = Es_sim.Engine in
+  let e = E.create () in
+  let log = ref [] in
+  E.schedule e 1.0 (fun () -> log := "closure a" :: !log);
+  E.post e 1.0 7;
+  E.schedule_at e 1.0 (fun () -> log := "closure b" :: !log);
+  E.post_at e 0.5 3;
+  E.post e 1.0 (max_int lsr 1);
+  let handle ev =
+    log := Printf.sprintf "data %d at %g" ev (E.now e) :: !log;
+    if ev = 3 then E.post e 0.5 9
+  in
+  E.run ~handle e;
+  Alcotest.(check (list string)) "one tie order"
+    [ "data 3 at 0.5"; "closure a"; "data 7 at 1"; "closure b";
+      Printf.sprintf "data %d at 1" (max_int lsr 1); "data 9 at 1" ]
+    (List.rev !log);
+  Alcotest.(check int) "every event counted" 6 (E.stats e).E.events_processed;
+  Alcotest.check_raises "negative event" (Invalid_argument "Engine.post: event out of range")
+    (fun () -> E.post e 1.0 (-1));
+  Alcotest.check_raises "oversized event" (Invalid_argument "Engine.post: event out of range")
+    (fun () -> E.post e 1.0 ((max_int lsr 1) + 1));
+  E.post e 1.0 0;
+  Alcotest.check_raises "data event without a handler"
+    (Invalid_argument "Engine.run: a data event needs a handler") (fun () -> E.run e)
+
 (* ---------- Station ---------- *)
+
+(* The handler of a one-station program: [on_done tag] at each completion. *)
+let station_handler st on_done ev =
+  let tag = Es_sim.Station.finish st ev in
+  if tag >= 0 then begin
+    on_done tag;
+    Es_sim.Station.start_next st
+  end
 
 let test_station_fifo_service () =
   let e = Es_sim.Engine.create () in
-  let st = Es_sim.Station.create e ~speed:2.0 () in
+  let st = Es_sim.Station.create e ~event:0 ~speed:2.0 () in
   let finish = ref [] in
   (* Two jobs of 4 units at speed 2: first done at t=2, second at t=4. *)
-  ignore (Es_sim.Station.submit st ~work:4.0 (fun () -> finish := Es_sim.Engine.now e :: !finish));
-  ignore (Es_sim.Station.submit st ~work:4.0 (fun () -> finish := Es_sim.Engine.now e :: !finish));
-  Es_sim.Engine.run e;
-  Alcotest.(check (list (float 1e-12))) "sequential service" [ 2.0; 4.0 ] (List.rev !finish);
+  ignore (Es_sim.Station.submit st ~tag:0 ~work:4.0);
+  ignore (Es_sim.Station.submit st ~tag:1 ~work:4.0);
+  Es_sim.Engine.run e
+    ~handle:(station_handler st (fun tag -> finish := (tag, Es_sim.Engine.now e) :: !finish));
+  Alcotest.(check (list (pair int (float 1e-12)))) "sequential service"
+    [ (0, 2.0); (1, 4.0) ] (List.rev !finish);
   Alcotest.(check (float 1e-12)) "busy time" 4.0 (Es_sim.Station.busy_time st);
   Alcotest.(check int) "completed" 2 (Es_sim.Station.completed st)
 
 let test_station_capacity_drops () =
   let e = Es_sim.Engine.create () in
-  let st = Es_sim.Station.create e ~capacity:2 ~speed:1.0 () in
+  let st = Es_sim.Station.create e ~capacity:2 ~event:0 ~speed:1.0 () in
   let accepted = ref 0 in
-  for _ = 1 to 5 do
-    if Es_sim.Station.submit st ~work:1.0 (fun () -> ()) then incr accepted
+  for tag = 1 to 5 do
+    if Es_sim.Station.submit st ~tag ~work:1.0 then incr accepted
   done;
   Alcotest.(check int) "capacity bounds admission" 2 !accepted;
   Alcotest.(check int) "drops counted" 3 (Es_sim.Station.dropped st);
-  Es_sim.Engine.run e
+  Es_sim.Engine.run e ~handle:(station_handler st ignore)
 
 let test_station_speed_change () =
   let e = Es_sim.Engine.create () in
-  let st = Es_sim.Station.create e ~speed:1.0 () in
+  let st = Es_sim.Station.create e ~event:0 ~speed:1.0 () in
   let finish = ref 0.0 in
-  ignore (Es_sim.Station.submit st ~work:1.0 (fun () -> ()));
+  ignore (Es_sim.Station.submit st ~tag:0 ~work:1.0);
   (* Queued job starts after the first completes; speed doubles meanwhile. *)
-  ignore (Es_sim.Station.submit st ~work:1.0 (fun () -> finish := Es_sim.Engine.now e));
+  ignore (Es_sim.Station.submit st ~tag:1 ~work:1.0);
   Es_sim.Engine.schedule e 0.5 (fun () -> Es_sim.Station.set_speed st 2.0);
-  Es_sim.Engine.run e;
+  Es_sim.Engine.run e
+    ~handle:(station_handler st (fun tag -> if tag = 1 then finish := Es_sim.Engine.now e));
   Alcotest.(check (float 1e-12)) "second job served at the new speed" 1.5 !finish
 
 let test_station_zero_work () =
   let e = Es_sim.Engine.create () in
-  let st = Es_sim.Station.create e ~speed:1.0 () in
+  let st = Es_sim.Station.create e ~event:0 ~speed:1.0 () in
   let done_ = ref false in
-  ignore (Es_sim.Station.submit st ~work:0.0 (fun () -> done_ := true));
-  Es_sim.Engine.run e;
+  ignore (Es_sim.Station.submit st ~tag:0 ~work:0.0);
+  Es_sim.Engine.run e ~handle:(station_handler st (fun _ -> done_ := true));
   Alcotest.(check bool) "zero work completes" true !done_
+
+(* A flush evicts the job in service and the queue; the evicted job's
+   completion event still fires, and is recognised as stale by its
+   epoch, even when a resubmitted job is in service by then. *)
+let test_station_flush_stale () =
+  let e = Es_sim.Engine.create () in
+  let st = Es_sim.Station.create e ~event:5 ~speed:1.0 () in
+  let done_ = ref [] and evicted = ref [||] and stale = ref 0 in
+  ignore (Es_sim.Station.submit st ~tag:0 ~work:4.0);
+  ignore (Es_sim.Station.submit st ~tag:1 ~work:1.0);
+  Es_sim.Engine.schedule e 1.0 (fun () ->
+      evicted := Es_sim.Station.flush st;
+      Alcotest.(check int) "empty after flush" 0 (Es_sim.Station.queue_length st);
+      ignore (Es_sim.Station.submit st ~tag:2 ~work:5.0));
+  let handle ev =
+    Alcotest.(check int) "the station's event" 5 (ev land 0xffff_ffff);
+    let tag = Es_sim.Station.finish st ev in
+    if tag < 0 then incr stale
+    else begin
+      Alcotest.(check int) "job counts in the queue while handled" 1
+        (Es_sim.Station.queue_length st);
+      done_ := (tag, Es_sim.Engine.now e) :: !done_;
+      Es_sim.Station.start_next st
+    end
+  in
+  Es_sim.Engine.run e ~handle;
+  Alcotest.(check (array int)) "in service first, then FIFO" [| 0; 1 |] !evicted;
+  Alcotest.(check int) "the evicted job's event is stale" 1 !stale;
+  Alcotest.(check (list (pair int (float 1e-12)))) "only the resubmitted job completes"
+    [ (2, 6.0) ] !done_;
+  Alcotest.(check (float 1e-12)) "unserved busy time refunded" 6.0
+    (Es_sim.Station.busy_time st);
+  Alcotest.(check int) "evictions counted" 2 (Es_sim.Station.evicted st)
 
 let qtest ?(count = 60) name arb law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
@@ -187,48 +260,57 @@ let prop_station_busy_conserved =
     QCheck.(list_of_size (Gen.int_range 1 30) (float_range 0.01 5.0))
     (fun works ->
       let e = Es_sim.Engine.create () in
-      let st = Es_sim.Station.create e ~speed:2.0 () in
-      List.iter (fun w -> ignore (Es_sim.Station.submit st ~work:w (fun () -> ()))) works;
-      Es_sim.Engine.run e;
+      let st = Es_sim.Station.create e ~event:0 ~speed:2.0 () in
+      List.iteri (fun tag w -> ignore (Es_sim.Station.submit st ~tag ~work:w)) works;
+      Es_sim.Engine.run e ~handle:(station_handler st ignore);
       let expected = List.fold_left (fun acc w -> acc +. (w /. 2.0)) 0.0 works in
       Float.abs (Es_sim.Station.busy_time st -. expected) < 1e-9
       && Es_sim.Station.completed st = List.length works)
 
 (* ---------- Batcher ---------- *)
 
+let batcher_handler b on_done ev =
+  let k = Es_sim.Batcher.fire b ev in
+  for i = 0 to k - 1 do
+    on_done (Es_sim.Batcher.finished b i)
+  done;
+  if k > 0 then Es_sim.Batcher.resume b
+
 let test_batcher_window_launch () =
   let e = Es_sim.Engine.create () in
-  let b = Es_sim.Batcher.create e ~max_batch:8 ~window_s:0.01 ~alpha:0.5 ~speed:1.0 () in
+  let b = Es_sim.Batcher.create e ~max_batch:8 ~window_s:0.01 ~alpha:0.5 ~event:0 ~speed:1.0 () in
   let finish = ref 0.0 in
-  Es_sim.Batcher.submit b ~work:0.1 (fun () -> finish := Es_sim.Engine.now e);
-  Es_sim.Engine.run e;
+  Es_sim.Batcher.submit b ~tag:0 ~work:0.1;
+  Es_sim.Engine.run e ~handle:(batcher_handler b (fun _ -> finish := Es_sim.Engine.now e));
   (* Lone job: waits out the window, then runs at eff(1) = 1. *)
   Alcotest.(check (float 1e-9)) "window + work" 0.11 !finish;
   Alcotest.(check int) "one batch" 1 (Es_sim.Batcher.batches b)
 
 let test_batcher_full_batch_immediate () =
   let e = Es_sim.Engine.create () in
-  let b = Es_sim.Batcher.create e ~max_batch:4 ~window_s:10.0 ~alpha:0.5 ~speed:1.0 () in
+  let b = Es_sim.Batcher.create e ~max_batch:4 ~window_s:10.0 ~alpha:0.5 ~event:0 ~speed:1.0 () in
   let finish = ref [] in
-  for _ = 1 to 4 do
-    Es_sim.Batcher.submit b ~work:0.1 (fun () -> finish := Es_sim.Engine.now e :: !finish)
+  for tag = 1 to 4 do
+    Es_sim.Batcher.submit b ~tag ~work:0.1
   done;
-  Es_sim.Engine.run e;
+  Es_sim.Engine.run e
+    ~handle:(batcher_handler b (fun tag -> finish := (tag, Es_sim.Engine.now e) :: !finish));
   (* Full batch: no window wait; 4 x 0.1 work at eff(4) = 0.5 + 0.5/4. *)
   let expected = 0.4 *. (0.5 +. (0.5 /. 4.0)) in
-  List.iter (fun t -> Alcotest.(check (float 1e-9)) "batch completion" expected t) !finish;
+  List.iter (fun (_, t) -> Alcotest.(check (float 1e-9)) "batch completion" expected t) !finish;
+  Alcotest.(check (list int)) "submission order" [ 1; 2; 3; 4 ] (List.rev_map fst !finish);
   Alcotest.(check int) "all completed" 4 (Es_sim.Batcher.completed b);
   Alcotest.(check int) "single batch" 1 (Es_sim.Batcher.batches b)
 
 let test_batcher_beats_sequential_under_load () =
   (* 16 equal jobs: batched total busy time must be well below sequential. *)
   let e = Es_sim.Engine.create () in
-  let b = Es_sim.Batcher.create e ~max_batch:8 ~window_s:0.001 ~alpha:0.7 ~speed:1.0 () in
+  let b = Es_sim.Batcher.create e ~max_batch:8 ~window_s:0.001 ~alpha:0.7 ~event:0 ~speed:1.0 () in
   let last = ref 0.0 in
-  for _ = 1 to 16 do
-    Es_sim.Batcher.submit b ~work:0.05 (fun () -> last := Es_sim.Engine.now e)
+  for tag = 1 to 16 do
+    Es_sim.Batcher.submit b ~tag ~work:0.05
   done;
-  Es_sim.Engine.run e;
+  Es_sim.Engine.run e ~handle:(batcher_handler b (fun _ -> last := Es_sim.Engine.now e));
   let sequential = 16.0 *. 0.05 in
   Alcotest.(check bool)
     (Printf.sprintf "makespan %.3f < sequential %.3f" !last sequential)
@@ -237,14 +319,13 @@ let test_batcher_beats_sequential_under_load () =
 
 let test_batcher_mid_batch_arrivals_wait () =
   let e = Es_sim.Engine.create () in
-  let b = Es_sim.Batcher.create e ~max_batch:2 ~window_s:0.001 ~alpha:0.0 ~speed:1.0 () in
+  let b = Es_sim.Batcher.create e ~max_batch:2 ~window_s:0.001 ~alpha:0.0 ~event:0 ~speed:1.0 () in
   let times = ref [] in
-  Es_sim.Batcher.submit b ~work:1.0 (fun () -> times := Es_sim.Engine.now e :: !times);
-  Es_sim.Batcher.submit b ~work:1.0 (fun () -> times := Es_sim.Engine.now e :: !times);
+  Es_sim.Batcher.submit b ~tag:1 ~work:1.0;
+  Es_sim.Batcher.submit b ~tag:2 ~work:1.0;
   (* Arrives while the first batch is running. *)
-  Es_sim.Engine.schedule e 0.5 (fun () ->
-      Es_sim.Batcher.submit b ~work:1.0 (fun () -> times := Es_sim.Engine.now e :: !times));
-  Es_sim.Engine.run e;
+  Es_sim.Engine.schedule e 0.5 (fun () -> Es_sim.Batcher.submit b ~tag:3 ~work:1.0);
+  Es_sim.Engine.run e ~handle:(batcher_handler b (fun _ -> times := Es_sim.Engine.now e :: !times));
   match List.rev !times with
   | [ t1; t2; t3 ] ->
       Alcotest.(check (float 1e-9)) "first batch (alpha=0: no speedup)" 2.0 t1;
@@ -781,20 +862,20 @@ let overload_specs_total =
 
 let test_station_backlog_eta () =
   let e = Es_sim.Engine.create () in
-  let st = Es_sim.Station.create e ~speed:2.0 () in
-  Alcotest.(check (float 1e-12)) "idle backlog is zero" 0.0 (Es_sim.Station.backlog_eta st);
-  Alcotest.(check (float 1e-12)) "idle eta is pure service" 1.0
-    (Es_sim.Station.eta st ~work:2.0);
+  let st = Es_sim.Station.create e ~event:0 ~speed:2.0 () in
+  let eta ?(after = 0.0) work = Es_sim.Station.eta_after st ~after ~work in
+  Alcotest.(check (float 1e-12)) "idle backlog is zero" 0.0 (eta 0.0);
+  Alcotest.(check (float 1e-12)) "idle eta is pure service" 1.0 (eta 2.0);
   (* First job (4 units) enters service until t=2; second (2 units) queues. *)
-  ignore (Es_sim.Station.submit st ~work:4.0 (fun () -> ()));
-  ignore (Es_sim.Station.submit st ~work:2.0 (fun () -> ()));
-  Alcotest.(check (float 1e-12)) "backlog = in-service remainder + queue" 3.0
-    (Es_sim.Station.backlog_eta st);
-  Alcotest.(check (float 1e-12)) "eta adds own service on top" 4.0
-    (Es_sim.Station.eta st ~work:2.0);
-  Es_sim.Engine.run e;
-  Alcotest.(check (float 1e-12)) "drained backlog is zero" 0.0
-    (Es_sim.Station.backlog_eta st)
+  ignore (Es_sim.Station.submit st ~tag:0 ~work:4.0);
+  ignore (Es_sim.Station.submit st ~tag:1 ~work:2.0);
+  Alcotest.(check (float 1e-12)) "backlog = in-service remainder + queue" 3.0 (eta 0.0);
+  Alcotest.(check (float 1e-12)) "eta adds own service on top" 4.0 (eta 2.0);
+  Alcotest.(check (float 1e-12)) "an earlier stage finishing first changes nothing" 4.0
+    (eta ~after:2.5 2.0);
+  Alcotest.(check (float 1e-12)) "a later start waits for it" 6.0 (eta ~after:5.0 2.0);
+  Es_sim.Engine.run e ~handle:(station_handler st ignore);
+  Alcotest.(check (float 1e-12)) "drained backlog is zero" 0.0 (eta 0.0)
 
 let test_breaker_state_machine () =
   let cfg =
@@ -1111,6 +1192,239 @@ let test_overload_jobs_invariant () =
   in
   Alcotest.(check bool) "reports equal under either jobs count" true (run d1 = run d2)
 
+(* ---------- Runner pins ---------- *)
+
+(* A fixed grid of small runs, one per runner feature and per feature
+   combination, each digested three ways: the report JSON, the span JSONL
+   (one [Export.span_to_json] line per finished span) and the metric
+   registry snapshot.  The digests are committed in
+   [golden/runner_pins.txt]; a runner change that keeps every output
+   byte keeps every line.  On a mismatch the computed file is printed
+   to stderr, so an intended change is re-pinned by copying it. *)
+let runner_pin_lines () =
+  let module R = Es_sim.Runner in
+  let module O = Es_sim.Overload in
+  let module F = Es_sim.Faults in
+  let digest s = Digest.to_hex (Digest.string s) in
+  let cluster = Scenario.build Scenario.default in
+  let busy = Es_joint.Online.scale_rates cluster 3.0 in
+  let decisions = (Es_joint.Optimizer.solve cluster).Es_joint.Optimizer.decisions in
+  let neuro = Es_baselines.Baselines.neurosurgeon.Es_baselines.Baselines.solve busy in
+  let ns = Cluster.n_servers busy and nd = Cluster.n_devices busy in
+  let server = decisions.(0).Decision.server in
+  let short = { R.default_options with duration_s = 10.0; warmup_s = 1.0 } in
+  let trace cluster =
+    Es_workload.Heavy.trace ~seed:3 ~duration_s:10.0
+      ~profile:(Es_workload.Heavy.profile_by_name ~duration_s:10.0 "flash")
+      cluster
+  in
+  (* The brownout and derived-rate arms only act on a crowd. *)
+  let crowd = Es_joint.Online.scale_rates cluster 8.0 in
+  let crowd_trace = trace crowd and busy_trace = trace busy in
+  let scripted =
+    F.scripted
+      (F.crash ~at:3.0 ~for_s:2.0 server
+      @ F.outage ~at:4.0 ~for_s:1.5 1
+      @ F.degrade ~at:2.0 ~for_s:4.0 ~factor:0.3 2
+      @ F.straggle ~at:5.0 ~for_s:3.0 ~factor:4.0 ((server + 1) mod ns))
+  in
+  let random =
+    F.random ~seed:11 ~duration_s:10.0 ~n_servers:ns ~n_devices:nd ~server_mtbf_s:4.0
+      ~server_mttr_s:1.0 ~outage_rate:0.05 ~outage_mean_s:0.5 ~straggler_rate:0.1 ()
+  in
+  let res = Some R.default_resilience in
+  let all_four =
+    { O.admission = Some O.default_admission; breaker = Some O.default_breaker;
+      brownout = Some O.default_brownout; rate_limit = Some O.default_rate_limit }
+  in
+  let only f = f O.off in
+  let batch = Some { R.max_batch = 4; window_s = 0.005; alpha = 0.7 } in
+  let reconf = [ (5.0, neuro) ] in
+  let scale ~device rng = if device mod 3 = 0 then Es_util.Prng.float_in rng 0.5 2.0 else 1.0 in
+  (* name, options, trace?, reconfigure?, work_scale?, decisions *)
+  let grid =
+    [
+      ("plain", short, `Poisson, false, false);
+      ("trace", short, `Trace, false, false);
+      ("crowd", short, `Crowd, false, false);
+      ("fading", { short with fading = true }, `Poisson, false, false);
+      ("jitter", { short with compute_jitter = 0.3 }, `Trace, false, false);
+      ("capacity", { short with queue_capacity = Some 2 }, `Trace, false, false);
+      ("streaming", { short with streaming = true }, `Trace, false, false);
+      ("work_scale", short, `Poisson, false, true);
+      ("reconfigure", short, `Trace, true, false);
+      ("faults", { short with faults = scripted }, `Trace, false, false);
+      ("faults_resilient", { short with faults = scripted; resilience = res }, `Trace, false, false);
+      ( "faults_no_fallback",
+        { short with faults = scripted;
+          resilience = Some { R.default_resilience with local_fallback = false } },
+        `Trace, false, false );
+      ( "faults_retries",
+        { short with faults = scripted;
+          resilience = Some { R.default_resilience with max_retries = 3; backoff_base_s = 0.01 } },
+        `Poisson, false, false );
+      ( "timeout_fallback",
+        { short with resilience = Some { R.default_resilience with timeout_factor = 0.5 } },
+        `Trace, false, false );
+      ( "timeout_drop",
+        { short with
+          resilience =
+            Some { R.default_resilience with timeout_factor = 0.5; local_fallback = false } },
+        `Trace, false, false );
+      ("random_faults", { short with faults = random; resilience = res }, `Trace, false, false);
+      ( "admission",
+        { short with overload = only (fun o -> { o with O.admission = Some O.default_admission }) },
+        `Crowd, false, false );
+      ( "breaker",
+        { short with faults = scripted; resilience = res;
+          overload = only (fun o -> { o with O.breaker = Some O.default_breaker }) },
+        `Trace, false, false );
+      ( "breaker_shed",
+        { short with faults = scripted; resilience = res;
+          overload =
+            only (fun o ->
+                { o with O.breaker = Some { O.default_breaker with O.shed_on_open = true } }) },
+        `Trace, false, false );
+      ( "brownout_local",
+        { short with
+          overload =
+            only (fun o ->
+                { o with O.brownout =
+                    Some { O.high_watermark = 2; low_watermark = 0; check_every_s = 0.1;
+                           mode = O.Local_only } }) },
+        `Crowd, false, false );
+      ( "brownout_min_server",
+        { short with
+          overload =
+            only (fun o ->
+                { o with O.brownout =
+                    Some { O.high_watermark = 2; low_watermark = 0; check_every_s = 0.1;
+                           mode = O.Min_server } }) },
+        `Crowd, false, false );
+      ( "rate_derived",
+        { short with
+          overload =
+            only (fun o -> { o with O.rate_limit = Some { O.rate_per_server = 0.0; burst = 1.0 } }) },
+        `Crowd, false, false );
+      ( "rate_fixed",
+        { short with
+          overload =
+            only (fun o ->
+                { o with O.rate_limit = Some { O.rate_per_server = 20.0; burst = 4.0 } }) },
+        `Trace, false, false );
+      ( "guarded",
+        { short with faults = scripted; resilience = res; overload = all_four },
+        `Trace, false, false );
+      ( "guarded_random",
+        { short with faults = random; resilience = res; overload = all_four; fading = true },
+        `Poisson, false, true );
+      ("batching", { short with batching = batch }, `Trace, false, false);
+      ( "batching_faults",
+        { short with batching = batch; faults = scripted; resilience = res; fading = true },
+        `Trace, false, false );
+      ( "batching_guarded",
+        { short with batching = batch; overload = all_four; compute_jitter = 0.2 },
+        `Poisson, true, false );
+      ( "capacity_faults",
+        { short with queue_capacity = Some 3; faults = scripted;
+          resilience = Some { R.default_resilience with timeout_factor = 0.8 } },
+        `Trace, false, false );
+      (* A crash far shorter than the slowed job it evicts: retries reach
+         the server again while that job's completion is still queued. *)
+      ( "blip",
+        { short with
+          faults =
+            F.scripted
+              (F.straggle ~at:2.0 ~for_s:4.0 ~factor:50.0 server
+              @ F.crash ~at:3.0 ~for_s:0.01 server
+              @ F.crash ~at:4.0 ~for_s:0.01 server);
+          resilience = Some { R.default_resilience with backoff_base_s = 0.002 } },
+        `Trace, false, false );
+    ]
+  in
+  let run ~metrics ~spans (options, use_trace, use_reconf, use_scale) =
+    let reg = if metrics then Some (Es_obs.Metric.create ()) else None in
+    let sink, collected = Es_obs.Span.memory_sink () in
+    let report =
+      R.run ~options ?metrics:reg
+        ?spans:(if spans then Some sink else None)
+        ?arrivals:(match use_trace with `Poisson -> None | `Trace -> Some busy_trace
+                    | `Crowd -> Some crowd_trace)
+        ?reconfigure:(if use_reconf then Some reconf else None)
+        ?work_scale:(if use_scale then Some scale else None)
+        (if use_trace = `Crowd then crowd else busy) decisions
+    in
+    let lines f xs = String.concat "\n" (List.map (fun x -> Es_obs.Json.to_string (f x)) xs) in
+    let samples =
+      match reg with
+      | None -> "-"
+      | Some r -> digest (lines Es_obs.Export.sample_to_json (Es_obs.Metric.snapshot r))
+    in
+    let spans = if spans then digest (lines Es_obs.Export.span_to_json (collected ())) else "-" in
+    Printf.sprintf "report=%s metrics=%s spans=%s"
+      (digest (Es_obs.Json.to_string (Es_sim.Metrics.report_to_json report)))
+      samples spans
+  in
+  List.concat_map
+    (fun (name, options, tr, rc, sc) ->
+      let cfg = (options, tr, rc, sc) in
+      [ Printf.sprintf "%s plain %s" name (run ~metrics:false ~spans:false cfg);
+        Printf.sprintf "%s traced %s" name (run ~metrics:true ~spans:true cfg) ])
+    grid
+  @ List.map
+      (fun (name, metrics, spans, options) ->
+        Printf.sprintf "%s %s" name (run ~metrics ~spans (options, `Trace, false, false)))
+      [
+        ("guarded metrics_only", true, false,
+         { short with faults = scripted; resilience = res; overload = all_four });
+        ("guarded spans_only", false, true,
+         { short with faults = scripted; resilience = res; overload = all_four });
+        ("batching metrics_only", true, false, { short with batching = batch });
+        ("batching spans_only", false, true, { short with batching = batch });
+      ]
+
+(* The per-request allocation budget of the serving path: an untraced,
+   unprotected run (streaming metrics, as edgebench's serve workloads use)
+   over a fixed flash-crowd trace allocates at most [budget] minor words
+   per request, counted exactly.  Events are ints in the engine queue and
+   request state lives in flat arrays, so what remains per request is a
+   few boxed floats at module boundaries.  The budget is 1.5x the 48.2
+   words this run allocates; the closure-per-hop runner it replaced
+   allocated 326. *)
+let test_runner_alloc_budget () =
+  let budget = 72.0 in
+  let cluster = Es_joint.Online.scale_rates (Scenario.build Scenario.default) 3.0 in
+  let ds = Es_baselines.Baselines.neurosurgeon.Es_baselines.Baselines.solve cluster in
+  let arrivals =
+    Es_workload.Heavy.trace ~seed:5 ~duration_s:20.0
+      ~profile:(Es_workload.Heavy.profile_by_name ~duration_s:20.0 "flash")
+      cluster
+  in
+  let options =
+    { Es_sim.Runner.default_options with duration_s = 20.0; warmup_s = 0.0; streaming = true }
+  in
+  let words =
+    Es_util.Alloc_probe.minor_words (fun () ->
+        ignore (Es_sim.Runner.run ~options ~arrivals cluster ds))
+  in
+  let per_request = words /. float_of_int (Array.length arrivals) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per request <= %.0f" per_request budget)
+    true (per_request <= budget)
+
+let test_runner_pins () =
+  let computed = runner_pin_lines () in
+  let pinned =
+    In_channel.with_open_text "golden/runner_pins.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  if computed <> pinned then begin
+    prerr_endline "computed runner pins:";
+    List.iter prerr_endline computed
+  end;
+  Alcotest.(check (list string)) "every pinned digest" pinned computed
+
 let () =
   Alcotest.run "es_sim"
     [
@@ -1123,6 +1437,7 @@ let () =
           Alcotest.test_case "nested + errors" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "backend equivalence" `Quick test_engine_backends_equivalent;
           Alcotest.test_case "stats" `Quick test_engine_stats;
+          Alcotest.test_case "data events share ties" `Quick test_engine_data_events;
           prop_engine_time_monotone;
         ] );
       ( "station",
@@ -1131,6 +1446,7 @@ let () =
           Alcotest.test_case "capacity drops" `Quick test_station_capacity_drops;
           Alcotest.test_case "speed change" `Quick test_station_speed_change;
           Alcotest.test_case "zero work" `Quick test_station_zero_work;
+          Alcotest.test_case "flush makes completions stale" `Quick test_station_flush_stale;
           prop_station_busy_conserved;
         ] );
       ( "batcher",
@@ -1158,6 +1474,8 @@ let () =
           Alcotest.test_case "work scale" `Quick test_runner_work_scale;
           Alcotest.test_case "warmup" `Quick test_runner_warmup_discards;
           Alcotest.test_case "golden bit-identity" `Quick test_runner_golden_bit_identity;
+          Alcotest.test_case "feature grid pinned" `Quick test_runner_pins;
+          Alcotest.test_case "allocation budget" `Quick test_runner_alloc_budget;
           Alcotest.test_case "zero-grant drain" `Quick test_runner_reconfigure_zero_grant_drain;
           Alcotest.test_case "rejects invalid decisions" `Quick
             test_runner_rejects_invalid_decisions;

@@ -272,15 +272,15 @@ let heap_interleaved =
 
 let test_cq_fifo_ties () =
   let c = Calendar_queue.create () in
-  Calendar_queue.push c 1.0 "first";
-  Calendar_queue.push c 1.0 "second";
-  Calendar_queue.push c 1.0 "third";
-  Alcotest.(check string) "tie order 1" "first" (snd (Calendar_queue.pop_exn c));
-  Alcotest.(check string) "tie order 2" "second" (snd (Calendar_queue.pop_exn c));
-  Alcotest.(check string) "tie order 3" "third" (snd (Calendar_queue.pop_exn c))
+  Calendar_queue.push c 1.0 1;
+  Calendar_queue.push c 1.0 2;
+  Calendar_queue.push c 1.0 3;
+  Alcotest.(check int) "tie order 1" 1 (snd (Calendar_queue.pop_exn c));
+  Alcotest.(check int) "tie order 2" 2 (snd (Calendar_queue.pop_exn c));
+  Alcotest.(check int) "tie order 3" 3 (snd (Calendar_queue.pop_exn c))
 
 let test_cq_empty () =
-  let c : int Calendar_queue.t = Calendar_queue.create () in
+  let c = Calendar_queue.create () in
   Alcotest.(check bool) "is_empty" true (Calendar_queue.is_empty c);
   Alcotest.(check bool) "pop None" true (Calendar_queue.pop c = None);
   Alcotest.check_raises "pop_exn raises"
@@ -292,30 +292,54 @@ let test_cq_push_validation () =
   let expect p =
     Alcotest.check_raises "rejected"
       (Invalid_argument "Calendar_queue.push: priority must be finite and >= 0")
-      (fun () -> Calendar_queue.push c p ())
+      (fun () -> Calendar_queue.push c p 0)
   in
   expect (-1.0);
   expect nan;
   expect infinity;
+  Alcotest.check_raises "negative payload rejected"
+    (Invalid_argument "Calendar_queue.push: negative payload") (fun () ->
+      Calendar_queue.push c 1.0 (-1));
   Alcotest.(check int) "nothing entered" 0 (Calendar_queue.length c)
+
+(* [pop_before] as an option, for comparison with the heap oracle. *)
+let cq_pop_before c horizon =
+  let at = [| nan |] in
+  let v = Calendar_queue.pop_before c horizon at in
+  if v < 0 then None else Some (at.(0), v)
 
 let test_cq_pop_before () =
   let c = Calendar_queue.create () in
-  Calendar_queue.push c 5.0 "a";
-  Calendar_queue.push c 10.0 "b";
-  Alcotest.(check bool) "nothing due" true (Calendar_queue.pop_before c 4.0 = None);
+  Calendar_queue.push c 5.0 1;
+  Calendar_queue.push c 10.0 2;
+  Alcotest.(check bool) "nothing due" true (cq_pop_before c 4.0 = None);
   Alcotest.(check int) "still pending" 2 (Calendar_queue.length c);
-  Alcotest.(check bool) "due at horizon" true
-    (Calendar_queue.pop_before c 5.0 = Some (5.0, "a"));
-  Alcotest.(check bool) "rest" true (Calendar_queue.pop_before c infinity = Some (10.0, "b"))
+  Alcotest.(check bool) "due at horizon" true (cq_pop_before c 5.0 = Some (5.0, 1));
+  Alcotest.(check bool) "rest" true (cq_pop_before c infinity = Some (10.0, 2))
 
 let test_cq_clear () =
   let c = Calendar_queue.create () in
-  Calendar_queue.push c 1.0 ();
+  Calendar_queue.push c 1.0 0;
   Calendar_queue.clear c;
   Alcotest.(check int) "cleared" 0 (Calendar_queue.length c);
-  Calendar_queue.push c 2.0 ();
-  Alcotest.(check bool) "usable after clear" true (Calendar_queue.pop c = Some (2.0, ()))
+  Calendar_queue.push c 2.0 0;
+  Alcotest.(check bool) "usable after clear" true (Calendar_queue.pop c = Some (2.0, 0))
+
+(* A one-deep event chain — push one, pop it, push the next — drains the
+   queue at every pop; once warm it allocates nothing.  (The priorities
+   are boxed up front: a float passed to a function is boxed.) *)
+let test_cq_pop_push_zero_alloc () =
+  let c = Calendar_queue.create () and at = [| 0.0 |] in
+  let prios = List.init 100 (fun i -> float_of_int (i + 1)) in
+  let rec chain i = function
+    | [] -> ()
+    | p :: rest ->
+        Calendar_queue.push c p i;
+        if Calendar_queue.pop_before c infinity at <> i then failwith "wrong payload";
+        chain (i + 1) rest
+  in
+  let chain () = chain 0 prios in
+  Alcotest.(check (float 0.0)) "push + pop allocate nothing" 0.0 (Alloc_probe.minor_words chain)
 
 (* Heap-oracle interpreter: one op program applied to both queues must
    behave identically, including FIFO order within a tie (the payload is a
@@ -346,7 +370,7 @@ let cq_apply_op (h, c, stamp, ok) (op, raw) =
         | Some (p, _) when p <= horizon -> Some (Heap.pop_exn h)
         | _ -> None
       in
-      if from_heap <> Calendar_queue.pop_before c horizon then ok := false
+      if from_heap <> cq_pop_before c horizon then ok := false
 
 let cq_matches_heap =
   qtest ~count:500 "calendar queue matches heap oracle on op programs" cq_program
@@ -719,6 +743,17 @@ let test_alloc_probe_pure_loop_zero () =
   Alcotest.(check (float 0.0)) "pure float-array loop allocates nothing" 0.0
     (Alloc_probe.minor_words thunk)
 
+let test_stats_add_zero_alloc () =
+  let s = Stats.create () and xs = List.init 64 (fun i -> float_of_int (i * 7 mod 13)) in
+  let rec add = function
+    | [] -> ()
+    | x :: rest ->
+        Stats.add s x;
+        add rest
+  in
+  let thunk () = add xs in
+  Alcotest.(check (float 0.0)) "Stats.add allocates nothing" 0.0 (Alloc_probe.minor_words thunk)
+
 let test_scratch_steady_state_zero_alloc () =
   Alcotest.(check bool) "debug must be off" false (Scratch.debug ());
   let thunk () =
@@ -780,6 +815,7 @@ let () =
           Alcotest.test_case "push validation" `Quick test_cq_push_validation;
           Alcotest.test_case "pop_before" `Quick test_cq_pop_before;
           Alcotest.test_case "clear" `Quick test_cq_clear;
+          Alcotest.test_case "pop + push zero alloc" `Quick test_cq_pop_push_zero_alloc;
           cq_matches_heap;
           cq_drain_matches_heap;
         ] );
@@ -840,6 +876,7 @@ let () =
           Alcotest.test_case "sees allocation" `Quick test_alloc_probe_sees_allocation;
           Alcotest.test_case "exact on List.init" `Quick test_alloc_probe_exact;
           Alcotest.test_case "pure loop zero" `Quick test_alloc_probe_pure_loop_zero;
+          Alcotest.test_case "stats add zero" `Quick test_stats_add_zero_alloc;
           Alcotest.test_case "scratch steady state zero" `Quick
             test_scratch_steady_state_zero_alloc;
         ] );
