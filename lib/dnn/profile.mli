@@ -24,6 +24,12 @@ val layer_latency : perf -> Graph.t -> int -> float
 val range_latency : perf -> Graph.t -> lo:int -> hi:int -> float
 (** Seconds to execute nodes with ids in [lo, hi) sequentially. *)
 
+val scaled_range_latency : perf -> scale:float -> Graph.t -> lo:int -> hi:int -> float
+(** [range_latency] on [perf] with its compute and memory throughput
+    multiplied by [scale] and its per-layer overhead kept: the speed of a
+    reduced-precision execution, priced without building the scaled
+    record.  Bit-identical to [range_latency] on that record. *)
+
 val total_latency : perf -> Graph.t -> float
 (** Whole-model single-inference latency. *)
 

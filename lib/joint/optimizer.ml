@@ -127,8 +127,10 @@ let clear_pool_cache () = Es_util.Once.clear pool_cache
    Link.transfer_time + Latency.total, in the same operation order, and its
    stability test) exactly, so decisions are bit-identical to that
    record-allocating path; selection replicates
-   argmin_by's first-wins tie-break over (eligible | all) × (stable | any). *)
-let best_scored cluster ~device ~server (pool : scored array) ~bandwidth_bps ~compute_share =
+   argmin_by's first-wins tie-break over (eligible | all) × (stable | any).
+   Returns the pick's index in [pool]. *)
+let best_scored_index cluster ~device ~server (pool : scored array) ~bandwidth_bps
+    ~compute_share =
   let dev = cluster.Cluster.devices.(device) in
   let rate = dev.Cluster.rate in
   let floor = dev.Cluster.accuracy_floor -. 1e-9 in
@@ -195,7 +197,10 @@ let best_scored cluster ~device ~server (pool : scored array) ~bandwidth_bps ~co
   in
   (* candidate sets are never empty: full model always present *)
   assert (pick >= 0);
-  pool.(pick).plan
+  pick
+
+let best_scored cluster ~device ~server pool ~bandwidth_bps ~compute_share =
+  pool.(best_scored_index cluster ~device ~server pool ~bandwidth_bps ~compute_share).plan
 
 let build_pool ?exits ?max_candidates ?precisions ~widths cluster ~device =
   let dev = cluster.Cluster.devices.(device) in
@@ -279,18 +284,6 @@ let load_proxy cluster ~plans assignment =
   Es_util.Scratch.release_floats cpu;
   Es_util.Scratch.release_floats bw;
   w
-
-(* Fair-share grant estimate for a device that currently holds none, so the
-   surgery step can evaluate (re-)entering the network. *)
-let fair_share_estimate cluster ~plans ~assignment ~device =
-  let s = assignment.(device) in
-  let srv = cluster.Cluster.servers.(s) in
-  let n_active = ref 0 in
-  for i = 0 to Array.length assignment - 1 do
-    if assignment.(i) = s && not (Plan.is_device_only plans.(i)) then incr n_active
-  done;
-  let k = float_of_int (!n_active + 1) in
-  (srv.Cluster.ap_bandwidth_bps /. k, 1.0 /. k)
 
 let force_feasible config cluster plans assignment =
   (* Last-resort degradation: flip the heaviest offloaders to device-only
@@ -393,6 +386,84 @@ let cold_start ?pools config cluster =
   in
   (plans, Assign.balanced_greedy cluster ~plans)
 
+(* The surgery step's memory within one descent.  A device's pick is a pure
+   function of its server, its grants and its pool, and the pools are fixed
+   for the solve, so the step re-scans a device only when its (server,
+   bandwidth, share) differs from its last scan's and otherwise re-uses
+   that scan's pool index.  [offloaders] counts, per server, the devices
+   whose current plan offloads, kept exact as plans flip, so the fair share
+   of a device without grants costs O(1) instead of a pass over the
+   assignment.  All of it is borrowed scratch, filled afresh by each solve:
+   no state crosses solves. *)
+type memo = {
+  last_server : int array;  (* -1: not scanned yet in this solve *)
+  last_pick : int array;
+  last_bw : float array;
+  last_share : float array;
+  offloaders : int array;
+}
+
+let borrow_memo ~devices ~servers =
+  let last_server = Es_util.Scratch.borrow_ints devices in
+  let last_pick = Es_util.Scratch.borrow_ints devices in
+  let offloaders = Es_util.Scratch.borrow_ints servers in
+  let last_bw = Es_util.Scratch.borrow_floats devices in
+  let last_share = Es_util.Scratch.borrow_floats devices in
+  Array.fill last_server 0 devices (-1);
+  { last_server; last_pick; last_bw; last_share; offloaders }
+
+let release_memo m =
+  Es_util.Scratch.release_floats m.last_share;
+  Es_util.Scratch.release_floats m.last_bw;
+  Es_util.Scratch.release_ints m.offloaders;
+  Es_util.Scratch.release_ints m.last_pick;
+  Es_util.Scratch.release_ints m.last_server
+
+(* One surgery step: each device re-picks its plan under the grants the
+   allocation step gave it or, holding none, under a fair share of its
+   server's bandwidth and compute among that server's offloaders (itself
+   included) plus one.  Devices go in index order and the counts follow
+   every flip, so a device sees the new plans of the devices before it. *)
+let surgery_step m cluster pools ~plans ~assignment (working : Decision.t array) =
+  let nd = Array.length working in
+  let offloaders = m.offloaders in
+  Array.fill offloaders 0 (Cluster.n_servers cluster) 0;
+  for i = 0 to nd - 1 do
+    if not (Plan.is_device_only plans.(i)) then
+      offloaders.(assignment.(i)) <- offloaders.(assignment.(i)) + 1
+  done;
+  for device = 0 to nd - 1 do
+    let d = working.(device) in
+    let server = assignment.(device) in
+    let granted = Decision.offloads d && d.Decision.bandwidth_bps > 0.0 in
+    let k = float_of_int (offloaders.(server) + 1) in
+    let bandwidth_bps =
+      if granted then d.Decision.bandwidth_bps
+      else cluster.Cluster.servers.(server).Cluster.ap_bandwidth_bps /. k
+    in
+    let compute_share = if granted then d.Decision.compute_share else 1.0 /. k in
+    let pool = pools.(device) in
+    let pick =
+      if
+        m.last_server.(device) = server
+        && m.last_bw.(device) = bandwidth_bps
+        && m.last_share.(device) = compute_share
+      then m.last_pick.(device)
+      else begin
+        let pick = best_scored_index cluster ~device ~server pool ~bandwidth_bps ~compute_share in
+        m.last_server.(device) <- server;
+        m.last_bw.(device) <- bandwidth_bps;
+        m.last_share.(device) <- compute_share;
+        m.last_pick.(device) <- pick;
+        pick
+      end
+    in
+    let c = pool.(pick) in
+    if Plan.is_device_only plans.(device) <> c.local then
+      offloaders.(server) <- (offloaders.(server) + if c.local then -1 else 1);
+    plans.(device) <- c.plan
+  done
+
 let solve_one ~config ?metrics ?spans ?init cluster =
   let t0 = Es_obs.Obs.wall_clock () in
   let nd = Cluster.n_devices cluster in
@@ -422,11 +493,13 @@ let solve_one ~config ?metrics ?spans ?init cluster =
     | None -> cold_start ~pools config cluster
   in
   let assignment = ref assignment in
+  let memo = borrow_memo ~devices:nd ~servers:(Array.length servers) in
   let best : (float * Decision.t array) option ref = ref None in
   let trace = ref [] in
   let iterations = ref 0 in
   let no_improve = ref 0 in
-  (try
+  (Fun.protect ~finally:(fun () -> release_memo memo) @@ fun () ->
+   try
      for iter = 1 to config.max_iters do
        iterations := iter;
        let iter_span = Es_obs.Span.start tracer ~parent:root "optimizer/iteration" in
@@ -472,17 +545,7 @@ let solve_one ~config ?metrics ?spans ?init cluster =
            else incr no_improve;
            if !no_improve >= 3 then raise Exit;
            (* --- Surgery step --- *)
-           Array.iteri
-             (fun device (d : Decision.t) ->
-               let server = !assignment.(device) in
-               let bandwidth_bps, compute_share =
-                 if Decision.offloads d && d.Decision.bandwidth_bps > 0.0 then
-                   (d.Decision.bandwidth_bps, d.Decision.compute_share)
-                 else fair_share_estimate cluster ~plans ~assignment:!assignment ~device
-               in
-               plans.(device) <-
-                 best_scored cluster ~device ~server pools.(device) ~bandwidth_bps ~compute_share)
-             working;
+           surgery_step memo cluster pools ~plans ~assignment:!assignment working;
            (* --- Assignment step --- *)
            if Array.length servers > 1 then begin
              let greedy = Assign.balanced_greedy cluster ~plans in

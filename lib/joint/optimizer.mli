@@ -203,10 +203,3 @@ val load_proxy : Es_edge.Cluster.t -> plans:Es_surgery.Plan.t array -> int array
 (** The local-search load proxy (worst server's max of bandwidth and
     compute load), accumulating into borrowed scratch. *)
 
-val fair_share_estimate :
-  Es_edge.Cluster.t ->
-  plans:Es_surgery.Plan.t array ->
-  assignment:int array ->
-  device:int ->
-  float * float
-(** Fair-share (bandwidth, compute) guess for a device holding no grant. *)

@@ -145,29 +145,43 @@ let price_update ~prices_bw ~prices_cpu (tallies : tally array) =
         Float.max 0.0 (prices_cpu.(s) +. (price_step *. (t.cpu_frac -. price_target))))
     tallies
 
-(* Price-augmented cost of running [d]'s current plan on [server]: a
-   fair-share latency estimate (the grants a re-solve would plausibly hand
-   out) plus what the device's demand costs at that server's dual prices. *)
-let move_cost cluster ~prices_bw ~prices_cpu ~(tallies : tally array) (d : Decision.t) ~server =
-  let device = d.Decision.device in
-  let dev = cluster.Cluster.devices.(device) in
-  let srv = cluster.Cluster.servers.(server) in
-  let joining = if d.Decision.server = server then 0 else 1 in
-  let k = float_of_int (max 1 (tallies.(server).offloaders + joining)) in
+(* Price-augmented cost of running offloader [d]'s current plan on each
+   server, into [cost]: a fair-share latency estimate (the grants a re-solve
+   would plausibly hand out) plus what the device's demand costs at that
+   server's dual prices.  The latency is [Latency.of_decision] of the
+   decision those grants make, written out: the stage terms summed in its
+   order, with [Decision.make]'s grants and [Link.transfer_time]'s rate cap.
+   Only the server's work differs between servers, so the device time and
+   the bytes are read once per device and no decision is built per pair. *)
+let price_moves cluster ~prices_bw ~prices_cpu ~(tallies : tally array) (d : Decision.t) cost =
+  let dev = cluster.Cluster.devices.(d.Decision.device) in
+  let link = dev.Cluster.link in
+  let rate = dev.Cluster.rate in
   let plan = d.Decision.plan in
-  let estimate =
-    Decision.make ~device ~server ~plan
-      ~bandwidth_bps:(Float.max (srv.Cluster.ap_bandwidth_bps /. k) 1.0)
-      ~compute_share:(1.0 /. k) ()
-  in
-  let lat = Latency.of_decision cluster estimate in
-  let bits =
-    8.0 *. (Es_surgery.Plan.transfer_bytes plan +. Es_surgery.Plan.result_bytes plan)
-  in
-  let work = Es_surgery.Plan.server_time srv.Cluster.sproc.Processor.perf plan in
-  lat
-  +. (prices_bw.(server) *. dev.Cluster.rate *. bits /. srv.Cluster.ap_bandwidth_bps)
-  +. (prices_cpu.(server) *. dev.Cluster.rate *. work)
+  let device_s = Es_surgery.Plan.device_time dev.Cluster.proc.Processor.perf plan in
+  let up_bytes = Es_surgery.Plan.transfer_bytes plan in
+  let down_bytes = Es_surgery.Plan.result_bytes plan in
+  let bits = 8.0 *. (up_bytes +. down_bytes) in
+  let half_rtt = link.Link.rtt_s /. 2.0 in
+  for server = 0 to Cluster.n_servers cluster - 1 do
+    let srv = cluster.Cluster.servers.(server) in
+    let ap = srv.Cluster.ap_bandwidth_bps in
+    let joining = if d.Decision.server = server then 0 else 1 in
+    let k = float_of_int (max 1 (tallies.(server).offloaders + joining)) in
+    let bw = ap /. k in
+    let bw = if bw >= 1.0 then bw else 1.0 in
+    let share = 1.0 /. k in
+    let link_bps = if bw <= link.Link.peak_bps then bw else link.Link.peak_bps in
+    let uplink_s = if up_bytes <= 0.0 then 0.0 else (up_bytes *. 8.0 /. link_bps) +. half_rtt in
+    let work = Es_surgery.Plan.server_time srv.Cluster.sproc.Processor.perf plan in
+    let server_s = if work <= 0.0 then 0.0 else work /. share in
+    let downlink_s =
+      if down_bytes <= 0.0 then 0.0 else (down_bytes *. 8.0 /. link_bps) +. half_rtt
+    in
+    let lat = device_s +. uplink_s +. server_s +. downlink_s in
+    cost.(server) <-
+      lat +. (prices_bw.(server) *. rate *. bits /. ap) +. (prices_cpu.(server) *. rate *. work)
+  done
 
 (* One best-response sweep in fixed ascending device order.  Ties break
    toward the lowest server index (strict < during the scan); a move must
@@ -179,21 +193,20 @@ let move_cost cluster ~prices_bw ~prices_cpu ~(tallies : tally array) (d : Decis
 let move_pass cluster ~prices_bw ~prices_cpu ~tallies ~(decisions : Decision.t array)
     ~assignment ~dirty ~(st : sweep_state) =
   let ns = Cluster.n_servers cluster in
+  let cost = Es_util.Scratch.borrow_floats ns in
   let moved = ref 0 in
   Array.iter
     (fun (d : Decision.t) ->
       if !moved < max_moves_per_sweep && Decision.offloads d then begin
         let i = d.Decision.device in
         let cur = d.Decision.server in
-        let cost_cur = move_cost cluster ~prices_bw ~prices_cpu ~tallies d ~server:cur in
+        price_moves cluster ~prices_bw ~prices_cpu ~tallies d cost;
+        let cost_cur = cost.(cur) in
         let best_s = ref cur and best_c = ref cost_cur in
         for s = 0 to ns - 1 do
-          if s <> cur then begin
-            let c = move_cost cluster ~prices_bw ~prices_cpu ~tallies d ~server:s in
-            if c < !best_c then begin
-              best_s := s;
-              best_c := c
-            end
+          if s <> cur && cost.(s) < !best_c then begin
+            best_s := s;
+            best_c := cost.(s)
           end
         done;
         if !best_s <> cur && !best_c < cost_cur *. (1.0 -. move_tolerance) then begin
@@ -207,6 +220,7 @@ let move_pass cluster ~prices_bw ~prices_cpu ~tallies ~(decisions : Decision.t a
         end
       end)
     decisions;
+  Es_util.Scratch.release_floats cost;
   !moved
 
 (* Re-solve every dirty shard (ascending server order) and stitch the

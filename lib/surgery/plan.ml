@@ -109,12 +109,13 @@ let device_mem_bytes t =
   done;
   bpe *. (!weights +. (2.0 *. !peak_act))
 
-let effective_perf perf t = Precision.apply t.precision perf
-
-let device_time perf t = Profile.range_latency (effective_perf perf t) t.graph ~lo:0 ~hi:t.cut
+let device_time perf t =
+  Profile.scaled_range_latency perf ~scale:(Precision.compute_scale t.precision) t.graph ~lo:0
+    ~hi:t.cut
 
 let server_time perf t =
-  Profile.range_latency (effective_perf perf t) t.graph ~lo:t.cut ~hi:(Graph.n_nodes t.graph)
+  Profile.scaled_range_latency perf ~scale:(Precision.compute_scale t.precision) t.graph
+    ~lo:t.cut ~hi:(Graph.n_nodes t.graph)
 
 let is_device_only t = t.cut >= Graph.n_nodes t.graph
 let is_server_only t = t.cut = 0

@@ -81,18 +81,6 @@ let load_proxy cluster ~plans assignment =
   done;
   !worst
 
-let fair_share_estimate cluster ~plans ~assignment ~device =
-  let s = assignment.(device) in
-  let srv = cluster.Cluster.servers.(s) in
-  let n_active =
-    Array.to_list assignment
-    |> List.mapi (fun i a -> (i, a))
-    |> List.filter (fun (i, a) -> a = s && not (Plan.is_device_only plans.(i)))
-    |> List.length
-  in
-  let k = float_of_int (n_active + 1) in
-  (srv.Cluster.ap_bandwidth_bps /. k, 1.0 /. k)
-
 (* Must make the same plan flips and return the same decisions as
    [Es_joint.Optimizer.force_feasible]. *)
 let force_feasible config cluster plans assignment =

@@ -653,15 +653,7 @@ let test_assignment_helpers_match_ref () =
       Alcotest.(check bool) "load_proxy bit-identical" true
         (feq
            (Optimizer.load_proxy c ~plans assignment)
-           (Es_oracle.Optimizer.load_proxy c ~plans assignment));
-      for device = 0 to Cluster.n_devices c - 1 do
-        let b, s = Optimizer.fair_share_estimate c ~plans ~assignment ~device in
-        let b', s' = Es_oracle.Optimizer.fair_share_estimate c ~plans ~assignment ~device in
-        Alcotest.(check bool)
-          (Printf.sprintf "fair share %d bit-identical" device)
-          true
-          (feq b b' && feq s s')
-      done)
+           (Es_oracle.Optimizer.load_proxy c ~plans assignment)))
     [ asg; rotated ]
 
 (* The ISSUE's headline claim: a steady-state surgery scan — the innermost

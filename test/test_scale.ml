@@ -183,6 +183,86 @@ let test_delta_guards () =
     (Invalid_argument "Es_scale.Delta.Leave: cannot remove the last device") (fun () ->
       ignore (Es_scale.Delta.apply st (Es_scale.Delta.Leave 0)))
 
+(* ---------- parked-shard pin ---------- *)
+
+(* A 400-device smart_city population parks most of its local devices on
+   one server's shard, which is where incremental re-solves spend their
+   time.  The initial solve and six Delta events (rate changes of four of
+   that shard's devices, a join, the leave of a fifth) are pinned bit for
+   bit: decision fingerprints and objective bits, recorded before the
+   surgery step, the fair-share count, the move pricing and the plan-cost
+   table were made incremental. *)
+let parked_expected =
+  [
+    ("init", "5a38e45c71208dbf", 4595924960488858054L);
+    ("rate_change", "c5123567b9ae0531", 4595938464689402405L);
+    ("rate_change", "c5123567b9ae0531", 4595938464689402405L);
+    ("join", "4b94bcc9567da67b", 4595929146498421722L);
+    ("rate_change", "4b94bcc9567da67b", 4595929146498421722L);
+    ("leave", "7d02e866d94c9d00", 4595917869679314444L);
+    ("rate_change", "7d02e866d94c9d00", 4595917869679314444L);
+  ]
+
+let parked_runs () =
+  let cluster = Es_workload.Heavy.population ~devices:400 Es_workload.Scenarios.smart_city in
+  let st = Es_scale.Delta.init cluster in
+  let out = Es_scale.Delta.output st in
+  let ns = Cluster.n_servers cluster in
+  let size = Array.make ns 0 in
+  Array.iter (fun s -> size.(s) <- size.(s) + 1) out.Es_scale.assignment;
+  let largest = Array.fold_left max 0 size in
+  let big = ref (-1) in
+  Array.iteri (fun s n -> if n = largest && !big < 0 then big := s) size;
+  (* Devices on the largest shard, in index order. *)
+  let parked =
+    List.filter (fun i -> out.Es_scale.assignment.(i) = !big)
+      (List.init (Cluster.n_devices cluster) Fun.id)
+  in
+  let nth k = List.nth parked k in
+  (* The shard's offloaders, so one event moves a device that holds
+     grants, not only ones that run locally. *)
+  let offloader =
+    List.find (fun i -> Decision.offloads out.Es_scale.decisions.(i)) parked
+  in
+  let rate_change st i factor =
+    let d = (Es_scale.Delta.cluster st).Cluster.devices.(i) in
+    ("rate_change", Es_scale.Delta.Rate_change (i, d.Cluster.rate *. factor))
+  in
+  let events st k =
+    match k with
+    | 0 -> rate_change st (nth 0) 40.0
+    | 1 -> rate_change st offloader 0.2
+    | 2 ->
+        let c = Es_scale.Delta.cluster st in
+        let nd = Cluster.n_devices c in
+        ("join", Es_scale.Delta.Join { (c.Cluster.devices.(nth 3)) with Cluster.dev_id = nd })
+    | 3 -> rate_change st (nth 20) 30.0
+    | 4 -> ("leave", Es_scale.Delta.Leave (nth 5))
+    | _ -> rate_change st (nth 1) 25.0
+  in
+  let pin label (o : Es_scale.output) =
+    (label, Decision.fingerprint o.Es_scale.decisions, Int64.bits_of_float o.Es_scale.objective)
+  in
+  let rec go st k acc =
+    if k = 6 then List.rev acc
+    else
+      let label, ev = events st k in
+      let st = Es_scale.Delta.apply st ev in
+      go st (k + 1) (pin label (Es_scale.Delta.output st) :: acc)
+  in
+  (largest, Cluster.n_devices cluster, go st 0 [ pin "init" out ])
+
+let test_parked_shard_pinned () =
+  let largest, nd, runs = parked_runs () in
+  Alcotest.(check bool)
+    (Printf.sprintf "largest shard (%d of %d devices) holds more than half" largest nd)
+    true
+    (2 * largest > nd);
+  let show (l, fp, bits) = Printf.sprintf "(%S, %S, %LdL)" l fp bits in
+  if runs <> parked_expected then
+    Alcotest.failf "parked-shard pins moved; computed:\n%s"
+      (String.concat ";\n" (List.map show runs))
+
 (* ---------- solver adapter + warm/assignment contract ---------- *)
 
 let test_solver_adapter_online () =
@@ -256,6 +336,7 @@ let () =
           Alcotest.test_case "leave == shard re-solve" `Quick test_delta_leave;
           Alcotest.test_case "join == shard re-solve" `Quick test_delta_join;
           Alcotest.test_case "guards" `Quick test_delta_guards;
+          Alcotest.test_case "parked shard pinned" `Quick test_parked_shard_pinned;
         ] );
       ( "online",
         [ Alcotest.test_case "solver adapter epochs feasible" `Slow test_solver_adapter_online ] );

@@ -344,6 +344,54 @@ let test_precision_apply () =
   Alcotest.(check (float 1.0)) "memory scaled" 2.5e9 q.Profile.mem_bytes_per_s;
   Alcotest.(check (float 1e-12)) "overhead unchanged" 1e-5 q.Profile.layer_overhead_s
 
+(* Plan costs come from one table keyed by graph uid, then by (base perf,
+   precision scale).  Every zoo model, on every processor, at every
+   precision and cut, must cost exactly what the precision-applied perf
+   record costs. *)
+let cost_processors =
+  Array.append Es_edge.Processor.device_classes
+    Es_edge.Processor.[| edge_cpu; edge_gpu_small; edge_gpu |]
+
+let test_plan_costs_match_oracle () =
+  let bits = Int64.bits_of_float in
+  let checked = ref 0 in
+  List.iter
+    (fun base ->
+      List.iter
+        (fun precision ->
+          let plan = Plan.make ~precision base in
+          Array.iter
+            (fun (proc : Es_edge.Processor.t) ->
+              let perf = proc.Es_edge.Processor.perf in
+              for cut = 0 to Graph.n_nodes plan.Plan.graph do
+                let p = Plan.with_cut plan cut in
+                if
+                  bits (Plan.device_time perf p) <> bits (Es_oracle.Plan.device_time perf p)
+                  || bits (Plan.server_time perf p) <> bits (Es_oracle.Plan.server_time perf p)
+                then
+                  Alcotest.failf "%s on %s: cost differs from the oracle" (Plan.describe p)
+                    proc.Es_edge.Processor.name;
+                incr checked
+              done)
+            cost_processors)
+        Precision.all)
+    (Zoo.all ());
+  Alcotest.(check bool) (Printf.sprintf "%d plans checked" !checked) true (!checked > 1000)
+
+(* A warm plan-cost lookup allocates nothing but the float it returns:
+   under dune's default -opaque build no float return across a module
+   boundary is unboxed, so each call boxes its result (2 words). *)
+let test_plan_costs_alloc () =
+  let perf = Es_edge.Processor.raspberry_pi.Es_edge.Processor.perf in
+  let p = Plan.make ~precision:Precision.Fp16 ~cut:(Graph.n_nodes resnet18 / 2) resnet18 in
+  let out = Array.make 2 0.0 in
+  let words =
+    Es_util.Alloc_probe.minor_words (fun () ->
+        out.(0) <- Plan.device_time perf p;
+        out.(1) <- Plan.server_time perf p)
+  in
+  Alcotest.(check (float 0.0)) "two boxed results, nothing else" 4.0 words
+
 let test_precision_plan_effects () =
   let fp32 = Plan.make ~cut:(Graph.n_nodes resnet18 / 2) resnet18 in
   let int8 = Plan.make ~precision:Precision.Int8 ~cut:(Graph.n_nodes resnet18 / 2) resnet18 in
@@ -592,6 +640,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_precision_basics;
           Alcotest.test_case "apply" `Quick test_precision_apply;
           Alcotest.test_case "plan effects" `Quick test_precision_plan_effects;
+          Alcotest.test_case "plan costs match oracle" `Quick test_plan_costs_match_oracle;
+          Alcotest.test_case "plan costs allocation" `Quick test_plan_costs_alloc;
           Alcotest.test_case "in candidates" `Quick test_precision_in_candidates;
         ] );
       ( "dag_cut",
