@@ -21,11 +21,12 @@ test:
 check:
 	dune build @all && dune runtest && $(MAKE) lint-sa
 
-# Lines added, deleted and net against BASE (default HEAD), repo-wide and
-# under lib/; stage new files first.
+# Lines added, deleted and net against BASE (default HEAD), repo-wide,
+# under lib/ and under test/ (where code that leaves lib/ for the test
+# oracles lands); stage new files first.
 BASE ?= HEAD
 loc:
-	@for s in . lib; do git diff --numstat $(BASE) -- $$s | awk -v s=$$s \
+	@for s in . lib test; do git diff --numstat $(BASE) -- $$s | awk -v s=$$s \
 	  '{ a += $$1; d += $$2 } END { printf "%-4s +%d -%d net %+d\n", s, a, d, a - d }'; done
 
 # Determinism & domain-safety static analysis (es_lint, DESIGN.md §11/§16):

@@ -15,15 +15,12 @@ module Token_bucket = struct
     mutable last : float;
   }
 
-  let create ?initial ~rate ~burst () =
+  let create ~rate ~burst () =
     if not (Float.is_finite rate) || rate < 0.0 then
       invalid_arg "Token_bucket.create: rate must be finite and >= 0";
     if not (Float.is_finite burst) || burst <= 0.0 then
       invalid_arg "Token_bucket.create: burst must be finite and > 0";
-    let initial = match initial with Some i -> Float.min i burst | None -> burst in
-    if not (Float.is_finite initial) || initial < 0.0 then
-      invalid_arg "Token_bucket.create: initial must be finite and >= 0";
-    { rate; burst; tokens = initial; last = 0.0 }
+    { rate; burst; tokens = burst; last = 0.0 }
 
   (* Lazy refill: tokens accrue as a pure function of elapsed time, so the
      bucket is deterministic under any sampling pattern and costs nothing
@@ -39,10 +36,10 @@ module Token_bucket = struct
     refill t ~now;
     t.tokens
 
-  let try_take ?(cost = 1.0) t ~now =
+  let try_take t ~now =
     refill t ~now;
-    if t.tokens +. 1e-12 >= cost then begin
-      t.tokens <- t.tokens -. cost;
+    if t.tokens +. 1e-12 >= 1.0 then begin
+      t.tokens <- t.tokens -. 1.0;
       true
     end
     else false

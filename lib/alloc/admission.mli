@@ -16,7 +16,8 @@ type outcome = {
   rejected : int list;  (** device ids forced local, eviction order *)
 }
 
-(** Deterministic token bucket for per-request rate limiting.
+(** Deterministic token bucket for per-request rate limiting: a bucket
+    starts full and every request takes one token.
 
     Tokens refill lazily as a pure function of the clock handed in by the
     caller (the simulator passes simulated time), so behavior is
@@ -28,13 +29,13 @@ type outcome = {
 module Token_bucket : sig
   type t
 
-  val create : ?initial:float -> rate:float -> burst:float -> unit -> t
-  (** [create ~rate ~burst ()] starts full (or at [initial] tokens,
-      clamped to [burst]).  [rate] is tokens/second.
+  val create : rate:float -> burst:float -> unit -> t
+  (** [create ~rate ~burst ()] starts full, with [burst] tokens.  [rate]
+      is tokens/second.
       @raise Invalid_argument on negative or non-finite parameters. *)
 
-  val try_take : ?cost:float -> t -> now:float -> bool
-  (** Refill to [now], then atomically take [cost] (default 1) tokens;
+  val try_take : t -> now:float -> bool
+  (** Refill to [now], then take one token (a request costs one);
       [false] leaves the bucket unchanged apart from the refill. *)
 
   val tokens : t -> now:float -> float

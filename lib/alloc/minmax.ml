@@ -26,7 +26,12 @@ let cell_g = 1
 let cell_mu = 2
 let cell_theta = 3
 
-let solve ?(stability_margin = 0.95) ?(tol = 1e-3) ~bandwidth_bps items =
+(* Every granted stage keeps its utilization at or below this margin, and
+   the θ bisection stops at this relative width. *)
+let stability_margin = 0.95
+let tol = 1e-3
+
+let solve ~bandwidth_bps items =
   if bandwidth_bps <= 0.0 then invalid_arg "Minmax.solve: non-positive bandwidth";
   if items = [] then Some { theta = 0.0; grants = [] }
   else begin

@@ -17,8 +17,8 @@
 
     with the scalar multiplier μ found by a second bisection balancing the
     bandwidth load against the compute load.  Queueing-stability caps
-    (λ_i·u_i ≤ margin, λ_i·s_i ≤ margin) bound the split so the granted
-    rates survive sustained load, not just one request. *)
+    (λ_i·u_i ≤ margin, λ_i·s_i ≤ margin, margin = 0.95) bound the split
+    so the granted rates survive sustained load, not just one request. *)
 
 type item = {
   key : int;  (** caller's identifier (device id) *)
@@ -38,15 +38,10 @@ type result = {
   grants : (int * grant) list;  (** keyed by [item.key] *)
 }
 
-val solve :
-  ?stability_margin:float ->
-  ?tol:float ->
-  bandwidth_bps:float ->
-  item list ->
-  result option
+val solve : bandwidth_bps:float -> item list -> result option
 (** [None] when no allocation keeps every device stable (load exceeds the
     server's bandwidth or compute capacity outright).  A result with
     [theta > 1.0] is stable but misses some deadline.  Unused capacity is
     redistributed after the min-max point is found, so grants are
-    leftover-free.  [stability_margin] defaults to 0.95; [tol] is the
-    relative bisection tolerance on θ (default 1e-3). *)
+    leftover-free.  The stability margin is 0.95 and the bisection on θ
+    stops at a relative tolerance of 1e-3. *)

@@ -35,6 +35,8 @@ let bw_demand_equal it = if it.bits > 0.0 then 1.0 else 0.0
 let share_demand_equal it = if it.work_s > 0.0 then 1.0 else 0.0
 let bw_demand_prop it = it.bits
 let share_demand_prop it = it.work_s
+let bw_demand_sqrt it = sqrt (Float.max 0.0 it.rate *. it.bits)
+let share_demand_sqrt it = sqrt (Float.max 0.0 it.rate *. it.work_s)
 
 let build_grants ~bandwidth_bps items bw_demand share_demand =
   let items = Array.of_list items in
@@ -73,8 +75,5 @@ let equal ~bandwidth_bps items =
 let proportional ~bandwidth_bps items =
   build_grants ~bandwidth_bps items bw_demand_prop share_demand_prop
 
-let sqrt_rule ?(weights = fun it -> it.rate) ~bandwidth_bps items =
-  (* es_lint: cold — per-call demand closures capture [weights] *)
-  build_grants ~bandwidth_bps items
-    (fun it -> sqrt (Float.max 0.0 (weights it) *. it.bits))
-    (fun it -> sqrt (Float.max 0.0 (weights it) *. it.work_s))
+let sqrt_rule ~bandwidth_bps items =
+  build_grants ~bandwidth_bps items bw_demand_sqrt share_demand_sqrt

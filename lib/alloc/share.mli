@@ -13,12 +13,8 @@ val equal : bandwidth_bps:float -> Minmax.item list -> (int * Minmax.grant) list
 val proportional : bandwidth_bps:float -> Minmax.item list -> (int * Minmax.grant) list
 (** Shares proportional to each device's demand (bits, server work). *)
 
-val sqrt_rule :
-  ?weights:(Minmax.item -> float) ->
-  bandwidth_bps:float ->
-  Minmax.item list ->
-  (int * Minmax.grant) list
-(** Sum-latency-optimal square-root allocation; default weight is the
-    request rate (minimizing aggregate latency per unit time).  Peak caps
+val sqrt_rule : bandwidth_bps:float -> Minmax.item list -> (int * Minmax.grant) list
+(** Sum-latency-optimal square-root allocation, weighted by request rate
+    (w_i = λ_i: minimizing aggregate latency per unit time).  Peak caps
     are honored by iterative clipping. *)
 

@@ -14,8 +14,6 @@ let bytes ?(bytes_per_elt = 4) t = elements t * bytes_per_elt
 
 let channels = function Map { c; _ } -> c | Vec n -> n
 
-let spatial = function Map { h; w; _ } -> (h, w) | Vec _ -> (1, 1)
-
 let conv_out t ~kernel ~stride ~pad ~out_c =
   match t with
   | Vec _ -> invalid_arg "Shape.conv_out: convolution over a vector"
@@ -28,10 +26,6 @@ let conv_out t ~kernel ~stride ~pad ~out_c =
       Map { c = out_c; h = out_dim h; w = out_dim w }
 
 let flatten t = Vec (elements t)
-
-let scale_channels f = function
-  | Map { c; h; w } -> Map { c = max 1 (int_of_float (Float.round (float_of_int c *. f))); h; w }
-  | Vec n -> Vec (max 1 (int_of_float (Float.round (float_of_int n *. f))))
 
 let equal a b = a = b
 

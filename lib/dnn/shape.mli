@@ -21,9 +21,6 @@ val bytes : ?bytes_per_elt:int -> t -> int
 val channels : t -> int
 (** Channel count of a map, or length of a vector. *)
 
-val spatial : t -> int * int
-(** (h, w) of a map; (1, 1) for vectors. *)
-
 val conv_out : t -> kernel:int -> stride:int -> pad:int -> out_c:int -> t
 (** Output shape of a convolution/pool window over a map.
     @raise Invalid_argument when applied to a [Vec] or when the window does
@@ -31,10 +28,6 @@ val conv_out : t -> kernel:int -> stride:int -> pad:int -> out_c:int -> t
 
 val flatten : t -> t
 (** Collapse to a vector. *)
-
-val scale_channels : float -> t -> t
-(** Multiply the channel count (or vector length) by a factor, rounding to
-    at least 1; used by width-scaling surgery. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

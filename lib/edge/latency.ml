@@ -54,24 +54,6 @@ let meets_deadline cluster d =
   let dev = cluster.Cluster.devices.(d.Decision.device) in
   of_decision cluster d <= dev.Cluster.deadline +. 1e-12
 
-let server_load_into cluster decisions load =
-  let ns = Cluster.n_servers cluster in
-  Array.fill load 0 ns 0.0;
-  for i = 0 to Array.length decisions - 1 do
-    let d = decisions.(i) in
-    if Decision.offloads d then begin
-      let dev = cluster.Cluster.devices.(d.Decision.device) in
-      let srv = cluster.Cluster.servers.(d.Decision.server) in
-      let work = Plan.server_time srv.Cluster.sproc.Processor.perf d.Decision.plan in
-      load.(d.Decision.server) <- load.(d.Decision.server) +. (dev.Cluster.rate *. work)
-    end
-  done
-
-let server_load cluster decisions =
-  let load = Array.make (Cluster.n_servers cluster) 0.0 in
-  server_load_into cluster decisions load;
-  load
-
 let device_stable cluster (d : Decision.t) =
   let dev = cluster.Cluster.devices.(d.Decision.device) in
   let plan = d.Decision.plan in
@@ -118,17 +100,6 @@ let mm1_estimate cluster (d : Decision.t) =
     +. inflate rate server_s
     +. inflate rate (Float.max 0.0 (downlink_s -. half_rtt))
     +. rtt
-  end
-
-let deadline_satisfaction cluster decisions =
-  let n = Array.length decisions in
-  if n = 0 then 1.0
-  else begin
-    let hits = ref 0 in
-    for i = 0 to n - 1 do
-      if meets_deadline cluster decisions.(i) then incr hits
-    done;
-    float_of_int !hits /. float_of_int n
   end
 
 let mean_latency cluster decisions =

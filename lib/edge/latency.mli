@@ -24,10 +24,6 @@ val of_decision : Cluster.t -> Decision.t -> float
 
 val meets_deadline : Cluster.t -> Decision.t -> bool
 
-val server_load : Cluster.t -> Decision.t array -> float array
-(** Per-server offered load: Σ λ_i · server-work_i / capacity — must stay
-    below the compute shares granted for the system to be stable. *)
-
 val device_stable : Cluster.t -> Decision.t -> bool
 (** λ_i · (device service time) < 1 and, when offloading, λ_i · (server
     service time at its share) < 1 — the queueing-stability conditions. *)
@@ -40,8 +36,5 @@ val mm1_estimate : Cluster.t -> Decision.t -> float
     saturated.  This is what SLO-grade admission control must test — the
     plain analytic latency is the zero-load limit and is optimistic under
     contention. *)
-
-val deadline_satisfaction : Cluster.t -> Decision.t array -> float
-(** Fraction of devices whose analytic latency meets their deadline. *)
 
 val mean_latency : Cluster.t -> Decision.t array -> float

@@ -43,13 +43,6 @@ let jetson_nano =
     ~power:{ idle_w = 2.0; busy_w = 9.0; tx_w = 1.2; rx_w = 0.8 }
     ~mem_gb:4.0 ()
 
-let jetson_tx2 =
-  make ~name:"jetson_tx2" ~gflops:400.0 ~mem_gbps:40.0 ~overhead_us:12.0
-    ~power:{ idle_w = 3.0; busy_w = 14.0; tx_w = 1.2; rx_w = 0.8 }
-    ~mem_gb:8.0 ()
-
-let device_classes = [| iot_board; raspberry_pi; smartphone; jetson_nano; jetson_tx2 |]
-
 let server_power = { idle_w = 60.0; busy_w = 250.0; tx_w = 0.0; rx_w = 0.0 }
 
 let edge_cpu =

@@ -45,10 +45,6 @@ val smartphone : t
 val jetson_nano : t
 (** Jetson Nano GPU, ~120 GFLOP/s sustained fp32. *)
 
-val device_classes : t array
-(** All of the above plus a Jetson TX2 GPU (~400 GFLOP/s), weakest
-    first. *)
-
 (** {1 Edge-server classes} *)
 
 val edge_cpu : t

@@ -32,23 +32,11 @@ let run ?(options = Es_sim.Runner.default_options) ?config ?cache ?solver
     Es_workload.Heavy.trace ~seed:options.Es_sim.Runner.seed ~duration_s ~profile:rate_profile
       cluster
   in
-  (* Structural sanity for a fresh solve: a candidate that would crash the
-     runner (NaN grants, out-of-range server) can never replace a working
-     decision set.  Deliberately weaker than [Decision.validate] — a
-     force-feasible solve may legitimately trade away accuracy floors. *)
-  let ns = Cluster.n_servers cluster in
-  let structurally_sound ds =
-    Array.for_all
-      (fun (d : Decision.t) ->
-        Float.is_finite d.Decision.bandwidth_bps
-        && d.Decision.bandwidth_bps >= 0.0
-        && Float.is_finite d.Decision.compute_share
-        && d.Decision.compute_share >= 0.0
-        && ((not (Decision.offloads d))
-           || (d.Decision.server >= 0 && d.Decision.server < ns && d.Decision.bandwidth_bps > 0.0)
-           ))
-      ds
-  in
+  (* A fresh solve the runner would refuse can never replace a working
+     decision set.  The runner's check is deliberately weaker than
+     [Decision.validate]: a force-feasible solve may legitimately trade
+     away accuracy floors. *)
+  let runnable ds = Result.is_ok (Es_sim.Runner.check_decisions cluster ds) in
   let rejected = ref 0 in
   let prev = ref None in
   let hits0 =
@@ -79,7 +67,7 @@ let run ?(options = Es_sim.Runner.default_options) ?config ?cache ?solver
           | None -> cand
           | Some p ->
               if
-                structurally_sound cand
+                runnable cand
                 && Objective.of_decisions scaled cand
                    <= Objective.of_decisions scaled p +. 1e-9
               then cand

@@ -12,10 +12,10 @@ type result = {
       (** decisions applied at each epoch boundary (including t = 0) *)
   resolve_count : int;  (** optimizer solves attempted (one per epoch) *)
   resolve_rejected : int;
-      (** epoch solves discarded by the guard: a re-solve whose output was
-          structurally unsound (non-finite grants, bad server index) or
-          strictly worse under the epoch's load than keeping the previous
-          decisions leaves the previous decisions in place *)
+      (** epoch solves discarded by the guard: a re-solve whose output
+          {!Es_sim.Runner.check_decisions} refuses, or that is strictly
+          worse under the epoch's load than keeping the previous decisions,
+          leaves the previous decisions in place *)
   cache_hits : int;
       (** epoch solves answered by the solve cache (0 without [cache]) *)
 }

@@ -77,21 +77,10 @@ let bisect_max ~lo ~hi ok =
     end
   end
 
-let required_bandwidth_mbps ?config ?(lo_mbps = 5.0) ?(hi_mbps = 2000.0) spec =
-  bisect_min ~lo:lo_mbps ~hi:hi_mbps (fun ?warm mbps ->
+let required_bandwidth_mbps ?config spec =
+  bisect_min ~lo:5.0 ~hi:2000.0 (fun ?warm mbps ->
       zero_miss ?config ?warm_start:warm
         (Scenario.build (Scenario.with_ap_mbps mbps spec)))
-
-let scale_servers spec factor =
-  {
-    spec with
-    Scenario.servers =
-      List.map (fun (p, mbps) -> (Processor.scaled p factor, mbps)) spec.Scenario.servers;
-  }
-
-let required_server_scale ?config ?(lo = 0.05) ?(hi = 16.0) spec =
-  bisect_min ~lo ~hi (fun ?warm f ->
-      zero_miss ?config ?warm_start:warm (Scenario.build (scale_servers spec f)))
 
 let max_supported_load ?config ?(hi = 32.0) spec =
   let base = Scenario.build spec in

@@ -2,10 +2,11 @@
 
     Operators ask the dual question of scheduling: not "what is the best we
     can do with this hardware" but "how much hardware does this workload
-    need".  Both planners bisect over a provisioning axis, solving the full
-    joint optimization at each trial point, and return the smallest
-    provisioning whose optimized deployment meets every deadline
-    analytically (objective < 1, i.e. zero misses).
+    need".  Both planners bisect along one axis (access-point bandwidth,
+    load), solving the full joint optimization at each trial point, and
+    return the boundary point (least bandwidth, most load) whose optimized
+    deployment meets every deadline analytically (zero queueing-aware
+    misses).
 
     Consecutive trial points differ only along the bisected axis, so each
     trial solve is warm-started from the nearer (log-space) bracket
@@ -25,25 +26,10 @@ type verdict = {
           {!Objective.mm1_misses} on the cluster built at [required] *)
 }
 
-val required_bandwidth_mbps :
-  ?config:Optimizer.config ->
-  ?lo_mbps:float ->
-  ?hi_mbps:float ->
-  Es_edge.Scenario.spec ->
-  verdict
+val required_bandwidth_mbps : ?config:Optimizer.config -> Es_edge.Scenario.spec -> verdict
 (** Minimum access-point capacity (applied to every AP via
     {!Es_edge.Scenario.with_ap_mbps}) such that the joint optimizer finds a
-    zero-miss deployment.  Default search range 5–2000 Mbps, resolved to
-    ~2%. *)
-
-val required_server_scale :
-  ?config:Optimizer.config ->
-  ?lo:float ->
-  ?hi:float ->
-  Es_edge.Scenario.spec ->
-  verdict
-(** Minimum multiplier on every server's compute throughput achieving a
-    zero-miss deployment.  Default range 0.05–16. *)
+    zero-miss deployment.  Searches 5–2000 Mbps, resolved to ~2%. *)
 
 val max_supported_load :
   ?config:Optimizer.config ->

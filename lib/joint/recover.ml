@@ -87,8 +87,11 @@ let decisions_for t ~decisions down =
   | [ s ] -> t.fallbacks.(s)
   | many -> solve_without ~config:t.config ?solver:t.solver ~warm_start:t.baseline t.cluster ~failed:many
 
-let schedule_for_faults t ?(detect_s = 1.0) ~decisions faults =
-  if detect_s < 0.0 then invalid_arg "Recover.schedule_for_faults: negative detect_s";
+(* The failure-detection delay between a change to the down set and the
+   reconfiguration that answers it. *)
+let detect_s = 1.0
+
+let schedule_for_faults t ~decisions faults =
   let down = ref [] in
   let entries = ref [] in
   List.iter
@@ -106,52 +109,3 @@ let schedule_for_faults t ?(detect_s = 1.0) ~decisions faults =
       if changed then entries := (tau +. detect_s, decisions_for t ~decisions !down) :: !entries)
     (Es_sim.Faults.events faults);
   List.rev !entries
-
-let run_online ?(options = Es_sim.Runner.default_options) ?(config = Optimizer.default_config)
-    ?recover ~epoch_s ~rate_profile cluster =
-  if epoch_s <= 0.0 then invalid_arg "Recover.run_online: non-positive epoch";
-  let faults = options.Es_sim.Runner.faults in
-  let recover =
-    match recover with Some r -> r | None -> precompute ~config cluster
-  in
-  let duration_s = options.Es_sim.Runner.duration_s in
-  let arrivals =
-    Es_workload.Heavy.trace ~seed:options.Es_sim.Runner.seed ~duration_s ~profile:rate_profile
-      cluster
-  in
-  let rec epochs acc time =
-    if time >= duration_s then List.rev acc else epochs (time :: acc) (time +. epoch_s)
-  in
-  let resolve_count = ref 0 in
-  let schedule =
-    List.map
-      (fun time ->
-        (* Availability check at the epoch boundary: the runner's fault
-           state isn't visible from here, so detection reads the schedule —
-           an oracle detector with epoch-granularity reaction time. *)
-        let down = Es_sim.Faults.down_at faults ~time in
-        let ds =
-          match down with
-          | [] ->
-              incr resolve_count;
-              let load = Float.max 1e-9 (rate_profile time) in
-              let out = Optimizer.solve ~config (Online.scale_rates cluster load) in
-              out.Optimizer.decisions
-          | _ -> decisions_for recover ~decisions:[||] down
-          (* decisions_for only returns its [decisions] argument when the
-             down-set is empty, which the [[]] branch above handles *)
-        in
-        (time, ds))
-      (epochs [] 0.0)
-  in
-  match schedule with
-  | [] -> invalid_arg "Recover.run_online: empty schedule"
-  | (_, initial) :: rest ->
-      let report = Es_sim.Runner.run ~options ~arrivals ~reconfigure:rest cluster initial in
-      {
-        Online.report;
-        schedule;
-        resolve_count = !resolve_count;
-        resolve_rejected = 0;
-        cache_hits = 0;
-      }

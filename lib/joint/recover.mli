@@ -7,15 +7,10 @@
     table lookup plus one reconfiguration, not an optimization run in the
     detection path.
 
-    Two consumers:
-    - {!schedule_for_faults} turns a known fault schedule into a
-      [reconfigure] list for {!Es_sim.Runner.run} — fallback decisions
-      swap in a fixed detection delay after each crash, the original
-      decisions return after repair;
-    - {!run_online} is the failure-aware variant of {!Online.run}: at each
-      epoch boundary it checks server availability and swaps in the
-      precomputed fallback within one epoch, re-optimizing for load as
-      usual while the cluster is healthy. *)
+    {!schedule_for_faults} turns a known fault schedule into a
+    [reconfigure] list for {!Es_sim.Runner.run}: fallback decisions swap in
+    a fixed 1 s detection delay after each crash, and the original
+    decisions return 1 s after repair. *)
 
 type t
 (** Precomputed fallback table for one cluster. *)
@@ -70,31 +65,12 @@ val fallback : t -> server:int -> Es_edge.Decision.t array
 
 val schedule_for_faults :
   t ->
-  ?detect_s:float ->
   decisions:Es_edge.Decision.t array ->
   Es_sim.Faults.t ->
   (float * Es_edge.Decision.t array) list
 (** Reconfiguration entries for a known fault schedule: after every change
     to the set of down servers, the appropriate decisions (original when
     all are up, the precomputed fallback for a single loss, a fresh
-    residual solve for multiple) apply [detect_s] seconds later
-    (default 1.0 — the failure-detection delay).  Feed to
-    {!Es_sim.Runner.run}'s [reconfigure] alongside the same fault schedule
-    in its options. *)
-
-val run_online :
-  ?options:Es_sim.Runner.options ->
-  ?config:Optimizer.config ->
-  ?recover:t ->
-  epoch_s:float ->
-  rate_profile:(float -> float) ->
-  Es_edge.Cluster.t ->
-  Online.result
-(** Failure-aware {!Online.run}: epochs where every server is up re-solve
-    against the epoch's load; an epoch that starts with servers down (read
-    from [options.faults] — an oracle detector with epoch-granularity
-    reaction) swaps in the fallback decisions instead.  The fault schedule
-    in [options.faults] is also injected into the simulation itself;
-    [resolve_count] counts only genuine optimizer runs.  Builds its own
-    fallback table unless [recover] is supplied.
-    @raise Invalid_argument on a non-positive [epoch_s]. *)
+    residual solve for multiple) apply 1 s later, the failure-detection
+    delay.  Feed to {!Es_sim.Runner.run}'s [reconfigure] alongside the
+    same fault schedule in its options. *)

@@ -63,40 +63,6 @@ type output = {
   solve_time_s : float;
 }
 
-(* Cumulative process-wide counters (observability; never read back by the
-   solver).  All fields are Atomic.t — lock-free domain-safe state that
-   needs no mutex guard (es_lint D4 recognizes Atomic.t record fields). *)
-type counters = { sweeps : int; shard_solves : int; moves : int; delta_events : int }
-
-type live = {
-  sweeps : int Atomic.t;
-  shard_solves : int Atomic.t;
-  moves : int Atomic.t;
-  delta_events : int Atomic.t;
-}
-
-let live : live =
-  {
-    sweeps = Atomic.make 0;
-    shard_solves = Atomic.make 0;
-    moves = Atomic.make 0;
-    delta_events = Atomic.make 0;
-  }
-
-let counters () : counters =
-  {
-    sweeps = Atomic.get live.sweeps;
-    shard_solves = Atomic.get live.shard_solves;
-    moves = Atomic.get live.moves;
-    delta_events = Atomic.get live.delta_events;
-  }
-
-let reset_counters () =
-  Atomic.set live.sweeps 0;
-  Atomic.set live.shard_solves 0;
-  Atomic.set live.moves 0;
-  Atomic.set live.delta_events 0
-
 (* Mutable bookkeeping local to one solve/apply call. *)
 type sweep_state = { mutable sweeps : int; mutable shard_solves : int; mutable moves : int }
 
@@ -302,11 +268,6 @@ let placeholder_decisions cluster =
         ~plan:(Es_surgery.Plan.device_only dev.Cluster.model) ())
     cluster.Cluster.devices
 
-let bump_live (st : sweep_state) =
-  ignore (Atomic.fetch_and_add live.sweeps st.sweeps);
-  ignore (Atomic.fetch_and_add live.shard_solves st.shard_solves);
-  ignore (Atomic.fetch_and_add live.moves st.moves)
-
 let solve ?(config = default_config) ?cache ?warm_start ?assignment cluster =
   let t0 = Es_obs.Obs.wall_clock () in
   validate_config config;
@@ -344,7 +305,6 @@ let solve ?(config = default_config) ?cache ?warm_start ?assignment cluster =
     coordinate config ~cache ~cluster ~assignment ~current ~warm_first ~dirty
       ~max_sweeps:config.max_sweeps ~st
   in
-  bump_live st;
   ({
      decisions;
      objective;
@@ -405,7 +365,6 @@ module Delta = struct
 
   let apply st event =
     let t0 = Es_obs.Obs.wall_clock () in
-    Atomic.incr live.delta_events;
     let cfg = st.config in
     let cluster = st.cluster in
     let nd = Cluster.n_devices cluster and ns = Cluster.n_servers cluster in
@@ -467,7 +426,6 @@ module Delta = struct
         ~current:decisions' ~warm_first:(Some decisions') ~dirty
         ~max_sweeps:(1 + cfg.delta_sweeps) ~st:st_run
     in
-    bump_live st_run;
     let out : output =
       {
         decisions;

@@ -109,13 +109,3 @@ module Delta : sig
   val cluster : state -> Es_edge.Cluster.t
   val output : state -> output
 end
-
-(** {1 Observability} *)
-
-type counters = { sweeps : int; shard_solves : int; moves : int; delta_events : int }
-
-val counters : unit -> counters
-(** Cumulative process-wide totals across all solves since start (or the
-    last {!reset_counters}); never read back by the solver. *)
-
-val reset_counters : unit -> unit

@@ -49,58 +49,6 @@ let degrade ~at ~for_s ~factor d =
 let straggle ~at ~for_s ~factor s =
   [ (at, Straggler (s, factor)); (at +. for_s, Straggler (s, 1.0)) ]
 
-let random ~seed ~duration_s ~n_servers ~n_devices ?(server_mtbf_s = 0.0) ?(server_mttr_s = 5.0)
-    ?(outage_rate = 0.0) ?(outage_mean_s = 2.0) ?(straggler_rate = 0.0) ?(straggler_factor = 4.0)
-    ?(straggler_mean_s = 5.0) () =
-  let root = Es_util.Prng.create seed in
-  let evs = ref [] in
-  let push time ev = if time < duration_s then evs := (time, ev) :: !evs in
-  (* Per-entity independent streams, split in a fixed order so adding one
-     fault class never perturbs another. *)
-  let server_rngs = Array.init n_servers (fun _ -> Es_util.Prng.split root) in
-  let device_rngs = Array.init n_devices (fun _ -> Es_util.Prng.split root) in
-  let straggler_rngs = Array.init n_servers (fun _ -> Es_util.Prng.split root) in
-  if server_mtbf_s > 0.0 then
-    Array.iteri
-      (fun s rng ->
-        let t = ref 0.0 in
-        while !t < duration_s do
-          t := !t +. Es_util.Prng.exponential rng (1.0 /. server_mtbf_s);
-          if !t < duration_s then begin
-            push !t (Server_down s);
-            t := !t +. Es_util.Prng.exponential rng (1.0 /. Float.max server_mttr_s 1e-9);
-            push !t (Server_up s)
-          end
-        done)
-      server_rngs;
-  if outage_rate > 0.0 then
-    Array.iteri
-      (fun d rng ->
-        let t = ref 0.0 in
-        while !t < duration_s do
-          t := !t +. Es_util.Prng.exponential rng outage_rate;
-          if !t < duration_s then begin
-            push !t (Link_outage d);
-            t := !t +. Es_util.Prng.exponential rng (1.0 /. Float.max outage_mean_s 1e-9);
-            push !t (Link_restored d)
-          end
-        done)
-      device_rngs;
-  if straggler_rate > 0.0 then
-    Array.iteri
-      (fun s rng ->
-        let t = ref 0.0 in
-        while !t < duration_s do
-          t := !t +. Es_util.Prng.exponential rng straggler_rate;
-          if !t < duration_s then begin
-            push !t (Straggler (s, straggler_factor));
-            t := !t +. Es_util.Prng.exponential rng (1.0 /. Float.max straggler_mean_s 1e-9);
-            push !t (Straggler (s, 1.0))
-          end
-        done)
-      straggler_rngs;
-  scripted (List.rev !evs)
-
 let validate ~n_devices ~n_servers t =
   let server_ok s = s >= 0 && s < n_servers in
   let device_ok d = d >= 0 && d < n_devices in
@@ -133,32 +81,6 @@ let down_at t ~time =
     t;
   (* es_lint: sorted — the explicit Int.compare sort fixes the order. *)
   Hashtbl.fold (fun s () acc -> s :: acc) down [] |> List.sort Int.compare
-
-let down_intervals t ~horizon_s =
-  let open_at = Hashtbl.create 4 in
-  let intervals = ref [] in
-  Array.iter
-    (fun (tau, ev) ->
-      match ev with
-      | Server_down s -> if not (Hashtbl.mem open_at s) then Hashtbl.add open_at s tau
-      | Server_up s -> (
-          match Hashtbl.find_opt open_at s with
-          | Some from ->
-              Hashtbl.remove open_at s;
-              if from < horizon_s then intervals := (s, from, Float.min tau horizon_s) :: !intervals
-          | None -> ())
-      | _ -> ())
-    t;
-  (* es_lint: sorted — the explicit sort below fixes the order. *)
-  Hashtbl.iter
-    (fun s from -> if from < horizon_s then intervals := (s, from, horizon_s) :: !intervals)
-    open_at;
-  List.sort
-    (fun (s1, f1, u1) (s2, f2, u2) ->
-      match Int.compare s1 s2 with
-      | 0 -> ( match Float.compare f1 f2 with 0 -> Float.compare u1 u2 | c -> c)
-      | c -> c)
-    !intervals
 
 let spec_syntax =
   "down:S@T[+DUR] | up:S@T | outage:D@T+DUR | degrade:D:F@T+DUR | straggle:S:F@T+DUR \

@@ -14,10 +14,10 @@
     - a degraded link or a straggling server only rescales station speeds,
       affecting subsequently started jobs.
 
-    Schedules are plain data: scripted ({!scripted}, {!of_spec}) or drawn
-    from a seeded stochastic profile ({!random}) — either way the simulation
-    stays fully deterministic under its seed, and an empty schedule leaves
-    the runner's behavior bit-identical to a fault-free build. *)
+    Schedules are plain data, scripted ({!scripted}, {!of_spec}), so the
+    simulation stays fully deterministic under its seed, and an empty
+    schedule leaves the runner's behavior bit-identical to a fault-free
+    build. *)
 
 type event =
   | Server_down of int  (** server crashes: rejects + evicts its queues *)
@@ -54,37 +54,11 @@ val outage : at:float -> for_s:float -> int -> (float * event) list
 val degrade : at:float -> for_s:float -> factor:float -> int -> (float * event) list
 val straggle : at:float -> for_s:float -> factor:float -> int -> (float * event) list
 
-val random :
-  seed:int ->
-  duration_s:float ->
-  n_servers:int ->
-  n_devices:int ->
-  ?server_mtbf_s:float ->
-  ?server_mttr_s:float ->
-  ?outage_rate:float ->
-  ?outage_mean_s:float ->
-  ?straggler_rate:float ->
-  ?straggler_factor:float ->
-  ?straggler_mean_s:float ->
-  unit ->
-  t
-(** Seeded stochastic schedule over [0, duration_s): per-server
-    crash/repair renewal processes (exponential up-times with mean
-    [server_mtbf_s], repairs with mean [server_mttr_s]; default: no
-    crashes), per-device Poisson link outages ([outage_rate] per second,
-    exponential [outage_mean_s] durations; default none) and per-server
-    Poisson straggler episodes.  Identical inputs give identical
-    schedules. *)
-
 val validate : n_devices:int -> n_servers:int -> t -> (unit, string) result
 (** Every server/device index in range. *)
 
 val down_at : t -> time:float -> int list
 (** Servers down at [time] (events at exactly [time] included), sorted. *)
-
-val down_intervals : t -> horizon_s:float -> (int * float * float) list
-(** Per-server down intervals [(server, from, until)] clipped to
-    [0, horizon_s]; a crash that is never repaired extends to the horizon. *)
 
 val of_spec : string -> ((float * event) list, string) result
 (** Parse a comma/semicolon-separated scripted spec.  Tokens:

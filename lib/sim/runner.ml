@@ -144,22 +144,35 @@ let telemetry reg ~ns (ov : Overload.policy) stations =
    now they fail loudly at the boundary.  A decision that leaves a stage
    unused (zero grant on a device-only plan) is fine — that station simply
    never sees a job. *)
-let check_decision ~ns i (d : Decision.t) =
-  let bad fmt = Printf.ksprintf invalid_arg fmt in
-  let finite_nonneg what v =
-    if not (Float.is_finite v) || v < 0.0 then
-      bad "Runner.run: decision %d has %s = %g (must be finite and >= 0)" i what v
+let decision_error ~ns i (d : Decision.t) =
+  let bad fmt = Printf.ksprintf Option.some fmt in
+  let finite_nonneg v = Float.is_finite v && v >= 0.0 in
+  let bw = d.Decision.bandwidth_bps and share = d.Decision.compute_share in
+  if not (finite_nonneg bw) then
+    bad "decision %d has bandwidth_bps = %g (must be finite and >= 0)" i bw
+  else if not (finite_nonneg share) then
+    bad "decision %d has compute_share = %g (must be finite and >= 0)" i share
+  else if not (Decision.offloads d) then None
+  else if d.Decision.server < 0 || d.Decision.server >= ns then
+    bad "decision %d targets server %d (cluster has %d)" i d.Decision.server ns
+  else if bw <= 0.0 then bad "decision %d offloads but grants no bandwidth" i
+  else if Plan.srv_flops d.Decision.plan > 0.0 && share <= 0.0 then
+    bad "decision %d runs server work but grants no compute share" i
+  else None
+
+let check_decisions cluster decisions =
+  let ns = Cluster.n_servers cluster in
+  let n = Array.length decisions in
+  let rec go i =
+    if i = n then Ok ()
+    else match decision_error ~ns i decisions.(i) with Some e -> Error e | None -> go (i + 1)
   in
-  finite_nonneg "bandwidth_bps" d.Decision.bandwidth_bps;
-  finite_nonneg "compute_share" d.Decision.compute_share;
-  if Decision.offloads d then begin
-    if d.Decision.server < 0 || d.Decision.server >= ns then
-      bad "Runner.run: decision %d targets server %d (cluster has %d)" i d.Decision.server ns;
-    if d.Decision.bandwidth_bps <= 0.0 then
-      bad "Runner.run: decision %d offloads but grants no bandwidth" i;
-    if Plan.srv_flops d.Decision.plan > 0.0 && d.Decision.compute_share <= 0.0 then
-      bad "Runner.run: decision %d runs server work but grants no compute share" i
-  end
+  if n <> Cluster.n_devices cluster then Error "decisions size mismatch" else go 0
+
+let check_or_raise cluster decisions =
+  match check_decisions cluster decisions with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Runner.run: " ^ e)
 
 let check_resilience (r : resilience) =
   if not (Float.is_finite r.timeout_factor) || r.timeout_factor < 0.0 then
@@ -184,7 +197,7 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
   let nd = Cluster.n_devices cluster and ns = Cluster.n_servers cluster in
   if Array.length decisions <> nd then invalid_arg "Runner.run: decisions size mismatch";
   check_window options;
-  Array.iteri (check_decision ~ns) decisions;
+  check_or_raise cluster decisions;
   Option.iter check_resilience options.resilience;
   Overload.validate options.overload;
   (match Faults.validate ~n_devices:nd ~n_servers:ns options.faults with
@@ -737,7 +750,7 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
       List.iter
         (fun (t, ds) ->
           if Array.length ds <> nd then invalid_arg "Runner.run: reconfigure size mismatch";
-          Array.iteri (check_decision ~ns) ds;
+          check_or_raise cluster ds;
           Engine.schedule_at engine t (fun () -> apply_decisions ds))
         changes);
   (* Brownout watermark controller: a periodic sweep (simulated time) of

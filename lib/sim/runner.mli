@@ -89,6 +89,14 @@ type options = {
 
 val default_options : options
 
+val check_decisions :
+  Es_edge.Cluster.t -> Es_edge.Decision.t array -> (unit, string) result
+(** The check {!run} applies to its decisions and to every reconfiguration:
+    one decision per device, finite non-negative grants, and an offloading
+    decision targets a real server with bandwidth > 0 and, when its plan
+    leaves server work, a compute share > 0.  [Error] names the first bad
+    decision; {!run} raises [Invalid_argument] with that message. *)
+
 val run :
   ?options:options ->
   ?metrics:Es_obs.Metric.registry ->

@@ -5,15 +5,8 @@ type t = {
   deployment_accuracy : float;
 }
 
-let build ?(kappa = 2.0) ?width ?exit_nodes g =
-  let ids =
-    match exit_nodes with Some l -> l | None -> Es_dnn.Graph.exit_candidate_ids g
-  in
-  List.iter
-    (fun id ->
-      if not (List.mem id (Es_dnn.Graph.exit_candidate_ids g)) then
-        invalid_arg (Printf.sprintf "Multi_exit.build: node %d is not exitable" id))
-    ids;
+let build ?(kappa = 2.0) ?width g =
+  let ids = Es_dnn.Graph.exit_candidate_ids g in
   let plans =
     List.map (fun id -> Plan.make ?width ~exit_node:id g) ids @ [ Plan.make ?width g ]
   in
@@ -22,8 +15,6 @@ let build ?(kappa = 2.0) ?width ?exit_nodes g =
   let probs = Accuracy.exit_distribution ~kappa accuracies in
   let deployment_accuracy = Accuracy.expected_accuracy probs accuracies in
   { base = g; exits; probs; deployment_accuracy }
-
-let n_exits t = Array.length t.exits
 
 let sample_exit rng t =
   let pairs = Array.mapi (fun i p -> (i, p)) t.probs in
@@ -36,16 +27,3 @@ let expected_flops t =
       total := !total +. (t.probs.(i) *. Es_dnn.Graph.total_flops p.Plan.graph))
     t.exits;
   !total
-
-let overhead_flops t =
-  let head_cost (p : Plan.t) =
-    (* The head is everything past the truncation point of the base graph:
-       total of the truncated graph minus its shared prefix. *)
-    match p.Plan.exit_node with
-    | None -> 0.0
-    | Some id ->
-        Es_dnn.Graph.total_flops p.Plan.graph
-        -. Es_dnn.Graph.prefix_flops p.Plan.graph (id + 1)
-  in
-  Array.fold_left (fun acc p -> acc +. head_cost p) 0.0
-    (Array.sub t.exits 0 (Array.length t.exits - 1))

@@ -13,12 +13,10 @@ type t = private {
   deployment_accuracy : float;  (** expectation over the exit distribution *)
 }
 
-val build : ?kappa:float -> ?width:float -> ?exit_nodes:int list -> Es_dnn.Graph.t -> t
-(** [build g] attaches heads at every flagged exit candidate of [g] (or the
-    given subset) plus the full-depth exit.  [kappa] is the input-easiness
-    parameter of {!Accuracy.exit_distribution}. *)
-
-val n_exits : t -> int
+val build : ?kappa:float -> ?width:float -> Es_dnn.Graph.t -> t
+(** [build g] attaches heads at every flagged exit candidate of [g] plus
+    the full-depth exit.  [kappa] is the input-easiness parameter of
+    {!Accuracy.exit_distribution}. *)
 
 val sample_exit : Es_util.Prng.t -> t -> int
 (** Index into [exits], drawn from [probs]. *)
@@ -26,7 +24,3 @@ val sample_exit : Es_util.Prng.t -> t -> int
 val expected_flops : t -> float
 (** Mean FLOPs per inference under the exit distribution — the headline
     saving of multi-exit inference. *)
-
-val overhead_flops : t -> float
-(** Extra FLOPs of evaluating the non-final exit heads themselves (paid on
-    the path actually executed, upper bound: all heads). *)

@@ -18,19 +18,6 @@ let interp1 knots x =
     if x1 = x0 then y0 else lerp y0 y1 ((x -. x0) /. (x1 -. x0))
   end
 
-let bisect ?(tol = 1e-9) ?(max_iter = 200) ~lo ~hi pred =
-  if pred lo then lo
-  else begin
-    let lo = ref lo and hi = ref hi in
-    let i = ref 0 in
-    while !hi -. !lo > tol && !i < max_iter do
-      let mid = 0.5 *. (!lo +. !hi) in
-      if pred mid then hi := mid else lo := mid;
-      incr i
-    done;
-    !hi
-  end
-
 let argmin_by (key : 'a -> float) = function
   | [] -> None
   | x :: rest ->
@@ -44,10 +31,6 @@ let argmin_by (key : 'a -> float) = function
       Some best
 
 let argmax_by key l = argmin_by (fun x -> -.key x) l
-
-let float_equal ?(eps = 1e-9) a b =
-  let diff = Float.abs (a -. b) in
-  diff <= eps || diff <= eps *. Float.max (Float.abs a) (Float.abs b)
 
 let mbps x = x *. 1e6 /. 8.0
 let gflops x = x *. 1e9

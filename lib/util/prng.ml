@@ -79,14 +79,6 @@ let weighted_choice t a =
   in
   go 0 0.0
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let sample_without_replacement t k n =
   if k > n || k < 0 then invalid_arg "Prng.sample_without_replacement";
   let pool = Array.init n (fun i -> i) in

@@ -57,9 +57,6 @@ val weighted_choice : t -> ('a * float) array -> 'a
 (** Element drawn with probability proportional to its weight.
     @raise Invalid_argument on an empty array or non-positive total weight. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t k n] draws [k] distinct ints from
     [0, n). @raise Invalid_argument if [k > n]. *)

@@ -23,7 +23,6 @@ let add t x =
 let count t = int_of_float t.n
 let mean t = if t.n = 0.0 then nan else t.mu
 let variance t = if t.n < 2.0 then 0.0 else t.m2 /. (t.n -. 1.0)
-let stddev t = sqrt (variance t)
 let min t = t.lo
 let max t = t.hi
 let sum t = t.total
@@ -66,18 +65,6 @@ let median xs = percentile xs 50.0
 let mean_of xs =
   let n = Array.length xs in
   if n = 0 then nan else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
-
-let cdf_points xs n =
-  if Array.length xs = 0 || n <= 0 then []
-  else begin
-    let sorted = Array.copy xs in
-    Array.sort Float.compare sorted;
-    let last = Array.length sorted - 1 in
-    List.init (n + 1) (fun i ->
-        let p = float_of_int i /. float_of_int n in
-        let idx = int_of_float (Float.round (p *. float_of_int last)) in
-        (sorted.(idx), p))
-  end
 
 let jain_index xs =
   let n = Array.length xs in

@@ -15,7 +15,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; [0.] with fewer than two observations. *)
 
-val stddev : t -> float
 val min : t -> float
 val max : t -> float
 val sum : t -> float
@@ -33,10 +32,6 @@ val percentile : float array -> float -> float
 
 val median : float array -> float
 val mean_of : float array -> float
-
-val cdf_points : float array -> int -> (float * float) list
-(** [cdf_points xs n] returns [n+1] (value, cumulative-probability) points
-    of the empirical CDF, suitable for plotting. *)
 
 val histogram : float array -> bins:int -> (float * int) array
 (** [(bin_left_edge, count)] pairs over [bins] equal-width bins. *)

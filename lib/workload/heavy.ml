@@ -65,12 +65,14 @@ let archetypes ?(k = 4) spec =
   check_spec spec;
   draw_archetypes (Es_util.Prng.create spec.Scenario.seed) k spec
 
-let population ?(k = 4) ?(rate_spread = 0.1) ?(devices_per_server = 40) ~devices spec =
+(* Log-normal sigma of the per-device rate jitter, and the population each
+   server is provisioned for. *)
+let rate_spread = 0.1
+let devices_per_server = 40
+
+let population ?(k = 4) ~devices spec =
   if devices < 1 then invalid_arg "Heavy.population: devices must be >= 1";
   if k < 1 then invalid_arg "Heavy.population: k must be >= 1";
-  if not (Float.is_finite rate_spread) || rate_spread < 0.0 then
-    invalid_arg "Heavy.population: rate_spread must be finite and >= 0";
-  if devices_per_server < 1 then invalid_arg "Heavy.population: devices_per_server must be >= 1";
   check_spec spec;
   let rng = Es_util.Prng.create spec.Scenario.seed in
   let archs = draw_archetypes rng k spec in
@@ -78,9 +80,7 @@ let population ?(k = 4) ?(rate_spread = 0.1) ?(devices_per_server = 40) ~devices
      aggregate rate stays ~devices x the archetype mean however wide the
      spread. *)
   let jitter () =
-    if rate_spread <= 0.0 then 1.0
-    else
-      Es_util.Prng.lognormal rng ~mu:(-.rate_spread *. rate_spread /. 2.0) ~sigma:rate_spread
+    Es_util.Prng.lognormal rng ~mu:(-.rate_spread *. rate_spread /. 2.0) ~sigma:rate_spread
   in
   let device_list =
     List.init devices (fun i ->

@@ -7,8 +7,9 @@
     samples a handful of device {e archetypes} from the spec and stamps the
     population out of them: every device of an archetype shares its model
     graph (one {!Es_dnn.Graph.t} per archetype, not per device) and varies
-    only by a log-normal rate jitter, which is also how real fleets look —
-    a few hardware/model SKUs, correlated behavior within each.
+    only by a log-normal rate jitter (sigma 0.1), which is also how real
+    fleets look — a few hardware/model SKUs, correlated behavior within
+    each.  Servers are provisioned at one per 40 devices.
 
     Everything is deterministic from the spec's seed. *)
 
@@ -28,21 +29,13 @@ val archetypes : ?k:int -> Es_edge.Scenario.spec -> archetype array
     list and rate/deadline/slack ranges, deterministically from its seed.
     @raise Invalid_argument when [k < 1] or the spec is malformed. *)
 
-val population :
-  ?k:int ->
-  ?rate_spread:float ->
-  ?devices_per_server:int ->
-  devices:int ->
-  Es_edge.Scenario.spec ->
-  Es_edge.Cluster.t
+val population : ?k:int -> devices:int -> Es_edge.Scenario.spec -> Es_edge.Cluster.t
 (** [population ~devices spec] builds a [devices]-strong cluster by
     sampling an archetype per device and jittering its rate log-normally
-    with sigma [rate_spread] (default 0.1; mean-preserving).  The server
-    fleet is the spec's server list cycled up to
-    [devices / devices_per_server] (default 40) servers, so capacity
-    scales with the population.
-    @raise Invalid_argument when [devices < 1], [rate_spread < 0] or
-    [devices_per_server < 1]. *)
+    with sigma 0.1 (mean-preserving).  The server fleet is the spec's
+    server list cycled up to one server per 40 devices (rounded up), so
+    capacity scales with the population.
+    @raise Invalid_argument when [devices < 1] or [k < 1]. *)
 
 val trace :
   seed:int ->

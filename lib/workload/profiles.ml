@@ -8,13 +8,6 @@ let step_burst ~start_s ~stop_s ~factor t =
 let diurnal ~period_s ~amplitude t =
   Float.max 0.05 (1.0 +. (amplitude *. sin (2.0 *. Float.pi *. t /. period_s)))
 
-let square_wave ~period_s ~high ~low t =
-  let phase = Float.rem t period_s /. period_s in
-  if phase < 0.5 then high else low
-
-let ramp ~until_s ~peak t =
-  if t >= until_s then peak else 1.0 +. ((peak -. 1.0) *. t /. until_s)
-
 let flash_crowd ~at_s ~rise_s ~decay_s ~factor t =
   if t < at_s then 1.0
   else if t < at_s +. rise_s then

@@ -12,13 +12,6 @@ val step_burst : start_s:float -> stop_s:float -> factor:float -> t
 val diurnal : period_s:float -> amplitude:float -> t
 (** 1 + amplitude·sin(2πt/period), floored at 0.05. *)
 
-val square_wave : period_s:float -> high:float -> low:float -> t
-(** Alternates [high] and [low] every half period (an MMPP-like two-state
-    modulated load). *)
-
-val ramp : until_s:float -> peak:float -> t
-(** Linear climb from 1.0 to [peak] over [0, until_s], flat after. *)
-
 val flash_crowd : at_s:float -> rise_s:float -> decay_s:float -> factor:float -> t
 (** 1.0 until [at_s], a linear surge to [factor] over [rise_s], then an
     exponential relaxation back toward 1.0 with time constant [decay_s] —

@@ -34,7 +34,7 @@ let load_csv ~path =
                    match String.split_on_char ',' line with
                    | [ t; d ] -> (
                        match (float_of_string_opt t, int_of_string_opt d) with
-                       | Some t, Some d when t >= 0.0 && d >= 0 ->
+                       | Some t, Some d when Float.is_finite t && t >= 0.0 && d >= 0 ->
                            events := (t, d) :: !events
                        | _ ->
                            error := Some (Printf.sprintf "line %d: bad event %S" !line_no line))

@@ -9,6 +9,7 @@ val save_csv : (float * int) array -> path:string -> unit
     @raise Sys_error on I/O failure. *)
 
 val load_csv : path:string -> ((float * int) array, string) result
-(** Parse a trace CSV; re-sorts by time, reports the first malformed line.
+(** Parse a trace CSV; re-sorts by time, reports the first malformed line
+    (a time that is negative or not finite, a negative device).
     Recorded production traces can be replayed through
     {!Es_sim.Runner.run}'s [arrivals]. *)

@@ -38,4 +38,8 @@ sed 's/g=1/g=0/' "$tmp/alexnet.txt" >"$tmp/groups0.txt"
 check models --load "$tmp/stride0.txt"
 check models --load "$tmp/groups0.txt"
 check sweep --param devices --values 4 --duration 8 --csv "$tmp/no/such/dir/x.csv"
+
+# A replayed trace with an infinite arrival time.
+printf 'time_s,device\n1.0,0\ninf,0\n' >"$tmp/inf.csv"
+check trace --replay "$tmp/inf.csv"
 exit $status

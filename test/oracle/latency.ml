@@ -1,23 +1,8 @@
 (* [Es_edge.Latency]'s kernels over the record-allocating [breakdown]. *)
 
-open Es_surgery
 open Es_edge
 
 let of_decision cluster d = Latency.total (Latency.breakdown cluster d)
-
-let server_load cluster decisions =
-  let ns = Cluster.n_servers cluster in
-  let load = Array.make ns 0.0 in
-  Array.iter
-    (fun (d : Decision.t) ->
-      if Decision.offloads d then begin
-        let dev = cluster.Cluster.devices.(d.Decision.device) in
-        let srv = cluster.Cluster.servers.(d.Decision.server) in
-        let work = Plan.server_time srv.Cluster.sproc.Processor.perf d.Decision.plan in
-        load.(d.Decision.server) <- load.(d.Decision.server) +. (dev.Cluster.rate *. work)
-      end)
-    decisions;
-  load
 
 let device_stable cluster (d : Decision.t) =
   let dev = cluster.Cluster.devices.(d.Decision.device) in
@@ -47,17 +32,6 @@ let mm1_estimate cluster (d : Decision.t) =
   +. inflate rate b.Latency.server_s
   +. inflate rate (Float.max 0.0 (b.Latency.downlink_s -. half_rtt))
   +. rtt
-
-let deadline_satisfaction cluster decisions =
-  if Array.length decisions = 0 then 1.0
-  else begin
-    let hits =
-      Array.fold_left
-        (fun acc d -> if Latency.meets_deadline cluster d then acc + 1 else acc)
-        0 decisions
-    in
-    float_of_int hits /. float_of_int (Array.length decisions)
-  end
 
 let mean_latency cluster decisions =
   if Array.length decisions = 0 then 0.0

@@ -1,5 +1,4 @@
-(* [Es_alloc.Minmax.solve] with per-θ-probe bounds records, options and
-   closures. *)
+(* [Es_alloc.Minmax.solve] with per-θ-probe bounds records and closures. *)
 
 open Es_alloc.Minmax
 
@@ -133,7 +132,10 @@ let scale_up_shares shares =
     Array.map (fun s -> if s > 0.0 then Float.min 1.0 (s /. used) else 0.0) shares
   else shares
 
-let solve ?(stability_margin = 0.95) ?(tol = 1e-3) ~bandwidth_bps items =
+let stability_margin = 0.95
+let tol = 1e-3
+
+let solve ~bandwidth_bps items =
   if bandwidth_bps <= 0.0 then invalid_arg "Minmax.solve: non-positive bandwidth";
   if items = [] then Some { theta = 0.0; grants = [] }
   else begin

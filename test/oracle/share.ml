@@ -48,7 +48,7 @@ let equal ~bandwidth_bps items =
 let proportional ~bandwidth_bps items =
   build_grants ~bandwidth_bps items (fun it -> it.bits) (fun it -> it.work_s)
 
-let sqrt_rule ?(weights = fun it -> it.rate) ~bandwidth_bps items =
+let sqrt_rule ~bandwidth_bps items =
   build_grants ~bandwidth_bps items
-    (fun it -> sqrt (Float.max 0.0 (weights it) *. it.bits))
-    (fun it -> sqrt (Float.max 0.0 (weights it) *. it.work_s))
+    (fun it -> sqrt (Float.max 0.0 it.rate *. it.bits))
+    (fun it -> sqrt (Float.max 0.0 it.rate *. it.work_s))

@@ -11,10 +11,8 @@ let test_shape_basics () =
   Alcotest.(check int) "bytes fp32" (3 * 224 * 224 * 4) (Shape.bytes m);
   Alcotest.(check int) "bytes int8" (3 * 224 * 224) (Shape.bytes ~bytes_per_elt:1 m);
   Alcotest.(check int) "channels" 3 (Shape.channels m);
-  Alcotest.(check (pair int int)) "spatial" (224, 224) (Shape.spatial m);
   let v = Shape.vec 1000 in
-  Alcotest.(check int) "vec elements" 1000 (Shape.elements v);
-  Alcotest.(check (pair int int)) "vec spatial" (1, 1) (Shape.spatial v)
+  Alcotest.(check int) "vec elements" 1000 (Shape.elements v)
 
 let test_shape_conv_out () =
   (* AlexNet's first conv: 224 -> 55 with k=11 s=4 p=2. *)
@@ -31,12 +29,6 @@ let test_shape_errors () =
       ignore (Shape.conv_out (Shape.map ~c:1 ~h:2 ~w:2) ~kernel:5 ~stride:1 ~pad:0 ~out_c:1));
   Alcotest.check_raises "bad dims" (Invalid_argument "Shape.map: non-positive dimension")
     (fun () -> ignore (Shape.map ~c:0 ~h:1 ~w:1))
-
-let test_shape_scale_channels () =
-  let m = Shape.scale_channels 0.5 (Shape.map ~c:64 ~h:8 ~w:8) in
-  Alcotest.(check int) "half channels" 32 (Shape.channels m);
-  let tiny = Shape.scale_channels 0.01 (Shape.map ~c:4 ~h:8 ~w:8) in
-  Alcotest.(check int) "floored at 1" 1 (Shape.channels tiny)
 
 (* ---------- Layer ---------- *)
 
@@ -533,7 +525,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_shape_basics;
           Alcotest.test_case "conv out" `Quick test_shape_conv_out;
           Alcotest.test_case "errors" `Quick test_shape_errors;
-          Alcotest.test_case "scale channels" `Quick test_shape_scale_channels;
         ] );
       ( "layer",
         [

@@ -1,5 +1,6 @@
 (* Fault-schedule compilation: parsing, sorting, sugar, the seeded
-   stochastic generator, and the availability queries recovery builds on. *)
+   stochastic generator the tests draw schedules from (Es_oracle.Faults),
+   and the availability query. *)
 
 open Es_sim
 
@@ -147,9 +148,9 @@ let test_of_spec_or_file () =
 (* ---------- stochastic generator ---------- *)
 
 let random_schedule seed =
-  Faults.random ~seed ~duration_s:500.0 ~n_servers:3 ~n_devices:8 ~server_mtbf_s:100.0
-    ~server_mttr_s:10.0 ~outage_rate:0.01 ~outage_mean_s:5.0 ~straggler_rate:0.005
-    ~straggler_factor:2.0 ~straggler_mean_s:20.0 ()
+  Es_oracle.Faults.random ~seed ~duration_s:500.0 ~n_servers:3 ~n_devices:8
+    ~server_mtbf_s:100.0 ~server_mttr_s:10.0 ~outage_rate:0.01 ~outage_mean_s:5.0
+    ~straggler_rate:0.005 ~straggler_factor:2.0 ~straggler_mean_s:20.0 ()
 
 let test_random_deterministic () =
   let a = random_schedule 42 and b = random_schedule 42 in
@@ -185,13 +186,6 @@ let test_down_at () =
   Alcotest.(check (list int)) "at the crash instant" [ 1 ] (Faults.down_at t ~time:20.0);
   Alcotest.(check (list int)) "both down, sorted" [ 0; 1 ] (Faults.down_at t ~time:29.0);
   Alcotest.(check (list int)) "after repair" [ 0 ] (Faults.down_at t ~time:31.0)
-
-let test_down_intervals () =
-  let t = Faults.scripted (Faults.crash ~at:20.0 ~for_s:10.0 1 @ Faults.crash ~at:25.0 0) in
-  Alcotest.(check (list (triple int (float 0.0) (float 0.0))))
-    "intervals, unrepaired clipped to horizon"
-    [ (0, 25.0, 40.0); (1, 20.0, 30.0) ]
-    (List.sort compare (Faults.down_intervals t ~horizon_s:40.0))
 
 (* ---------- repeat-run equality under faults ---------- *)
 
@@ -231,9 +225,9 @@ let test_repeat_runs_equal_under_faults () =
 
 let test_repeat_runs_equal_under_random_faults () =
   let faults =
-    Faults.random ~seed:5 ~duration_s:40.0 ~n_servers:2 ~n_devices:20 ~server_mtbf_s:30.0
-      ~server_mttr_s:5.0 ~outage_rate:0.02 ~outage_mean_s:3.0 ~straggler_rate:0.01
-      ~straggler_factor:2.5 ~straggler_mean_s:10.0 ()
+    Es_oracle.Faults.random ~seed:5 ~duration_s:40.0 ~n_servers:2 ~n_devices:20
+      ~server_mtbf_s:30.0 ~server_mttr_s:5.0 ~outage_rate:0.02 ~outage_mean_s:3.0
+      ~straggler_rate:0.01 ~straggler_factor:2.5 ~straggler_mean_s:10.0 ()
   in
   let r1 = faulty_report faults in
   let r2 = faulty_report faults in
@@ -288,7 +282,6 @@ let () =
         [
           Alcotest.test_case "validate indices" `Quick test_validate_indices;
           Alcotest.test_case "down_at" `Quick test_down_at;
-          Alcotest.test_case "down_intervals" `Quick test_down_intervals;
         ] );
       ( "repeat runs",
         [

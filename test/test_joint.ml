@@ -451,23 +451,6 @@ let test_planner_load_boundary () =
   Alcotest.(check int) "witness has zero queueing-aware misses at the boundary" 0
     (Objective.mm1_misses cluster witness)
 
-let test_planner_server_scale_monotone () =
-  (* A weaker server fleet needs a larger scale factor. *)
-  let spec = { Scenario.default with Scenario.n_devices = 8 } in
-  let weak =
-    { spec with Scenario.servers = [ (Processor.edge_cpu, 300.0) ] }
-  in
-  let strong =
-    { spec with Scenario.servers = [ (Processor.edge_gpu, 300.0) ] }
-  in
-  let vw = Planner.required_server_scale ~config:planner_config weak in
-  let vs = Planner.required_server_scale ~config:planner_config strong in
-  Alcotest.(check bool)
-    (Printf.sprintf "weak fleet needs >= scale (%.3f vs %.3f)" vw.Planner.required
-       vs.Planner.required)
-    true
-    (vw.Planner.required >= vs.Planner.required -. 1e-6)
-
 (* ---------- Annealing ---------- *)
 
 let test_annealing_valid_output () =
@@ -550,6 +533,44 @@ let test_online_static_is_one_epoch () =
   Alcotest.(check bool) "same result" true (compare static one_epoch = 0);
   Alcotest.check_raises "NaN horizon" (Invalid_argument "Online.run: NaN duration_s") (fun () ->
       ignore (Online.run_static ~options:{ options with duration_s = nan } ~rate_profile:profile c))
+
+let test_online_guard_uses_runner_check () =
+  (* Epoch 1 runs everything locally; epoch 2's candidate is the optimizer's
+     solution with one offloader's compute share zeroed.  It scores better
+     than the all-local incumbent, but the runner would refuse it, so the
+     guard must keep the incumbent rather than hand the runner a decision
+     it raises on. *)
+  let c = Lazy.force default_cluster in
+  let local = Es_sim.Overload.local_decisions c in
+  let starved =
+    let ds = Array.copy (Optimizer.solve c).Optimizer.decisions in
+    let i =
+      let rec find i =
+        if Decision.offloads ds.(i) && Es_surgery.Plan.srv_flops ds.(i).Decision.plan > 0.0
+        then i
+        else find (i + 1)
+      in
+      find 0
+    in
+    ds.(i) <- { (ds.(i)) with Decision.compute_share = 0.0 };
+    ds
+  in
+  Alcotest.(check bool) "the starved candidate scores better than all-local" true
+    (Objective.of_decisions c starved < Objective.of_decisions c local);
+  Alcotest.(check bool) "the runner refuses it" true
+    (Result.is_error (Es_sim.Runner.check_decisions c starved));
+  let epoch = ref 0 in
+  let solver ~warm:_ _ =
+    incr epoch;
+    let decisions = if !epoch = 1 then local else starved in
+    { Optimizer.decisions; objective = 0.0; iterations = 0; trace = []; solve_time_s = 0.0 }
+  in
+  let options = { Es_sim.Runner.default_options with duration_s = 20.0; warmup_s = 2.0 } in
+  let r = Online.run ~options ~solver ~epoch_s:10.0 ~rate_profile:(fun _ -> 1.0) c in
+  Alcotest.(check int) "two epochs solved" 2 r.Online.resolve_count;
+  Alcotest.(check int) "epoch 2 rejected" 1 r.Online.resolve_rejected;
+  Alcotest.(check bool) "incumbent kept" true
+    (List.for_all (fun (_, ds) -> ds == local) r.Online.schedule)
 
 (* ---------- Zero-allocation kernels vs their oracles (DESIGN.md §15) ---------- *)
 
@@ -726,7 +747,6 @@ let () =
         [
           Alcotest.test_case "required bandwidth" `Slow test_planner_bandwidth;
           Alcotest.test_case "load boundary" `Slow test_planner_load_boundary;
-          Alcotest.test_case "server scale monotone" `Slow test_planner_server_scale_monotone;
         ] );
       ( "annealing",
         [
@@ -740,5 +760,7 @@ let () =
           Alcotest.test_case "scale rates" `Quick test_online_scale_rates;
           Alcotest.test_case "burst adaptivity" `Slow test_online_burst_beats_static;
           Alcotest.test_case "static is one epoch" `Quick test_online_static_is_one_epoch;
+          Alcotest.test_case "guard uses the runner's check" `Quick
+            test_online_guard_uses_runner_check;
         ] );
     ]

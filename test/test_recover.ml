@@ -84,7 +84,7 @@ let test_schedule_for_faults_timing () =
   let decisions = (Lazy.force solved).Es_joint.Optimizer.decisions in
   let t = Es_joint.Recover.precompute cluster in
   let faults = Es_sim.Faults.scripted (Es_sim.Faults.crash ~at:20.0 ~for_s:10.0 0) in
-  match Es_joint.Recover.schedule_for_faults t ~detect_s:1.0 ~decisions faults with
+  match Es_joint.Recover.schedule_for_faults t ~decisions faults with
   | [ (t1, d1); (t2, d2) ] ->
       Alcotest.(check (float 1e-9)) "fallback 1s after the crash" 21.0 t1;
       Alcotest.(check (float 1e-9)) "restore 1s after the repair" 31.0 t2;
@@ -171,37 +171,6 @@ let test_resolve_recovers_affected_devices () =
   Alcotest.(check bool) "overall DSR also improves" true
     (resolve.Es_sim.Metrics.dsr > static.Es_sim.Metrics.dsr)
 
-let test_run_online_with_faults () =
-  let cluster = Lazy.force default_cluster in
-  let faults = Es_sim.Faults.scripted (Es_sim.Faults.crash ~at:10.0 ~for_s:10.0 0) in
-  let options =
-    {
-      Es_sim.Runner.default_options with
-      duration_s = 30.0;
-      warmup_s = 0.0;
-      faults;
-      resilience = Some Es_sim.Runner.default_resilience;
-    }
-  in
-  let result =
-    Es_joint.Recover.run_online ~options ~epoch_s:10.0 ~rate_profile:(fun _ -> 1.0) cluster
-  in
-  let r = result.Es_joint.Online.report in
-  Alcotest.(check bool) "conservation with timeouts" true (Es_sim.Metrics.conserved r);
-  Alcotest.(check bool) "requests completed" true (r.Es_sim.Metrics.total_completed > 0);
-  (* 3 epochs, the middle one starts with server 0 down: 2 genuine solves. *)
-  Alcotest.(check int) "down epoch skips the optimizer" 2
-    result.Es_joint.Online.resolve_count;
-  List.iter
-    (fun (time, ds) ->
-      if time >= 10.0 && time < 20.0 then
-        Array.iter
-          (fun (d : Decision.t) ->
-            if Decision.offloads d then
-              Alcotest.(check bool) "down epoch avoids server 0" true (d.Decision.server <> 0))
-          ds)
-    result.Es_joint.Online.schedule
-
 let test_schedule_repeat_runs_equal () =
   (* A full recovery pipeline — precomputed fallbacks compiled into
      reconfigurations around a crash, resilience on — must be bit-identical
@@ -251,6 +220,5 @@ let () =
         [
           Alcotest.test_case "re-solve recovers affected devices" `Quick
             test_resolve_recovers_affected_devices;
-          Alcotest.test_case "online with faults" `Quick test_run_online_with_faults;
         ] );
     ]

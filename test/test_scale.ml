@@ -311,12 +311,10 @@ let test_config_validation () =
     ]
 
 let test_counters () =
-  Es_scale.reset_counters ();
   let cluster = cluster_of ~n:5 "default" in
-  ignore (Es_scale.solve cluster);
-  let c = Es_scale.counters () in
-  Alcotest.(check bool) "sweeps counted" true (c.Es_scale.sweeps >= 1);
-  Alcotest.(check bool) "shard solves counted" true (c.Es_scale.shard_solves >= 1)
+  let out = Es_scale.solve cluster in
+  Alcotest.(check bool) "sweeps counted" true (out.Es_scale.sweeps >= 1);
+  Alcotest.(check bool) "shard solves counted" true (out.Es_scale.shard_solves >= 1)
 
 let () =
   Alcotest.run "es_scale"

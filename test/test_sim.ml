@@ -1229,8 +1229,9 @@ let runner_pin_lines () =
       @ F.straggle ~at:5.0 ~for_s:3.0 ~factor:4.0 ((server + 1) mod ns))
   in
   let random =
-    F.random ~seed:11 ~duration_s:10.0 ~n_servers:ns ~n_devices:nd ~server_mtbf_s:4.0
-      ~server_mttr_s:1.0 ~outage_rate:0.05 ~outage_mean_s:0.5 ~straggler_rate:0.1 ()
+    Es_oracle.Faults.random ~seed:11 ~duration_s:10.0 ~n_servers:ns ~n_devices:nd
+      ~server_mtbf_s:4.0 ~server_mttr_s:1.0 ~outage_rate:0.05 ~outage_mean_s:0.5
+      ~straggler_rate:0.1 ()
   in
   let res = Some R.default_resilience in
   let all_four =

@@ -349,7 +349,7 @@ let test_precision_apply () =
    precision and cut, must cost exactly what the precision-applied perf
    record costs. *)
 let cost_processors =
-  Array.append Es_edge.Processor.device_classes
+  Array.append Es_oracle.Processor.device_classes
     Es_edge.Processor.[| edge_cpu; edge_gpu_small; edge_gpu |]
 
 let test_plan_costs_match_oracle () =
@@ -439,13 +439,13 @@ let prefix_cut_optimal_on_zoo =
   let triple =
     QCheck.(
       triple
-        (int_bound (Array.length Es_edge.Processor.device_classes - 1))
+        (int_bound (Array.length Es_oracle.Processor.device_classes - 1))
         (int_bound (Array.length servers - 1))
         (float_range 0.0 3.0))
   in
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 4 |])
     (QCheck.Test.make ~count:5 ~name:"prefix cut optimal on zoo" triple (fun (d, s, log_mbps) ->
-         let device = Es_edge.Processor.device_classes.(d).Es_edge.Processor.perf in
+         let device = Es_oracle.Processor.device_classes.(d).Es_edge.Processor.perf in
          let server = servers.(s).Es_edge.Processor.perf in
          let bandwidth_bps = 1e6 *. (10.0 ** log_mbps) in
          List.for_all
@@ -559,14 +559,14 @@ let test_multi_exit_build () =
   let me = Multi_exit.build resnet18 in
   Alcotest.(check int) "exits = candidates + final"
     (List.length (Graph.exit_candidate_ids resnet18) + 1)
-    (Multi_exit.n_exits me);
+    (Array.length me.Multi_exit.exits);
   let total = Array.fold_left ( +. ) 0.0 me.Multi_exit.probs in
   Alcotest.(check (float 1e-9)) "probabilities sum to 1" 1.0 total;
   Alcotest.(check bool) "expected flops below full model" true
     (Multi_exit.expected_flops me < Graph.total_flops resnet18);
   Alcotest.(check bool) "deployment accuracy between first and last exit" true
     (me.Multi_exit.deployment_accuracy
-     <= me.Multi_exit.exits.(Multi_exit.n_exits me - 1).Plan.accuracy
+     <= me.Multi_exit.exits.(Array.length me.Multi_exit.exits - 1).Plan.accuracy
     && me.Multi_exit.deployment_accuracy >= me.Multi_exit.exits.(0).Plan.accuracy)
 
 let test_multi_exit_sample () =
@@ -574,19 +574,9 @@ let test_multi_exit_sample () =
   let rng = Es_util.Prng.create 5 in
   for _ = 1 to 200 do
     let k = Multi_exit.sample_exit rng me in
-    Alcotest.(check bool) "sampled exit in range" true (k >= 0 && k < Multi_exit.n_exits me)
+    Alcotest.(check bool) "sampled exit in range" true
+      (k >= 0 && k < Array.length me.Multi_exit.exits)
   done
-
-let test_multi_exit_rejects_non_exit () =
-  Alcotest.check_raises "node 1 not exitable"
-    (Invalid_argument "Multi_exit.build: node 1 is not exitable") (fun () ->
-      ignore (Multi_exit.build ~exit_nodes:[ 1 ] resnet18))
-
-let test_multi_exit_overhead_small () =
-  let me = Multi_exit.build resnet18 in
-  (* Exit heads are global-pool + FC: tiny next to the backbone. *)
-  Alcotest.(check bool) "head overhead below 5% of the model" true
-    (Multi_exit.overhead_flops me < 0.05 *. Graph.total_flops resnet18)
 
 let () =
   Alcotest.run "es_surgery"
@@ -656,7 +646,5 @@ let () =
         [
           Alcotest.test_case "build" `Quick test_multi_exit_build;
           Alcotest.test_case "sample" `Quick test_multi_exit_sample;
-          Alcotest.test_case "rejects non-exit" `Quick test_multi_exit_rejects_non_exit;
-          Alcotest.test_case "head overhead small" `Quick test_multi_exit_overhead_small;
         ] );
     ]

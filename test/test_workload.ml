@@ -21,18 +21,6 @@ let test_diurnal () =
   Alcotest.(check (float 1e-9)) "quarter period is the crest" 1.5 (p 25.0);
   Alcotest.(check bool) "floored" true (Profiles.diurnal ~period_s:100.0 ~amplitude:5.0 75.0 >= 0.05)
 
-let test_square_wave () =
-  let p = Profiles.square_wave ~period_s:10.0 ~high:3.0 ~low:0.5 in
-  Alcotest.(check (float 0.0)) "first half high" 3.0 (p 2.0);
-  Alcotest.(check (float 0.0)) "second half low" 0.5 (p 7.0);
-  Alcotest.(check (float 0.0)) "periodic" 3.0 (p 12.0)
-
-let test_ramp () =
-  let p = Profiles.ramp ~until_s:10.0 ~peak:3.0 in
-  Alcotest.(check (float 1e-9)) "start" 1.0 (p 0.0);
-  Alcotest.(check (float 1e-9)) "midway" 2.0 (p 5.0);
-  Alcotest.(check (float 1e-9)) "flat after" 3.0 (p 50.0)
-
 (* ---------- Traces ---------- *)
 
 let test_poisson_sorted_and_in_range () =
@@ -132,12 +120,19 @@ let test_csv_rejects_garbage () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out path in
-      output_string oc "time_s,device\n1.0,0\nbanana\n";
-      close_out oc;
-      match Traces.load_csv ~path with
-      | Ok _ -> Alcotest.fail "accepted malformed CSV"
-      | Error e -> Alcotest.(check bool) "error names the line" true (String.length e > 0));
+      List.iter
+        (fun (row, error) ->
+          let oc = open_out path in
+          output_string oc ("time_s,device\n1.0,0\n" ^ row ^ "\n");
+          close_out oc;
+          Alcotest.(check (result reject string)) row (Error error) (Traces.load_csv ~path))
+        [
+          ("banana", "line 3: expected time,device");
+          ("inf,0", "line 3: bad event \"inf,0\"");
+          ("infinity,1", "line 3: bad event \"infinity,1\"");
+          ("-inf,0", "line 3: bad event \"-inf,0\"");
+          ("nan,0", "line 3: bad event \"nan,0\"");
+        ]);
   match Traces.load_csv ~path:"/nonexistent/trace.csv" with
   | Ok _ -> Alcotest.fail "accepted missing file"
   | Error _ -> ()
@@ -173,8 +168,6 @@ let () =
           Alcotest.test_case "constant" `Quick test_constant;
           Alcotest.test_case "step burst" `Quick test_step_burst;
           Alcotest.test_case "diurnal" `Quick test_diurnal;
-          Alcotest.test_case "square wave" `Quick test_square_wave;
-          Alcotest.test_case "ramp" `Quick test_ramp;
         ] );
       ( "traces",
         [
