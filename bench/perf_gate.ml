@@ -29,7 +29,10 @@
        gated absolutely: allocation counts are machine-independent, so
        minor-heap words per solve must stay within 5% + 1024 words of the
        committed baseline, and the flat kernels must agree with their
-       retained reference oracles on the solve's landing point.
+       retained reference oracles on the solve's landing point;
+     - the current million_request record is gated absolutely: the runner's
+       event-list high-water mark stays within 1/16 of the requests it
+       served (trace arrivals are read lazily, not posted up front).
 
    Usage: perf_gate.exe --baseline BENCH_solver.json --current bench_smoke.json
    Exit 0 on pass, 1 on regression, 2 on usage/parse errors. *)
@@ -250,7 +253,15 @@ let () =
         [ "identical"; "reports_match"; "conservation" ];
       (match float_field "calendar_events_per_s" cur with
       | Some eps -> check "million_request.events_per_s" (eps > 0.0) (Printf.sprintf "%.0f ev/s" eps)
-      | None -> check "million_request.events_per_s" false "current record/field missing"));
+      | None -> check "million_request.events_per_s" false "current record/field missing");
+      (* Absolute, like the overload arm: the runner reads its trace one
+         arrival at a time, so its event list holds the requests in
+         flight, a small fraction of the trace. *)
+      match (int_field "runner_max_pending" cur, int_field "requests" cur) with
+      | Some pending, Some requests ->
+          check "million_request.max_pending" (pending * 16 <= requests)
+            (Printf.sprintf "%d pending for %d requests (ceiling 1/16)" pending requests)
+      | _ -> check "million_request.max_pending" false "current record/field missing");
 
   (* overload: the protection arm's checks are absolute (within-record, on
      the current machine), so no baseline pairing is needed — protection

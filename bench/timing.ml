@@ -355,11 +355,10 @@ let warm_online ~repeats =
 
    1. Raw engine: [n] time-sorted arrival times pre-generated OUTSIDE the
       timed region (the RNG is shared overhead that would otherwise dilute
-      the queue ratio), all scheduled up front — exactly how Runner
-      pre-schedules a trace — so the pending population starts at n, then
-      drained; each arrival schedules one short-delay follow-up through a
-      shared zero-capture closure (2n events total, no per-event closure
-      allocation inside the timed loop).  The same program runs on
+      the queue ratio), all scheduled up front, so the pending population
+      starts at n, then drained; each arrival schedules one short-delay
+      follow-up through a shared zero-capture closure (2n events total,
+      no per-event closure allocation inside the timed loop).  The same program runs on
       Es_sim.Engine and on the binary-heap reference loop
       (Es_oracle.Heap_engine); against an ~n-deep queue the heap pays a full
       O(log n) sift per op while the calendar queue appends sorted pushes in
@@ -369,8 +368,10 @@ let warm_online ~repeats =
       a flash-crowd trace through Runner.run with streaming metrics, run
       twice.  Checks the two runs produce byte-equal report JSON
       (reports_match: nothing in the runner depends on hidden state) and
-      that conservation holds, and records sustained runner events/s from
-      the second run. *)
+      that conservation holds, and records sustained runner events/s and
+      the event list's high-water mark from the second run (the runner
+      reads the trace one arrival at a time, so that mark follows the
+      requests in flight; perf_gate holds it under 1/16 of the requests). *)
 let million_request ~repeats n =
   let total_events n = 2 * n in
   let times =

@@ -36,10 +36,13 @@ let now t = t.clock.(0)
 let pending t = Es_util.Calendar_queue.length t.q
 let max_event = max_int lsr 1
 
-let push t time code =
-  Es_util.Calendar_queue.push t.q time code;
+let note_pending t =
   let n = Es_util.Calendar_queue.length t.q in
   if n > t.max_pending then t.max_pending <- n
+
+let push t time code =
+  Es_util.Calendar_queue.push t.q time code;
+  note_pending t
 
 let noop () = ()
 let chunk_bits = 12
@@ -83,6 +86,13 @@ let post t delay ev =
 let post_at t time ev =
   check_event ev;
   push t (Float.max time (now t)) ((2 * ev) + 1)
+
+let reserve t n = Es_util.Calendar_queue.reserve t.q n
+
+let post_at_seq t time ~seq ev =
+  check_event ev;
+  Es_util.Calendar_queue.push_seq t.q (Float.max time (now t)) ~seq ((2 * ev) + 1);
+  note_pending t
 
 let no_handler _ = invalid_arg "Engine.run: a data event needs a handler"
 

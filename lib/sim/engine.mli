@@ -9,7 +9,9 @@
 
     Both kinds share one queue and one sequence counter: events for the
     same instant fire in posting order, whatever their kind, so runs are
-    fully deterministic.  The test suite replays callback programs on this
+    fully deterministic.  A data event may instead take a sequence number
+    reserved earlier ({!reserve}, {!post_at_seq}); it then fires as if
+    posted at the reservation.  The test suite replays callback programs on this
     engine and on a binary-heap reference loop and requires identical
     event logs. *)
 
@@ -37,6 +39,23 @@ val post : t -> float -> int -> unit
 
 val post_at : t -> float -> int -> unit
 (** Absolute-time variant of {!post}; clamps like {!schedule_at}. *)
+
+val reserve : t -> int -> int
+(** [reserve t n] sets aside the next [n] sequence numbers of the event
+    list and returns the first, [base]; events posted or scheduled later
+    fire after all of them at an equal time.  See {!post_at_seq}.
+    @raise Invalid_argument when [n] is negative. *)
+
+val post_at_seq : t -> float -> seq:int -> int -> unit
+(** [post_at_seq t time ~seq ev] queues data event [ev] like {!post_at},
+    under the reserved sequence number [seq] instead of a fresh one, so it
+    fires exactly where it would have, had it been posted when [seq] was
+    reserved.  A producer with a long time-sorted run of events (the
+    runner's trace arrivals) reserves one number per event up front and
+    posts each event only when the previous one fires: the event list then
+    holds one of them at a time, and the firing order is unchanged.
+    @raise Invalid_argument as {!post_at} does, or when [seq] was never
+    reserved. *)
 
 val run : ?until:float -> ?handle:(int -> unit) -> t -> unit
 (** Drain events until the list is empty or the clock passes [until]

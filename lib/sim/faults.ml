@@ -69,19 +69,6 @@ let validate ~n_devices ~n_servers t =
   in
   match problem with None -> Ok () | Some msg -> Error msg
 
-let down_at t ~time =
-  let down = Hashtbl.create 4 in
-  Array.iter
-    (fun (tau, ev) ->
-      if tau <= time then
-        match ev with
-        | Server_down s -> Hashtbl.replace down s ()
-        | Server_up s -> Hashtbl.remove down s
-        | _ -> ())
-    t;
-  (* es_lint: sorted — the explicit Int.compare sort fixes the order. *)
-  Hashtbl.fold (fun s () acc -> s :: acc) down [] |> List.sort Int.compare
-
 let spec_syntax =
   "down:S@T[+DUR] | up:S@T | outage:D@T+DUR | degrade:D:F@T+DUR | straggle:S:F@T+DUR \
    (comma/semicolon separated; S=server, D=device, F=factor, times in seconds)"

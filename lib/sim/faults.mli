@@ -57,9 +57,6 @@ val straggle : at:float -> for_s:float -> factor:float -> int -> (float * event)
 val validate : n_devices:int -> n_servers:int -> t -> (unit, string) result
 (** Every server/device index in range. *)
 
-val down_at : t -> time:float -> int list
-(** Servers down at [time] (events at exactly [time] included), sorted. *)
-
 val of_spec : string -> ((float * event) list, string) result
 (** Parse a comma/semicolon-separated scripted spec.  Tokens:
     [down:S\@T], [up:S\@T], [down:S\@T+DUR], [outage:D\@T+DUR],

@@ -232,11 +232,19 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
       if eff <= 0.0 then 10.0 else nominal /. eff
     end
   in
-  (* Flat per-request state, indexed by request id: parallel growable
+  (* Flat per-request state, indexed by request slot: parallel growable
      arrays hold everything a request's next event needs, so
      steady-state simulation allocates O(1) per request.  The optional
-     arrays are only grown (and only read) when their feature is on. *)
-  let n_req = ref 0 in
+     arrays are only grown (and only read) when their feature is on.
+     A slot is taken at arrival and goes back on [free_slots] once its
+     request is resolved and nothing refers to it: [req_pins] counts the
+     queued events that carry it (propagation, retry, timeout) and the
+     station and batcher jobs tagged with it.  So the arrays double up
+     to the peak number of requests in flight, not to the trace. *)
+  let n_slots = ref 0 in
+  let free_slots = ref [||] in
+  let n_free = ref 0 in
+  let req_pins = ref [||] in
   let req_state = ref [||] in
   let req_arrival = ref [||] in
   let req_scale = ref [||] in
@@ -254,31 +262,19 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
   let req_fb_span = ref [||] in
   let req_fb_sub = ref [||] in
   let no_span = Es_obs.Span.start Es_obs.Span.null "unused" in
-  let initial_cap =
-    let expected =
-      match arrivals with
-      | Some trace -> Array.length trace
-      | None ->
-          let rate_sum =
-            Array.fold_left
-              (fun acc (d : Cluster.device) -> acc +. d.Cluster.rate)
-              0.0 cluster.Cluster.devices
-          in
-          int_of_float (1.5 *. rate_sum *. options.duration_s)
-    in
-    min (1 lsl 22) (max 64 expected)
-  in
   (* [fill_dec] seeds the decision array on first growth (there is no
      synthesizable dummy [Decision.t]); afterwards existing slot 0 works. *)
   let ensure_cap fill_dec =
     let cap = Array.length !req_state in
-    if !n_req >= cap then begin
-      let ncap = if cap = 0 then initial_cap else 2 * cap in
+    if !n_slots >= cap then begin
+      let ncap = if cap = 0 then 64 else 2 * cap in
       let grow a fill =
         let b = Array.make ncap fill in
         Array.blit !a 0 b 0 cap;
         a := b
       in
+      grow free_slots 0;
+      grow req_pins 0;
       grow req_state 0;
       grow req_arrival 0.0;
       grow req_scale 1.0;
@@ -293,6 +289,33 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
         grow req_fb_sub 0.0
       end
     end
+  in
+  let take_slot fill_dec =
+    if !n_free > 0 then begin
+      decr n_free;
+      (!free_slots).(!n_free)
+    end
+    else begin
+      ensure_cap fill_dec;
+      incr n_slots;
+      !n_slots - 1
+    end
+  in
+  (* A freed slot holds no span. *)
+  let release rid =
+    if tracing then begin
+      (!req_span).(rid) <- no_span;
+      (!req_seg).(rid) <- no_span;
+      (!req_fb_span).(rid) <- no_span
+    end;
+    (!free_slots).(!n_free) <- rid;
+    incr n_free
+  in
+  let pin rid = (!req_pins).(rid) <- (!req_pins).(rid) + 1 in
+  (* A data event carrying request [rid] pins its slot until handled. *)
+  let post_for rid delay kind =
+    Engine.post engine delay (event kind rid);
+    pin rid
   in
   (* A station job's tag is its request id, doubled, plus 1 for the local
      fallback: a request can wait on the CPU in both roles at once. *)
@@ -493,6 +516,13 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
   let offloads rid = (!req_state).(rid) land 16 <> 0 in
   let attempts rid = (!req_state).(rid) lsr 5 in
   let incr_attempts rid = (!req_state).(rid) <- (!req_state).(rid) + 32 in
+  (* Drop one reference to [rid]'s slot, freeing it when that was the last
+     one and the request is resolved. *)
+  let unpin rid =
+    let p = (!req_pins).(rid) - 1 in
+    (!req_pins).(rid) <- p;
+    if p = 0 && resolved rid then release rid
+  in
   (* Feed the server's breaker from this request's offload-path outcomes:
      a server-stage completion closes in success, a server-stage failure or
      a timeout in failure.  No-op without breakers or for device-only
@@ -545,7 +575,8 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
           ~device ~arrival ~now ~deadline:cluster.Cluster.devices.(device).Cluster.deadline ()
       else if o = o_dropped then Metrics.on_drop collector ~device ~now
       else if o = o_timed_out then Metrics.on_timeout collector ~device ~arrival
-      else Metrics.on_shed collector ~device ~now
+      else Metrics.on_shed collector ~device ~now;
+      if (!req_pins).(rid) = 0 then release rid
     end
   in
   (* Local-fallback work per device; accuracy floors are waived, as a
@@ -572,7 +603,8 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
         end;
         let ok = Station.submit cpu ~tag:((2 * rid) + 1) ~work in
         note_queue s_device dev_id cpu;
-        if not ok then begin
+        if ok then pin rid
+        else begin
           if tracing then
             Es_obs.Span.finish tracer
               ~attrs:[ ("outcome", Es_obs.Json.String "dropped") ]
@@ -594,8 +626,7 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
           incr_attempts rid;
           if attempts rid <= r.max_retries then begin
             let backoff = r.backoff_base_s *. (2.0 ** float_of_int (attempts rid - 1)) in
-            Engine.post engine backoff
-              (event (if stage = s_device then k_retry_device else k_retry_offload) rid)
+            post_for rid backoff (if stage = s_device then k_retry_device else k_retry_offload)
           end
           else if r.local_fallback then start_fallback rid
           else resolve rid o_dropped stage
@@ -615,7 +646,8 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
     open_hop rid stage;
     let ok = Station.submit station ~tag:(2 * rid) ~work in
     note_queue stage (!req_dev).(rid) station;
-    if not ok then begin
+    if ok then pin rid
+    else begin
       if tracing then
         Es_obs.Span.finish tracer ~attrs:[ ("outcome", Es_obs.Json.String "dropped") ] (!req_seg).(rid);
       fail rid stage
@@ -627,14 +659,15 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
   let evict stage tags =
     Array.iter
       (fun tag ->
+        let rid = tag lsr 1 in
         if tag land 1 = 0 then begin
-          let rid = tag lsr 1 in
           if tracing then
             Es_obs.Span.finish tracer
               ~attrs:[ ("outcome", Es_obs.Json.String "evicted") ]
               (!req_seg).(rid);
           fail rid stage
-        end)
+        end;
+        unpin rid)
       tags
   in
   let half_rtt rid = cluster.Cluster.devices.((!req_dev).(rid)).Cluster.link.Link.rtt_s /. 2.0 in
@@ -642,8 +675,8 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
      the request's full lifetime. *)
   let propagate rid stage =
     open_hop rid stage;
-    Engine.post engine (half_rtt rid)
-      (event (if stage = s_uplink_prop then k_uplink_prop else k_downlink_prop) rid)
+    post_for rid (half_rtt rid)
+      (if stage = s_uplink_prop then k_uplink_prop else k_downlink_prop)
   in
   let attempt_device rid =
     let dev_id = (!req_dev).(rid) in
@@ -675,7 +708,8 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
              measured around the batcher.  Batchers have no eviction path:
              faults only gate admission here. *)
           open_hop rid s_server;
-          Batcher.submit batchers.(d.Decision.server) ~tag:rid ~work:work_s
+          Batcher.submit batchers.(d.Decision.server) ~tag:rid ~work:work_s;
+          pin rid
       | None ->
           (* Busy time is credited at the share the job was submitted
              under. *)
@@ -868,9 +902,7 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
         (d, shed_now)
       end
     in
-    let rid = !n_req in
-    ensure_cap d;
-    incr n_req;
+    let rid = take_slot d in
     (!req_state).(rid) <- (if Decision.offloads d then 16 else 0);
     (!req_arrival).(rid) <- arrival;
     (!req_scale).(rid) <- scale;
@@ -897,7 +929,7 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
     else begin
       (match options.resilience with
       | Some r when r.timeout_factor > 0.0 ->
-          Engine.post engine (r.timeout_factor *. dev.Cluster.deadline) (event k_timeout rid)
+          post_for rid (r.timeout_factor *. dev.Cluster.deadline) k_timeout
       | _ -> ());
       attempt_device rid
     end
@@ -936,6 +968,7 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
         if tracing then Es_obs.Span.finish tracer (!req_fb_span).(rid);
         resolve rid o_degraded s_device
       end;
+      unpin rid;
       Station.start_next st
     end
   in
@@ -944,40 +977,73 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
     let k = Batcher.fire b e in
     if k > 0 then begin
       for i = 0 to k - 1 do
-        hop_done (Batcher.finished b i) s_server
+        let rid = Batcher.finished b i in
+        hop_done rid s_server;
+        unpin rid
       done;
       Batcher.resume b
     end
   in
+  (* The trace is read by a cursor: arrival [i] is posted when arrival
+     [i - 1] fires, so the event list holds one trace arrival at a time.
+     Each goes in at a sequence number reserved here, after the fault,
+     reconfiguration and first brownout entries, so at an equal time it
+     fires after those and before every event the run posts: the order
+     the trace would have if posted whole at this point. *)
+  let n_arrivals =
+    let n = ref 0 and prev = ref 0.0 in
+    Array.iteri
+      (fun i (t, dev_id) ->
+        if dev_id < 0 || dev_id >= nd || not (t >= 0.0) then
+          invalid_arg (Printf.sprintf "Runner.run: bad trace entry (%g, device %d)" t dev_id);
+        if t < !prev then
+          invalid_arg
+            (Printf.sprintf "Runner.run: trace not sorted by time (entry %d at %g after %g)" i t
+               !prev);
+        prev := t;
+        if t <= options.duration_s then n := i + 1)
+      trace;
+    !n
+  in
+  let arrival_seq = Engine.reserve engine n_arrivals in
+  let post_arrival i =
+    if i < n_arrivals then
+      Engine.post_at_seq engine (fst trace.(i)) ~seq:(arrival_seq + i) (event k_arrival i)
+  in
   (* The one dispatch: every per-request event of the run comes through
-     here (fault, reconfiguration and brownout entries stay closures). *)
+     here (fault, reconfiguration and brownout entries stay closures).
+     An event carrying a request id releases its pin once handled. *)
   let handle e =
     let arg = e lsr kind_bits in
     match e land kind_mask with
     | 0 (* k_arrival *) ->
         let t, dev_id = trace.(arg) in
-        process dev_id t
+        process dev_id t;
+        post_arrival (arg + 1)
     | 1 (* k_poisson *) ->
         let t = Engine.now engine in
         process arg t;
         arrive arg (t +. gap arg)
     | 2 (* k_station *) -> station_done e
     | 3 (* k_batch *) -> batch_event ((e land low32) lsr kind_bits) e
-    | 4 (* k_uplink_prop *) -> propagated arg s_uplink_prop
-    | 5 (* k_downlink_prop *) -> propagated arg s_downlink_prop
-    | 6 (* k_retry_device *) -> if not (resolved arg) then attempt_device arg
-    | 7 (* k_retry_offload *) -> if not (resolved arg) then transfer arg s_uplink
-    | _ (* k_timeout *) -> timeout arg
+    | 4 (* k_uplink_prop *) ->
+        propagated arg s_uplink_prop;
+        unpin arg
+    | 5 (* k_downlink_prop *) ->
+        propagated arg s_downlink_prop;
+        unpin arg
+    | 6 (* k_retry_device *) ->
+        if not (resolved arg) then attempt_device arg;
+        unpin arg
+    | 7 (* k_retry_offload *) ->
+        if not (resolved arg) then transfer arg s_uplink;
+        unpin arg
+    | _ (* k_timeout *) ->
+        timeout arg;
+        unpin arg
   in
   (match arrivals with
-  | Some _ ->
-      Array.iteri
-        (fun i (t, dev_id) ->
-          if dev_id < 0 || dev_id >= nd || not (t >= 0.0) then
-            invalid_arg
-              (Printf.sprintf "Runner.run: bad trace entry (%g, device %d)" t dev_id);
-          if t <= options.duration_s then Engine.post_at engine t (event k_arrival i))
-        trace
+  | Some _ -> post_arrival 0
   | None ->
       for dev_id = 0 to nd - 1 do
         arrive dev_id (gap dev_id)
@@ -986,6 +1052,10 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
      request completes and horizon-edge requests are not unfairly counted as
      deadline misses. *)
   Engine.run ~handle engine;
+  if !n_free <> !n_slots then
+    failwith
+      (Printf.sprintf "Runner.run: %d request slots still held after the drain"
+         (!n_slots - !n_free));
   (match options.batching with
   | None -> ()
   | Some _ ->

@@ -111,7 +111,10 @@ val run :
 (** [run cluster decisions] simulates the cluster under the decision set.
 
     - [arrivals]: explicit (time, device) request trace, sorted by time;
-      defaults to per-device Poisson processes at each device's rate.
+      defaults to per-device Poisson processes at each device's rate.  The
+      run reads the trace with a cursor, posting each arrival when the
+      previous one fires, so its live state grows with the requests in
+      flight, not with the trace.
     - [reconfigure]: piecewise decision changes [(t, decisions)] applied at
       time [t] — new requests use the new plans, granted rates/shares change
       for subsequently started transfers/executions (the online scheduler's
@@ -151,7 +154,9 @@ val run :
     [Invalid_argument] — bad plans fail loudly instead of being clamped.
 
     @raise Invalid_argument on malformed decision arrays, an [arrivals]
-    entry with an out-of-range device or a negative or NaN time, a fault
+    entry with an out-of-range device or a negative or NaN time, an
+    [arrivals] trace not sorted by time (["Runner.run: trace not sorted
+    …"], raised before any event fires), a fault
     schedule referencing out-of-range devices/servers, a
     negative/non-finite resilience parameter, a non-finite
     [duration_s]/[warmup_s], a negative [warmup_s], or

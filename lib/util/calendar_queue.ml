@@ -196,21 +196,37 @@ let free_slot t i =
   t.nxt.(i) <- t.free;
   t.free <- i
 
-let push t prio value =
+let insert t prio seq value =
   if not (prio >= 0.0 && Float.is_finite prio) then
     invalid_arg "Calendar_queue.push: priority must be finite and >= 0";
   if value < 0 then invalid_arg "Calendar_queue.push: negative payload";
   let i = alloc_slot t in
   t.prio.(i) <- prio;
-  t.seq.(i) <- t.next_seq;
+  t.seq.(i) <- seq;
   t.value.(i) <- value;
   t.nxt.(i) <- nil;
-  t.next_seq <- t.next_seq + 1;
   let vb = vb_of t prio in
   insert_slot t i vb;
   t.size <- t.size + 1;
   if t.size = 1 || vb < t.cur_vb then t.cur_vb <- vb;
   if t.size > 2 * (t.mask + 1) then rebuild t
+
+let push t prio value =
+  insert t prio t.next_seq value;
+  t.next_seq <- t.next_seq + 1
+
+let reserve t n =
+  if n < 0 then invalid_arg "Calendar_queue.reserve: negative count";
+  let base = t.next_seq in
+  t.next_seq <- base + n;
+  base
+
+(* A reserved number is below [next_seq]; it may sort before entries
+   already in its bucket, which [insert_slot] splices in order. *)
+let push_seq t prio ~seq value =
+  if seq < 0 || seq >= t.next_seq then
+    invalid_arg "Calendar_queue.push_seq: sequence number not reserved";
+  insert t prio seq value
 
 (* Bucket holding the next entry to pop, or -1 when empty; leaves [cur_vb]
    on that entry's virtual bucket.  One forward scan: an entry in the slot

@@ -16,7 +16,9 @@
 
     Ties pop in insertion order (entries carry a sequence number), exactly
     like the binary heap the test suite keeps as the reference oracle for
-    this module.
+    this module.  A caller may also {!reserve} a block of sequence numbers
+    and push into it later ({!push_seq}): such an entry pops where it
+    would have, had it been pushed when the block was reserved.
 
     Payloads are ints (the simulator's events are ints, see
     [Es_sim.Engine]), so entries live in flat arrays: once the slot pool
@@ -37,6 +39,23 @@ val push : t -> float -> int -> unit
     @raise Invalid_argument when [prio] is negative, NaN or infinite
     (simulation timestamps are finite and non-negative; the bucket index
     of an infinite priority is meaningless), or when [v] is negative. *)
+
+val reserve : t -> int -> int
+(** [reserve q n] sets aside the next [n] sequence numbers and returns the
+    first, [base]: later {!push}es tie-break after all of them.  An entry
+    pushed with {!push_seq} at [base + i] pops exactly where it would have
+    had it been pushed, with that priority, at the moment of the
+    reservation, so a producer can hand over a sorted run of entries one
+    at a time without changing the pop order.
+    @raise Invalid_argument when [n] is negative. *)
+
+val push_seq : t -> float -> seq:int -> int -> unit
+(** [push_seq q prio ~seq v] inserts [v] like {!push}, but with the
+    sequence number [seq] taken from an earlier {!reserve} in place of the
+    next fresh one.  Each reserved number should be pushed at most once;
+    equal keys would pop in an unspecified order.
+    @raise Invalid_argument as {!push} does, or when [seq] is negative or
+    was never handed out. *)
 
 val pop_before : t -> float -> float array -> int
 (** [pop_before q horizon at] pops the minimum entry if its priority is

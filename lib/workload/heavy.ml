@@ -102,9 +102,10 @@ let population ?(k = 4) ~devices spec =
 
 let trace ~seed ~duration_s ~profile cluster =
   let rng = Es_util.Prng.create seed in
-  (* Flat time/device arrays grown by doubling; events land unsorted
-     (device-major) and a final index sort by (time, device) restores time
-     order, without a cons + tuple per event. *)
+  (* Flat time/device arrays grown by doubling, without a cons + tuple per
+     event.  Events land device-major: the arrivals of the [r]-th device
+     with any are one time-sorted run, from [run_head.(r)] up to
+     [run_stop.(r)]; the merge below advances the head. *)
   let cap = ref 1024 in
   let times = ref (Array.make !cap 0.0) in
   let devs = ref (Array.make !cap 0) in
@@ -123,9 +124,13 @@ let trace ~seed ~duration_s ~profile cluster =
     (!devs).(!n) <- d;
     incr n
   in
+  let nd = Cluster.n_devices cluster in
+  let run_head = Array.make nd 0 and run_stop = Array.make nd 0 in
+  let runs = ref 0 in
   Array.iter
     (fun (dev : Cluster.device) ->
       let dev_rng = Es_util.Prng.split rng in
+      let first = !n in
       let rec go t =
         if t < duration_s then begin
           let rate = dev.Cluster.rate *. Float.max 1e-9 (profile t) in
@@ -136,17 +141,49 @@ let trace ~seed ~duration_s ~profile cluster =
           end
         end
       in
-      go 0.0)
+      go 0.0;
+      if !n > first then begin
+        run_head.(!runs) <- first;
+        run_stop.(!runs) <- !n;
+        incr runs
+      end)
     cluster.Cluster.devices;
+  (* Merge the runs through a binary min-heap of run heads keyed on (time,
+     device): the order a sort by (time, device) gives, in O(n log runs). *)
   let times = !times and devs = !devs in
-  let idx = Array.init !n (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      match Float.compare times.(i) times.(j) with
-      | 0 -> Int.compare devs.(i) devs.(j)
-      | c -> c)
-    idx;
-  Array.map (fun i -> (times.(i), devs.(i))) idx
+  let heap = Array.init !runs (fun r -> r) and size = ref !runs in
+  let before a b =
+    let i = run_head.(a) and j = run_head.(b) in
+    times.(i) < times.(j) || (times.(i) = times.(j) && devs.(i) < devs.(j))
+  in
+  let rec sift_down k =
+    let l = (2 * k) + 1 in
+    if l < !size then begin
+      let c = if l + 1 < !size && before heap.(l + 1) heap.(l) then l + 1 else l in
+      if before heap.(c) heap.(k) then begin
+        let top = heap.(k) in
+        heap.(k) <- heap.(c);
+        heap.(c) <- top;
+        sift_down c
+      end
+    end
+  in
+  for k = (!size / 2) - 1 downto 0 do
+    sift_down k
+  done;
+  let out = Array.make !n (0.0, 0) in
+  for o = 0 to !n - 1 do
+    let r = heap.(0) in
+    let i = run_head.(r) in
+    out.(o) <- (times.(i), devs.(i));
+    run_head.(r) <- i + 1;
+    if i + 1 = run_stop.(r) then begin
+      decr size;
+      heap.(0) <- heap.(!size)
+    end;
+    sift_down 0
+  done;
+  out
 
 let profile_names = [ "constant"; "diurnal"; "flash"; "diurnal-flash"; "overload" ]
 

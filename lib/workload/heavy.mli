@@ -46,10 +46,11 @@ val trace :
 (** Sorted (time, device id) arrivals: per-device Poisson whose
     instantaneous rate is [device.rate × profile t], with the profile
     sampled at each inter-arrival step (accurate for profiles varying
-    slower than the arrival process).  Generated into flat arrays with an
-    index sort, so a multi-million-event trace allocates O(1) per event
-    beyond the result; the test suite pins it draw for draw against a
-    list-based reference. *)
+    slower than the arrival process).  Generated into flat arrays, one
+    time-sorted run per device, and merged through a heap of run heads,
+    so a multi-million-event trace allocates O(1) per event beyond the
+    result; the test suite pins it draw for draw against a list-based
+    reference. *)
 
 val profile_by_name : duration_s:float -> string -> Profiles.t
 (** Named load shapes scaled to the run horizon:

@@ -4,7 +4,8 @@
    crashes), per-device Poisson link outages ([outage_rate] per second,
    exponential [outage_mean_s] durations; default none) and per-server
    Poisson straggler episodes.  Identical inputs give identical schedules.
-   The fault tests and the runner pins draw their random schedules here. *)
+   The fault tests and the runner pins draw their random schedules here,
+   and the fault tests query a schedule with [down_at]. *)
 
 open Es_sim.Faults
 
@@ -59,3 +60,17 @@ let random ~seed ~duration_s ~n_servers ~n_devices ?(server_mtbf_s = 0.0) ?(serv
         done)
       straggler_rngs;
   scripted (List.rev !evs)
+
+(* Servers down at [time] (events at exactly [time] included), sorted. *)
+let down_at t ~time =
+  let down = Hashtbl.create 4 in
+  List.iter
+    (fun (tau, ev) ->
+      if tau <= time then
+        match ev with
+        | Server_down s -> Hashtbl.replace down s ()
+        | Server_up s -> Hashtbl.remove down s
+        | _ -> ())
+    (events t);
+  (* es_lint: sorted — the explicit Int.compare sort fixes the order. *)
+  Hashtbl.fold (fun s () acc -> s :: acc) down [] |> List.sort Int.compare

@@ -1,6 +1,6 @@
-(* Fault-schedule compilation: parsing, sorting, sugar, the seeded
-   stochastic generator the tests draw schedules from (Es_oracle.Faults),
-   and the availability query. *)
+(* Fault-schedule compilation: parsing, sorting, sugar, and the seeded
+   stochastic generator the tests draw schedules from and the
+   availability query they check them with (both Es_oracle.Faults). *)
 
 open Es_sim
 
@@ -31,7 +31,7 @@ let test_scripted_ties_keep_order () =
     "tie order preserved"
     [ (5.0, Faults.Server_down 1); (5.0, Faults.Server_up 1) ]
     (events_of t);
-  Alcotest.(check (list int)) "net effect: up" [] (Faults.down_at t ~time:6.0)
+  Alcotest.(check (list int)) "net effect: up" [] (Es_oracle.Faults.down_at t ~time:6.0)
 
 let test_scripted_rejects_bad_input () =
   Alcotest.check_raises "negative time"
@@ -181,11 +181,12 @@ let test_validate_indices () =
 (* ---------- availability queries ---------- *)
 
 let test_down_at () =
+  let down_at = Es_oracle.Faults.down_at in
   let t = Faults.scripted (Faults.crash ~at:20.0 ~for_s:10.0 1 @ Faults.crash ~at:25.0 0) in
-  Alcotest.(check (list int)) "before" [] (Faults.down_at t ~time:19.9);
-  Alcotest.(check (list int)) "at the crash instant" [ 1 ] (Faults.down_at t ~time:20.0);
-  Alcotest.(check (list int)) "both down, sorted" [ 0; 1 ] (Faults.down_at t ~time:29.0);
-  Alcotest.(check (list int)) "after repair" [ 0 ] (Faults.down_at t ~time:31.0)
+  Alcotest.(check (list int)) "before" [] (down_at t ~time:19.9);
+  Alcotest.(check (list int)) "at the crash instant" [ 1 ] (down_at t ~time:20.0);
+  Alcotest.(check (list int)) "both down, sorted" [ 0; 1 ] (down_at t ~time:29.0);
+  Alcotest.(check (list int)) "after repair" [ 0 ] (down_at t ~time:31.0)
 
 (* ---------- repeat-run equality under faults ---------- *)
 

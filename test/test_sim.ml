@@ -503,6 +503,108 @@ let test_runner_rejects_bad_trace_times () =
       | exception Invalid_argument _ -> ())
     [ nan; -5.0; neg_infinity ]
 
+let test_runner_rejects_unsorted_trace () =
+  (* The runner reads the trace with a cursor, one arrival posting the
+     next, so an out-of-order entry is refused before any event. *)
+  let c = one_device_cluster () in
+  let d = Decision.make ~device:0 ~server:0 ~plan:(Plan.device_only resnet18) () in
+  Alcotest.check_raises "unsorted"
+    (Invalid_argument "Runner.run: trace not sorted by time (entry 2 at 6 after 8)") (fun () ->
+      ignore (Es_sim.Runner.run ~arrivals:[| (6.0, 0); (8.0, 0); (6.0, 0) |] c [| d |]));
+  let r = Es_sim.Runner.run ~arrivals:[| (6.0, 0); (6.0, 0); (8.0, 0) |] c [| d |] in
+  Alcotest.(check int) "equal times are sorted" 3 r.Es_sim.Metrics.total_generated
+
+(* Same-instant events fire faults first, then reconfigurations, then
+   trace arrivals, then whatever the run itself posted.  Each case below
+   puts an arrival on the same instant as one of the others, with an
+   outcome that the opposite order would change. *)
+let test_runner_same_instant_order () =
+  let c = one_device_cluster () in
+  let dev = c.Cluster.devices.(0) and srv = c.Cluster.servers.(0) in
+  let plan = Plan.server_only resnet18 and bw = 50e6 in
+  (* An arrival at the crash instant, under admission control: the crash
+     evicts the job in service at the server first, so the arrival's
+     completion estimate sees an empty server and it is admitted (and
+     then dropped at the downed server).  Served before the crash, it
+     would see that job's remaining 0.5 s and be shed. *)
+  let server_s = 1.0 in
+  let d =
+    Decision.make ~device:0 ~server:0 ~plan ~bandwidth_bps:bw
+      ~compute_share:(Plan.server_time srv.Cluster.sproc.Processor.perf plan /. server_s) ()
+  in
+  let prop = dev.Cluster.link.Link.rtt_s /. 2.0 in
+  let reach =
+    Plan.device_time dev.Cluster.proc.Processor.perf plan
+    +. (8.0 *. Plan.transfer_bytes plan /. bw)
+    +. prop
+  in
+  let tail = server_s +. (8.0 *. Plan.result_bytes plan /. bw) +. prop in
+  Alcotest.(check bool) "the server job outlasts the trip to it" true (reach < 0.25);
+  let threshold = reach +. tail +. ((0.5 -. reach) /. 2.0) in
+  let options =
+    {
+      Es_sim.Runner.default_options with
+      duration_s = 40.0;
+      warmup_s = 0.0;
+      faults = Es_sim.Faults.scripted (Es_sim.Faults.crash ~at:20.0 0);
+      overload =
+        { Es_sim.Overload.off with
+          admission = Some { Es_sim.Overload.slack = threshold /. dev.Cluster.deadline } };
+    }
+  in
+  let arrivals = [| (20.0 -. reach -. (server_s /. 2.0), 0); (20.0, 0) |] in
+  let r = Es_sim.Runner.run ~arrivals ~options c [| d |] in
+  Alcotest.(check int) "crash first: nothing shed" 0 r.Es_sim.Metrics.total_shed;
+  Alcotest.(check int) "crash first: both dropped" 2 r.Es_sim.Metrics.total_dropped;
+  (* An arrival at a reconfiguration instant takes the new plan. *)
+  let local = Decision.make ~device:0 ~server:0 ~plan:(Plan.device_only resnet18) () in
+  let remote = Decision.make ~device:0 ~server:0 ~plan ~bandwidth_bps:bw ~compute_share:0.9 () in
+  let options = { Es_sim.Runner.default_options with duration_s = 60.0; warmup_s = 0.0 } in
+  let latency ?reconfigure initial =
+    (Es_sim.Runner.run ~arrivals:[| (30.0, 0) |] ?reconfigure ~options c [| initial |])
+      .Es_sim.Metrics.mean_latency_s
+  in
+  let switched = latency ~reconfigure:[ (30.0, [| remote |]) ] local in
+  Alcotest.(check (float 0.0)) "reconfiguration first: remote plan" (latency remote) switched;
+  Alcotest.(check bool) "the plans differ" true (latency local <> switched);
+  (* An arrival at the instant a job completes, at queue capacity 1: the
+     completion was posted during the run, so the arrival comes first,
+     finds the CPU busy and is dropped. *)
+  let w = Plan.device_time dev.Cluster.proc.Processor.perf local.Decision.plan in
+  let r =
+    Es_sim.Runner.run
+      ~arrivals:[| (10.0, 0); (10.0 +. w, 0) |]
+      ~options:{ options with queue_capacity = Some 1 }
+      c [| local |]
+  in
+  Alcotest.(check int) "arrival before completion: completed" 1 r.Es_sim.Metrics.total_completed;
+  Alcotest.(check int) "arrival before completion: dropped" 1 r.Es_sim.Metrics.total_dropped
+
+(* A trace is read one arrival at a time: the event list holds the next
+   arrival and the events of requests in flight, not the whole trace. *)
+let test_runner_trace_arrivals_lazy () =
+  let c =
+    Cluster.make
+      ~devices:
+        (List.init 2 (fun id ->
+             Cluster.device ~id ~proc:Processor.raspberry_pi ~link:Link.wifi ~model:resnet18
+               ~rate:1.0 ~deadline:0.5 ()))
+      ~servers:[ Cluster.server ~id:0 ~proc:Processor.edge_gpu ~ap_bandwidth_mbps:200.0 () ]
+  in
+  let ds =
+    Array.init 2 (fun device ->
+        Decision.make ~device ~server:0 ~plan:(Plan.server_only resnet18) ~bandwidth_bps:50e6
+          ~compute_share:0.5 ())
+  in
+  let n = 20_000 in
+  let arrivals = Array.init n (fun i -> (0.01 *. float_of_int i, i land 1)) in
+  let stats = ref None in
+  let options = { Es_sim.Runner.default_options with duration_s = 250.0; warmup_s = 0.0 } in
+  let r = Es_sim.Runner.run ~options ~arrivals ~on_stats:(fun s -> stats := Some s) c ds in
+  Alcotest.(check int) "every arrival served" n r.Es_sim.Metrics.total_generated;
+  let max_pending = (Option.get !stats).Es_sim.Engine.max_pending in
+  Alcotest.(check bool) (Printf.sprintf "max_pending %d < 16" max_pending) true (max_pending < 16)
+
 let test_runner_reconfigure_changes_plan () =
   (* Device-only until t=30, then full offload: post-switch requests must be
      faster on this weak device. *)
@@ -1471,6 +1573,9 @@ let () =
           Alcotest.test_case "fading" `Quick test_runner_fading_slows_transfers;
           Alcotest.test_case "explicit arrivals" `Quick test_runner_explicit_arrivals;
           Alcotest.test_case "rejects bad trace times" `Quick test_runner_rejects_bad_trace_times;
+          Alcotest.test_case "rejects an unsorted trace" `Quick test_runner_rejects_unsorted_trace;
+          Alcotest.test_case "same-instant order" `Quick test_runner_same_instant_order;
+          Alcotest.test_case "trace arrivals are lazy" `Quick test_runner_trace_arrivals_lazy;
           Alcotest.test_case "reconfigure" `Quick test_runner_reconfigure_changes_plan;
           Alcotest.test_case "work scale" `Quick test_runner_work_scale;
           Alcotest.test_case "warmup" `Quick test_runner_warmup_discards;

@@ -340,6 +340,72 @@ let test_cq_pop_push_zero_alloc () =
   let chain () = chain 0 prios in
   Alcotest.(check (float 0.0)) "push + pop allocate nothing" 0.0 (Alloc_probe.minor_words chain)
 
+let test_cq_reserved_seq () =
+  let c = Calendar_queue.create () in
+  Calendar_queue.push c 1.0 0;
+  let base = Calendar_queue.reserve c 2 in
+  Calendar_queue.push c 1.0 3;
+  Calendar_queue.push_seq c 1.0 ~seq:(base + 1) 2;
+  Calendar_queue.push_seq c 1.0 ~seq:base 1;
+  Alcotest.(check (list int)) "reserved numbers pop where they were reserved" [ 0; 1; 2; 3 ]
+    (List.map snd (Calendar_queue.to_sorted_list c));
+  let rejected seq =
+    Alcotest.check_raises "not reserved"
+      (Invalid_argument "Calendar_queue.push_seq: sequence number not reserved") (fun () ->
+        Calendar_queue.push_seq c 1.0 ~seq 9)
+  in
+  rejected (-1);
+  rejected (base + 3);
+  Alcotest.check_raises "negative count" (Invalid_argument "Calendar_queue.reserve: negative count")
+    (fun () -> ignore (Calendar_queue.reserve c (-1)))
+
+(* A sorted run handed over one entry at a time, each at a number reserved
+   up front, pops exactly like the run pushed whole: [pre] entries go in
+   first, then the run [times] (payload 2i for entry i), and popping
+   entry i pushes a follow-up (payload 2i + 1) [delays.(i)] later — with
+   zeros among the delays, follow-ups tie with later run entries. *)
+let cq_reserved_run_matches_eager =
+  qtest ~count:300 "reserved hand-over pops like pushing the run up front"
+    QCheck.(
+      triple
+        (list_of_size Gen.(0 -- 5) (int_range 0 40))
+        (list_of_size Gen.(0 -- 40) (int_range 0 40))
+        (list_of_size Gen.(40 -- 40) (int_range 0 3)))
+    (fun (pre, raw_times, raw_delays) ->
+      let times = Array.of_list (List.sort Int.compare raw_times) in
+      let n = Array.length times in
+      let delays = Array.of_list raw_delays in
+      let at i = float_of_int times.(i) *. 0.5 in
+      let drain c ~lazily base =
+        let out = ref [] and buf = [| 0.0 |] in
+        let rec go () =
+          let v = Calendar_queue.pop_before c infinity buf in
+          if v >= 0 then begin
+            out := (buf.(0), v) :: !out;
+            if v land 1 = 0 && v < 2 * n then begin
+              let i = v / 2 in
+              Calendar_queue.push c (buf.(0) +. float_of_int delays.(i)) (v + 1);
+              if lazily && i + 1 < n then
+                Calendar_queue.push_seq c (at (i + 1)) ~seq:(base + i + 1) (v + 2)
+            end;
+            go ()
+          end
+        in
+        go ();
+        List.rev !out
+      in
+      let run ~lazily =
+        let c = Calendar_queue.create () in
+        List.iteri
+          (fun j p -> Calendar_queue.push c (float_of_int p *. 0.5) (2 * (n + j)))
+          pre;
+        let base = Calendar_queue.reserve c n in
+        if lazily then (if n > 0 then Calendar_queue.push_seq c (at 0) ~seq:base 0)
+        else Array.iteri (fun i _ -> Calendar_queue.push_seq c (at i) ~seq:(base + i) (2 * i)) times;
+        drain c ~lazily base
+      in
+      run ~lazily:true = run ~lazily:false)
+
 (* Heap-oracle interpreter: one op program applied to both queues must
    behave identically, including FIFO order within a tie (the payload is a
    per-push stamp).  Push flavors cover the calendar's hard cases — runs of
@@ -806,6 +872,8 @@ let () =
           Alcotest.test_case "pop_before" `Quick test_cq_pop_before;
           Alcotest.test_case "clear" `Quick test_cq_clear;
           Alcotest.test_case "pop + push zero alloc" `Quick test_cq_pop_push_zero_alloc;
+          Alcotest.test_case "reserved sequence numbers" `Quick test_cq_reserved_seq;
+          cq_reserved_run_matches_eager;
           cq_matches_heap;
           cq_drain_matches_heap;
         ] );
