@@ -7,25 +7,30 @@ let balanced_greedy cluster ~plans =
   let bw_load = Array.make ns 0.0 in
   let cpu_load = Array.make ns 0.0 in
   let assignment = Array.make nd 0 in
-  let demand dev_id =
-    let dev = cluster.Cluster.devices.(dev_id) in
-    let plan = plans.(dev_id) in
-    dev.Cluster.rate
-    *. ((8.0 *. Plan.transfer_bytes plan /. 1e6) +. (Plan.srv_flops plan /. 1e9))
+  (* Each device's uplink bytes and demand are read once: the sort compares
+     array cells, and the placement loop prices every server from them. *)
+  let bytes = Array.map Plan.transfer_bytes plans in
+  let demand =
+    Array.mapi
+      (fun dev_id plan ->
+        cluster.Cluster.devices.(dev_id).Cluster.rate
+        *. ((8.0 *. bytes.(dev_id) /. 1e6) +. (Plan.srv_flops plan /. 1e9)))
+      plans
   in
   let order = Array.init nd (fun i -> i) in
-  Array.sort (fun a b -> Float.compare (demand b) (demand a)) order;
+  Array.sort (fun a b -> Float.compare demand.(b) demand.(a)) order;
   Array.iter
     (fun dev_id ->
       let dev = cluster.Cluster.devices.(dev_id) in
       let plan = plans.(dev_id) in
+      let bytes = bytes.(dev_id) in
       let best = ref 0 and best_load = ref infinity in
       for s = 0 to ns - 1 do
         let srv = cluster.Cluster.servers.(s) in
         let work = Plan.server_time srv.Cluster.sproc.Processor.perf plan in
         let bw =
           bw_load.(s)
-          +. (dev.Cluster.rate *. 8.0 *. Plan.transfer_bytes plan /. srv.Cluster.ap_bandwidth_bps)
+          +. (dev.Cluster.rate *. 8.0 *. bytes /. srv.Cluster.ap_bandwidth_bps)
         in
         let cpu = cpu_load.(s) +. (dev.Cluster.rate *. work) in
         let load = Float.max bw cpu in
@@ -41,7 +46,7 @@ let balanced_greedy cluster ~plans =
         let work = Plan.server_time srv.Cluster.sproc.Processor.perf plan in
         bw_load.(s) <-
           bw_load.(s)
-          +. (dev.Cluster.rate *. 8.0 *. Plan.transfer_bytes plan /. srv.Cluster.ap_bandwidth_bps);
+          +. (dev.Cluster.rate *. 8.0 *. bytes /. srv.Cluster.ap_bandwidth_bps);
         cpu_load.(s) <- cpu_load.(s) +. (dev.Cluster.rate *. work)
       end)
     order;

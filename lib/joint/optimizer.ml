@@ -250,40 +250,45 @@ let best_allocation ?(allocator = Policy.Minmax_alloc) cluster ~assignment ~plan
   Es_util.Numeric.argmin_by (Objective.of_decisions cluster) (primary @ extras)
 
 (* Cheap per-assignment load proxy used by the local search: the worst
-   server's max of bandwidth and compute load.  Called once per candidate
-   move/swap the local search evaluates, so the per-server accumulators are
-   borrowed scratch rather than fresh arrays. *)
-let load_proxy cluster ~plans assignment =
-  let ns = Cluster.n_servers cluster in
-  let bw = Es_util.Scratch.borrow_floats ns in
-  let cpu = Es_util.Scratch.borrow_floats ns in
-  Array.fill bw 0 ns 0.0;
-  Array.fill cpu 0 ns 0.0;
-  for dev_id = 0 to Array.length assignment - 1 do
-    let s = assignment.(dev_id) in
-    let plan = plans.(dev_id) in
-    if not (Plan.is_device_only plan) then begin
-      let dev = cluster.Cluster.devices.(dev_id) in
-      let srv = cluster.Cluster.servers.(s) in
-      bw.(s) <-
-        bw.(s)
-        +. dev.Cluster.rate
-           *. 8.0
-           *. (Plan.transfer_bytes plan +. Plan.result_bytes plan)
-           /. srv.Cluster.ap_bandwidth_bps;
-      cpu.(s) <-
-        cpu.(s)
-        +. (dev.Cluster.rate *. Plan.server_time srv.Cluster.sproc.Processor.perf plan)
+   server's max of bandwidth and compute load.  The local search calls the
+   evaluator once per candidate move/swap, so the per-(device, server)
+   loads are tabulated once per step ([nd * ns] cells, row-major by
+   device; device-only rows stay empty) and an evaluation only sums the
+   assigned cells, in device order, into two reset accumulators. *)
+let load_proxy cluster ~plans =
+  let nd = Array.length plans and ns = Cluster.n_servers cluster in
+  let offloads = Array.map (fun plan -> not (Plan.is_device_only plan)) plans in
+  let bw_cell = Array.make (nd * ns) 0.0 and cpu_cell = Array.make (nd * ns) 0.0 in
+  for dev_id = 0 to nd - 1 do
+    if offloads.(dev_id) then begin
+      let plan = plans.(dev_id) in
+      let rate = cluster.Cluster.devices.(dev_id).Cluster.rate in
+      let bytes = Plan.transfer_bytes plan +. Plan.result_bytes plan in
+      for s = 0 to ns - 1 do
+        let srv = cluster.Cluster.servers.(s) in
+        bw_cell.((dev_id * ns) + s) <- rate *. 8.0 *. bytes /. srv.Cluster.ap_bandwidth_bps;
+        cpu_cell.((dev_id * ns) + s) <-
+          rate *. Plan.server_time srv.Cluster.sproc.Processor.perf plan
+      done
     end
   done;
-  let worst = ref 0.0 in
-  for s = 0 to ns - 1 do
-    worst := Float.max !worst (Float.max bw.(s) cpu.(s))
-  done;
-  let w = !worst in
-  Es_util.Scratch.release_floats cpu;
-  Es_util.Scratch.release_floats bw;
-  w
+  let bw = Array.make ns 0.0 and cpu = Array.make ns 0.0 in
+  fun assignment ->
+    Array.fill bw 0 ns 0.0;
+    Array.fill cpu 0 ns 0.0;
+    for dev_id = 0 to Array.length assignment - 1 do
+      if offloads.(dev_id) then begin
+        let s = assignment.(dev_id) in
+        let cell = (dev_id * ns) + s in
+        bw.(s) <- bw.(s) +. bw_cell.(cell);
+        cpu.(s) <- cpu.(s) +. cpu_cell.(cell)
+      end
+    done;
+    let worst = ref 0.0 in
+    for s = 0 to ns - 1 do
+      worst := Float.max !worst (Float.max bw.(s) cpu.(s))
+    done;
+    !worst
 
 let force_feasible config cluster plans assignment =
   (* Last-resort degradation: flip the heaviest offloaders to device-only

@@ -201,5 +201,10 @@ val force_feasible :
 
 val load_proxy : Es_edge.Cluster.t -> plans:Es_surgery.Plan.t array -> int array -> float
 (** The local-search load proxy (worst server's max of bandwidth and
-    compute load), accumulating into borrowed scratch. *)
+    compute load).  [load_proxy cluster ~plans] tabulates every offloader's
+    bandwidth and compute load on every server once; the returned evaluator
+    sums the assigned cells into its own two per-server accumulators,
+    reset on each call, so an evaluation allocates only its result.  The
+    evaluator reads [plans] as they were at the table build and is not
+    safe to share across domains. *)
 

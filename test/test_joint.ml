@@ -677,6 +677,116 @@ let test_assignment_helpers_match_ref () =
            (Es_oracle.Optimizer.load_proxy c ~plans assignment)))
     [ asg; rotated ]
 
+(* A random cluster of 1-4 servers and one random plan per device: a random
+   cut at a random precision, device-only (zero demand, inert placement)
+   with probability [local].  [tied] draws exact demand ties between
+   offloaders too: equal rates, two models, fp32 cuts at the input or the
+   middle. *)
+let random_assignment_instance ?(tied = false) ~local (n_servers, n_devices, seed) =
+  let servers =
+    List.filteri
+      (fun i _ -> i < n_servers)
+      [
+        (Processor.edge_gpu, 400.0);
+        (Processor.edge_cpu, 300.0);
+        (Processor.edge_gpu_small, 200.0);
+        (Processor.edge_cpu, 100.0);
+      ]
+  in
+  let spec = { Scenario.default with Scenario.seed; n_devices; servers } in
+  let spec =
+    if tied then
+      {
+        spec with
+        Scenario.rate_range = (1.0, 1.0);
+        model_names = [ "alexnet"; "mobilenet_v2" ];
+      }
+    else spec
+  in
+  let c = Scenario.build spec in
+  let rng = Random.State.make [| seed |] in
+  let plans =
+    Array.map
+      (fun (dev : Cluster.device) ->
+        let precision =
+          if tied then Es_surgery.Precision.Fp32
+          else List.nth Es_surgery.Precision.all (Random.State.int rng 3)
+        in
+        let p = Es_surgery.Plan.device_only ~precision dev.Cluster.model in
+        let n = Es_dnn.Graph.n_nodes p.Es_surgery.Plan.graph in
+        if Random.State.float rng 1.0 < local then p
+        else
+          Es_surgery.Plan.with_cut p
+            (if tied then Random.State.int rng 2 * (n / 2) else Random.State.int rng n))
+      c.Cluster.devices
+  in
+  (c, plans, rng)
+
+let assignment_instance ~max_devices =
+  QCheck.make
+    ~print:(fun (ns, nd, seed) -> Printf.sprintf "%d servers, %d devices, seed %d" ns nd seed)
+    QCheck.Gen.(triple (int_range 1 4) (int_range 1 max_devices) (int_range 1 10_000))
+
+(* One load table serves every evaluation of a local search: walked through
+   moves and swaps (from a start that leaves the last server empty), each
+   value must be the reference's, bit for bit. *)
+let load_table_matches_ref =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"one load table prices moves and swaps like the reference"
+       (assignment_instance ~max_devices:12)
+       (fun ((n_servers, n_devices, _) as instance) ->
+         let c, plans, rng = random_assignment_instance ~local:0.3 instance in
+         let a = Array.init n_devices (fun _ -> Random.State.int rng (max 1 (n_servers - 1))) in
+         let eval = Optimizer.load_proxy c ~plans in
+         let check step =
+           let v = eval a and v' = Es_oracle.Optimizer.load_proxy c ~plans a in
+           Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float v')
+           || QCheck.Test.fail_reportf "step %d: table %h, reference %h" step v v'
+         in
+         let ok = ref (check 0) in
+         for step = 1 to 40 do
+           let i = Random.State.int rng n_devices in
+           (if Random.State.bool rng then a.(i) <- Random.State.int rng n_servers
+            else
+              let j = Random.State.int rng n_devices in
+              let ai = a.(i) in
+              a.(i) <- a.(j);
+              a.(j) <- ai);
+           ok := !ok && check step
+         done;
+         !ok))
+
+(* The greedy sorts on a precomputed demand array with the comparator the
+   reference evaluates per comparison.  Heapsort is unstable, so the order
+   among equal demands is the sort's own; every other instance is [tied] so
+   that many offloaders share a demand, the case where an order change
+   would move a device (zero-demand device-only ties are placed last, on
+   final loads, so their order cannot show). *)
+let greedy_matches_ref =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"balanced_greedy = reference implementation"
+       (assignment_instance ~max_devices:40)
+       (fun ((_, _, seed) as instance) ->
+         let c, plans, _ =
+           random_assignment_instance ~tied:(seed mod 2 = 0) ~local:0.4 instance
+         in
+         Es_alloc.Assign.balanced_greedy c ~plans = Es_oracle.Assign.balanced_greedy c ~plans))
+
+(* An evaluation sums table cells into the evaluator's own accumulators:
+   the only allocation is the returned float's box (header + payload). *)
+let test_load_proxy_eval_alloc () =
+  let c, out = Lazy.force solved in
+  let plans = Array.map (fun (d : Decision.t) -> d.Decision.plan) out.Optimizer.decisions in
+  let asg = Array.map (fun (d : Decision.t) -> d.Decision.server) out.Optimizer.decisions in
+  let eval = Optimizer.load_proxy c ~plans in
+  let sink = ref 0.0 in
+  let words = Es_util.Alloc_probe.minor_words (fun () -> sink := eval asg) in
+  Alcotest.(check bool)
+    (Printf.sprintf "one evaluation allocates %.0f words (at most the 2-word box)" words)
+    true (words <= 2.0);
+  ignore (Sys.opaque_identity !sink)
+
 (* The ISSUE's headline claim: a steady-state surgery scan — the innermost
    solver loop — allocates nothing on the minor heap.  Grants are literals
    so the call site doesn't box them. *)
@@ -737,6 +847,10 @@ let () =
             test_assignment_helpers_match_ref;
           Alcotest.test_case "best_scored zero minor words" `Quick
             test_best_scored_zero_alloc;
+          load_table_matches_ref;
+          greedy_matches_ref;
+          Alcotest.test_case "load_proxy evaluation allocates only its result" `Quick
+            test_load_proxy_eval_alloc;
         ] );
       ( "exhaustive",
         [
