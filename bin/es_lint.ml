@@ -105,9 +105,7 @@ let () =
         collect_ml !root p acc)
       [] roots
   in
-  let config =
-    { Es_lint.Engine.default_config with rules = !rules; allow; root = !root }
-  in
+  let config = { Es_lint.Engine.rules = !rules; allow; root = !root } in
   let analysis = Es_lint.Engine.analyze_files config files in
   match !why with
   | Some (rule, file, line) -> (

@@ -65,26 +65,10 @@ let load_density cluster ~assignment plan dev_id =
 
 type criterion = [ `Stable | `Deadlines ]
 
-let control ?metrics ?(weight = fun _ -> 1.0) ?(until = `Stable) ~local_plan cluster ~assignment
-    ~plans =
+let control ?(weight = fun _ -> 1.0) ?(until = `Stable) ~local_plan cluster ~assignment ~plans =
   let nd = Cluster.n_devices cluster in
   if Array.length plans <> nd || Array.length assignment <> nd then
     invalid_arg "Admission.control: plans/assignment size mismatch";
-  let reason = match until with `Stable -> "stable" | `Deadlines -> "deadlines" in
-  let note_attempt, note_outcome =
-    match metrics with
-    | None -> ((fun () -> ()), fun ~served:_ ~rejected:_ -> ())
-    | Some reg ->
-        let attempts = Es_obs.Metric.counter reg "admission/allocation_attempts" in
-        let served_c = Es_obs.Metric.counter reg "admission/served" in
-        let rejected_c =
-          Es_obs.Metric.counter reg ~labels:[ ("reason", reason) ] "admission/rejected"
-        in
-        ( (fun () -> Es_obs.Metric.inc attempts),
-          fun ~served ~rejected ->
-            Es_obs.Metric.inc ~by:(List.length served) served_c;
-            Es_obs.Metric.inc ~by:(List.length rejected) rejected_c )
-  in
   let plans = Array.copy plans in
   let rejected = ref [] in
   let satisfies decisions =
@@ -99,7 +83,6 @@ let control ?metrics ?(weight = fun _ -> 1.0) ?(until = `Stable) ~local_plan clu
           decisions
   in
   let try_allocate () =
-    note_attempt ();
     match Policy.decisions Policy.Minmax_alloc cluster ~assignment ~plans with
     | Some ds when satisfies ds -> Some ds
     | Some _ | None -> None
@@ -114,7 +97,6 @@ let control ?metrics ?(weight = fun _ -> 1.0) ?(until = `Stable) ~local_plan clu
     | Some decisions ->
         let served = offloaders () in
         let rejected = List.rev !rejected in
-        note_outcome ~served ~rejected;
         { decisions; served; rejected }
     | None -> (
         (* Evict the worst load-per-value offloader. *)

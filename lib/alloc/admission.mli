@@ -55,7 +55,6 @@ type criterion =
         deadline analytically — SLO-grade admission *) ]
 
 val control :
-  ?metrics:Es_obs.Metric.registry ->
   ?weight:(Es_edge.Cluster.device -> float) ->
   ?until:criterion ->
   local_plan:(int -> Es_surgery.Plan.t) ->
@@ -69,8 +68,4 @@ val control :
     weight devices by rate to maximize served requests instead.
     [local_plan dev_id] supplies the fallback plan for an evicted device.
     Always returns a decision set: with every offloader evicted the
-    allocation is trivially feasible.
-
-    [metrics] (optional, off by default) accrues [admission/served] and
-    [admission/rejected{reason=stable|deadlines}] counters per call, plus
-    [admission/allocation_attempts] counting inner allocator solves. *)
+    allocation is trivially feasible. *)

@@ -169,13 +169,13 @@ let edgesurgeon =
     solve = (fun cluster -> (Optimizer.solve cluster).Optimizer.decisions);
   }
 
-let all ?(seed = 11) () =
+let all () =
   [
     device_only;
     exit_local;
     server_only;
     neurosurgeon;
-    random_policy seed;
+    random_policy 11;
     surgery_only;
     alloc_only;
     edgesurgeon;

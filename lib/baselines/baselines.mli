@@ -38,8 +38,9 @@ val edgesurgeon : t
 (** The joint optimizer under its default configuration, packaged like the
     baselines so harnesses can iterate over one list. *)
 
-val all : ?seed:int -> unit -> t list
-(** Every policy above, EdgeSurgeon last. *)
+val all : unit -> t list
+(** Every policy above, EdgeSurgeon last; the random policy is seeded
+    with 11. *)
 
 val fair_share_plans :
   ?exits:int option list ->

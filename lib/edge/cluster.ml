@@ -18,21 +18,15 @@ type server = {
 
 type t = { devices : device array; servers : server array }
 
-let device ~id ?name ~proc ~link ~model ~rate ~deadline ?(accuracy_floor = 0.0) () =
+let device ~id ~proc ~link ~model ~rate ~deadline ?(accuracy_floor = 0.0) () =
   if rate <= 0.0 then invalid_arg "Cluster.device: non-positive rate";
   if deadline <= 0.0 then invalid_arg "Cluster.device: non-positive deadline";
-  let dev_name =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "dev%d(%s,%s)" id proc.Processor.name model.Es_dnn.Graph.name
-  in
+  let dev_name = Printf.sprintf "dev%d(%s,%s)" id proc.Processor.name model.Es_dnn.Graph.name in
   { dev_id = id; dev_name; proc; link; model; rate; deadline; accuracy_floor }
 
-let server ~id ?name ~proc ~ap_bandwidth_mbps () =
+let server ~id ~proc ~ap_bandwidth_mbps () =
   if ap_bandwidth_mbps <= 0.0 then invalid_arg "Cluster.server: non-positive AP bandwidth";
-  let srv_name =
-    match name with Some n -> n | None -> Printf.sprintf "srv%d(%s)" id proc.Processor.name
-  in
+  let srv_name = Printf.sprintf "srv%d(%s)" id proc.Processor.name in
   { srv_id = id; srv_name; sproc = proc; ap_bandwidth_bps = ap_bandwidth_mbps *. 1e6 }
 
 let make ~devices ~servers =

@@ -30,7 +30,6 @@ val make : devices:device list -> servers:server list -> t
 
 val device :
   id:int ->
-  ?name:string ->
   proc:Processor.t ->
   link:Link.t ->
   model:Es_dnn.Graph.t ->
@@ -41,8 +40,7 @@ val device :
   device
 (** @raise Invalid_argument on non-positive rate or deadline. *)
 
-val server :
-  id:int -> ?name:string -> proc:Processor.t -> ap_bandwidth_mbps:float -> unit -> server
+val server : id:int -> proc:Processor.t -> ap_bandwidth_mbps:float -> unit -> server
 
 val n_devices : t -> int
 val n_servers : t -> int

@@ -22,8 +22,8 @@ let epochs_of ~epoch_s ~duration_s =
   let rec go acc t = if t >= duration_s then List.rev acc else go (t :: acc) (t +. epoch_s) in
   go [] 0.0
 
-let run ?(options = Es_sim.Runner.default_options) ?config ?cache ?solver
-    ?(warm_start = true) ~epoch_s ~rate_profile cluster =
+let run ?(options = Es_sim.Runner.default_options) ?cache ?solver ?(warm_start = true) ~epoch_s
+    ~rate_profile cluster =
   let duration_s = options.Es_sim.Runner.duration_s in
   (* a NaN epoch or horizon would never end the epoch list *)
   if Float.is_nan duration_s then invalid_arg "Online.run: NaN duration_s";
@@ -55,8 +55,8 @@ let run ?(options = Es_sim.Runner.default_options) ?config ?cache ?solver
           | Some (f : Optimizer.solver) -> f ~warm scaled
           | None -> (
               match cache with
-              | Some sc -> Solve_cache.solve sc ?config ?warm_start:warm scaled
-              | None -> Optimizer.solve ?config ?warm_start:warm scaled)
+              | Some sc -> Solve_cache.solve sc ?warm_start:warm scaled
+              | None -> Optimizer.solve ?warm_start:warm scaled)
         in
         let cand = out.Optimizer.decisions in
         (* Guard the re-solve: keep the previous decisions when the fresh
@@ -99,5 +99,5 @@ let run ?(options = Es_sim.Runner.default_options) ?config ?cache ?solver
         cache_hits;
       }
 
-let run_static ?(options = Es_sim.Runner.default_options) ?config ~rate_profile cluster =
-  run ~options ?config ~epoch_s:options.Es_sim.Runner.duration_s ~rate_profile cluster
+let run_static ?(options = Es_sim.Runner.default_options) ~rate_profile cluster =
+  run ~options ~epoch_s:options.Es_sim.Runner.duration_s ~rate_profile cluster

@@ -25,7 +25,6 @@ val scale_rates : Es_edge.Cluster.t -> float -> Es_edge.Cluster.t
 
 val run :
   ?options:Es_sim.Runner.options ->
-  ?config:Optimizer.config ->
   ?cache:Solve_cache.t ->
   ?solver:Optimizer.solver ->
   ?warm_start:bool ->
@@ -34,9 +33,9 @@ val run :
   Es_edge.Cluster.t ->
   result
 (** Simulate [options.duration_s] seconds, re-optimizing every [epoch_s]
-    against the profile value at the epoch start, over arrivals drawn from
-    the same profile by {!Es_workload.Heavy.trace} (seeded with
-    [options.seed]).
+    (under {!Optimizer.default_config}) against the profile value at the
+    epoch start, over arrivals drawn from the same profile by
+    {!Es_workload.Heavy.trace} (seeded with [options.seed]).
 
     [warm_start] (default true) seeds every epoch re-solve from the
     incumbent — the decisions actually applied at the previous epoch — so
@@ -49,17 +48,16 @@ val run :
 
     [solver] replaces the epoch solve wholesale (e.g. [Es_scale.solver] for
     the sharded path); it receives the warm incumbent and the scaled
-    cluster.  When given, [config] and [cache] are not consulted by [run]
-    itself — a sharded solver carries its own config and may consult the
-    same cache per shard ([cache_hits] then stays 0 unless the solver was
-    built over this cache).  The guard still applies to its output.
+    cluster.  When given, [cache] is not consulted by [run] itself — a
+    sharded solver carries its own config and may consult the same cache
+    per shard ([cache_hits] then stays 0 unless the solver was built over
+    this cache).  The guard still applies to its output.
 
     @raise Invalid_argument on a non-positive or NaN [epoch_s] or a NaN
     [duration_s]. *)
 
 val run_static :
   ?options:Es_sim.Runner.options ->
-  ?config:Optimizer.config ->
   rate_profile:(float -> float) ->
   Es_edge.Cluster.t ->
   result

@@ -219,9 +219,9 @@ let config_pool config cluster ~device =
   device_pool ?max_candidates:config.max_candidates ~precisions:config.precisions
     ~widths:config.widths cluster ~device
 
-let best_plan_for_grants ?exits ?max_candidates ?precisions ~widths cluster ~device ~server
-    ~bandwidth_bps ~compute_share =
-  let pool = device_pool ?exits ?max_candidates ?precisions ~widths cluster ~device in
+let best_plan_for_grants ?exits ?precisions ~widths cluster ~device ~server ~bandwidth_bps
+    ~compute_share =
+  let pool = device_pool ?exits ?precisions ~widths cluster ~device in
   best_scored cluster ~device ~server pool ~bandwidth_bps ~compute_share
 
 let best_allocation ?(allocator = Policy.Minmax_alloc) cluster ~assignment ~plans =

@@ -137,7 +137,6 @@ val best_allocation :
 
 val best_plan_for_grants :
   ?exits:int option list ->
-  ?max_candidates:int ->
   ?precisions:Es_surgery.Precision.t list ->
   widths:float list ->
   Es_edge.Cluster.t ->
@@ -147,7 +146,8 @@ val best_plan_for_grants :
   compute_share:float ->
   Es_surgery.Plan.t
 (** The surgery step for one device, exposed for tests and baselines: the
-    latency-minimizing stable candidate meeting the accuracy floor under the
+    latency-minimizing stable candidate of the device's whole pool (no
+    subsampling) meeting the accuracy floor under the
     given grants (falling back to the accuracy-best candidate when nothing
     is stable).  Scores candidates over precomputed per-plan invariants with
     no per-plan allocation — the solver's hottest loop. *)

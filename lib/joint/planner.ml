@@ -82,7 +82,7 @@ let required_bandwidth_mbps ?config spec =
       zero_miss ?config ?warm_start:warm
         (Scenario.build (Scenario.with_ap_mbps mbps spec)))
 
-let max_supported_load ?config ?(hi = 32.0) spec =
+let max_supported_load ?config spec =
   let base = Scenario.build spec in
-  bisect_max ~lo:0.05 ~hi (fun ?warm m ->
+  bisect_max ~lo:0.05 ~hi:32.0 (fun ?warm m ->
       zero_miss ?config ?warm_start:warm (Online.scale_rates base m))

@@ -33,9 +33,8 @@ val required_bandwidth_mbps : ?config:Optimizer.config -> Es_edge.Scenario.spec 
 
 val max_supported_load :
   ?config:Optimizer.config ->
-  ?hi:float ->
   Es_edge.Scenario.spec ->
   verdict
 (** Largest global rate multiplier the scenario sustains with zero misses
-    (the capacity region boundary along the load axis).  Default upper
-    probe 32×. *)
+    (the capacity region boundary along the load axis), probed up to
+    32×. *)

@@ -1,14 +1,8 @@
 open Es_edge
 
-type t = {
-  cluster : Cluster.t;
-  config : Optimizer.config;
-  solver : Optimizer.solver option;
-  baseline : Decision.t array;
-  fallbacks : Decision.t array array;
-}
+type t = { cluster : Cluster.t; baseline : Decision.t array; fallbacks : Decision.t array array }
 
-let solve_without ?(config = Optimizer.default_config) ?solver ?warm_start cluster ~failed =
+let solve_without ?warm_start cluster ~failed =
   let ns = Cluster.n_servers cluster in
   List.iter
     (fun s ->
@@ -42,11 +36,7 @@ let solve_without ?(config = Optimizer.default_config) ?solver ?warm_start clust
              { d with Decision.server = s' }))
         warm_start
     in
-    let out =
-      match solver with
-      | Some (f : Optimizer.solver) -> f ~warm:warm_start residual
-      | None -> Optimizer.solve ~config ?warm_start residual
-    in
+    let out = Optimizer.solve ?warm_start residual in
     Array.map
       (fun (d : Decision.t) ->
         if Decision.offloads d then { d with Decision.server = orig_of_new.(d.Decision.server) }
@@ -54,25 +44,18 @@ let solve_without ?(config = Optimizer.default_config) ?solver ?warm_start clust
       out.Optimizer.decisions
   end
 
-let precompute ?(config = Optimizer.default_config) ?solver ?(jobs = 0) ?baseline cluster =
+let precompute ?(jobs = 0) cluster =
   let ns = Cluster.n_servers cluster in
   (* The healthy-cluster baseline seeds every failure domain: losing one
      server perturbs only that server's devices, so the survivors' plans
      and placements are a near-optimal starting trajectory. *)
-  let baseline =
-    match baseline with
-    | Some ds when Array.length ds = Cluster.n_devices cluster -> ds
-    | Some _ | None -> (
-        match solver with
-        | Some (f : Optimizer.solver) -> (f ~warm:None cluster).Optimizer.decisions
-        | None -> (Optimizer.solve ~config cluster).Optimizer.decisions)
-  in
+  let baseline = (Optimizer.solve cluster).Optimizer.decisions in
   let fallbacks =
     Es_util.Par.parallel_map_array ~jobs
-      (fun s -> solve_without ~config ?solver ~warm_start:baseline cluster ~failed:[ s ])
+      (fun s -> solve_without ~warm_start:baseline cluster ~failed:[ s ])
       (Array.init ns Fun.id)
   in
-  { cluster; config; solver; baseline; fallbacks }
+  { cluster; baseline; fallbacks }
 
 let baseline t = t.baseline
 
@@ -85,7 +68,7 @@ let decisions_for t ~decisions down =
   match down with
   | [] -> decisions
   | [ s ] -> t.fallbacks.(s)
-  | many -> solve_without ~config:t.config ?solver:t.solver ~warm_start:t.baseline t.cluster ~failed:many
+  | many -> solve_without ~warm_start:t.baseline t.cluster ~failed:many
 
 (* The failure-detection delay between a change to the down set and the
    reconfiguration that answers it. *)

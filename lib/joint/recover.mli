@@ -16,8 +16,6 @@ type t
 (** Precomputed fallback table for one cluster. *)
 
 val solve_without :
-  ?config:Optimizer.config ->
-  ?solver:Optimizer.solver ->
   ?warm_start:Es_edge.Decision.t array ->
   Es_edge.Cluster.t ->
   failed:int list ->
@@ -32,29 +30,19 @@ val solve_without :
     healthy-cluster solution) seeds the residual solve: decisions on
     surviving servers are re-indexed, decisions on failed servers keep
     their plan but are marked for reassignment by the optimizer's
-    warm-start repair.  [solver] replaces the residual {!Optimizer.solve}
-    (e.g. [Es_scale.solver] at fleet scale); it receives the re-indexed
-    warm incumbent and the residual cluster.
+    warm-start repair.
     @raise Invalid_argument on an out-of-range server index. *)
 
-val precompute :
-  ?config:Optimizer.config ->
-  ?solver:Optimizer.solver ->
-  ?jobs:int ->
-  ?baseline:Es_edge.Decision.t array ->
-  Es_edge.Cluster.t ->
-  t
+val precompute : ?jobs:int -> Es_edge.Cluster.t -> t
 (** [precompute cluster] solves the single-server-loss response for every
     server, fanning the solves out over the {!Es_util.Par} pool ([jobs] as
     in {!Es_util.Par.parallel_map}; nested parallelism inside each solve
     degrades safely).  Each failure domain is warm-started from the
-    healthy-cluster [baseline] decisions (solved here if not supplied;
-    ignored if its arity doesn't match the cluster): losing one server
+    healthy-cluster {!baseline} decisions, solved here: losing one server
     perturbs only that server's devices, so the survivors' incumbent is a
     near-optimal seed and every fallback is equal-or-better than a cold
-    residual solve.  [solver] is used for the baseline solve and every
-    failure-domain re-solve, and is remembered for the multi-failure
-    re-solves of {!schedule_for_faults}. *)
+    residual solve.  Every solve runs {!Optimizer.solve} under
+    {!Optimizer.default_config}. *)
 
 val baseline : t -> Es_edge.Decision.t array
 (** The healthy-cluster decisions the fallback table was seeded from. *)

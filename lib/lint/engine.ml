@@ -23,22 +23,7 @@
    the lock-order walk is linear in source order, so branch-local
    acquisitions blend across arms of the same function. *)
 
-type mli_mode = Mli_by_path | Mli_always | Mli_never
-
-type config = {
-  rules : Rule.t list;
-  allow : Allowlist.t;
-  mli_mode : mli_mode;
-  root : string;
-}
-
-let default_config =
-  {
-    rules = Rule.all;
-    allow = Allowlist.empty;
-    mli_mode = Mli_by_path;
-    root = ".";
-  }
+type config = { rules : Rule.t list; allow : Allowlist.t; root : string }
 
 type result = { findings : Finding.t list; suppressed : Finding.t list }
 
@@ -59,8 +44,8 @@ let normalize_rel path =
    exempt from D8 — clock effects neither originate nor fire there. *)
 let d1_exempt rel = rel = "lib/obs/obs.ml" || starts_with ~prefix:"bench/" rel
 
-(* D5 scope under [Mli_by_path]: the library and binary trees must ship
-   interfaces; bench/, examples/ and tests stay exempt. *)
+(* D5 scope: the library and binary trees must ship interfaces; bench/,
+   examples/ and tests stay exempt. *)
 let mli_required_by_path rel = starts_with ~prefix:"lib/" rel || starts_with ~prefix:"bin/" rel
 
 (* ------------------------------------------------------------------ *)
@@ -90,13 +75,7 @@ let analyze_files config paths =
     (fun (s : Summary.t) ->
       (* D5 is filesystem state, not parse state, so it is evaluated here
          rather than in the summary. *)
-      let mli_required =
-        match config.mli_mode with
-        | Mli_always -> true
-        | Mli_never -> false
-        | Mli_by_path -> mli_required_by_path s.file
-      in
-      if mli_required then begin
+      if mli_required_by_path s.file then begin
         let mli = Filename.chop_suffix (Filename.concat config.root s.file) ".ml" ^ ".mli" in
         if not (Sys.file_exists mli) then
           route ~inline:false

@@ -8,20 +8,13 @@
     Hashtbl-free, so its output depends only on the set of input paths —
     never on discovery or hashing order. *)
 
-type mli_mode =
-  | Mli_by_path  (** D5 applies under [lib/] and [bin/]; bench/tests exempt *)
-  | Mli_always  (** D5 applies to every file (used by the fixture tests) *)
-  | Mli_never
-
 type config = {
   rules : Rule.t list;  (** enabled rules; {!Rule.Parse_error} is implicit *)
   allow : Allowlist.t;  (** committed legacy exceptions (rule:path) *)
-  mli_mode : mli_mode;
   root : string;  (** directory the relative input paths resolve against *)
 }
-
-val default_config : config
-(** All rules, empty allowlist, [Mli_by_path], root ["."]. *)
+(** D5 (missing sibling [.mli]) applies to input paths under [lib/] and
+    [bin/] relative to [root]; bench/, examples/ and tests are exempt. *)
 
 type result = {
   findings : Finding.t list;  (** unsuppressed, sorted by {!Finding.compare} *)

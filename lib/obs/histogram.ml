@@ -1,8 +1,4 @@
 type t = {
-  growth : float;
-  log_growth : float;
-  min_value : float;
-  nbuckets : int;
   counts : int array;
   lock : Mutex.t;  (* serializes [observe]: instruments are shared across domains *)
   mutable underflow : int;
@@ -13,21 +9,14 @@ type t = {
   mutable hi : float;
 }
 
-let default_growth = Float.pow 2.0 0.125
-let default_min_value = 1e-9
-let default_buckets = 512
+let growth = Float.pow 2.0 0.125
+let log_growth = log growth
+let min_value = 1e-9
+let nbuckets = 512
 
-let create ?(growth = default_growth) ?(min_value = default_min_value)
-    ?(buckets = default_buckets) () =
-  if growth <= 1.0 then invalid_arg "Histogram.create: growth must exceed 1";
-  if min_value <= 0.0 then invalid_arg "Histogram.create: min_value must be positive";
-  if buckets < 1 then invalid_arg "Histogram.create: buckets must be positive";
+let create () =
   {
-    growth;
-    log_growth = log growth;
-    min_value;
-    nbuckets = buckets;
-    counts = Array.make buckets 0;
+    counts = Array.make nbuckets 0;
     lock = Mutex.create ();
     underflow = 0;
     overflow = 0;
@@ -37,7 +26,7 @@ let create ?(growth = default_growth) ?(min_value = default_min_value)
     hi = neg_infinity;
   }
 
-let bucket_index t v = int_of_float (Float.floor (log (v /. t.min_value) /. t.log_growth))
+let bucket_index v = int_of_float (Float.floor (log (v /. min_value) /. log_growth))
 
 let observe t v =
   if not (Float.is_nan v) then begin
@@ -46,10 +35,10 @@ let observe t v =
     t.total <- t.total +. v;
     if v < t.lo then t.lo <- v;
     if v > t.hi then t.hi <- v;
-    if v < t.min_value then t.underflow <- t.underflow + 1
+    if v < min_value then t.underflow <- t.underflow + 1
     else begin
-      let i = bucket_index t v in
-      if i >= t.nbuckets then t.overflow <- t.overflow + 1
+      let i = bucket_index v in
+      if i >= nbuckets then t.overflow <- t.overflow + 1
       else t.counts.(Stdlib.max i 0) <- t.counts.(Stdlib.max i 0) + 1
     end;
     Mutex.unlock t.lock
@@ -61,7 +50,7 @@ let mean t = if t.n = 0 then nan else t.total /. float_of_int t.n
 let min_observed t = t.lo
 let max_observed t = t.hi
 
-let lower_edge t i = t.min_value *. Float.pow t.growth (float_of_int i)
+let lower_edge i = min_value *. Float.pow growth (float_of_int i)
 
 let quantile t p =
   if p < 0.0 || p > 100.0 then invalid_arg "Histogram.quantile: p outside [0,100]";
@@ -76,13 +65,13 @@ let quantile t p =
     else begin
       let result = ref None in
       (try
-         for i = 0 to t.nbuckets - 1 do
+         for i = 0 to nbuckets - 1 do
            let c = t.counts.(i) in
            if c > 0 then begin
              cum := !cum +. float_of_int c;
              if target < !cum then begin
                (* Geometric midpoint of the bucket. *)
-               result := Some (lower_edge t i *. sqrt t.growth);
+               result := Some (lower_edge i *. sqrt growth);
                raise Exit
              end
            end
@@ -92,18 +81,15 @@ let quantile t p =
     end
   end
 
-let bucket_width_at t v =
-  if v < t.min_value then t.min_value
+let bucket_width_at v =
+  if v < min_value then min_value
   else begin
-    let i = Stdlib.min (bucket_index t v) (t.nbuckets - 1) in
-    lower_edge t i *. (t.growth -. 1.0)
+    let i = Stdlib.min (bucket_index v) (nbuckets - 1) in
+    lower_edge i *. (growth -. 1.0)
   end
 
-let params t = (t.growth, t.min_value, t.nbuckets)
-
 let merge a b =
-  if params a <> params b then invalid_arg "Histogram.merge: parameter mismatch";
-  let m = create ~growth:a.growth ~min_value:a.min_value ~buckets:a.nbuckets () in
+  let m = create () in
   Array.iteri (fun i c -> m.counts.(i) <- c + b.counts.(i)) a.counts;
   m.underflow <- a.underflow + b.underflow;
   m.overflow <- a.overflow + b.overflow;
@@ -115,9 +101,9 @@ let merge a b =
 
 let nonempty_buckets t =
   let acc = ref [] in
-  if t.overflow > 0 then acc := (lower_edge t t.nbuckets, infinity, t.overflow) :: !acc;
-  for i = t.nbuckets - 1 downto 0 do
-    if t.counts.(i) > 0 then acc := (lower_edge t i, lower_edge t (i + 1), t.counts.(i)) :: !acc
+  if t.overflow > 0 then acc := (lower_edge nbuckets, infinity, t.overflow) :: !acc;
+  for i = nbuckets - 1 downto 0 do
+    if t.counts.(i) > 0 then acc := (lower_edge i, lower_edge (i + 1), t.counts.(i)) :: !acc
   done;
-  if t.underflow > 0 then acc := (0.0, t.min_value, t.underflow) :: !acc;
+  if t.underflow > 0 then acc := (0.0, min_value, t.underflow) :: !acc;
   !acc

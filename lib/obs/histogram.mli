@@ -1,12 +1,12 @@
 (** Constant-memory log-bucketed histogram.
 
     Bucket [i] covers the geometric interval
-    [[min_value·growth^i, min_value·growth^(i+1))], so relative resolution
-    is uniform across the whole dynamic range: with the default growth
-    factor [2^(1/8) ≈ 1.09] any quantile is recovered to within ~9% of its
-    true value, from microseconds to hours, in a fixed 512-slot array.
+    [[1e-9·g^i, 1e-9·g^(i+1))] with growth factor [g = 2^(1/8) ≈ 1.09], so
+    relative resolution is uniform across the whole dynamic range: any
+    quantile is recovered to within ~9% of its true value, from nanoseconds
+    to hours, in a fixed 512-slot array (spanning 2^64 of dynamic range).
 
-    Histograms with identical parameters merge exactly (bucket-wise sum),
+    Histograms merge exactly (bucket-wise sum),
     which is what lets per-device or per-shard telemetry be combined into a
     cluster-wide view without keeping raw samples.  Quantile queries follow
     the same rank convention as {!Es_util.Stats.percentile} ([p] in
@@ -15,13 +15,10 @@
 
 type t
 
-val create : ?growth:float -> ?min_value:float -> ?buckets:int -> unit -> t
-(** [create ()] uses growth [2^(1/8)], [min_value 1e-9] and [512] buckets
-    (spanning > 2^63 of dynamic range).  Values below [min_value]
-    (including zero and negatives) land in a dedicated underflow bucket;
-    values beyond the last bucket in an overflow bucket.
-    @raise Invalid_argument if [growth <= 1], [min_value <= 0] or
-    [buckets < 1]. *)
+val create : unit -> t
+(** An empty histogram.  Values below [1e-9] (including zero and
+    negatives) land in a dedicated underflow bucket; values beyond the last
+    bucket in an overflow bucket. *)
 
 val observe : t -> float -> unit
 (** NaN observations are ignored. *)
@@ -45,19 +42,14 @@ val quantile : t -> float -> float
     min/max.  Monotone non-decreasing in [p].  [nan] when empty.
     @raise Invalid_argument when [p] is outside [0,100]. *)
 
-val bucket_width_at : t -> float -> float
+val bucket_width_at : float -> float
 (** Width of the bucket that would hold value [v] — the resolution of any
     quantile answer near [v].  Used by tests to assert "within one bucket". *)
 
 val merge : t -> t -> t
-(** Fresh histogram equivalent to having observed both streams.
-    @raise Invalid_argument when the two histograms' parameters differ. *)
+(** Fresh histogram equivalent to having observed both streams. *)
 
 val nonempty_buckets : t -> (float * float * int) list
 (** [(lower, upper, count)] per populated bucket in increasing value order,
-    for exporters.  The underflow bucket reports [(0., min_value, n)], the
+    for exporters.  The underflow bucket reports [(0., 1e-9, n)], the
     overflow bucket [(upper_bound, infinity, n)]. *)
-
-val params : t -> float * float * int
-(** [(growth, min_value, buckets)] — exported so telemetry consumers can
-    reconstruct bucket boundaries. *)

@@ -42,15 +42,12 @@ let gauge reg ?(labels = []) name =
   | I_gauge g -> g
   | _ -> invalid_arg (Printf.sprintf "Metric.gauge: %s is registered as another kind" name)
 
-let histogram reg ?(labels = []) ?growth ?min_value ?buckets name =
-  match
-    get_or_create reg name labels (fun () ->
-        I_histo (Histogram.create ?growth ?min_value ?buckets ()))
-  with
+let histogram reg ?(labels = []) name =
+  match get_or_create reg name labels (fun () -> I_histo (Histogram.create ())) with
   | I_histo h -> h
   | _ -> invalid_arg (Printf.sprintf "Metric.histogram: %s is registered as another kind" name)
 
-let inc ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
+let inc c = Atomic.incr c
 let counter_value c = Atomic.get c
 
 let set g v = Atomic.set g v
@@ -85,8 +82,8 @@ let snapshot reg =
       | c -> c)
     samples
 
-let find reg ?(labels = []) name =
+let find reg name =
   Mutex.lock reg.lock;
-  let v = Hashtbl.find_opt reg.tbl (name, normalize_labels labels) in
+  let v = Hashtbl.find_opt reg.tbl (name, []) in
   Mutex.unlock reg.lock;
   Option.map value_of_instrument v

@@ -27,19 +27,9 @@ val create : unit -> registry
 val counter : registry -> ?labels:(string * string) list -> string -> counter
 val gauge : registry -> ?labels:(string * string) list -> string -> gauge
 
-val histogram :
-  registry ->
-  ?labels:(string * string) list ->
-  ?growth:float ->
-  ?min_value:float ->
-  ?buckets:int ->
-  string ->
-  Histogram.t
-(** Histogram parameters are taken from the first registration; later
-    registrations of the same [(name, labels)] return the existing
-    instrument regardless of the parameters passed. *)
+val histogram : registry -> ?labels:(string * string) list -> string -> Histogram.t
 
-val inc : ?by:int -> counter -> unit
+val inc : counter -> unit
 val counter_value : counter -> int
 
 val set : gauge -> float -> unit
@@ -55,5 +45,6 @@ val snapshot : registry -> sample list
 (** All registered instruments, sorted by [(name, labels)] for
     deterministic export. *)
 
-val find : registry -> ?labels:(string * string) list -> string -> value option
-(** Current value of one instrument, for tests. *)
+val find : registry -> string -> value option
+(** Current value of one unlabelled instrument, for tests; {!snapshot}
+    reads labelled ones. *)

@@ -335,15 +335,9 @@ module Delta = struct
     | Leave of int
     | Rate_change of int * float
 
-  type state = {
-    config : config;
-    cache : Solve_cache.t option;
-    cluster : Cluster.t;
-    output : output;
-  }
+  type state = { config : config; cluster : Cluster.t; output : output }
 
-  let init ?(config = default_config) ?cache cluster =
-    { config; cache; cluster; output = solve ~config ?cache cluster }
+  let init ?(config = default_config) cluster = { config; cluster; output = solve ~config cluster }
 
   let cluster st = st.cluster
   let output st = st.output
@@ -422,7 +416,7 @@ module Delta = struct
     let dirty = Array.make ns false in
     List.iter (fun s -> dirty.(s) <- true) touched;
     let decisions, objective, assignment =
-      coordinate cfg ~cache:st.cache ~cluster:cluster' ~assignment:assignment'
+      coordinate cfg ~cache:None ~cluster:cluster' ~assignment:assignment'
         ~current:decisions' ~warm_first:(Some decisions') ~dirty
         ~max_sweeps:(1 + cfg.delta_sweeps) ~st:st_run
     in

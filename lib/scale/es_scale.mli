@@ -92,9 +92,9 @@ module Delta : sig
 
   type state
 
-  val init :
-    ?config:config -> ?cache:Es_joint.Solve_cache.t -> Es_edge.Cluster.t -> state
-  (** Full sharded solve; the starting point for a delta sequence. *)
+  val init : ?config:config -> Es_edge.Cluster.t -> state
+  (** Full sharded solve, without a solve cache; the starting point for a
+      delta sequence. *)
 
   val apply : state -> event -> state
   (** Apply one event: rebuild the cluster, mark the touched shard(s)

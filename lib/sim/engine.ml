@@ -102,9 +102,9 @@ let no_handler _ = invalid_arg "Engine.run: a data event needs a handler"
    A fired closure's slot is freed before the call, so the callback may
    reuse it; the closure stays in the slot until then, as clearing it
    would cost a second write barrier per event. *)
-let run ?(until = infinity) ?(handle = no_handler) t =
+let run ?(handle = no_handler) t =
   let rec loop () =
-    let code = Es_util.Calendar_queue.pop_before t.q until t.clock in
+    let code = Es_util.Calendar_queue.pop_into t.q t.clock in
     if code >= 0 then begin
       t.events_processed <- t.events_processed + 1;
       if code land 1 = 1 then handle (code lsr 1)
@@ -118,8 +118,7 @@ let run ?(until = infinity) ?(handle = no_handler) t =
       loop ()
     end
   in
-  loop ();
-  if pending t > 0 then t.clock.(0) <- Float.max (now t) until
+  loop ()
 
 let stats (t : t) : stats =
   { events_processed = t.events_processed; max_pending = t.max_pending; pending = pending t }

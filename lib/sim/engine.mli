@@ -57,14 +57,12 @@ val post_at_seq : t -> float -> seq:int -> int -> unit
     @raise Invalid_argument as {!post_at} does, or when [seq] was never
     reserved. *)
 
-val run : ?until:float -> ?handle:(int -> unit) -> t -> unit
-(** Drain events until the list is empty or the clock passes [until]
-    (events scheduled beyond the horizon stay unexecuted and the clock
-    advances to [until], never backwards: a horizon earlier than the
-    current time leaves the clock where it is).  Closure events are
-    called; data events are passed to [handle], which must be given when
-    any is queued.  One queue operation per event: no separate
-    peek-then-pop rescan per timestamp, and no allocation to pop.
+val run : ?handle:(int -> unit) -> t -> unit
+(** Drain events until the list is empty; the clock is left at the last
+    event's time.  Closure events are called; data events are passed to
+    [handle], which must be given when any is queued.  One queue operation
+    per event: no separate peek-then-pop rescan per timestamp, and no
+    allocation to pop.
     @raise Invalid_argument on a data event without [handle]. *)
 
 val pending : t -> int

@@ -111,10 +111,12 @@ val run :
 (** [run cluster decisions] simulates the cluster under the decision set.
 
     - [arrivals]: explicit (time, device) request trace, sorted by time;
-      defaults to per-device Poisson processes at each device's rate.  The
-      run reads the trace with a cursor, posting each arrival when the
-      previous one fires, so its live state grows with the requests in
-      flight, not with the trace.
+      defaults to per-device Poisson processes at each device's rate, each
+      drawing from its own stream split off [options.seed] and keeping
+      arrivals at [t <= duration_s] ({!Es_workload.Heavy.trace} keeps
+      [t < duration_s]).  The run reads the trace with a cursor, posting
+      each arrival when the previous one fires, so its live state grows
+      with the requests in flight, not with the trace.
     - [reconfigure]: piecewise decision changes [(t, decisions)] applied at
       time [t] — new requests use the new plans, granted rates/shares change
       for subsequently started transfers/executions (the online scheduler's

@@ -2,9 +2,11 @@
 
     A multi-exit model carries several exit heads simultaneously; at run
     time each input leaves at the first exit that is confident about it
-    (BranchyNet semantics).  The online simulator uses this to draw
-    per-request compute: easy inputs cost the shallow prefix, hard inputs
-    run deep. *)
+    (BranchyNet semantics).  Only experiment F15 uses this: it draws
+    per-request compute through the simulator's [work_scale] hook
+    ([Es_sim.Runner.run ?work_scale]), so easy inputs cost the shallow
+    prefix and hard inputs run deep.  The optimizer, the online mode and
+    every other run plan a single exit per device ([Plan.exit_node]). *)
 
 type t = private {
   base : Es_dnn.Graph.t;

@@ -76,11 +76,11 @@ let make ?(width = 1.0) ?exit_node ?(precision = Precision.Fp32) ?(cut = 0) (bas
   in
   { base_name = base.name; width; exit_node; precision; graph; cut; depth_frac; accuracy }
 
-let device_only ?width ?exit_node ?precision base =
-  let p = make ?width ?exit_node ?precision ~cut:0 base in
+let device_only base =
+  let p = make base in
   { p with cut = Graph.n_nodes p.graph }
 
-let server_only ?width ?exit_node ?precision base = make ?width ?exit_node ?precision ~cut:0 base
+let server_only base = make base
 
 let with_cut t cut =
   let n = Graph.n_nodes t.graph in

@@ -36,13 +36,13 @@ val make :
     graph's exit candidates or its output), width outside (0, 1], or a cut
     outside range. *)
 
-val device_only :
-  ?width:float -> ?exit_node:int -> ?precision:Precision.t -> Es_dnn.Graph.t -> t
-(** Plan executing entirely on the device (cut at the end). *)
+val device_only : Es_dnn.Graph.t -> t
+(** The unmodified model (full width and depth, fp32) executing entirely
+    on the device (cut at the end). *)
 
-val server_only :
-  ?width:float -> ?exit_node:int -> ?precision:Precision.t -> Es_dnn.Graph.t -> t
-(** Plan offloading everything (cut at 0; the raw input is shipped). *)
+val server_only : Es_dnn.Graph.t -> t
+(** The unmodified model offloaded whole (cut at 0; the raw input is
+    shipped). *)
 
 val with_cut : t -> int -> t
 (** Same surgery, different partition point. *)

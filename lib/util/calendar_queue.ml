@@ -268,30 +268,27 @@ let locate t =
     end
   end
 
-let pop_before t horizon at =
+let pop_into t at =
   let b = locate t in
   if b < 0 then -1
   else begin
     let h = t.heads.(b) in
-    if h = nil || not (t.prio.(h) <= horizon) then -1
-    else begin
-      t.heads.(b) <- t.nxt.(h);
-      if t.nxt.(h) = nil then t.tails.(b) <- nil;
-      at.(0) <- t.prio.(h);
-      let v = t.value.(h) in
-      free_slot t h;
-      t.size <- t.size - 1;
-      (* Wide hysteresis (grow past 2x buckets, shrink under 1/4) so a
-         push/pop sequence hovering at a threshold cannot thrash
-         O(n) rebuilds. *)
-      if t.mask + 1 > min_buckets && t.size < (t.mask + 1) / 4 then rebuild t;
-      v
-    end
+    t.heads.(b) <- t.nxt.(h);
+    if t.nxt.(h) = nil then t.tails.(b) <- nil;
+    at.(0) <- t.prio.(h);
+    let v = t.value.(h) in
+    free_slot t h;
+    t.size <- t.size - 1;
+    (* Wide hysteresis (grow past 2x buckets, shrink under 1/4) so a
+       push/pop sequence hovering at a threshold cannot thrash
+       O(n) rebuilds. *)
+    if t.mask + 1 > min_buckets && t.size < (t.mask + 1) / 4 then rebuild t;
+    v
   end
 
 let pop t =
   let at = [| 0.0 |] in
-  let v = pop_before t infinity at in
+  let v = pop_into t at in
   if v < 0 then None else Some (at.(0), v)
 
 let pop_exn t =

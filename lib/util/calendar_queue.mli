@@ -23,7 +23,7 @@
     Payloads are ints (the simulator's events are ints, see
     [Es_sim.Engine]), so entries live in flat arrays: once the slot pool
     and the bucket array have grown to the run's high-water mark, a push
-    or a {!pop_before} allocates nothing.  A drained queue keeps its pool
+    or a {!pop_into} allocates nothing.  A drained queue keeps its pool
     for the next push. *)
 
 type t
@@ -57,12 +57,11 @@ val push_seq : t -> float -> seq:int -> int -> unit
     @raise Invalid_argument as {!push} does, or when [seq] is negative or
     was never handed out. *)
 
-val pop_before : t -> float -> float array -> int
-(** [pop_before q horizon at] pops the minimum entry if its priority is
-    [<= horizon]: it stores the priority in [at.(0)] and returns the
-    payload.  Otherwise it returns [-1] and leaves the queue and [at]
-    intact.  The single-scan, allocation-free primitive behind
-    [Engine.run ?until] (no separate peek then pop); the priority goes
+val pop_into : t -> float array -> int
+(** [pop_into q at] pops the minimum entry: it stores the priority in
+    [at.(0)] and returns the payload.  On an empty queue it returns [-1]
+    and leaves [at] intact.  The single-scan, allocation-free primitive
+    behind [Engine.run] (no separate peek then pop); the priority goes
     through a float array because a returned float would be boxed. *)
 
 val pop : t -> (float * int) option

@@ -157,4 +157,4 @@ let parallel_map ?jobs f l =
       if jobs <= 1 || inside_pool () then List.map f l
       else Array.to_list (parallel_map_array ~jobs f (Array.of_list l))
 
-let parallel_iter ?jobs f l = ignore (parallel_map ?jobs f l)
+let parallel_iter f l = ignore (parallel_map f l)

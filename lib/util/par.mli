@@ -35,8 +35,8 @@ val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 val parallel_map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Array variant of {!parallel_map}; same contract. *)
 
-val parallel_iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
-(** [parallel_map] for effects only. *)
+val parallel_iter : ('a -> unit) -> 'a list -> unit
+(** [parallel_map] at {!default_jobs}, for effects only. *)
 
 val inside_pool : unit -> bool
 (** True while executing on a pool worker or inside a chunk the caller is

@@ -1,11 +1,11 @@
 open Es_edge
 
+(* A device the spec could have generated; [rate] is the nominal req/s
+   before per-device jitter. *)
 type archetype = {
-  name : string;
   proc : Processor.t;
   link : Link.t;
   model : Es_dnn.Graph.t;
-  model_name : string;
   rate : float;
   deadline : float;
   accuracy_floor : float;
@@ -36,7 +36,7 @@ let draw_archetypes rng k (spec : Scenario.spec) =
     Array.of_list (List.map (fun (p, l, w) -> ((p, l), w)) spec.Scenario.device_mix)
   in
   let models = Array.of_list spec.Scenario.model_names in
-  Array.init k (fun j ->
+  Array.init k (fun _ ->
       let proc, link = Es_util.Prng.weighted_choice rng mix in
       let model_name = models.(Es_util.Prng.int rng (Array.length models)) in
       let model = graph_of model_name in
@@ -49,21 +49,7 @@ let draw_archetypes rng k (spec : Scenario.spec) =
         (Es_surgery.Accuracy.profile_of_model model_name).Es_surgery.Accuracy.full_accuracy
       in
       let accuracy_floor = full *. Es_util.Prng.float_in rng slo shi in
-      {
-        name = Printf.sprintf "arch%d-%s" j model_name;
-        proc;
-        link;
-        model;
-        model_name;
-        rate;
-        deadline;
-        accuracy_floor;
-      })
-
-let archetypes ?(k = 4) spec =
-  if k < 1 then invalid_arg "Heavy.archetypes: k must be >= 1";
-  check_spec spec;
-  draw_archetypes (Es_util.Prng.create spec.Scenario.seed) k spec
+      { proc; link; model; rate; deadline; accuracy_floor })
 
 (* Log-normal sigma of the per-device rate jitter, and the population each
    server is provisioned for. *)

@@ -13,26 +13,12 @@
 
     Everything is deterministic from the spec's seed. *)
 
-type archetype = {
-  name : string;
-  proc : Es_edge.Processor.t;
-  link : Es_edge.Link.t;
-  model : Es_dnn.Graph.t;
-  model_name : string;
-  rate : float;  (** nominal req/s before per-device jitter *)
-  deadline : float;
-  accuracy_floor : float;
-}
-
-val archetypes : ?k:int -> Es_edge.Scenario.spec -> archetype array
-(** [k] (default 4) archetypes drawn from the spec's device mix, model
-    list and rate/deadline/slack ranges, deterministically from its seed.
-    @raise Invalid_argument when [k < 1] or the spec is malformed. *)
-
 val population : ?k:int -> devices:int -> Es_edge.Scenario.spec -> Es_edge.Cluster.t
 (** [population ~devices spec] builds a [devices]-strong cluster by
-    sampling an archetype per device and jittering its rate log-normally
-    with sigma 0.1 (mean-preserving).  The server fleet is the spec's
+    sampling one of [k] (default 4) archetypes per device and jittering its
+    rate log-normally with sigma 0.1 (mean-preserving).  The archetypes are
+    drawn from the spec's device mix, model list and rate/deadline/slack
+    ranges, deterministically from its seed.  The server fleet is the spec's
     server list cycled up to one server per 40 devices (rounded up), so
     capacity scales with the population.
     @raise Invalid_argument when [devices < 1] or [k < 1]. *)

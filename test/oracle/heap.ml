@@ -74,8 +74,6 @@ let pop_exn t =
   | Some x -> x
   | None -> invalid_arg "Heap.pop_exn: empty heap"
 
-let peek t = if t.size = 0 then None else Some (t.data.(0).prio, t.data.(0).value)
-
 let clear t = t.size <- 0
 
 let to_sorted_list t =

@@ -22,8 +22,6 @@ val pop : 'a t -> (float * 'a) option
 val pop_exn : 'a t -> float * 'a
 (** @raise Invalid_argument when empty. *)
 
-val peek : 'a t -> (float * 'a) option
-
 val clear : 'a t -> unit
 
 val to_sorted_list : 'a t -> (float * 'a) list

@@ -22,15 +22,13 @@ let schedule t delay f =
 
 let schedule_at t time f = push t (Float.max time t.clock) f
 
-let run ?(until = infinity) t =
+let run t =
   let continue = ref true in
   while !continue do
-    match Heap.peek t.q with
-    | Some (time, _) when time <= until ->
-        let time, f = Heap.pop_exn t.q in
+    match Heap.pop t.q with
+    | Some (time, f) ->
         t.clock <- time;
         t.events_processed <- t.events_processed + 1;
         f ()
-    | _ -> continue := false
-  done;
-  if pending t > 0 then t.clock <- Float.max t.clock until
+    | None -> continue := false
+  done

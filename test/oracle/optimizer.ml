@@ -33,13 +33,10 @@ let plan_stable cluster ~device ~server plan ~bandwidth_bps ~compute_share =
 
 (* The surgery step: one Decision per candidate, list filters and
    [argmin_by]. *)
-let best_plan_for_grants ?exits ?max_candidates ?precisions ~widths cluster ~device ~server
-    ~bandwidth_bps ~compute_share =
+let best_plan_for_grants ?exits ?precisions ~widths cluster ~device ~server ~bandwidth_bps
+    ~compute_share =
   let dev = cluster.Cluster.devices.(device) in
   let candidates = Candidate.pareto_candidates ?exits ?precisions ~widths dev.Cluster.model in
-  let candidates =
-    match max_candidates with Some k -> Candidate.subsample k candidates | None -> candidates
-  in
   let acc_ok (p : Plan.t) = p.Plan.accuracy >= dev.Cluster.accuracy_floor -. 1e-9 in
   let latency p = plan_latency cluster ~device ~server p ~bandwidth_bps ~compute_share in
   let eligible = List.filter acc_ok candidates in

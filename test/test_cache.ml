@@ -84,7 +84,7 @@ let test_stale_warm_repaired () =
 
 let test_recover_warm_fallbacks () =
   let cluster = small_cluster () in
-  let r = Recover.precompute ~config:cheap cluster in
+  let r = Recover.precompute cluster in
   let base = Recover.baseline r in
   Alcotest.(check int) "baseline arity" (Cluster.n_devices cluster) (Array.length base);
   let ns = Cluster.n_servers cluster in

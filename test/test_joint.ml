@@ -712,9 +712,9 @@ let random_assignment_instance ?(tied = false) ~local (n_servers, n_devices, see
           if tied then Es_surgery.Precision.Fp32
           else List.nth Es_surgery.Precision.all (Random.State.int rng 3)
         in
-        let p = Es_surgery.Plan.device_only ~precision dev.Cluster.model in
+        let p = Es_surgery.Plan.make ~precision dev.Cluster.model in
         let n = Es_dnn.Graph.n_nodes p.Es_surgery.Plan.graph in
-        if Random.State.float rng 1.0 < local then p
+        if Random.State.float rng 1.0 < local then Es_surgery.Plan.with_cut p n
         else
           Es_surgery.Plan.with_cut p
             (if tied then Random.State.int rng 2 * (n / 2) else Random.State.int rng n))

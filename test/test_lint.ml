@@ -12,8 +12,9 @@ let qtest ?(count = 100) name arb law =
    `dune exec test/test_lint.exe` runs from the repo root. *)
 let root = if Sys.file_exists "lint_fixtures" then "lint_fixtures" else "test/lint_fixtures"
 
-let cfg ?(rules = Rule.all) ?(allow = Allowlist.empty) ?(mli = Engine.Mli_never) () =
-  { Engine.rules; allow; mli_mode = mli; root }
+(* D5 reaches only the fixtures under lib/, as it reaches only lib/ and
+   bin/ in the repo. *)
+let cfg ?(rules = Rule.all) ?(allow = Allowlist.empty) () = { Engine.rules; allow; root }
 
 let all_fixtures =
   [
@@ -22,8 +23,8 @@ let all_fixtures =
     "bad_d3.ml";
     "bad_d4.ml";
     "bad_parse.ml";
-    "clean.ml";
-    "d5_missing.ml";
+    "lib/clean.ml";
+    "lib/d5_missing.ml";
     "hot_d6.ml";
     (* interprocedural fixtures: these five interact through the phase-2
        call graph (cross-unit guards, transitive effects), so shuffling
@@ -80,7 +81,7 @@ let test_d3 () =
 
 let test_d3_needs_float_types () =
   (* clean.ml uses bare compare on ints and declares no float types. *)
-  let r = Engine.lint_files (cfg ~rules:[ Rule.D3 ] ()) [ "clean.ml" ] in
+  let r = Engine.lint_files (cfg ~rules:[ Rule.D3 ] ()) [ "lib/clean.ml" ] in
   check_rule_lines "no float declarations, no D3" [] r.findings
 
 let test_d4 () =
@@ -101,13 +102,12 @@ let test_d4_atomic_fields () =
 
 let test_d5 () =
   let r =
-    Engine.lint_files (cfg ~rules:[ Rule.D5 ] ~mli:Engine.Mli_always ()) [ "d5_missing.ml"; "clean.ml" ]
+    Engine.lint_files (cfg ~rules:[ Rule.D5 ] ())
+      [ "lib/d5_missing.ml"; "lib/clean.ml"; "bad_d1.ml" ]
   in
-  check_rule_lines "only the interface-less module fires" [ ("D5", 1) ] r.findings;
-  Alcotest.(check string) "on the right file" "d5_missing.ml"
-    (List.hd r.findings).Finding.file;
-  let r = Engine.lint_files (cfg ~rules:[ Rule.D5 ] ~mli:Engine.Mli_never ()) [ "d5_missing.ml" ] in
-  check_rule_lines "Mli_never disables D5" [] r.findings
+  check_rule_lines "only the interface-less module under lib/ fires" [ ("D5", 1) ] r.findings;
+  Alcotest.(check string) "on the right file" "lib/d5_missing.ml"
+    (List.hd r.findings).Finding.file
 
 let test_d6 () =
   let r = Engine.lint_files (cfg ~rules:[ Rule.D6 ] ()) [ "hot_d6.ml" ] in
@@ -125,7 +125,7 @@ let test_d6 () =
 let test_d6_needs_hot_tag () =
   (* clean.ml constructs closures in argument position but carries no
      [es_lint: hot] tag, so D6 never looks at it. *)
-  let r = Engine.lint_files (cfg ~rules:[ Rule.D6 ] ()) [ "clean.ml"; "bad_d2.ml" ] in
+  let r = Engine.lint_files (cfg ~rules:[ Rule.D6 ] ()) [ "lib/clean.ml"; "bad_d2.ml" ] in
   check_rule_lines "untagged files are exempt" [] r.findings;
   check_rule_lines "…with nothing suppressed either" [] r.suppressed
 
@@ -135,7 +135,7 @@ let test_parse_error () =
   check_rule_lines "unparsable file yields exactly a parse finding" [ ("parse", 2) ] r.findings
 
 let test_clean_fixture () =
-  let r = Engine.lint_files (cfg ~mli:Engine.Mli_always ()) [ "clean.ml" ] in
+  let r = Engine.lint_files (cfg ()) [ "lib/clean.ml" ] in
   check_rule_lines "clean fixture has zero findings under every rule" [] r.findings;
   (* Its suppressions are visible: one sorted comment, two guarded bindings. *)
   Alcotest.(check (list (pair string int)))
@@ -200,7 +200,7 @@ let shuffle seed xs =
   Array.to_list arr
 
 let render_all files =
-  let r = Engine.lint_files (cfg ~mli:Engine.Mli_always ()) files in
+  let r = Engine.lint_files (cfg ()) files in
   Report.render_findings r.findings ^ Report.render_summary r
 
 let qcheck_order_invariance =
@@ -307,7 +307,7 @@ let test_why_chain () =
     (contains ~sub:"Locks_d9.a" cycle && contains ~sub:"Locks_d9.b" cycle);
   Alcotest.(check (list string))
     "no anchored finding, no chain" []
-    (Callgraph.explain a.graph ~rule:Rule.D8 ~file:"clean.ml" ~line:1)
+    (Callgraph.explain a.graph ~rule:Rule.D8 ~file:"lib/clean.ml" ~line:1)
 
 let () =
   Alcotest.run "es_lint"

@@ -14,7 +14,12 @@ let test_engine_ordering () =
   Es_sim.Engine.schedule e 2.0 (fun () -> log := "b" :: !log);
   Es_sim.Engine.run e;
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !log);
-  Alcotest.(check (float 0.0)) "clock at last event" 3.0 (Es_sim.Engine.now e)
+  Alcotest.(check (float 0.0)) "clock at last event" 3.0 (Es_sim.Engine.now e);
+  (* A past time is clamped to the clock, so no event fires in the past. *)
+  let fired_at = ref nan in
+  Es_sim.Engine.schedule_at e 1.0 (fun () -> fired_at := Es_sim.Engine.now e);
+  Es_sim.Engine.run e;
+  Alcotest.(check (float 0.0)) "a past time is clamped to the clock" 3.0 !fired_at
 
 let test_engine_same_time_fifo () =
   let e = Es_sim.Engine.create () in
@@ -24,16 +29,6 @@ let test_engine_same_time_fifo () =
   done;
   Es_sim.Engine.run e;
   Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3; 4; 5 ] (List.rev !log)
-
-let test_engine_until () =
-  let e = Es_sim.Engine.create () in
-  let fired = ref 0 in
-  Es_sim.Engine.schedule e 1.0 (fun () -> incr fired);
-  Es_sim.Engine.schedule e 10.0 (fun () -> incr fired);
-  Es_sim.Engine.run ~until:5.0 e;
-  Alcotest.(check int) "only events before the horizon" 1 !fired;
-  Alcotest.(check (float 0.0)) "clock stops at the horizon" 5.0 (Es_sim.Engine.now e);
-  Alcotest.(check int) "late event still pending" 1 (Es_sim.Engine.pending e)
 
 let test_engine_nested_scheduling () =
   let e = Es_sim.Engine.create () in
@@ -46,25 +41,12 @@ let test_engine_nested_scheduling () =
   Alcotest.check_raises "negative delay" (Invalid_argument "Engine.schedule: negative delay")
     (fun () -> Es_sim.Engine.schedule e (-1.0) (fun () -> ()))
 
-(* A regression: a horizon earlier than the clock must not move it
-   backwards, or an event scheduled afterwards fires in the past. *)
-let test_engine_until_never_rewinds () =
-  let e = Es_sim.Engine.create () in
-  let fired_at = ref nan in
-  Es_sim.Engine.schedule_at e 12.0 (fun () -> ());
-  Es_sim.Engine.run ~until:10.0 e;
-  Alcotest.(check (float 0.0)) "clock reaches the horizon" 10.0 (Es_sim.Engine.now e);
-  Es_sim.Engine.run ~until:5.0 e;
-  Alcotest.(check (float 0.0)) "an earlier horizon keeps the clock" 10.0 (Es_sim.Engine.now e);
-  Es_sim.Engine.schedule_at e 7.0 (fun () -> fired_at := Es_sim.Engine.now e);
-  Es_sim.Engine.run ~until:11.0 e;
-  Alcotest.(check (float 0.0)) "a past time is clamped to the clock" 10.0 !fired_at
-
 (* The engine must process a callback program exactly like the binary-heap
    reference loop: same callback order (including ties, events scheduled
    from inside a pop at the current instant — the runner's
    fault-before-reconfiguration ordering relies on this — and past times
-   clamped by [schedule_at]), same clock trajectory, same stats. *)
+   clamped by [schedule_at], also after a drain), same clock trajectory,
+   same stats. *)
 let engine_program ~now ~schedule ~schedule_at ~run =
   let log = ref [] in
   let note tag = log := (tag, now ()) :: !log in
@@ -79,10 +61,11 @@ let engine_program ~now ~schedule ~schedule_at ~run =
         if i = 3 then schedule 1e6 (fun () -> note 99))
   done;
   schedule_at 2.0 (fun () -> note 30);
-  run 1.5;
-  run 0.5;
+  run ();
   note 40;
-  run infinity;
+  schedule_at 0.5 (fun () -> note 50);
+  schedule 1.0 (fun () -> note 60);
+  run ();
   List.rev !log
 
 let test_engine_backends_equivalent () =
@@ -91,10 +74,10 @@ let test_engine_backends_equivalent () =
   let e = E.create () and h = H.create () in
   let log_e =
     engine_program ~now:(fun () -> E.now e) ~schedule:(E.schedule e)
-      ~schedule_at:(E.schedule_at e) ~run:(fun until -> E.run ~until e)
+      ~schedule_at:(E.schedule_at e) ~run:(fun () -> E.run e)
   and log_h =
     engine_program ~now:(fun () -> H.now h) ~schedule:(H.schedule h)
-      ~schedule_at:(H.schedule_at h) ~run:(fun until -> H.run ~until h)
+      ~schedule_at:(H.schedule_at h) ~run:(fun () -> H.run h)
   in
   let st = E.stats e in
   Alcotest.(check bool) "same event log" true (log_e = log_h);
@@ -1108,8 +1091,14 @@ let test_overload_breaker_reroutes () =
     && r.Es_sim.Metrics.total_dropped <= 2 * breaker.Es_sim.Overload.window);
   Alcotest.(check bool) "rerouted arrivals keep completing" true
     (r.Es_sim.Metrics.total_completed > r.Es_sim.Metrics.total_dropped);
-  (match Es_obs.Metric.find reg ~labels:[ ("server", "0") ] "overload/breaker_state" with
-  | Some (Es_obs.Metric.Gauge g) ->
+  (match
+     List.find_opt
+       (fun (s : Es_obs.Metric.sample) ->
+         s.Es_obs.Metric.name = "overload/breaker_state"
+         && s.Es_obs.Metric.labels = [ ("server", "0") ])
+       (Es_obs.Metric.snapshot reg)
+   with
+  | Some { Es_obs.Metric.value = Es_obs.Metric.Gauge g; _ } ->
       Alcotest.(check (float 0.0)) "breaker gauge reads open" 2.0 g
   | _ -> Alcotest.fail "breaker gauge missing");
   let unprotected =
@@ -1535,8 +1524,6 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_engine_ordering;
           Alcotest.test_case "tie FIFO" `Quick test_engine_same_time_fifo;
-          Alcotest.test_case "until" `Quick test_engine_until;
-          Alcotest.test_case "until never rewinds" `Quick test_engine_until_never_rewinds;
           Alcotest.test_case "nested + errors" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "backend equivalence" `Quick test_engine_backends_equivalent;
           Alcotest.test_case "stats" `Quick test_engine_stats;

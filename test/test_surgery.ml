@@ -138,15 +138,18 @@ let test_plan_validation () =
     (Invalid_argument "Plan.make: node 1 is not an exit candidate") (fun () ->
       ignore (Plan.make ~exit_node:1 resnet18))
 
+(* [p] with its whole executed graph on the device. *)
+let on_device (p : Plan.t) = Plan.with_cut p (Graph.n_nodes p.Plan.graph)
+
 let test_plan_width_reduces_cost_and_accuracy () =
   let full = Plan.device_only resnet18 in
-  let slim = Plan.device_only ~width:0.5 resnet18 in
+  let slim = on_device (Plan.make ~width:0.5 resnet18) in
   Alcotest.(check bool) "slim has fewer flops" true (Plan.dev_flops slim < Plan.dev_flops full);
   Alcotest.(check bool) "slim is less accurate" true (slim.Plan.accuracy < full.Plan.accuracy)
 
 let test_plan_exit_reduces_cost_and_accuracy () =
   let exits = Graph.exit_candidate_ids resnet18 in
-  let early = Plan.device_only ~exit_node:(List.hd exits) resnet18 in
+  let early = on_device (Plan.make ~exit_node:(List.hd exits) resnet18) in
   let full = Plan.device_only resnet18 in
   Alcotest.(check bool) "early exit cheaper" true (Plan.dev_flops early < Plan.dev_flops full);
   Alcotest.(check bool) "early exit less accurate" true (early.Plan.accuracy < full.Plan.accuracy);
@@ -191,7 +194,7 @@ let test_mem_zero_when_fully_offloaded () =
 
 let test_mem_quantization_shrinks () =
   let fp32 = Plan.device_only resnet18 in
-  let int8 = Plan.device_only ~precision:Precision.Int8 resnet18 in
+  let int8 = on_device (Plan.make ~precision:Precision.Int8 resnet18) in
   Alcotest.(check (float 1.0)) "int8 quarters the footprint"
     (Plan.device_mem_bytes fp32 /. 4.0)
     (Plan.device_mem_bytes int8)

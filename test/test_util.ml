@@ -301,20 +301,11 @@ let test_cq_push_validation () =
       Calendar_queue.push c 1.0 (-1));
   Alcotest.(check int) "nothing entered" 0 (Calendar_queue.length c)
 
-(* [pop_before] as an option, for comparison with the heap oracle. *)
-let cq_pop_before c horizon =
+(* [pop_into] as an option, for comparison with the heap oracle. *)
+let cq_pop_into c =
   let at = [| nan |] in
-  let v = Calendar_queue.pop_before c horizon at in
+  let v = Calendar_queue.pop_into c at in
   if v < 0 then None else Some (at.(0), v)
-
-let test_cq_pop_before () =
-  let c = Calendar_queue.create () in
-  Calendar_queue.push c 5.0 1;
-  Calendar_queue.push c 10.0 2;
-  Alcotest.(check bool) "nothing due" true (cq_pop_before c 4.0 = None);
-  Alcotest.(check int) "still pending" 2 (Calendar_queue.length c);
-  Alcotest.(check bool) "due at horizon" true (cq_pop_before c 5.0 = Some (5.0, 1));
-  Alcotest.(check bool) "rest" true (cq_pop_before c infinity = Some (10.0, 2))
 
 let test_cq_clear () =
   let c = Calendar_queue.create () in
@@ -334,7 +325,7 @@ let test_cq_pop_push_zero_alloc () =
     | [] -> ()
     | p :: rest ->
         Calendar_queue.push c p i;
-        if Calendar_queue.pop_before c infinity at <> i then failwith "wrong payload";
+        if Calendar_queue.pop_into c at <> i then failwith "wrong payload";
         chain (i + 1) rest
   in
   let chain () = chain 0 prios in
@@ -379,7 +370,7 @@ let cq_reserved_run_matches_eager =
       let drain c ~lazily base =
         let out = ref [] and buf = [| 0.0 |] in
         let rec go () =
-          let v = Calendar_queue.pop_before c infinity buf in
+          let v = Calendar_queue.pop_into c buf in
           if v >= 0 then begin
             out := (buf.(0), v) :: !out;
             if v land 1 = 0 && v < 2 * n then begin
@@ -411,7 +402,7 @@ let cq_reserved_run_matches_eager =
    per-push stamp).  Push flavors cover the calendar's hard cases — runs of
    discrete tied timestamps, spread-out values, and far-future jumps that
    force the fruitless-lap direct search; pops cover both plain [pop] and
-   bounded [pop_before]. *)
+   the unboxed [pop_into], and both queues are then drained to empty. *)
 let cq_program =
   QCheck.(list (pair (int_range 0 5) (int_range 0 1000)))
 
@@ -428,14 +419,12 @@ let cq_apply_op (h, c, stamp, ok) (op, raw) =
       Heap.push h prio !stamp;
       Calendar_queue.push c prio !stamp
   | 3 | 4 -> if Heap.pop h <> Calendar_queue.pop c then ok := false
-  | _ ->
-      let horizon = float_of_int (raw mod 12) in
-      let from_heap =
-        match Heap.peek h with
-        | Some (p, _) when p <= horizon -> Some (Heap.pop_exn h)
-        | _ -> None
-      in
-      if from_heap <> cq_pop_before c horizon then ok := false
+  | _ -> if Heap.pop h <> cq_pop_into c then ok := false
+
+(* Pop both queues to empty, comparing every entry. *)
+let rec cq_drain_equal h c =
+  let a = Heap.pop h and b = Calendar_queue.pop c in
+  a = b && match a with None -> true | Some _ -> cq_drain_equal h c
 
 let cq_matches_heap =
   qtest ~count:500 "calendar queue matches heap oracle on op programs" cq_program
@@ -445,7 +434,8 @@ let cq_matches_heap =
       List.iter (fun op -> cq_apply_op (h, c, stamp, ok) op) program;
       !ok
       && Calendar_queue.length c = Heap.length h
-      && Calendar_queue.to_sorted_list c = Heap.to_sorted_list h)
+      && Calendar_queue.to_sorted_list c = Heap.to_sorted_list h
+      && cq_drain_equal h c)
 
 let cq_drain_matches_heap =
   qtest ~count:200 "full drain equals heap order after arbitrary pushes"
@@ -454,11 +444,7 @@ let cq_drain_matches_heap =
       let h = Heap.create () and c = Calendar_queue.create () in
       let stamp = ref 0 and ok = ref true in
       List.iter (fun (flavor, raw) -> cq_apply_op (h, c, stamp, ok) (flavor, raw)) pushes;
-      let rec drain () =
-        let a = Heap.pop h and b = Calendar_queue.pop c in
-        if a <> b then false else match a with None -> true | Some _ -> drain ()
-      in
-      !ok && drain ())
+      !ok && cq_drain_equal h c)
 
 (* ---------- Maxflow ---------- *)
 
@@ -600,7 +586,7 @@ let test_par_exception () =
 
 let test_par_iter_covers () =
   let hits = Array.make 50 0 in
-  Par.parallel_iter ~jobs:4 (fun i -> hits.(i) <- hits.(i) + 1) (List.init 50 Fun.id);
+  Par.parallel_iter (fun i -> hits.(i) <- hits.(i) + 1) (List.init 50 Fun.id);
   Alcotest.(check bool) "each element visited exactly once" true
     (Array.for_all (fun c -> c = 1) hits)
 
@@ -869,7 +855,6 @@ let () =
           Alcotest.test_case "FIFO ties" `Quick test_cq_fifo_ties;
           Alcotest.test_case "empty" `Quick test_cq_empty;
           Alcotest.test_case "push validation" `Quick test_cq_push_validation;
-          Alcotest.test_case "pop_before" `Quick test_cq_pop_before;
           Alcotest.test_case "clear" `Quick test_cq_clear;
           Alcotest.test_case "pop + push zero alloc" `Quick test_cq_pop_push_zero_alloc;
           Alcotest.test_case "reserved sequence numbers" `Quick test_cq_reserved_seq;
