@@ -568,14 +568,17 @@ let sweep_cmd =
     Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc)
   in
   let run scenario devices seed duration param values csv jobs =
-    let parsed_values =
-      String.split_on_char ',' values |> List.filter_map float_of_string_opt
+    let entries = String.split_on_char ',' values in
+    let valid e =
+      match float_of_string_opt e with Some v -> v > 0.0 && Float.is_finite v | None -> false
     in
-    if parsed_values = [] then begin
-      Printf.eprintf "no valid values in %S\n" values;
-      1
-    end
-    else begin
+    match List.find_opt (fun e -> not (valid e)) entries with
+    | Some e ->
+        Printf.eprintf "bad sweep value %S in %S: every value must be a positive finite number\n"
+          e values;
+        1
+    | None -> begin
+      let parsed_values = List.map float_of_string entries in
       match build_cluster scenario devices seed None with
       | Error e ->
           Printf.eprintf "%s\n" e;

@@ -16,32 +16,61 @@
       u_i(μ) = R_i / (1 + √(μ·B·work_i/bits_i)),
 
     with the scalar multiplier μ found by a second bisection balancing the
-    bandwidth load against the compute load.  Queueing-stability caps
-    (λ_i·u_i ≤ margin, λ_i·s_i ≤ margin, margin = 0.95) bound the split
-    so the granted rates survive sustained load, not just one request. *)
+    bandwidth load f(μ) against the compute load g(μ).  Queueing-stability
+    caps (λ_i·u_i ≤ margin, λ_i·s_i ≤ margin, margin = 0.95) bound the split
+    so the granted rates survive sustained load, not just one request.
 
-type item = {
-  key : int;  (** caller's identifier (device id) *)
-  fixed_s : float;  (** latency the allocator cannot influence: device-side
-                        compute + link RTT *)
-  bits : float;  (** uplink + downlink volume per request, in bits *)
-  work_s : float;  (** server execution time per request at full speed *)
-  deadline_s : float;
-  peak_bps : float;  (** the device radio's ceiling *)
-  rate : float;  (** mean request rate, for the stability caps *)
+    {b Early verdicts.}  A θ probe needs one bit: is the load max V that the
+    full 60-step μ bisection would end on at most 1 + 1e-9?  In floating
+    point f never decreases as μ grows and g never increases (every
+    operation of a term is monotone and the sums keep a fixed order), and
+    the bisection's hi only falls while its lo only rises, so V is at least
+    f at every lo-side probe and g at every hi-side probe, and at most f at
+    every hi-side probe.  Each θ probe stops as soon as those bounds decide
+    it; only the final probe, whose splits become the grants, runs the
+    bisection to its end (or to the fixed point where (lo, hi) stops
+    changing).  Every verdict equals the full bisection's, so θ and the
+    grants are bit-identical to the reference solver in [test/oracle/].
+
+    {b Arrays in, arrays out.}  Items are a struct of arrays; a solve reads
+    one contiguous range of it and writes its grants into the same range of
+    caller arrays, so callers lay out every server's devices once and a
+    steady-state solve allocates nothing. *)
+
+type items = {
+  fixed_s : float array;
+      (** latency the allocator cannot influence: device-side compute + link
+          RTT *)
+  bits : float array;  (** uplink + downlink volume per request, in bits *)
+  work_s : float array;  (** server execution time per request at full speed *)
+  deadline_s : float array;
+  peak_bps : float array;  (** the device radio's ceiling *)
+  rate : float array;  (** mean request rate, for the stability caps *)
 }
+(** Item [k] is index [k] of every field. *)
 
-type grant = { bandwidth_bps : float; compute_share : float }
+val solve :
+  bandwidth_bps:float ->
+  items ->
+  pos:int ->
+  len:int ->
+  bw:float array ->
+  share:float array ->
+  theta:float array ->
+  bool
+(** [solve ~bandwidth_bps items ~pos ~len ~bw ~share ~theta] allocates one
+    server of bandwidth [bandwidth_bps] among items [pos .. pos + len − 1].
+    On [true] it has written each item's bandwidth grant (bit/s) into
+    [bw.(k)] and compute share into [share.(k)] for every [k] of the range,
+    and the achieved max deadline-normalized latency into [theta.(0)]
+    (0 for an empty range); nothing else is written.  [false] when no
+    allocation keeps every device stable (load exceeds the server's
+    bandwidth or compute capacity outright); the range's grants are then
+    unspecified.  A [theta] above 1.0 is stable but misses some deadline.
+    Unused capacity is redistributed after the min-max point is found, so
+    grants are leftover-free.  The θ bisection stops at a relative
+    tolerance of 1e-3.
 
-type result = {
-  theta : float;  (** achieved max deadline-normalized latency *)
-  grants : (int * grant) list;  (** keyed by [item.key] *)
-}
-
-val solve : bandwidth_bps:float -> item list -> result option
-(** [None] when no allocation keeps every device stable (load exceeds the
-    server's bandwidth or compute capacity outright).  A result with
-    [theta > 1.0] is stable but misses some deadline.  Unused capacity is
-    redistributed after the min-max point is found, so grants are
-    leftover-free.  The stability margin is 0.95 and the bisection on θ
-    stops at a relative tolerance of 1e-3. *)
+    @raise Invalid_argument when [bandwidth_bps] is not positive and
+    finite, or the range does not fit every array ([theta] needs one
+    cell). *)

@@ -4,9 +4,9 @@ open Minmax
 (* Proportional allocation with per-item caps: clip, then hand the excess
    to unclipped items; three passes make the residual negligible.  An item
    is active iff its raw demand is positive, so the check is inlined rather
-   than materialized.  Operates in place on caller-owned arrays (scratch on
-   the solver path), touching indices [0..n-1] in order — float op order
-   matches the original [Array.iteri] passes exactly. *)
+   than materialized.  Operates in place on scratch arrays, touching indices
+   [0..n-1] in order — float op order matches the original [Array.iteri]
+   passes exactly. *)
 let cap_and_redistribute_into ~budget ~n raw caps grant =
   Array.fill grant 0 n 0.0;
   let remaining = ref budget in
@@ -28,27 +28,52 @@ let cap_and_redistribute_into ~budget ~n raw caps grant =
     end
   done
 
-(* Demand models, as top-level functions so rule application constructs no
-   closures.  [`Unit`]-demand for the equal split, raw demand for the
-   proportional split, √(weight·demand) for the square-root rule. *)
-let bw_demand_equal it = if it.bits > 0.0 then 1.0 else 0.0
-let share_demand_equal it = if it.work_s > 0.0 then 1.0 else 0.0
-let bw_demand_prop it = it.bits
-let share_demand_prop it = it.work_s
-let bw_demand_sqrt it = sqrt (Float.max 0.0 it.rate *. it.bits)
-let share_demand_sqrt it = sqrt (Float.max 0.0 it.rate *. it.work_s)
+(* Demand models: unit demand for the equal split, raw demand for the
+   proportional split, √(rate·demand) for the square-root rule.  Matched
+   inside the loop rather than passed as functions, so no float crosses a
+   call. *)
+type demand = Unit | Raw | Sqrt
 
-let build_grants ~bandwidth_bps items bw_demand share_demand =
-  let items = Array.of_list items in
-  let n = Array.length items in
+type rule =
+  bandwidth_bps:float ->
+  items ->
+  pos:int ->
+  len:int ->
+  bw:float array ->
+  share:float array ->
+  unit
+
+let build_grants demand ~bandwidth_bps items ~pos ~len ~bw ~share =
+  let last = pos + len in
+  if
+    pos < 0 || len < 0
+    || Array.length items.bits < last
+    || Array.length items.work_s < last
+    || Array.length items.peak_bps < last
+    || Array.length items.rate < last
+    || Array.length bw < last
+    || Array.length share < last
+  then invalid_arg "Share: item range outside the arrays";
+  let n = len in
   let bw_raw = Es_util.Scratch.borrow_floats n in
   let caps = Es_util.Scratch.borrow_floats n in
   let bws = Es_util.Scratch.borrow_floats n in
   let share_raw = Es_util.Scratch.borrow_floats n in
   for i = 0 to n - 1 do
-    bw_raw.(i) <- bw_demand items.(i);
-    caps.(i) <- items.(i).peak_bps;
-    share_raw.(i) <- share_demand items.(i)
+    let k = pos + i in
+    let bits = items.bits.(k) and work = items.work_s.(k) in
+    (match demand with
+    | Unit ->
+        bw_raw.(i) <- (if bits > 0.0 then 1.0 else 0.0);
+        share_raw.(i) <- (if work > 0.0 then 1.0 else 0.0)
+    | Raw ->
+        bw_raw.(i) <- bits;
+        share_raw.(i) <- work
+    | Sqrt ->
+        let rate = items.rate.(k) in
+        bw_raw.(i) <- sqrt (Float.max 0.0 rate *. bits);
+        share_raw.(i) <- sqrt (Float.max 0.0 rate *. work));
+    caps.(i) <- items.peak_bps.(k)
   done;
   cap_and_redistribute_into ~budget:bandwidth_bps ~n bw_raw caps bws;
   let share_total = ref 0.0 in
@@ -56,24 +81,20 @@ let build_grants ~bandwidth_bps items bw_demand share_demand =
     share_total := !share_total +. share_raw.(i)
   done;
   let share_total = !share_total in
-  let grants =
-    (* es_lint: cold — the keyed grant list is the API's output shape *)
-    List.init n (fun i ->
-        let share = if share_total > 0.0 then share_raw.(i) /. share_total else 0.0 in
-        ( items.(i).key,
-          { bandwidth_bps = bws.(i); compute_share = share } ))
-  in
+  for i = 0 to n - 1 do
+    bw.(pos + i) <- bws.(i);
+    share.(pos + i) <- (if share_total > 0.0 then share_raw.(i) /. share_total else 0.0)
+  done;
   Es_util.Scratch.release_floats share_raw;
   Es_util.Scratch.release_floats bws;
   Es_util.Scratch.release_floats caps;
-  Es_util.Scratch.release_floats bw_raw;
-  grants
+  Es_util.Scratch.release_floats bw_raw
 
-let equal ~bandwidth_bps items =
-  build_grants ~bandwidth_bps items bw_demand_equal share_demand_equal
+let equal ~bandwidth_bps items ~pos ~len ~bw ~share =
+  build_grants Unit ~bandwidth_bps items ~pos ~len ~bw ~share
 
-let proportional ~bandwidth_bps items =
-  build_grants ~bandwidth_bps items bw_demand_prop share_demand_prop
+let proportional ~bandwidth_bps items ~pos ~len ~bw ~share =
+  build_grants Raw ~bandwidth_bps items ~pos ~len ~bw ~share
 
-let sqrt_rule ~bandwidth_bps items =
-  build_grants ~bandwidth_bps items bw_demand_sqrt share_demand_sqrt
+let sqrt_rule ~bandwidth_bps items ~pos ~len ~bw ~share =
+  build_grants Sqrt ~bandwidth_bps items ~pos ~len ~bw ~share

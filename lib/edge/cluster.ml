@@ -19,15 +19,20 @@ type server = {
 type t = { devices : device array; servers : server array }
 
 let device ~id ~proc ~link ~model ~rate ~deadline ?(accuracy_floor = 0.0) () =
-  if rate <= 0.0 then invalid_arg "Cluster.device: non-positive rate";
-  if deadline <= 0.0 then invalid_arg "Cluster.device: non-positive deadline";
+  if not (rate > 0.0 && Float.is_finite rate) then
+    invalid_arg "Cluster.device: rate must be positive and finite";
+  if not (deadline > 0.0 && Float.is_finite deadline) then
+    invalid_arg "Cluster.device: deadline must be positive and finite";
   let dev_name = Printf.sprintf "dev%d(%s,%s)" id proc.Processor.name model.Es_dnn.Graph.name in
   { dev_id = id; dev_name; proc; link; model; rate; deadline; accuracy_floor }
 
 let server ~id ~proc ~ap_bandwidth_mbps () =
-  if ap_bandwidth_mbps <= 0.0 then invalid_arg "Cluster.server: non-positive AP bandwidth";
+  let ap_bandwidth_bps = ap_bandwidth_mbps *. 1e6 in
+  (* checked in bit/s: a finite Mbit/s figure can still overflow *)
+  if not (ap_bandwidth_bps > 0.0 && Float.is_finite ap_bandwidth_bps) then
+    invalid_arg "Cluster.server: AP bandwidth must be positive and finite";
   let srv_name = Printf.sprintf "srv%d(%s)" id proc.Processor.name in
-  { srv_id = id; srv_name; sproc = proc; ap_bandwidth_bps = ap_bandwidth_mbps *. 1e6 }
+  { srv_id = id; srv_name; sproc = proc; ap_bandwidth_bps }
 
 let make ~devices ~servers =
   if devices = [] then invalid_arg "Cluster.make: no devices";

@@ -38,9 +38,12 @@ val device :
   ?accuracy_floor:float ->
   unit ->
   device
-(** @raise Invalid_argument on non-positive rate or deadline. *)
+(** @raise Invalid_argument unless rate and deadline are positive and
+    finite. *)
 
 val server : id:int -> proc:Processor.t -> ap_bandwidth_mbps:float -> unit -> server
+(** @raise Invalid_argument unless [ap_bandwidth_mbps] is positive and
+    finite. *)
 
 val n_devices : t -> int
 val n_servers : t -> int

@@ -9,12 +9,18 @@ type result = {
 }
 
 let scale_rates cluster m =
-  if m <= 0.0 then invalid_arg "Online.scale_rates: non-positive multiplier";
+  if not (m > 0.0 && Float.is_finite m) then
+    invalid_arg "Online.scale_rates: multiplier must be positive and finite";
   {
     cluster with
     Cluster.devices =
       Array.map
-        (fun (d : Cluster.device) -> { d with Cluster.rate = d.Cluster.rate *. m })
+        (fun (d : Cluster.device) ->
+          let rate = d.Cluster.rate *. m in
+          (* a finite multiplier can still overflow or underflow a rate *)
+          if not (rate > 0.0 && Float.is_finite rate) then
+            invalid_arg "Online.scale_rates: a scaled rate is not positive and finite";
+          { d with Cluster.rate })
         cluster.Cluster.devices;
   }
 

@@ -21,7 +21,9 @@ type result = {
 }
 
 val scale_rates : Es_edge.Cluster.t -> float -> Es_edge.Cluster.t
-(** Cluster with every device's request rate multiplied. *)
+(** Cluster with every device's request rate multiplied.
+    @raise Invalid_argument unless the multiplier and every scaled rate are
+    positive and finite. *)
 
 val run :
   ?options:Es_sim.Runner.options ->

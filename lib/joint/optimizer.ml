@@ -224,30 +224,117 @@ let best_plan_for_grants ?exits ?precisions ~widths cluster ~device ~server ~ban
   let pool = device_pool ?exits ?precisions ~widths cluster ~device in
   best_scored cluster ~device ~server pool ~bandwidth_bps ~compute_share
 
+(* [Objective.of_decisions] of one candidate's grants, read straight from
+   the staged arrays: [Latency.of_decision]'s terms, with
+   [Link.transfer_time]'s radio cap inlined, summed in the same operation
+   order, so the score is bit-identical to scoring the decision array.
+   ([Policy.allocate]'s checks leave transfer_time's non-positive-rate guard
+   unreachable: grants are positive and radio peaks are.) *)
+let staged_objective (st : Policy.staged) ~bw ~share =
+  let n = Array.length st.Policy.plans in
+  if n = 0 then 0.0
+  else begin
+    let miss = ref 0 and norm = ref 0.0 in
+    for i = 0 to n - 1 do
+      let dev = st.Policy.cluster.Cluster.devices.(i) in
+      let device_s = st.Policy.device_s.(i) in
+      let k = st.Policy.slot.(i) in
+      let latency =
+        if k < 0 then device_s +. 0.0 +. 0.0 +. 0.0
+        else begin
+          let link = dev.Cluster.link in
+          let rate = Float.min bw.(k) link.Link.peak_bps in
+          let up = st.Policy.up_bytes.(k) and down = st.Policy.down_bytes.(k) in
+          let uplink_s = if up <= 0.0 then 0.0 else (up *. 8.0 /. rate) +. (link.Link.rtt_s /. 2.0) in
+          let work = st.Policy.items.Minmax.work_s.(k) in
+          let server_s = if work <= 0.0 then 0.0 else work /. share.(k) in
+          let downlink_s =
+            if down <= 0.0 then 0.0 else (down *. 8.0 /. rate) +. (link.Link.rtt_s /. 2.0)
+          in
+          device_s +. uplink_s +. server_s +. downlink_s
+        end
+      in
+      let ratio = latency /. dev.Cluster.deadline in
+      if ratio > 1.0 +. 1e-9 then incr miss;
+      norm := !norm +. Float.min ratio Objective.latency_cap
+    done;
+    float_of_int !miss +. (!norm /. float_of_int n)
+  end
+
+(* [Latency.device_stable] of every device under one candidate's shares,
+   from the staged arrays. *)
+let staged_stable (st : Policy.staged) ~share =
+  let n = Array.length st.Policy.plans in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < n do
+    let rate = st.Policy.cluster.Cluster.devices.(!i).Cluster.rate in
+    let k = st.Policy.slot.(!i) in
+    ok :=
+      rate *. st.Policy.device_s.(!i) < 1.0
+      && (k < 0
+         ||
+         let work = st.Policy.items.Minmax.work_s.(k) in
+         let server_s = if work <= 0.0 then 0.0 else work /. share.(k) in
+         rate *. server_s < 1.0);
+    incr i
+  done;
+  !ok
+
+(* The allocation step's race over one staged layout and two grant pairs:
+   the configured rule's grants go into pair a and are accepted as-is (the
+   min-max solver is stable by construction; ablation arms keep their naive
+   rule, warts and all).  Under min-max the cheap share rules also run —
+   min-max optimizes the worst device, not the mean — each into the pair
+   not holding the best so far, and a queueing-stable one takes over on a
+   strictly lower objective (argmin_by's first-wins order).  Returns the
+   winning pair, 0 for a and 1 for b, or -1 when nothing qualifies. *)
+let pick_allocation allocator st ~bw_a ~share_a ~bw_b ~share_b =
+  let best = ref (-1) and best_score = ref infinity in
+  if Policy.allocate allocator st ~bw:bw_a ~share:share_a then best := 0;
+  if allocator = Policy.Minmax_alloc then begin
+    if !best = 0 then best_score := staged_objective st ~bw:bw_a ~share:share_a;
+    for r = 0 to 1 do
+      let rule = if r = 0 then Policy.Sum_sqrt else Policy.Equal in
+      let into_a = !best <> 0 in
+      let bw = if into_a then bw_a else bw_b and share = if into_a then share_a else share_b in
+      ignore (Policy.allocate rule st ~bw ~share : bool);
+      if staged_stable st ~share then begin
+        let score = staged_objective st ~bw ~share in
+        if !best < 0 || score < !best_score then begin
+          best := if into_a then 0 else 1;
+          best_score := score
+        end
+      end
+    done
+  end;
+  !best
+
 let best_allocation ?(allocator = Policy.Minmax_alloc) cluster ~assignment ~plans =
-  (* The configured allocator is accepted as-is (the min-max solver is
-     stable by construction; ablation arms keep their naive rule, warts and
-     all).  When running the full joint configuration, the cheap share
-     rules are also evaluated — min-max optimizes the worst device, not the
-     mean — and the best objective wins; share-rule extras must pass the
-     queueing-stability check to be considered. *)
-  let all_stable ds = Array.for_all (Latency.device_stable cluster) ds in
-  let primary =
-    match Policy.decisions allocator cluster ~assignment ~plans with
-    | Some ds -> [ ds ]
-    | None -> []
+  let st = Policy.stage cluster ~assignment ~plans in
+  let m = st.Policy.offloaders in
+  let bw_a = Es_util.Scratch.borrow_floats m in
+  let share_a = Es_util.Scratch.borrow_floats m in
+  let bw_b = Es_util.Scratch.borrow_floats m in
+  let share_b = Es_util.Scratch.borrow_floats m in
+  let release_all () =
+    Es_util.Scratch.release_floats share_b;
+    Es_util.Scratch.release_floats bw_b;
+    Es_util.Scratch.release_floats share_a;
+    Es_util.Scratch.release_floats bw_a;
+    Policy.release st
   in
-  let extras =
-    if allocator <> Policy.Minmax_alloc then []
-    else
-      List.filter_map
-        (fun alloc ->
-          match Policy.decisions alloc cluster ~assignment ~plans with
-          | Some ds when all_stable ds -> Some ds
-          | Some _ | None -> None)
-        [ Policy.Sum_sqrt; Policy.Equal ]
-  in
-  Es_util.Numeric.argmin_by (Objective.of_decisions cluster) (primary @ extras)
+  match pick_allocation allocator st ~bw_a ~share_a ~bw_b ~share_b with
+  | winner ->
+      let out =
+        if winner < 0 then None
+        else if winner = 0 then Some (Policy.decisions_of st ~bw:bw_a ~share:share_a)
+        else Some (Policy.decisions_of st ~bw:bw_b ~share:share_b)
+      in
+      release_all ();
+      out
+  | exception e ->
+      release_all ();
+      raise e
 
 (* Cheap per-assignment load proxy used by the local search: the worst
    server's max of bandwidth and compute load.  The local search calls the

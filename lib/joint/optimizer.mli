@@ -130,10 +130,15 @@ val best_allocation :
   Es_edge.Decision.t array option
 (** The allocation step in isolation: the primary allocator's grants, plus —
     when the primary is the min-max solver — the queueing-stable share rules,
-    keeping whichever decision set scores best on {!Objective}.  [None] when
-    nothing stable exists.  The exhaustive search of experiment T2 evaluates
-    every configuration through this same function so the heuristic and the
-    optimal search rank allocations identically. *)
+    keeping whichever scores best on {!Objective} (the primary on a tie).
+    [None] when nothing stable exists.  The offloaders are staged once
+    ({!Es_alloc.Policy.stage}); each rule writes flat grant arrays, is
+    stability-checked and scored from them in {!Objective.of_decisions}'
+    operation order, and only the winner becomes a decision array, so the
+    result is bit-identical to building and scoring every rule's decisions.
+    The exhaustive search of experiment T2 evaluates every configuration
+    through this same function so the heuristic and the optimal search rank
+    allocations identically. *)
 
 val best_plan_for_grants :
   ?exits:int option list ->

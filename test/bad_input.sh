@@ -22,11 +22,17 @@ check() {
   fi
 }
 
-for args in "--timeout-factor nan" "--devices 0" "--ap-mbps 0" "--duration 2" \
-  "--breaker x" "--brownout 1:2:z"; do
+for args in "--timeout-factor nan" "--devices 0" "--ap-mbps 0" "--ap-mbps nan" \
+  "--duration 2" "--breaker x" "--brownout 1:2:z"; do
   # shellcheck disable=SC2086 # the flag and its value are two words
   check run $args
 done
+
+# Non-finite capacities and load multipliers, rejected before any solve or
+# run starts.
+check solve --ap-mbps inf --devices 4
+check sweep --param rate --values nan --devices 4 --duration 8
+check sweep --param rate --values inf --devices 4 --duration 8
 
 # Files: a directory as a model, output paths in a missing directory, and
 # an exported model whose first conv has stride 0 or groups 0.

@@ -1,6 +1,18 @@
-(* [Es_alloc.Minmax.solve] with per-θ-probe bounds records and closures. *)
+(* [Es_alloc.Minmax.solve] over a list of item records, with per-θ-probe
+   bounds records and closures and a keyed grant list. *)
 
-open Es_alloc.Minmax
+type item = {
+  key : int;  (* the caller's identifier (device id) *)
+  fixed_s : float;
+  bits : float;
+  work_s : float;
+  deadline_s : float;
+  peak_bps : float;
+  rate : float;
+}
+
+type grant = { bandwidth_bps : float; compute_share : float }
+type result = { theta : float; grants : (int * grant) list }
 
 (* Per-item transfer-time bounds at a trial θ.  [u] is the per-request
    transfer time; the server time is s = R − u. *)

@@ -1,9 +1,9 @@
 (* [Es_joint.Optimizer]'s kernels over lists, one Decision per candidate
-   and regenerated candidate sets. *)
+   and regenerated candidate sets, allocating through this library's
+   list-shaped [Policy]. *)
 
 open Es_edge
 open Es_surgery
-open Es_alloc
 
 let stability_margin = 0.95
 
@@ -77,6 +77,28 @@ let load_proxy cluster ~plans assignment =
     worst := Float.max !worst (Float.max bw.(s) cpu.(s))
   done;
   !worst
+
+(* [Es_joint.Optimizer.best_allocation] as three decision arrays: each
+   rule's full [Policy.decisions], the stability scan and the objective over
+   every candidate array, and [argmin_by]. *)
+let best_allocation ?(allocator = Es_alloc.Policy.Minmax_alloc) cluster ~assignment ~plans =
+  let all_stable ds = Array.for_all (Latency.device_stable cluster) ds in
+  let primary =
+    match Policy.decisions allocator cluster ~assignment ~plans with
+    | Some ds -> [ ds ]
+    | None -> []
+  in
+  let extras =
+    if allocator <> Es_alloc.Policy.Minmax_alloc then []
+    else
+      List.filter_map
+        (fun alloc ->
+          match Policy.decisions alloc cluster ~assignment ~plans with
+          | Some ds when all_stable ds -> Some ds
+          | Some _ | None -> None)
+        [ Es_alloc.Policy.Sum_sqrt; Equal ]
+  in
+  Es_util.Numeric.argmin_by (Es_joint.Objective.of_decisions cluster) (primary @ extras)
 
 (* Must make the same plan flips and return the same decisions as
    [Es_joint.Optimizer.force_feasible]. *)

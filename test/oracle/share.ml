@@ -1,6 +1,6 @@
 (* [Es_alloc.Share]'s rules over closures and [Array.map]. *)
 
-open Es_alloc.Minmax
+open Minmax
 
 let cap_and_redistribute ~budget raw caps =
   let n = Array.length raw in

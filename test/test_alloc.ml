@@ -5,98 +5,163 @@ open Es_alloc
 let qtest ?(count = 60) name arb law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
 
+(* The tests build and read the list shapes of the reference solver in
+   test/oracle/: keyed item records, grants and results. *)
+module L = Es_oracle.Minmax
+
 let item ~key ?(fixed = 0.01) ?(bits = 8e6) ?(work = 0.01) ?(deadline = 0.2)
     ?(peak = 120e6) ?(rate = 2.0) () =
+  { L.key; fixed_s = fixed; bits; work_s = work; deadline_s = deadline; peak_bps = peak; rate }
+
+let latency_of_grant (it : L.item) (g : L.grant) =
+  it.L.fixed_s
+  +. (if it.L.bits > 0.0 then it.L.bits /. g.L.bandwidth_bps else 0.0)
+  +. if it.L.work_s > 0.0 then it.L.work_s /. g.L.compute_share else 0.0
+
+(* Filler for the slots around a solve's range: a solve must neither read
+   nor write them. *)
+let junk = -7.25e-7
+
+(* [items] as a struct of arrays, at slots [pos ..] of arrays [pad] slots
+   longer than the items need. *)
+let arrays_at ~pos ~pad (items : L.item list) =
+  let len = pos + List.length items + pad in
+  let field f =
+    let a = Array.make len junk in
+    List.iteri (fun i it -> a.(pos + i) <- f it) items;
+    a
+  in
   {
-    Minmax.key;
-    fixed_s = fixed;
-    bits;
-    work_s = work;
-    deadline_s = deadline;
-    peak_bps = peak;
-    rate;
+    Minmax.fixed_s = field (fun it -> it.L.fixed_s);
+    bits = field (fun it -> it.L.bits);
+    work_s = field (fun it -> it.L.work_s);
+    deadline_s = field (fun it -> it.L.deadline_s);
+    peak_bps = field (fun it -> it.L.peak_bps);
+    rate = field (fun it -> it.L.rate);
   }
 
-let latency_of_grant (it : Minmax.item) (g : Minmax.grant) =
-  it.Minmax.fixed_s
-  +. (if it.Minmax.bits > 0.0 then it.Minmax.bits /. g.Minmax.bandwidth_bps else 0.0)
-  +. if it.Minmax.work_s > 0.0 then it.Minmax.work_s /. g.Minmax.compute_share else 0.0
+let grants_at ~pos (items : L.item list) bw share =
+  List.mapi
+    (fun i (it : L.item) ->
+      (it.L.key, { L.bandwidth_bps = bw.(pos + i); compute_share = share.(pos + i) }))
+    items
+
+(* [Minmax.solve] over [items] placed at slot [pos], in the reference's
+   result shape; [Error] names a slot outside the range that changed. *)
+let solve_at ~pos ~bandwidth_bps items =
+  let n = List.length items in
+  let xs = arrays_at ~pos ~pad:2 items in
+  let bw = Array.make (pos + n + 2) junk and share = Array.make (pos + n + 2) junk in
+  let theta = [| junk |] in
+  let ok = Minmax.solve ~bandwidth_bps xs ~pos ~len:n ~bw ~share ~theta in
+  let outside = ref None in
+  Array.iteri
+    (fun k v ->
+      if (k < pos || k >= pos + n) && (v <> junk || share.(k) <> junk) then outside := Some k)
+    bw;
+  match !outside with
+  | Some k -> Error k
+  | None ->
+      Ok (if ok then Some { L.theta = theta.(0); grants = grants_at ~pos items bw share } else None)
+
+let solve ~bandwidth_bps items =
+  match solve_at ~pos:0 ~bandwidth_bps items with
+  | Ok r -> r
+  | Error k -> Alcotest.failf "Minmax.solve wrote slot %d outside its range" k
+
+(* A share rule over [items] placed at slot [pos], as a keyed grant list;
+   [None] when it wrote outside the range. *)
+let share_at ~pos rule ~bandwidth_bps items =
+  let n = List.length items in
+  let xs = arrays_at ~pos ~pad:2 items in
+  let bw = Array.make (pos + n + 2) junk and share = Array.make (pos + n + 2) junk in
+  rule ~bandwidth_bps xs ~pos ~len:n ~bw ~share;
+  let clean = ref true in
+  Array.iteri
+    (fun k v -> if (k < pos || k >= pos + n) && (v <> junk || share.(k) <> junk) then clean := false)
+    bw;
+  if !clean then Some (grants_at ~pos items bw share) else None
+
+let share rule ~bandwidth_bps items =
+  match share_at ~pos:0 rule ~bandwidth_bps items with
+  | Some gs -> gs
+  | None -> Alcotest.fail "share rule wrote outside its range"
 
 (* ---------- Minmax ---------- *)
 
 let test_minmax_empty () =
-  match Minmax.solve ~bandwidth_bps:1e8 [] with
+  match solve ~bandwidth_bps:1e8 [] with
   | Some r ->
-      Alcotest.(check (float 0.0)) "zero theta" 0.0 r.Minmax.theta;
-      Alcotest.(check int) "no grants" 0 (List.length r.Minmax.grants)
+      Alcotest.(check (float 0.0)) "zero theta" 0.0 r.L.theta;
+      Alcotest.(check int) "no grants" 0 (List.length r.L.grants)
   | None -> Alcotest.fail "empty allocation must succeed"
 
 let test_minmax_single_item () =
   let it = item ~key:0 () in
-  match Minmax.solve ~bandwidth_bps:200e6 [ it ] with
+  match solve ~bandwidth_bps:200e6 [ it ] with
   | None -> Alcotest.fail "single light item must be feasible"
   | Some r ->
-      let g = List.assoc 0 r.Minmax.grants in
-      Alcotest.(check bool) "bandwidth positive" true (g.Minmax.bandwidth_bps > 0.0);
-      Alcotest.(check bool) "share positive" true (g.Minmax.compute_share > 0.0);
-      Alcotest.(check bool) "peak respected" true (g.Minmax.bandwidth_bps <= 120e6 +. 1.0);
-      Alcotest.(check bool) "share within 1" true (g.Minmax.compute_share <= 1.0 +. 1e-9)
+      let g = List.assoc 0 r.L.grants in
+      Alcotest.(check bool) "bandwidth positive" true (g.L.bandwidth_bps > 0.0);
+      Alcotest.(check bool) "share positive" true (g.L.compute_share > 0.0);
+      Alcotest.(check bool) "peak respected" true (g.L.bandwidth_bps <= 120e6 +. 1.0);
+      Alcotest.(check bool) "share within 1" true (g.L.compute_share <= 1.0 +. 1e-9)
 
 let test_minmax_respects_capacity () =
   let items = List.init 8 (fun k -> item ~key:k ()) in
-  match Minmax.solve ~bandwidth_bps:150e6 items with
+  match solve ~bandwidth_bps:150e6 items with
   | None -> Alcotest.fail "8 light items must fit"
   | Some r ->
-      let bw = List.fold_left (fun acc (_, g) -> acc +. g.Minmax.bandwidth_bps) 0.0 r.Minmax.grants in
-      let sh = List.fold_left (fun acc (_, g) -> acc +. g.Minmax.compute_share) 0.0 r.Minmax.grants in
+      let bw = List.fold_left (fun acc (_, g) -> acc +. g.L.bandwidth_bps) 0.0 r.L.grants in
+      let sh = List.fold_left (fun acc (_, g) -> acc +. g.L.compute_share) 0.0 r.L.grants in
       Alcotest.(check bool) "bandwidth within AP" true (bw <= 150e6 *. 1.0001);
       Alcotest.(check bool) "shares within 1" true (sh <= 1.0001)
 
 let test_minmax_theta_reflects_latency () =
   let items = [ item ~key:0 ~deadline:0.1 (); item ~key:1 ~deadline:0.3 () ] in
-  match Minmax.solve ~bandwidth_bps:200e6 items with
+  match solve ~bandwidth_bps:200e6 items with
   | None -> Alcotest.fail "must be feasible"
   | Some r ->
       List.iter
         (fun it ->
-          let g = List.assoc it.Minmax.key r.Minmax.grants in
-          let ratio = latency_of_grant it g /. it.Minmax.deadline_s in
+          let g = List.assoc it.L.key r.L.grants in
+          let ratio = latency_of_grant it g /. it.L.deadline_s in
           (* Post-solve scale-up can only improve on theta. *)
           Alcotest.(check bool)
-            (Printf.sprintf "normalized latency %.3f <= theta %.3f" ratio r.Minmax.theta)
+            (Printf.sprintf "normalized latency %.3f <= theta %.3f" ratio r.L.theta)
             true
-            (ratio <= r.Minmax.theta +. 1e-6))
+            (ratio <= r.L.theta +. 1e-6))
         items
 
 let test_minmax_infeasible_offered_load () =
   (* Work demand alone: 10 items x rate 2 x 100ms of server time = 2.0 > 1. *)
   let items = List.init 10 (fun k -> item ~key:k ~work:0.1 ~rate:2.0 ()) in
   Alcotest.(check bool) "overload detected" true
-    (Minmax.solve ~bandwidth_bps:1e9 items = None)
+    (solve ~bandwidth_bps:1e9 items = None)
 
 let test_minmax_infeasible_bandwidth () =
   (* 4 items x rate 2 x 8 Mbit = 64 Mbps of demand on a 10 Mbps AP. *)
   let items = List.init 4 (fun k -> item ~key:k ~bits:8e6 ~rate:2.0 ()) in
   Alcotest.(check bool) "AP overload detected" true
-    (Minmax.solve ~bandwidth_bps:10e6 items = None)
+    (solve ~bandwidth_bps:10e6 items = None)
 
 let test_minmax_compute_only_item () =
   let items = [ item ~key:0 ~bits:0.0 ~work:0.02 () ] in
-  match Minmax.solve ~bandwidth_bps:1e8 items with
+  match solve ~bandwidth_bps:1e8 items with
   | None -> Alcotest.fail "compute-only item must be feasible"
   | Some r ->
-      let g = List.assoc 0 r.Minmax.grants in
-      Alcotest.(check (float 0.0)) "no bandwidth needed" 0.0 g.Minmax.bandwidth_bps;
-      Alcotest.(check bool) "share granted" true (g.Minmax.compute_share > 0.0)
+      let g = List.assoc 0 r.L.grants in
+      Alcotest.(check (float 0.0)) "no bandwidth needed" 0.0 g.L.bandwidth_bps;
+      Alcotest.(check bool) "share granted" true (g.L.compute_share > 0.0)
 
 let test_minmax_transfer_only_item () =
   let items = [ item ~key:0 ~work:0.0 () ] in
-  match Minmax.solve ~bandwidth_bps:1e8 items with
+  match solve ~bandwidth_bps:1e8 items with
   | None -> Alcotest.fail "transfer-only item must be feasible"
   | Some r ->
-      let g = List.assoc 0 r.Minmax.grants in
-      Alcotest.(check bool) "bandwidth granted" true (g.Minmax.bandwidth_bps > 0.0);
-      Alcotest.(check (float 0.0)) "no share needed" 0.0 g.Minmax.compute_share
+      let g = List.assoc 0 r.L.grants in
+      Alcotest.(check bool) "bandwidth granted" true (g.L.bandwidth_bps > 0.0);
+      Alcotest.(check (float 0.0)) "no share needed" 0.0 g.L.compute_share
 
 let test_minmax_better_than_equal_split () =
   (* One heavy transfer + one heavy compute: the optimal split must beat an
@@ -105,23 +170,23 @@ let test_minmax_better_than_equal_split () =
   let heavy_compute = item ~key:1 ~bits:0.8e6 ~work:0.08 ~deadline:0.5 ~peak:1e9 () in
   let items = [ heavy_transfer; heavy_compute ] in
   let bandwidth = 100e6 in
-  match Minmax.solve ~bandwidth_bps:bandwidth items with
+  match solve ~bandwidth_bps:bandwidth items with
   | None -> Alcotest.fail "must be feasible"
   | Some r ->
       let equal_grant =
-        { Minmax.bandwidth_bps = bandwidth /. 2.0; compute_share = 0.5 }
+        { L.bandwidth_bps = bandwidth /. 2.0; compute_share = 0.5 }
       in
       let equal_max =
         List.fold_left
           (fun acc it ->
-            Float.max acc (latency_of_grant it equal_grant /. it.Minmax.deadline_s))
+            Float.max acc (latency_of_grant it equal_grant /. it.L.deadline_s))
           0.0 items
       in
       let opt_max =
         List.fold_left
           (fun acc it ->
-            let g = List.assoc it.Minmax.key r.Minmax.grants in
-            Float.max acc (latency_of_grant it g /. it.Minmax.deadline_s))
+            let g = List.assoc it.L.key r.L.grants in
+            Float.max acc (latency_of_grant it g /. it.L.deadline_s))
           0.0 items
       in
       Alcotest.(check bool)
@@ -137,21 +202,21 @@ let prop_minmax_grants_feasible =
           (fun k (mbits, work) -> item ~key:k ~bits:(mbits *. 1e6) ~work ~rate:1.0 ())
           specs
       in
-      match Minmax.solve ~bandwidth_bps:400e6 items with
+      match solve ~bandwidth_bps:400e6 items with
       | None -> true (* infeasibility is a legal answer *)
       | Some r ->
           let bw =
-            List.fold_left (fun acc (_, g) -> acc +. g.Minmax.bandwidth_bps) 0.0 r.Minmax.grants
+            List.fold_left (fun acc (_, g) -> acc +. g.L.bandwidth_bps) 0.0 r.L.grants
           in
           let sh =
-            List.fold_left (fun acc (_, g) -> acc +. g.Minmax.compute_share) 0.0 r.Minmax.grants
+            List.fold_left (fun acc (_, g) -> acc +. g.L.compute_share) 0.0 r.L.grants
           in
           bw <= 400e6 *. 1.001
           && sh <= 1.001
           && List.for_all
-               (fun (_, (g : Minmax.grant)) ->
-                 g.Minmax.bandwidth_bps >= 0.0 && g.Minmax.compute_share >= 0.0)
-               r.Minmax.grants)
+               (fun (_, (g : L.grant)) ->
+                 g.L.bandwidth_bps >= 0.0 && g.L.compute_share >= 0.0)
+               r.L.grants)
 
 let prop_minmax_brute_force_theta =
   (* Two items, one resource dimension active at a time: compare against a
@@ -166,7 +231,7 @@ let prop_minmax_brute_force_theta =
         ]
       in
       let bandwidth = 200e6 in
-      match Minmax.solve ~bandwidth_bps:bandwidth items with
+      match solve ~bandwidth_bps:bandwidth items with
       | None -> false
       | Some r ->
           (* Grid over (bandwidth fraction, share fraction) for item 0. *)
@@ -174,9 +239,9 @@ let prop_minmax_brute_force_theta =
           for bi = 1 to 99 do
             for si = 1 to 99 do
               let fb = float_of_int bi /. 100.0 and fs = float_of_int si /. 100.0 in
-              let g0 = { Minmax.bandwidth_bps = bandwidth *. fb; compute_share = fs } in
+              let g0 = { L.bandwidth_bps = bandwidth *. fb; compute_share = fs } in
               let g1 =
-                { Minmax.bandwidth_bps = bandwidth *. (1.0 -. fb); compute_share = 1.0 -. fs }
+                { L.bandwidth_bps = bandwidth *. (1.0 -. fb); compute_share = 1.0 -. fs }
               in
               let v =
                 Float.max
@@ -186,53 +251,53 @@ let prop_minmax_brute_force_theta =
               if v < !best then best := v
             done
           done;
-          r.Minmax.theta <= !best *. 1.02)
+          r.L.theta <= !best *. 1.02)
 
 (* ---------- Share rules ---------- *)
 
 let test_share_equal () =
   let items = [ item ~key:0 ~peak:1e9 (); item ~key:1 ~peak:1e9 () ] in
-  let grants = Share.equal ~bandwidth_bps:100e6 items in
+  let grants = share Share.equal ~bandwidth_bps:100e6 items in
   List.iter
-    (fun (_, (g : Minmax.grant)) ->
-      Alcotest.(check (float 1e3)) "half the AP" 50e6 g.Minmax.bandwidth_bps;
-      Alcotest.(check (float 1e-6)) "half the server" 0.5 g.Minmax.compute_share)
+    (fun (_, (g : L.grant)) ->
+      Alcotest.(check (float 1e3)) "half the AP" 50e6 g.L.bandwidth_bps;
+      Alcotest.(check (float 1e-6)) "half the server" 0.5 g.L.compute_share)
     grants
 
 let test_share_equal_respects_peak () =
   let items = [ item ~key:0 ~peak:10e6 (); item ~key:1 ~peak:1e9 () ] in
-  let grants = Share.equal ~bandwidth_bps:200e6 items in
+  let grants = share Share.equal ~bandwidth_bps:200e6 items in
   let g0 = List.assoc 0 grants and g1 = List.assoc 1 grants in
-  Alcotest.(check bool) "capped at the radio" true (g0.Minmax.bandwidth_bps <= 10e6 +. 1.0);
+  Alcotest.(check bool) "capped at the radio" true (g0.L.bandwidth_bps <= 10e6 +. 1.0);
   (* The spare bandwidth goes to the uncapped device. *)
-  Alcotest.(check bool) "leftover redistributed" true (g1.Minmax.bandwidth_bps > 100e6)
+  Alcotest.(check bool) "leftover redistributed" true (g1.L.bandwidth_bps > 100e6)
 
 let test_share_proportional () =
   let items = [ item ~key:0 ~bits:30e6 ~work:0.03 ~peak:1e9 (); item ~key:1 ~bits:10e6 ~work:0.01 ~peak:1e9 () ] in
-  let grants = Share.proportional ~bandwidth_bps:100e6 items in
+  let grants = share Share.proportional ~bandwidth_bps:100e6 items in
   let g0 = List.assoc 0 grants and g1 = List.assoc 1 grants in
-  Alcotest.(check (float 1e4)) "3x the bandwidth" (3.0 *. g1.Minmax.bandwidth_bps)
-    g0.Minmax.bandwidth_bps;
-  Alcotest.(check (float 1e-6)) "3x the share" (3.0 *. g1.Minmax.compute_share)
-    g0.Minmax.compute_share
+  Alcotest.(check (float 1e4)) "3x the bandwidth" (3.0 *. g1.L.bandwidth_bps)
+    g0.L.bandwidth_bps;
+  Alcotest.(check (float 1e-6)) "3x the share" (3.0 *. g1.L.compute_share)
+    g0.L.compute_share
 
 let test_share_sqrt_rule () =
   (* Square-root rule: 4x the demand gets only 2x the bandwidth. *)
   let items =
     [ item ~key:0 ~bits:40e6 ~work:0.04 ~rate:1.0 ~peak:1e9 (); item ~key:1 ~bits:10e6 ~work:0.01 ~rate:1.0 ~peak:1e9 () ]
   in
-  let grants = Share.sqrt_rule ~bandwidth_bps:100e6 items in
+  let grants = share Share.sqrt_rule ~bandwidth_bps:100e6 items in
   let g0 = List.assoc 0 grants and g1 = List.assoc 1 grants in
-  Alcotest.(check (float 1e4)) "2x the bandwidth" (2.0 *. g1.Minmax.bandwidth_bps)
-    g0.Minmax.bandwidth_bps
+  Alcotest.(check (float 1e4)) "2x the bandwidth" (2.0 *. g1.L.bandwidth_bps)
+    g0.L.bandwidth_bps
 
 let test_share_zero_demand_gets_nothing () =
   let items = [ item ~key:0 ~bits:0.0 ~work:0.01 (); item ~key:1 ~bits:8e6 ~work:0.0 () ] in
-  let grants = Share.proportional ~bandwidth_bps:100e6 items in
+  let grants = share Share.proportional ~bandwidth_bps:100e6 items in
   let g0 = List.assoc 0 grants and g1 = List.assoc 1 grants in
-  Alcotest.(check (float 0.0)) "no bits, no bandwidth" 0.0 g0.Minmax.bandwidth_bps;
-  Alcotest.(check (float 0.0)) "no work, no share" 0.0 g1.Minmax.compute_share;
-  Alcotest.(check (float 1e-6)) "all compute to the worker" 1.0 g0.Minmax.compute_share
+  Alcotest.(check (float 0.0)) "no bits, no bandwidth" 0.0 g0.L.bandwidth_bps;
+  Alcotest.(check (float 0.0)) "no work, no share" 0.0 g1.L.compute_share;
+  Alcotest.(check (float 1e-6)) "all compute to the worker" 1.0 g0.L.compute_share
 
 (* ---------- Policy / Assign ---------- *)
 
@@ -485,25 +550,77 @@ let feq a b = Int64.bits_of_float a = Int64.bits_of_float b
 let grants_eq a b =
   List.length a = List.length b
   && List.for_all2
-       (fun (k, (g : Minmax.grant)) (k', (g' : Minmax.grant)) ->
+       (fun (k, (g : L.grant)) (k', (g' : L.grant)) ->
          k = k'
-         && feq g.Minmax.bandwidth_bps g'.Minmax.bandwidth_bps
-         && feq g.Minmax.compute_share g'.Minmax.compute_share)
+         && feq g.L.bandwidth_bps g'.L.bandwidth_bps
+         && feq g.L.compute_share g'.L.compute_share)
        a b
 
-(* Server bandwidth plus up to 7 items; the 0.0 lower bounds on bits and
-   work deliberately hit the transfer-only / compute-only special cases,
-   and fixed_s close to deadline_s probes the infeasible-theta growth
-   path. *)
-let arb_instance =
-  QCheck.(
+(* One item: (fixed_s, bits, work_s, deadline_s), (rate, peak).  The 0.0
+   lower bounds on bits and work hit the transfer-only / compute-only
+   special cases, and fixed_s close to deadline_s probes the infeasible-θ
+   growth path. *)
+let gen_spec =
+  QCheck.Gen.(
     pair
-      (float_range 1e7 3e8)
-      (list_of_size (Gen.int_range 0 7)
-         (pair
-            (quad (float_range 0.0 0.05) (float_range 0.0 2e7) (float_range 0.0 0.05)
-               (float_range 0.05 0.3))
-            (pair (float_range 0.2 5.0) (float_range 2e7 1.5e8)))))
+      (quad (float_range 0.0 0.05) (float_range 0.0 2e7) (float_range 0.0 0.05)
+         (float_range 0.05 0.3))
+      (pair (float_range 0.2 5.0) (float_range 2e7 1.5e8)))
+
+(* Rates scaled so the heavier of the bandwidth and compute loads sits at
+   [level] of the 0.95 stability margin (above 1, the prechecks reject the
+   instance). *)
+let load_to ~bandwidth ~level specs =
+  let bit_load = ref 0.0 and work_load = ref 0.0 in
+  List.iter
+    (fun ((_, bits, work, _), (rate, _)) ->
+      bit_load := !bit_load +. (rate *. bits);
+      work_load := !work_load +. (rate *. work))
+    specs;
+  let load = Float.max (!bit_load /. bandwidth) !work_load in
+  let scale = if load > 0.0 then level *. 0.95 /. load else 1.0 in
+  List.map (fun (item, (rate, peak)) -> (item, (rate *. scale, peak))) specs
+
+(* Server bandwidth, up to 40 items and the slot the solve's range starts
+   at.  A third of the instances are free draws and a third copies of at
+   most three distinct items (exact ties in every sum), both loaded to
+   5–110% of the margin.  The last third is tight: loaded to 97–100% of the
+   margin, with fixed_s a hair under the deadline, so θ starts just under 1
+   and the μ probes' load max lands near the 1 + 1e-9 verdict line. *)
+let gen_instance =
+  QCheck.Gen.(
+    let* bandwidth = float_range 1e7 3e8 in
+    let* n = int_range 0 40 in
+    let* shape = int_range 0 2 in
+    let* specs =
+      match shape with
+      | 0 -> list_repeat n gen_spec
+      | 1 ->
+          let* protos = list_repeat 3 gen_spec in
+          let+ picks = list_repeat n (int_range 0 2) in
+          List.map (List.nth protos) picks
+      | _ ->
+          let* gap = float_range 1e-6 1e-2 in
+          let+ raw = list_repeat n gen_spec in
+          List.map
+            (fun ((_, bits, work, deadline), rest) ->
+              ((deadline *. (1.0 -. gap), bits, work, deadline), rest))
+            raw
+    in
+    let* level = if shape = 2 then float_range 0.97 1.0 else float_range 0.05 1.1 in
+    let+ pos = int_range 0 3 in
+    (bandwidth, load_to ~bandwidth ~level specs, pos))
+
+let arb_instance =
+  QCheck.make
+    ~print:(fun (bandwidth, specs, pos) ->
+      Printf.sprintf "bandwidth %h, pos %d, items [%s]" bandwidth pos
+        (String.concat "; "
+           (List.map
+              (fun ((f, b, w, d), (r, p)) ->
+                Printf.sprintf "(%h, %h, %h, %h, %h, %h)" f b w d r p)
+              specs)))
+    gen_instance
 
 let items_of specs =
   List.mapi
@@ -511,15 +628,13 @@ let items_of specs =
       item ~key:i ~fixed ~bits ~work ~deadline ~peak ~rate ())
     specs
 
-let solve_agrees (bandwidth_bps, specs) =
+let solve_agrees (bandwidth_bps, specs, pos) =
   let items = items_of specs in
-  match
-    (Minmax.solve ~bandwidth_bps items, Es_oracle.Minmax.solve ~bandwidth_bps items)
-  with
-  | None, None -> true
-  | Some r, Some r' ->
-      feq r.Minmax.theta r'.Minmax.theta && grants_eq r.Minmax.grants r'.Minmax.grants
-  | _ -> false
+  match (solve_at ~pos ~bandwidth_bps items, Es_oracle.Minmax.solve ~bandwidth_bps items) with
+  | Error k, _ -> QCheck.Test.fail_reportf "wrote slot %d outside the range" k
+  | Ok None, None -> true
+  | Ok (Some r), Some r' -> feq r.L.theta r'.L.theta && grants_eq r.L.grants r'.L.grants
+  | Ok _, _ -> false
 
 let prop_minmax_flat_matches_oracle =
   qtest ~count:300 "flat scratch solve = record/closure solve (bit-exact)" arb_instance
@@ -527,17 +642,42 @@ let prop_minmax_flat_matches_oracle =
 
 let prop_share_rules_match_oracle =
   qtest ~count:200 "share rules = their _ref oracles (bit-exact)" arb_instance
-    (fun (bandwidth_bps, specs) ->
+    (fun (bandwidth_bps, specs, pos) ->
       let items = items_of specs in
-      grants_eq
-        (Share.equal ~bandwidth_bps items)
-        (Es_oracle.Share.equal ~bandwidth_bps items)
-      && grants_eq
-           (Share.proportional ~bandwidth_bps items)
-           (Es_oracle.Share.proportional ~bandwidth_bps items)
-      && grants_eq
-           (Share.sqrt_rule ~bandwidth_bps items)
-           (Es_oracle.Share.sqrt_rule ~bandwidth_bps items))
+      let agrees rule rule' =
+        match share_at ~pos rule ~bandwidth_bps items with
+        | Some gs -> grants_eq gs (rule' ~bandwidth_bps items)
+        | None -> false
+      in
+      agrees Share.equal Es_oracle.Share.equal
+      && agrees Share.proportional Es_oracle.Share.proportional
+      && agrees Share.sqrt_rule Es_oracle.Share.sqrt_rule)
+
+(* Steady-state kernels writing into caller arrays allocate nothing: the
+   min-max solve and each share rule on eight items. *)
+let test_kernels_zero_alloc () =
+  let items = List.init 8 (fun k -> item ~key:k ~bits:(float_of_int (k + 1) *. 2e6) ()) in
+  let xs = arrays_at ~pos:0 ~pad:0 items in
+  let bw = Array.make 8 0.0 and share = Array.make 8 0.0 and theta = [| 0.0 |] in
+  let feasible = ref false in
+  let words =
+    Es_util.Alloc_probe.minor_words (fun () ->
+        feasible := Minmax.solve ~bandwidth_bps:2e8 xs ~pos:0 ~len:8 ~bw ~share ~theta)
+  in
+  Alcotest.(check bool) "the instance is feasible" true !feasible;
+  Alcotest.(check (float 0.0)) "Minmax.solve allocates zero minor words" 0.0 words;
+  List.iter
+    (fun (name, rule) ->
+      Alcotest.(check (float 0.0))
+        (name ^ " allocates zero minor words")
+        0.0
+        (Es_util.Alloc_probe.minor_words (fun () ->
+             rule ~bandwidth_bps:2e8 xs ~pos:0 ~len:8 ~bw ~share)))
+    [
+      ("Share.equal", Share.equal);
+      ("Share.proportional", Share.proportional);
+      ("Share.sqrt_rule", Share.sqrt_rule);
+    ]
 
 (* ---------- Pareto skyline allocation ---------- *)
 
@@ -576,6 +716,7 @@ let () =
           prop_minmax_grants_feasible;
           prop_minmax_brute_force_theta;
           prop_minmax_flat_matches_oracle;
+          Alcotest.test_case "kernels allocate nothing" `Quick test_kernels_zero_alloc;
         ] );
       ( "share",
         [

@@ -72,11 +72,33 @@ let test_cluster_validation () =
       ignore
         (Cluster.make ~devices:[]
            ~servers:[ Cluster.server ~id:0 ~proc:Processor.edge_cpu ~ap_bandwidth_mbps:10.0 () ]));
-  Alcotest.check_raises "bad rate" (Invalid_argument "Cluster.device: non-positive rate")
-    (fun () ->
-      ignore
-        (Cluster.device ~id:0 ~proc:Processor.iot_board ~link:Link.wifi ~model:resnet18
-           ~rate:0.0 ~deadline:1.0 ()))
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises
+        (Printf.sprintf "bad rate %g" rate)
+        (Invalid_argument "Cluster.device: rate must be positive and finite")
+        (fun () ->
+          ignore
+            (Cluster.device ~id:0 ~proc:Processor.iot_board ~link:Link.wifi ~model:resnet18
+               ~rate ~deadline:1.0 ())))
+    [ 0.0; Float.nan; Float.infinity ];
+  List.iter
+    (fun deadline ->
+      Alcotest.check_raises
+        (Printf.sprintf "bad deadline %g" deadline)
+        (Invalid_argument "Cluster.device: deadline must be positive and finite")
+        (fun () ->
+          ignore
+            (Cluster.device ~id:0 ~proc:Processor.iot_board ~link:Link.wifi ~model:resnet18
+               ~rate:1.0 ~deadline ())))
+    [ -1.0; Float.nan; Float.infinity ];
+  List.iter
+    (fun ap_bandwidth_mbps ->
+      Alcotest.check_raises
+        (Printf.sprintf "bad AP bandwidth %g" ap_bandwidth_mbps)
+        (Invalid_argument "Cluster.server: AP bandwidth must be positive and finite")
+        (fun () -> ignore (Cluster.server ~id:0 ~proc:Processor.edge_cpu ~ap_bandwidth_mbps ())))
+    [ 0.0; Float.nan; Float.infinity; Float.max_float ]
 
 (* ---------- Decision ---------- *)
 

@@ -503,7 +503,13 @@ let test_online_scale_rates () =
       Alcotest.(check (float 1e-9)) "doubled"
         (2.0 *. c.Cluster.devices.(i).Cluster.rate)
         d.Cluster.rate)
-    c2.Cluster.devices
+    c2.Cluster.devices;
+  List.iter
+    (fun m ->
+      match Online.scale_rates c m with
+      | _ -> Alcotest.failf "multiplier %g accepted" m
+      | exception Invalid_argument _ -> ())
+    [ 0.0; -1.0; Float.nan; Float.infinity; Float.max_float ]
 
 let test_online_burst_beats_static () =
   (* Under a 3x burst the re-optimizing scheduler should satisfy at least as
@@ -757,6 +763,75 @@ let load_table_matches_ref =
          done;
          !ok))
 
+(* A result or the Invalid_argument message, so that raising the same
+   error counts as agreeing. *)
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let same_decisions a b =
+  match (a, b) with
+  | Ok None, Ok None -> true
+  | Ok (Some d), Ok (Some d') ->
+      Array.length d = Array.length d'
+      && Array.for_all2
+           (fun (x : Decision.t) (y : Decision.t) ->
+             x.Decision.device = y.Decision.device
+             && x.Decision.server = y.Decision.server
+             && x.Decision.plan == y.Decision.plan
+             && feq x.Decision.bandwidth_bps y.Decision.bandwidth_bps
+             && feq x.Decision.compute_share y.Decision.compute_share)
+           d d'
+  | Error m, Error m' -> m = m'
+  | _ -> false
+
+(* The staged allocation path against the list path it replaced: every
+   rule's [Policy.decisions], and the allocation step's one decision set
+   against the reference that builds and scores all three, bit for bit,
+   under the greedy placement and under a random one (often overloaded,
+   so infeasible min-max servers and unstable share rules show up). *)
+let allocation_step_matches_ref =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"staged allocation = list allocation (bit-exact)"
+       (assignment_instance ~max_devices:24)
+       (fun ((n_servers, n_devices, _) as instance) ->
+         let c, plans, rng = random_assignment_instance ~local:0.3 instance in
+         let random = Array.init n_devices (fun _ -> Random.State.int rng n_servers) in
+         List.for_all
+           (fun assignment ->
+             List.for_all
+               (fun allocator ->
+                 same_decisions
+                   (outcome (fun () -> Es_alloc.Policy.decisions allocator c ~assignment ~plans))
+                   (outcome (fun () -> Es_oracle.Policy.decisions allocator c ~assignment ~plans))
+                 && same_decisions
+                      (outcome (fun () -> Optimizer.best_allocation ~allocator c ~assignment ~plans))
+                      (outcome (fun () ->
+                           Es_oracle.Optimizer.best_allocation ~allocator c ~assignment ~plans)))
+               Es_alloc.Policy.[ Minmax_alloc; Sum_sqrt; Equal; Proportional ])
+           [ Es_alloc.Assign.balanced_greedy c ~plans; random ]))
+
+(* The allocation step builds one decision set: its words stay within
+   those of one [Policy.decisions] call (staging plus one decision array)
+   and 64 words for the grant-array borrows and the candidates' scores. *)
+let test_best_allocation_words () =
+  let c, out = Lazy.force solved in
+  let plans = Array.map (fun (d : Decision.t) -> d.Decision.plan) out.Optimizer.decisions in
+  let assignment = Array.map (fun (d : Decision.t) -> d.Decision.server) out.Optimizer.decisions in
+  let sink = ref None in
+  let step =
+    Es_util.Alloc_probe.minor_words (fun () ->
+        sink := Optimizer.best_allocation c ~assignment ~plans)
+  in
+  let one =
+    Es_util.Alloc_probe.minor_words (fun () ->
+        sink := Es_alloc.Policy.decisions Es_alloc.Policy.Proportional c ~assignment ~plans)
+  in
+  Alcotest.(check bool) "the step allocates" true (Option.is_some !sink);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= one decision set's %.0f + 64" step one)
+    true
+    (step <= one +. 64.0)
+
 (* The greedy sorts on a precomputed demand array with the comparator the
    reference evaluates per comparison.  Heapsort is unstable, so the order
    among equal demands is the sort's own; every other instance is [tied] so
@@ -849,6 +924,9 @@ let () =
             test_best_scored_zero_alloc;
           load_table_matches_ref;
           greedy_matches_ref;
+          allocation_step_matches_ref;
+          Alcotest.test_case "best_allocation builds one decision set" `Quick
+            test_best_allocation_words;
           Alcotest.test_case "load_proxy evaluation allocates only its result" `Quick
             test_load_proxy_eval_alloc;
         ] );
