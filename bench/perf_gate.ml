@@ -32,7 +32,9 @@
        retained reference oracles on the solve's landing point;
      - the current million_request record is gated absolutely: the runner's
        event-list high-water mark stays within 1/16 of the requests it
-       served (trace arrivals are read lazily, not posted up front).
+       served (trace arrivals are read lazily, not posted up front), and
+       its minor words per request stay within 5% + 1 word of the
+       committed baseline's.
 
    Usage: perf_gate.exe --baseline BENCH_solver.json --current bench_smoke.json
    Exit 0 on pass, 1 on regression, 2 on usage/parse errors. *)
@@ -257,11 +259,25 @@ let () =
       (* Absolute, like the overload arm: the runner reads its trace one
          arrival at a time, so its event list holds the requests in
          flight, a small fraction of the trace. *)
-      match (int_field "runner_max_pending" cur, int_field "requests" cur) with
+      (match (int_field "runner_max_pending" cur, int_field "requests" cur) with
       | Some pending, Some requests ->
           check "million_request.max_pending" (pending * 16 <= requests)
             (Printf.sprintf "%d pending for %d requests (ceiling 1/16)" pending requests)
       | _ -> check "million_request.max_pending" false "current record/field missing");
+      (* Minor words per served request, absolute like alloc_per_solve:
+         the run is deterministic, so the count depends on the binary,
+         not the machine (5% + 1 word of slack). *)
+      let base =
+        Option.bind (find_kind "million_request" baseline) (float_field "runner_words_per_request")
+      in
+      match (base, float_field "runner_words_per_request" cur) with
+      | Some bw, Some cw ->
+          let ceiling = (bw *. 1.05) +. 1.0 in
+          check "million_request.runner_words" (cw <= ceiling)
+            (Printf.sprintf "current %.2f vs baseline %.2f words/request (ceiling %.2f)" cw bw
+               ceiling)
+      | None, _ -> check "million_request.runner_words" false "no baseline runner_words_per_request"
+      | _, None -> check "million_request.runner_words" false "current record/field missing");
 
   (* overload: the protection arm's checks are absolute (within-record, on
      the current machine), so no baseline pairing is needed — protection

@@ -371,7 +371,9 @@ let warm_online ~repeats =
       that conservation holds, and records sustained runner events/s and
       the event list's high-water mark from the second run (the runner
       reads the trace one arrival at a time, so that mark follows the
-      requests in flight; perf_gate holds it under 1/16 of the requests). *)
+      requests in flight; perf_gate holds it under 1/16 of the requests),
+      and the minor words that second run allocates per request (exact
+      for a given binary; perf_gate compares it absolutely). *)
 let million_request ~repeats n =
   let total_events n = 2 * n in
   let times =
@@ -431,6 +433,7 @@ let million_request ~repeats n =
         streaming = true;
       }
     in
+    let w0 = Gc.minor_words () in
     let t0 = wall () in
     let report =
       Es_sim.Runner.run ~options ~arrivals:trace
@@ -438,20 +441,23 @@ let million_request ~repeats n =
         cluster decisions
     in
     let dt = wall () -. t0 in
-    (report, Option.get !stats, dt)
+    (report, Option.get !stats, dt, Gc.minor_words () -. w0)
   in
-  let first_report, _, _ = run_sim () in
-  let cal_report, cal_stats, cal_t = run_sim () in
+  let first_report, _, _, _ = run_sim () in
+  let cal_report, cal_stats, cal_t, cal_words = run_sim () in
+  let words_per_request =
+    cal_words /. float_of_int (max 1 cal_report.Es_sim.Metrics.total_generated)
+  in
   let report_bytes r = J.to_string (Es_sim.Metrics.report_to_json r) in
   let reports_match = report_bytes first_report = report_bytes cal_report in
   let conservation = Es_sim.Metrics.conserved cal_report in
   let runner_cal_eps = float_of_int cal_stats.Es_sim.Engine.events_processed /. cal_t in
   Printf.printf
     "million_request %d devices / %d reqs  runner %.2fs (%.0f ev/s)  max_pending %d  \
-     reports_match %b  conservation %b\n\
+     %.2f minor words/req  reports_match %b  conservation %b\n\
      %!"
     devices cal_report.Es_sim.Metrics.total_generated cal_t runner_cal_eps
-    cal_stats.Es_sim.Engine.max_pending reports_match conservation;
+    cal_stats.Es_sim.Engine.max_pending words_per_request reports_match conservation;
   J.Obj
     [
       ("kind", J.String "million_request");
@@ -468,6 +474,7 @@ let million_request ~repeats n =
       ("runner_events", J.Int cal_stats.Es_sim.Engine.events_processed);
       ("runner_max_pending", J.Int cal_stats.Es_sim.Engine.max_pending);
       ("runner_calendar_events_per_s", J.Float runner_cal_eps);
+      ("runner_words_per_request", J.Float words_per_request);
       ("reports_match", J.Bool reports_match);
       ("conservation", J.Bool conservation);
     ]

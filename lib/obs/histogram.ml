@@ -1,12 +1,14 @@
+(* Float state in an all-float record: stored flat, so [observe] updates
+   it without boxing. *)
+type sums = { mutable total : float; mutable lo : float; mutable hi : float }
+
 type t = {
   counts : int array;
   lock : Mutex.t;  (* serializes [observe]: instruments are shared across domains *)
   mutable underflow : int;
   mutable overflow : int;
   mutable n : int;
-  mutable total : float;
-  mutable lo : float;
-  mutable hi : float;
+  f : sums;
 }
 
 let growth = Float.pow 2.0 0.125
@@ -21,20 +23,20 @@ let create () =
     underflow = 0;
     overflow = 0;
     n = 0;
-    total = 0.0;
-    lo = infinity;
-    hi = neg_infinity;
+    f = { total = 0.0; lo = infinity; hi = neg_infinity };
   }
 
-let bucket_index v = int_of_float (Float.floor (log (v /. min_value) /. log_growth))
+let[@inline] bucket_index v = int_of_float (Float.floor (log (v /. min_value) /. log_growth))
 
-let observe t v =
+(* Inlined into [observe_cell], so a value read from a cell stays
+   unboxed. *)
+let[@inline] observe t v =
   if not (Float.is_nan v) then begin
     Mutex.lock t.lock;
     t.n <- t.n + 1;
-    t.total <- t.total +. v;
-    if v < t.lo then t.lo <- v;
-    if v > t.hi then t.hi <- v;
+    t.f.total <- t.f.total +. v;
+    if v < t.f.lo then t.f.lo <- v;
+    if v > t.f.hi then t.f.hi <- v;
     if v < min_value then t.underflow <- t.underflow + 1
     else begin
       let i = bucket_index v in
@@ -44,11 +46,13 @@ let observe t v =
     Mutex.unlock t.lock
   end
 
+let observe_cell t c = observe t c.(0)
+
 let count t = t.n
-let sum t = t.total
-let mean t = if t.n = 0 then nan else t.total /. float_of_int t.n
-let min_observed t = t.lo
-let max_observed t = t.hi
+let sum t = t.f.total
+let mean t = if t.n = 0 then nan else t.f.total /. float_of_int t.n
+let min_observed t = t.f.lo
+let max_observed t = t.f.hi
 
 let lower_edge i = min_value *. Float.pow growth (float_of_int i)
 
@@ -59,9 +63,9 @@ let quantile t p =
     (* Same rank convention as Stats.percentile: the p-quantile is the
        order statistic at rank p/100·(n−1), located by cumulative count. *)
     let target = p /. 100.0 *. float_of_int (t.n - 1) in
-    let clamp x = Float.max t.lo (Float.min t.hi x) in
+    let clamp x = Float.max t.f.lo (Float.min t.f.hi x) in
     let cum = ref (float_of_int t.underflow) in
-    if target < !cum then clamp t.lo
+    if target < !cum then clamp t.f.lo
     else begin
       let result = ref None in
       (try
@@ -77,7 +81,7 @@ let quantile t p =
            end
          done
        with Exit -> ());
-      match !result with Some v -> clamp v | None -> clamp t.hi
+      match !result with Some v -> clamp v | None -> clamp t.f.hi
     end
   end
 
@@ -94,9 +98,9 @@ let merge a b =
   m.underflow <- a.underflow + b.underflow;
   m.overflow <- a.overflow + b.overflow;
   m.n <- a.n + b.n;
-  m.total <- a.total +. b.total;
-  m.lo <- Float.min a.lo b.lo;
-  m.hi <- Float.max a.hi b.hi;
+  m.f.total <- a.f.total +. b.f.total;
+  m.f.lo <- Float.min a.f.lo b.f.lo;
+  m.f.hi <- Float.max a.f.hi b.f.hi;
   m
 
 let nonempty_buckets t =

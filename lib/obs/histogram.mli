@@ -23,6 +23,10 @@ val create : unit -> t
 val observe : t -> float -> unit
 (** NaN observations are ignored. *)
 
+val observe_cell : t -> float array -> unit
+(** [observe_cell t c] is [observe t c.(0)], the value read from a float
+    cell so that a caller in another module does not box it. *)
+
 val count : t -> int
 
 val sum : t -> float

@@ -69,7 +69,8 @@ let launch t =
     let efficiency = 1.0 -. t.alpha +. (t.alpha /. float_of_int k) in
     let service = !total_work *. efficiency /. t.speed in
     t.busy_total.(0) <- t.busy_total.(0) +. service;
-    Engine.post t.engine service t.event
+    (Engine.cell t.engine).(0) <- service;
+    Engine.post_cell t.engine t.event
   end
 
 let arm_window t =

@@ -9,6 +9,9 @@
    write barrier per element. *)
 type t = {
   clock : float array;  (* one cell: the current time, stored unboxed *)
+  at : float array;
+      (* one cell: the delay or time of the event being posted, so that no
+         float crosses into the queue boxed *)
   q : Es_util.Calendar_queue.t;
   mutable chunks : (unit -> unit) array array;
   mutable next_free : int array;
@@ -23,6 +26,7 @@ type stats = { events_processed : int; max_pending : int; pending : int }
 let create () =
   {
     clock = [| 0.0 |];
+    at = [| 0.0 |];
     q = Es_util.Calendar_queue.create ();
     chunks = [||];
     next_free = [||];
@@ -33,6 +37,8 @@ let create () =
   }
 
 let now t = t.clock.(0)
+let clock t = t.clock
+let cell t = t.at
 let pending t = Es_util.Calendar_queue.length t.q
 let max_event = max_int lsr 1
 
@@ -40,9 +46,26 @@ let note_pending t =
   let n = Es_util.Calendar_queue.length t.q in
   if n > t.max_pending then t.max_pending <- n
 
-let push t time code =
-  Es_util.Calendar_queue.push t.q time code;
+(* Queue [code] at the time in [t.at]. *)
+let push t code =
+  Es_util.Calendar_queue.push_from t.q t.at code;
   note_pending t
+
+(* [t.at] holds an absolute time: clamp it to the clock, as [Float.max]
+   would (a NaN stays, for the queue to reject). *)
+let clamp t =
+  let time = t.at.(0) and now = t.clock.(0) in
+  if not (time > now || Float.is_nan time) then t.at.(0) <- now
+
+let bad_delay name delay =
+  invalid_arg
+    (if delay < 0.0 then name ^ ": negative delay" else name ^ ": delay must be finite")
+
+(* [t.at] holds a delay: check it, and turn it into [now + delay]. *)
+let delay_to_time t name =
+  let delay = t.at.(0) in
+  if not (delay >= 0.0 && Float.is_finite delay) then bad_delay name delay;
+  t.at.(0) <- t.clock.(0) +. delay
 
 let noop () = ()
 let chunk_bits = 12
@@ -71,27 +94,41 @@ let add_thunk t f =
   i
 
 let schedule t delay f =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  push t (now t +. delay) (2 * add_thunk t f)
+  t.at.(0) <- delay;
+  delay_to_time t "Engine.schedule";
+  push t (2 * add_thunk t f)
 
-let schedule_at t time f = push t (Float.max time (now t)) (2 * add_thunk t f)
+let schedule_at t time f =
+  t.at.(0) <- time;
+  clamp t;
+  push t (2 * add_thunk t f)
 
 let check_event ev = if ev < 0 || ev > max_event then invalid_arg "Engine.post: event out of range"
 
-let post t delay ev =
-  if delay < 0.0 then invalid_arg "Engine.post: negative delay";
+let post_delayed t name ev =
+  delay_to_time t name;
   check_event ev;
-  push t (now t +. delay) ((2 * ev) + 1)
+  push t ((2 * ev) + 1)
+
+let post_cell t ev = post_delayed t "Engine.post_cell" ev
+
+let post t delay ev =
+  t.at.(0) <- delay;
+  post_delayed t "Engine.post" ev
 
 let post_at t time ev =
   check_event ev;
-  push t (Float.max time (now t)) ((2 * ev) + 1)
+  t.at.(0) <- time;
+  clamp t;
+  push t ((2 * ev) + 1)
 
 let reserve t n = Es_util.Calendar_queue.reserve t.q n
 
 let post_at_seq t time ~seq ev =
   check_event ev;
-  Es_util.Calendar_queue.push_seq t.q (Float.max time (now t)) ~seq ((2 * ev) + 1);
+  t.at.(0) <- time;
+  clamp t;
+  Es_util.Calendar_queue.push_seq_from t.q t.at ~seq ((2 * ev) + 1);
   note_pending t
 
 let no_handler _ = invalid_arg "Engine.run: a data event needs a handler"
@@ -101,24 +138,24 @@ let no_handler _ = invalid_arg "Engine.run: a data event needs a handler"
    drains at the head of one bucket), the clock update and the dispatch.
    A fired closure's slot is freed before the call, so the callback may
    reuse it; the closure stays in the slot until then, as clearing it
-   would cost a second write barrier per event. *)
-let run ?(handle = no_handler) t =
-  let rec loop () =
-    let code = Es_util.Calendar_queue.pop_into t.q t.clock in
-    if code >= 0 then begin
-      t.events_processed <- t.events_processed + 1;
-      if code land 1 = 1 then handle (code lsr 1)
-      else begin
-        let i = code lsr 1 in
-        let f = t.chunks.(i lsr chunk_bits).(i land (chunk - 1)) in
-        t.next_free.(i) <- t.free;
-        t.free <- i;
-        f ()
-      end;
-      loop ()
-    end
-  in
-  loop ()
+   would cost a second write barrier per event.  The loop is a toplevel
+   function, so a run allocates no closure of its own. *)
+let rec drain t handle =
+  let code = Es_util.Calendar_queue.pop_into t.q t.clock in
+  if code >= 0 then begin
+    t.events_processed <- t.events_processed + 1;
+    if code land 1 = 1 then handle (code lsr 1)
+    else begin
+      let i = code lsr 1 in
+      let f = t.chunks.(i lsr chunk_bits).(i land (chunk - 1)) in
+      t.next_free.(i) <- t.free;
+      t.free <- i;
+      f ()
+    end;
+    drain t handle
+  end
+
+let run ?(handle = no_handler) t = drain t handle
 
 let stats (t : t) : stats =
   { events_processed = t.events_processed; max_pending = t.max_pending; pending = pending t }

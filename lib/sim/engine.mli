@@ -4,8 +4,15 @@
 
     An event is either a closure ({!schedule}) or a data event: a plain
     int ({!post}) that {!run} hands to its [handle] function.  The
-    simulator's per-request hops are data events, so firing one allocates
-    nothing; closures suit one-off entries such as a fault schedule.
+    simulator's per-request hops are data events, so posting and firing
+    one allocates nothing; closures suit one-off entries such as a fault
+    schedule.
+
+    Times cross into the engine and the queue in float cells, never as
+    boxed arguments: the clock is the cell {!clock}, and {!post_cell}
+    reads its delay from the engine's cell {!cell}.  A caller that keeps
+    its times in float arrays posts without allocating; {!now} and
+    {!post} are the same paths behind a boxed float.
 
     Both kinds share one queue and one sequence counter: events for the
     same instant fire in posting order, whatever their kind, so runs are
@@ -21,9 +28,17 @@ val create : unit -> t
 
 val now : t -> float
 
+val clock : t -> float array
+(** The one-cell array the engine keeps its current time in: [(clock t).(0)]
+    is [now t], read without boxing it.  Read it; never write it. *)
+
+val cell : t -> float array
+(** The engine's one-cell argument: write a delay into [.(0)], then call
+    {!post_cell}.  Every post and schedule overwrites it. *)
+
 val schedule : t -> float -> (unit -> unit) -> unit
 (** [schedule t delay f] fires [f] at [now t +. delay].
-    @raise Invalid_argument on negative delay. *)
+    @raise Invalid_argument unless [delay] is finite and [>= 0]. *)
 
 val schedule_at : t -> float -> (unit -> unit) -> unit
 (** Absolute-time variant; clamps to the current time if in the past.
@@ -34,8 +49,14 @@ val post : t -> float -> int -> unit
 (** [post t delay ev] queues data event [ev] for [now t +. delay].  The
     meaning of [ev] belongs to the caller (the runner packs an event kind
     and a request, station or trace index into it).
-    @raise Invalid_argument on negative delay, or unless
+    @raise Invalid_argument unless [delay] is finite and [>= 0] and
     [0 <= ev <= max_int lsr 1]. *)
+
+val post_cell : t -> int -> unit
+(** [post_cell t ev] is [post t (cell t).(0) ev]: the delay comes from
+    the engine's cell, so posting allocates nothing.  {!post} writes its
+    argument into the cell and calls it.
+    @raise Invalid_argument as {!post} does. *)
 
 val post_at : t -> float -> int -> unit
 (** Absolute-time variant of {!post}; clamps like {!schedule_at}. *)

@@ -59,6 +59,8 @@ type collector = {
   mutable rev_log : outcome_ev list;
   mutable n_logged : int;
   mutable n_completions : int;
+  args : float array;  (* [on_completion]'s arrival, now and deadline *)
+  lat : float array;  (* one cell: the latency handed to the accumulators *)
 }
 
 let create_collector ?(streaming = false) ~n_devices ~window_start ~window_end () =
@@ -84,9 +86,11 @@ let create_collector ?(streaming = false) ~n_devices ~window_start ~window_end (
     rev_log = [];
     n_logged = 0;
     n_completions = 0;
+    args = [| 0.0; 0.0; 0.0 |];
+    lat = [| 0.0 |];
   }
 
-let in_window c t = t >= c.window_start && t <= c.window_end
+let[@inline] in_window c t = t >= c.window_start && t <= c.window_end
 
 let on_arrival c ~device ~now =
   if in_window c now then begin
@@ -127,27 +131,36 @@ let on_timeout c ~device ~arrival =
     log_outcome c ~at:arrival ~lat:nan ~hit:false
   end
 
-let on_completion c ?(degraded = false) ~device ~arrival ~now ~deadline () =
+let on_completion_cell c ~degraded ~device cell =
   (* Attribute the sample to the request's arrival, matching on_arrival. *)
+  let arrival = cell.(0) in
   if in_window c arrival then begin
     let d = c.devs.(device) in
+    let now = cell.(1) in
     let latency = now -. arrival in
     d.completed <- d.completed + 1;
     if degraded then d.degraded <- d.degraded + 1;
-    let hit = latency <= deadline +. 1e-12 in
+    let hit = latency <= cell.(2) +. 1e-12 in
     if hit then d.hits <- d.hits + 1;
-    Es_util.Stats.add d.stats latency;
+    c.lat.(0) <- latency;
+    Es_util.Stats.add_cell d.stats c.lat;
     if c.streaming then begin
       (* O(1) per request: Welford accumulator + fixed-size histogram
          instead of sample lists. *)
-      Es_util.Stats.add c.pooled latency;
-      Es_obs.Histogram.observe c.sketch latency
+      Es_util.Stats.add_cell c.pooled c.lat;
+      Es_obs.Histogram.observe_cell c.sketch c.lat
     end
     else begin
       d.rev_samples <- latency :: d.rev_samples;
       log_outcome c ~at:now ~lat:latency ~hit
     end
   end
+
+let on_completion c ~device ~arrival ~now ~deadline () =
+  c.args.(0) <- arrival;
+  c.args.(1) <- now;
+  c.args.(2) <- deadline;
+  on_completion_cell c ~degraded:false ~device c.args
 
 (* Reversed list -> array in a single backward-fill pass (the length is
    tracked by the counters, so no List.rev / List.length prewalk).

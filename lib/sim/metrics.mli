@@ -85,18 +85,22 @@ val on_timeout : collector -> device:int -> arrival:float -> unit
     time (like completions) so in-window conservation holds:
     generated = completed + dropped + timed out once the run drains. *)
 
+val on_completion_cell :
+  collector -> degraded:bool -> device:int -> float array -> unit
+(** [on_completion_cell c ~degraded ~device cell] records a completion
+    whose arrival, completion time and deadline are [cell.(0)],
+    [cell.(1)] and [cell.(2)]: read from a float cell, they are not
+    boxed, and a streaming collector records the completion without
+    allocating.  [degraded] marks a completion served by the
+    local-fallback path after the offload plan failed; it still counts
+    toward [completed] (and toward [deadline_hits] if it met the
+    deadline). *)
+
 val on_completion :
-  collector ->
-  ?degraded:bool ->
-  device:int ->
-  arrival:float ->
-  now:float ->
-  deadline:float ->
-  unit ->
-  unit
-(** [degraded] marks a completion served by the local-fallback path after
-    the offload plan failed; it still counts toward [completed] (and
-    toward [deadline_hits] if it met the deadline). *)
+  collector -> device:int -> arrival:float -> now:float -> deadline:float -> unit -> unit
+(** [on_completion c ~device ~arrival ~now ~deadline ()] is
+    {!on_completion_cell} of a completion that is not degraded, its
+    floats written into a cell of [c]. *)
 
 val finalize :
   collector -> server_busy:float array -> duration:float -> report

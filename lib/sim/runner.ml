@@ -42,12 +42,7 @@ let default_options =
     overload = Overload.off;
   }
 
-type dev_stations = {
-  cpu : Station.t;
-  up : Station.t;
-  srv : Station.t;
-  down : Station.t;
-}
+type dev_stations = { cpu : Station.t; up : Station.t; srv : Station.t; down : Station.t }
 
 let stage_names = [| "device"; "uplink"; "uplink_prop"; "server"; "downlink"; "downlink_prop" |]
 
@@ -77,15 +72,11 @@ let k_arrival, k_poisson, k_station, k_batch = (0, 1, 2, 3)
 (* Argument: a request id. *)
 let k_uplink_prop, k_downlink_prop, k_retry_device, k_retry_offload, k_timeout = (4, 5, 6, 7, 8)
 
-(* Station ids are [4 dev + slot], the slots in this stage order. *)
+(* Station ids are [4 dev + slot], the slots in this stage order; device
+   [i]'s station at slot [k] is named [slot_names.(k) ^ string_of_int i]. *)
 let slot_stages = [| s_device; s_uplink; s_server; s_downlink |]
-
-(* The station a queueing stage submits to (not the propagation stages). *)
-let station_at st stage =
-  if stage = s_device then st.cpu
-  else if stage = s_uplink then st.up
-  else if stage = s_server then st.srv
-  else st.down
+let slot_names = [| "cpu"; "up"; "srv"; "down" |]
+let station_name slot i = Printf.sprintf "%s%d" slot_names.(slot) i
 
 (* Every telemetry handle a run writes, resolved once from [?metrics]; an
    uninstrumented run carries [None] and skips each site with one match.
@@ -108,7 +99,7 @@ type telemetry = {
   brownout_switches : Es_obs.Metric.counter option;
 }
 
-let telemetry reg ~ns (ov : Overload.policy) stations =
+let telemetry reg ~nd ~ns (ov : Overload.policy) =
   let counter = Es_obs.Metric.counter reg and gauge = Es_obs.Metric.gauge reg in
   let by_stage f = Array.map (fun s -> f ~labels:[ ("stage", s) ]) stage_names in
   let by_server on name =
@@ -127,12 +118,11 @@ let telemetry reg ~ns (ov : Overload.policy) stations =
     queue_depth =
       Array.mapi
         (fun stage _ ->
-          if stage = s_uplink_prop || stage = s_downlink_prop then [||]
-          else
-            Array.map
-              (fun st ->
-                gauge ~labels:[ ("station", Station.name (station_at st stage)) ] "queue_depth")
-              stations)
+          match Array.find_index (Int.equal stage) slot_stages with
+          | None -> [||]
+          | Some slot ->
+              Array.init nd (fun i ->
+                  gauge ~labels:[ ("station", station_name slot i) ] "queue_depth"))
         stage_names;
     breaker_state = by_server (Option.is_some ov.Overload.breaker) "overload/breaker_state";
     brownout_active = by_server (Option.is_some ov.Overload.brownout) "overload/brownout_active";
@@ -192,6 +182,738 @@ let check_window (o : options) =
       (Printf.sprintf "Runner.run: duration_s (%g) must exceed warmup_s (%g)" o.duration_s
          o.warmup_s)
 
+(* The run's state, read by the toplevel handlers below.  Request state lives
+   in arrays indexed by request slot, replaced as they grow (the optional ones
+   only when their feature is on).  A slot is taken at arrival and freed once
+   its request is resolved and [req_pins] (the queued events and station or
+   batcher jobs carrying it) is 0, so the arrays follow the requests in
+   flight, not the trace.  Floats cross module boundaries in cells, since a
+   float argument or result would be boxed there: the engine's [clock] and
+   [at], and the run's own [work], [eta] and [outcome]. *)
+type state = {
+  o : options;
+  cluster : Cluster.t;
+  engine : Engine.t;
+  clock : float array;
+  at : float array;
+  tracer : Es_obs.Span.tracer;
+  tracing : bool;
+  timed : bool;  (* hop submission times are kept for histograms and spans *)
+  tel : telemetry option;
+  collector : Metrics.collector;
+  work_scale : device:int -> Es_util.Prng.t -> float;
+  jitter_rng : Es_util.Prng.t;
+  fade_rng : Es_util.Prng.t;
+  scale_rng : Es_util.Prng.t;
+  mutable n_slots : int;
+  mutable free_slots : int array;
+  mutable n_free : int;
+  mutable req_pins : int array;
+  mutable req_state : int array;
+  mutable req_arrival : float array;
+  mutable req_scale : float array;
+  mutable req_dev : int array;
+  mutable req_dec : Decision.t array;
+  mutable req_busy : float array;  (* server-busy credit: work over the share at submission *)
+  mutable req_sub : float array;  (* timed: submission time of the current hop *)
+  (* tracing: the root span, the current hop's segment span, and the local
+     fallback's span and submission time *)
+  mutable req_span : Es_obs.Span.t array;
+  mutable req_seg : Es_obs.Span.t array;
+  mutable req_fb_span : Es_obs.Span.t array;
+  mutable req_fb_sub : float array;
+  work : float array;  (* one cell: the work of the job being submitted *)
+  eta : float array;  (* two cells: the admission estimate, see [Station.eta_cell] *)
+  outcome : float array;  (* arrival, now, deadline of a completion *)
+  mutable stations : dev_stations array;
+  srv_speed : float array;  (* each device's server station speed *)
+  half_rtt : float array;  (* each device's one-way propagation delay *)
+  current : Decision.t array;
+  (* The server each device's current decision offloads to, -1 for a
+     device-only one, so fault and brownout sweeps read no plans. *)
+  current_server : int array;
+  cost_dec : Decision.t array;
+  cost : float array;
+  server_busy : float array;
+  batchers : Batcher.t array;
+  (* Live fault state.  All 1.0 / all-up when the schedule is empty, in
+     which case every use reduces to the fault-free arithmetic exactly
+     ([x *. 1.0] and [x /. 1.0] are bit-identities). *)
+  server_up : bool array;
+  server_factor : float array;
+  link_up : bool array;
+  link_factor : float array;
+  (* Overload protection.  Off (the default), every array is empty and every
+     gate short-circuits on [overload_on]: no extra events or RNG draws. *)
+  overload_on : bool;
+  (* Device-only reroute targets for open breakers and brownout swaps,
+     worked out when the first one is needed. *)
+  protect_local : Decision.t array Lazy.t;
+  brownout_plan : Plan.t option array;
+  brownout_active : bool array;
+  breakers : Overload.Breaker.t array;
+  buckets : Es_alloc.Admission.Token_bucket.t array;
+  fallback_work : float array option;  (* local-fallback work per device *)
+  (* admission's latency budget over the deadline: the timeout factor
+     when a timeout is armed, else 1 *)
+  budget_factor : float;
+  trace : (float * int) array;
+  rngs : Es_util.Prng.t array;  (* per-device Poisson streams, without a trace *)
+  mutable arrival_seq : int;
+}
+
+let batching s = Option.is_some s.o.batching
+
+let jitter s =
+  let sigma = s.o.compute_jitter in
+  if sigma <= 0.0 then 1.0
+  else Es_util.Prng.lognormal s.jitter_rng ~mu:(-.sigma *. sigma /. 2.0) ~sigma
+
+let fade_factor s link =
+  if not s.o.fading then 1.0
+  else
+    let eff = Link.effective_rate s.fade_rng link 1.0 in
+    if eff <= 0.0 then 10.0 else 1.0 /. eff
+
+let no_span = Es_obs.Span.start Es_obs.Span.null "unused"
+
+(* [fill_dec] seeds the decision array on first growth (there is no
+   synthesizable dummy [Decision.t]); afterwards existing slot 0 works. *)
+let ensure_cap s fill_dec =
+  let cap = Array.length s.req_state in
+  if s.n_slots >= cap then begin
+    let ncap = if cap = 0 then 64 else 2 * cap in
+    let grow a fill =
+      let b = Array.make ncap fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    s.free_slots <- grow s.free_slots 0;
+    s.req_pins <- grow s.req_pins 0;
+    s.req_state <- grow s.req_state 0;
+    s.req_arrival <- grow s.req_arrival 0.0;
+    s.req_scale <- grow s.req_scale 1.0;
+    s.req_dev <- grow s.req_dev 0;
+    s.req_dec <- grow s.req_dec fill_dec;
+    s.req_busy <- grow s.req_busy 0.0;
+    if s.timed then s.req_sub <- grow s.req_sub 0.0;
+    if s.tracing then begin
+      s.req_span <- grow s.req_span no_span;
+      s.req_seg <- grow s.req_seg no_span;
+      s.req_fb_span <- grow s.req_fb_span no_span;
+      s.req_fb_sub <- grow s.req_fb_sub 0.0
+    end
+  end
+
+let take_slot s fill_dec =
+  if s.n_free > 0 then begin
+    s.n_free <- s.n_free - 1;
+    s.free_slots.(s.n_free)
+  end
+  else begin
+    ensure_cap s fill_dec;
+    s.n_slots <- s.n_slots + 1;
+    s.n_slots - 1
+  end
+
+(* A freed slot holds no span. *)
+let release s rid =
+  if s.tracing then begin
+    s.req_span.(rid) <- no_span;
+    s.req_seg.(rid) <- no_span;
+    s.req_fb_span.(rid) <- no_span
+  end;
+  s.free_slots.(s.n_free) <- rid;
+  s.n_free <- s.n_free + 1
+
+let pin s rid = s.req_pins.(rid) <- s.req_pins.(rid) + 1
+
+(* A data event carrying request [rid], after the delay the caller wrote
+   into the engine's cell, pins its slot until handled. *)
+let post_for s rid kind =
+  Engine.post_cell s.engine (event kind rid);
+  pin s rid
+
+(* A station job's tag is its request id, doubled, plus 1 for the local
+   fallback: a request can wait on the CPU in both roles at once. *)
+let on_start s tag =
+  let rid = tag lsr 1 in
+  let span, since =
+    if tag land 1 = 0 then (s.req_seg.(rid), s.req_sub.(rid))
+    else (s.req_fb_span.(rid), s.req_fb_sub.(rid))
+  in
+  Es_obs.Span.set_attr span "queue_s" (Es_obs.Json.Float (s.clock.(0) -. since))
+
+(* Live counters count in the collector's window, so they, the end-of-run
+   report and the JSONL export all agree. *)
+let[@inline] in_window s t = t >= s.o.warmup_s && t <= s.o.duration_s
+
+let note_queue s stage dev station =
+  match s.tel with
+  | None -> ()
+  | Some t ->
+      Es_obs.Metric.set t.queue_depth.(stage).(dev) (float_of_int (Station.queue_length station))
+
+(* Request [rid]'s hop at [stage], submitted at [req_sub], ends now. *)
+let note_segment s stage rid =
+  match s.tel with
+  | None -> ()
+  | Some t -> Es_obs.Histogram.observe t.segment.(stage) (s.clock.(0) -. s.req_sub.(rid))
+
+(* Per-server token buckets.  A configured rate of 0 derives the refill rate
+   from the server's aggregate granted service capacity (Σ share / service
+   time over its offloaders), re-derived on every reconfiguration and
+   straggler fault — the utilization-aware mode. *)
+let refresh_bucket_rates s =
+  match s.o.overload.Overload.rate_limit with
+  | Some rl when rl.Overload.rate_per_server <= 0.0 ->
+      let now = Engine.now s.engine in
+      let cap = Array.make (Array.length s.buckets) 0.0 in
+      Array.iter
+        (fun (d : Decision.t) ->
+          if Decision.offloads d && d.Decision.compute_share > 0.0 then begin
+            let srv = s.cluster.Cluster.servers.(d.Decision.server) in
+            let w = Plan.server_time srv.Cluster.sproc.Processor.perf d.Decision.plan in
+            if w > 0.0 then
+              cap.(d.Decision.server) <-
+                cap.(d.Decision.server)
+                +. d.Decision.compute_share /. (w *. s.server_factor.(d.Decision.server))
+          end)
+        s.current;
+      Array.iteri (fun i b -> Es_alloc.Admission.Token_bucket.set_rate b ~now cap.(i)) s.buckets
+  | _ -> ()
+
+let note_brownout s srv active =
+  s.brownout_active.(srv) <- active;
+  match s.tel with
+  | None -> ()
+  | Some t ->
+      Option.iter Es_obs.Metric.inc t.brownout_switches;
+      Es_obs.Metric.set t.brownout_active.(srv) (if active then 1.0 else 0.0)
+
+(* The one station-speed rule: transfers run at the granted bandwidth
+   times the link's degradation factor, server work at the granted share
+   over the server's straggler factor.  A zero grant means the plan no
+   longer uses the stage; its old speed stays so in-flight jobs drain
+   instead of stalling. *)
+let set_speeds s i =
+  let d = s.current.(i) and st = s.stations.(i) in
+  if d.Decision.bandwidth_bps > 0.0 then begin
+    let bw = d.Decision.bandwidth_bps *. s.link_factor.(i) in
+    Station.set_speed st.up bw;
+    Station.set_speed st.down bw
+  end;
+  if d.Decision.compute_share > 0.0 then begin
+    s.srv_speed.(i) <- d.Decision.compute_share /. s.server_factor.(d.Decision.server);
+    Station.set_speed st.srv s.srv_speed.(i)
+  end
+
+let offload_server d = if Decision.offloads d then d.Decision.server else -1
+
+let apply_decisions s ds =
+  Array.iteri
+    (fun i d ->
+      s.current.(i) <- d;
+      s.current_server.(i) <- offload_server d;
+      set_speeds s i)
+    ds;
+  refresh_bucket_rates s
+
+(* Plan costs per device, for the decision they were computed from
+   (physical identity): a device's requests mostly share one decision, so
+   each cost is worked out once per decision, not once per hop.
+   [cost.(4 dev + slot)] is the cost of the hop at that station slot: device
+   time, uplink bytes, server time, downlink bytes (the last three for
+   offloading decisions only). *)
+let fill_costs s dev (d : Decision.t) =
+  s.cost_dec.(dev) <- d;
+  let plan = d.Decision.plan in
+  s.cost.(4 * dev) <-
+    Plan.device_time s.cluster.Cluster.devices.(dev).Cluster.proc.Processor.perf plan;
+  if Decision.offloads d then begin
+    let srv = s.cluster.Cluster.servers.(d.Decision.server) in
+    s.cost.((4 * dev) + 1) <- Plan.transfer_bytes plan;
+    s.cost.((4 * dev) + 2) <- Plan.server_time srv.Cluster.sproc.Processor.perf plan;
+    s.cost.((4 * dev) + 3) <- Plan.result_bytes plan
+  end
+
+let costs s dev d = if s.cost_dec.(dev) != d then fill_costs s dev d
+let resolved s rid = s.req_state.(rid) land 7 <> 0
+let fallback_started s rid = s.req_state.(rid) land 8 <> 0
+let offloads s rid = s.req_state.(rid) land 16 <> 0
+let attempts s rid = s.req_state.(rid) lsr 5
+
+(* Drop one reference to [rid]'s slot, freeing it when that was the last
+   one and the request is resolved. *)
+let unpin s rid =
+  let p = s.req_pins.(rid) - 1 in
+  s.req_pins.(rid) <- p;
+  if p = 0 && resolved s rid then release s rid
+
+(* Feed the server's breaker from this request's offload-path outcomes:
+   a server-stage completion closes in success, a server-stage failure or
+   a timeout in failure.  No-op without breakers or for device-only
+   requests. *)
+let breaker_note s rid ok =
+  if Array.length s.breakers > 0 && offloads s rid then
+    Overload.Breaker.record
+      s.breakers.(s.req_dec.(rid).Decision.server)
+      ~now:(Engine.now s.engine) ~ok
+
+(* The one request exit, and the only writer of the outcome bits.  Under
+   resilience a request can have several racing continuations (a retry,
+   the fallback, a late original completion); the first to get here
+   decides the outcome [o], and only it feeds the breaker, counts, and
+   finishes the root span.  [stage] is where a drop happened; the other
+   outcomes ignore it.  A shed is overload protection refusing the
+   request at arrival, before it entered any queue. *)
+let resolve s rid o stage =
+  if not (resolved s rid) then begin
+    if o = o_completed || o = o_timed_out then breaker_note s rid (o = o_completed);
+    s.req_state.(rid) <- s.req_state.(rid) lor o;
+    let now = s.clock.(0) and arrival = s.req_arrival.(rid) and device = s.req_dev.(rid) in
+    let completed = o = o_completed || o = o_degraded in
+    (match s.tel with
+    | None -> ()
+    | Some t ->
+        (* drops and sheds count at resolution, the rest at arrival *)
+        if in_window s (if o = o_dropped || o = o_shed then now else arrival) then
+          if completed then begin
+            Es_obs.Metric.inc t.completed;
+            if o = o_degraded then Es_obs.Metric.inc t.degraded;
+            Es_obs.Histogram.observe t.latency (now -. arrival)
+          end
+          else if o = o_dropped then Es_obs.Metric.inc t.dropped.(stage)
+          else Es_obs.Metric.inc (if o = o_timed_out then t.timed_out else t.shed));
+    if s.tracing then begin
+      let detail =
+        if completed then [ ("latency_s", Es_obs.Json.Float (now -. arrival)) ]
+        else if o = o_dropped then [ ("stage", Es_obs.Json.String stage_names.(stage)) ]
+        else []
+      in
+      Es_obs.Span.finish s.tracer
+        ~attrs:(("outcome", Es_obs.Json.String outcome_names.(o)) :: detail)
+        s.req_span.(rid)
+    end;
+    if completed then begin
+      s.outcome.(0) <- arrival;
+      s.outcome.(1) <- now;
+      s.outcome.(2) <- s.cluster.Cluster.devices.(device).Cluster.deadline;
+      Metrics.on_completion_cell s.collector ~degraded:(o = o_degraded) ~device s.outcome
+    end
+    else if o = o_dropped then Metrics.on_drop s.collector ~device ~now
+    else if o = o_timed_out then Metrics.on_timeout s.collector ~device ~arrival
+    else Metrics.on_shed s.collector ~device ~now;
+    if s.req_pins.(rid) = 0 then release s rid
+  end
+
+let start_fallback s rid =
+  match s.fallback_work with
+  | Some works when (not (resolved s rid)) && not (fallback_started s rid) ->
+      s.req_state.(rid) <- s.req_state.(rid) lor 8;
+      let dev_id = s.req_dev.(rid) in
+      let cpu = s.stations.(dev_id).cpu in
+      s.work.(0) <- works.(dev_id) *. s.req_scale.(rid);
+      if s.tracing then begin
+        s.req_fb_span.(rid) <- Es_obs.Span.start s.tracer ~parent:s.req_span.(rid) "fallback";
+        s.req_fb_sub.(rid) <- s.clock.(0)
+      end;
+      let ok = Station.submit_cell cpu ~tag:((2 * rid) + 1) s.work in
+      note_queue s s_device dev_id cpu;
+      if ok then pin s rid
+      else begin
+        if s.tracing then
+          Es_obs.Span.finish s.tracer
+            ~attrs:[ ("outcome", Es_obs.Json.String "dropped") ]
+            s.req_fb_span.(rid);
+        resolve s rid o_dropped s_device
+      end
+  | _ -> ()
+
+(* Failure of an attempt at [stage]: retry with exponential backoff from
+   the failed phase (the device stage, else the uplink), then fall back
+   locally, then drop.  Without a resilience policy the request is
+   simply dropped (pre-fault behavior). *)
+let fail s rid stage =
+  if not (resolved s rid) then begin
+    if stage = s_server then breaker_note s rid false;
+    match s.o.resilience with
+    | None -> resolve s rid o_dropped stage
+    | Some r ->
+        s.req_state.(rid) <- s.req_state.(rid) + 32;
+        if attempts s rid <= r.max_retries then begin
+          s.at.(0) <- r.backoff_base_s *. (2.0 ** float_of_int (attempts s rid - 1));
+          post_for s rid (if stage = s_device then k_retry_device else k_retry_offload)
+        end
+        else if r.local_fallback then start_fallback s rid
+        else resolve s rid o_dropped stage
+  end
+
+(* A hop opens: traced, its segment span starts; timed, its submission
+   time is kept. *)
+let open_hop s rid stage =
+  if s.tracing then
+    s.req_seg.(rid) <- Es_obs.Span.start s.tracer ~parent:s.req_span.(rid) stage_names.(stage);
+  if s.timed then s.req_sub.(rid) <- s.clock.(0)
+
+(* A station hop of [s.work.(0)] units.  Queueing time (submission →
+   service start, see [on_start]) is recorded as a span attribute so the
+   span decomposes further without breaking the tiling. *)
+let submit s rid stage station =
+  open_hop s rid stage;
+  let ok = Station.submit_cell station ~tag:(2 * rid) s.work in
+  note_queue s stage s.req_dev.(rid) station;
+  if ok then pin s rid
+  else begin
+    if s.tracing then
+      Es_obs.Span.finish s.tracer ~attrs:[ ("outcome", Es_obs.Json.String "dropped") ] s.req_seg.(rid);
+    fail s rid stage
+  end
+
+(* Jobs a fault threw out of a [stage] station fail, in eviction order.
+   The local fallback's CPU jobs are never evicted (no fault flushes a
+   CPU). *)
+let evict s stage tags =
+  Array.iter
+    (fun tag ->
+      let rid = tag lsr 1 in
+      if tag land 1 = 0 then begin
+        if s.tracing then
+          Es_obs.Span.finish s.tracer ~attrs:[ ("outcome", Es_obs.Json.String "evicted") ] s.req_seg.(rid);
+        fail s rid stage
+      end;
+      unpin s rid)
+    tags
+
+(* Propagation legs get their own child spans so the segments still tile
+   the request's full lifetime. *)
+let propagate s rid stage =
+  open_hop s rid stage;
+  s.at.(0) <- s.half_rtt.(s.req_dev.(rid));
+  post_for s rid (if stage = s_uplink_prop then k_uplink_prop else k_downlink_prop)
+
+let attempt_device s rid =
+  let dev_id = s.req_dev.(rid) in
+  costs s dev_id s.req_dec.(rid);
+  s.work.(0) <- s.cost.(4 * dev_id) *. s.req_scale.(rid);
+  submit s rid s_device s.stations.(dev_id).cpu
+
+(* The uplink or downlink hop; it fails at once while the link is out. *)
+let transfer s rid stage =
+  let dev_id = s.req_dev.(rid) in
+  if not s.link_up.(dev_id) then fail s rid stage
+  else begin
+    costs s dev_id s.req_dec.(rid);
+    let st = s.stations.(dev_id) and up = stage = s_uplink in
+    let link = s.cluster.Cluster.devices.(dev_id).Cluster.link in
+    s.work.(0) <- 8.0 *. s.cost.((4 * dev_id) + if up then 1 else 3) *. fade_factor s link;
+    submit s rid stage (if up then st.up else st.down)
+  end
+
+let server_phase s rid =
+  let dev_id = s.req_dev.(rid) and d = s.req_dec.(rid) in
+  if not s.server_up.(d.Decision.server) then fail s rid s_server
+  else begin
+    costs s dev_id d;
+    s.work.(0) <- s.cost.((4 * dev_id) + 2) *. s.req_scale.(rid);
+    if batching s then begin
+      (* One batched accelerator per server; shares ignored.  The "server"
+         segment span covers queue + batch wait + service, measured around
+         the batcher.  Batchers have no eviction path: faults only gate
+         admission here. *)
+      open_hop s rid s_server;
+      Batcher.submit s.batchers.(d.Decision.server) ~tag:rid ~work:s.work.(0);
+      pin s rid
+    end
+    else begin
+      (* Busy time is credited at the share the job was submitted under. *)
+      s.req_busy.(rid) <- s.work.(0) /. Float.max s.srv_speed.(dev_id) 1e-9;
+      submit s rid s_server s.stations.(dev_id).srv
+    end
+  end
+
+(* A hop's job at [stage] finished: the segment ends, the request moves on. *)
+let hop_done s rid stage =
+  note_segment s stage rid;
+  if s.tracing then Es_obs.Span.finish s.tracer s.req_seg.(rid);
+  if stage = s_device then begin
+    if offloads s rid then transfer s rid s_uplink else resolve s rid o_completed s_device
+  end
+  else if stage = s_uplink then propagate s rid s_uplink_prop
+  else if stage = s_server then begin
+    if not (batching s) then begin
+      let srv = s.req_dec.(rid).Decision.server in
+      s.server_busy.(srv) <- s.server_busy.(srv) +. s.req_busy.(rid)
+    end;
+    transfer s rid s_downlink
+  end
+  else propagate s rid s_downlink_prop
+
+let propagated s rid stage =
+  (match s.tel with
+  | None -> ()
+  | Some t -> Es_obs.Histogram.observe t.segment.(stage) s.half_rtt.(s.req_dev.(rid)));
+  if s.tracing then Es_obs.Span.finish s.tracer s.req_seg.(rid);
+  if stage = s_uplink_prop then server_phase s rid else resolve s rid o_completed s_downlink_prop
+
+let apply_fault s = function
+  | Faults.Server_down srv ->
+      if s.server_up.(srv) then begin
+        s.server_up.(srv) <- false;
+        Array.iteri
+          (fun i st -> if s.current_server.(i) = srv then evict s s_server (Station.flush st.srv))
+          s.stations
+      end
+  | Faults.Server_up srv -> s.server_up.(srv) <- true
+  | Faults.Link_outage d ->
+      if s.link_up.(d) then begin
+        s.link_up.(d) <- false;
+        evict s s_uplink (Station.flush s.stations.(d).up);
+        evict s s_downlink (Station.flush s.stations.(d).down)
+      end
+  | Faults.Link_restored d -> s.link_up.(d) <- true
+  | Faults.Link_degraded (d, f) ->
+      s.link_factor.(d) <- f;
+      set_speeds s d
+  | Faults.Straggler (srv, f) ->
+      s.server_factor.(srv) <- f;
+      Array.iteri
+        (fun i (dec : Decision.t) ->
+          if s.current_server.(i) = srv && dec.Decision.compute_share > 0.0 then set_speeds s i)
+        s.current;
+      refresh_bucket_rates s
+
+(* Brownout watermark controller: a periodic sweep (simulated time) of
+   per-server backlog with hysteresis — engage at the high watermark,
+   release at the low one.  Scheduled only when brownout is configured,
+   so the default event stream is untouched. *)
+let rec brownout_tick s (b : Overload.brownout_cfg) backlog t =
+  if t <= s.o.duration_s then
+    Engine.schedule_at s.engine t (fun () ->
+        Array.fill backlog 0 (Array.length backlog) 0;
+        Array.iteri
+          (fun i st ->
+            let srv = s.current_server.(i) in
+            if srv >= 0 then backlog.(srv) <- backlog.(srv) + Station.queue_length st.srv)
+          s.stations;
+        for srv = 0 to Array.length backlog - 1 do
+          if (not s.brownout_active.(srv)) && backlog.(srv) >= b.Overload.high_watermark then
+            note_brownout s srv true
+          else if s.brownout_active.(srv) && backlog.(srv) <= b.Overload.low_watermark then
+            note_brownout s srv false
+        done;
+        brownout_tick s b backlog (t +. b.Overload.check_every_s))
+
+(* A lower bound on request [rid]'s completion delay given the current
+   per-station backlog, left in [s.eta.(0)]: stage k's finish is max(own
+   pipeline, stage k's backlog clearing) plus its service time.  Stations are
+   dedicated per device and FIFO, so the bound is tight when one stage
+   dominates; it ignores wireless fading (no RNG draws) and, under batching,
+   the shared batcher's queue (only the service time is charged).  A request
+   shed on this estimate provably cannot meet its budget. *)
+let estimate_completion s rid dev_id (d : Decision.t) =
+  let st = s.stations.(dev_id) and c = s.eta and k = 4 * dev_id in
+  costs s dev_id d;
+  c.(0) <- 0.0;
+  c.(1) <- s.cost.(k) *. s.req_scale.(rid);
+  Station.eta_cell st.cpu c;
+  if Decision.offloads d then begin
+    c.(1) <- 8.0 *. s.cost.(k + 1);
+    Station.eta_cell st.up c;
+    c.(0) <- c.(0) +. s.half_rtt.(dev_id);
+    c.(1) <- s.cost.(k + 2) *. s.req_scale.(rid);
+    if batching s then c.(0) <- c.(0) +. c.(1) else Station.eta_cell st.srv c;
+    c.(1) <- 8.0 *. s.cost.(k + 3);
+    Station.eta_cell st.down c;
+    c.(0) <- c.(0) +. s.half_rtt.(dev_id)
+  end
+
+let local_decision s dev_id = (Lazy.force s.protect_local).(dev_id)
+
+(* The brownout gate: an offloading decision to a server in brownout
+   swaps to its minimum-server plan, or to the device-only one. *)
+let brownout_swap s dev_id (d : Decision.t) =
+  if Decision.offloads d && s.brownout_active.(d.Decision.server) then begin
+    match s.o.overload.Overload.brownout with
+    | Some { Overload.mode = Overload.Local_only; _ } -> local_decision s dev_id
+    | Some { Overload.mode = Overload.Min_server; _ } -> (
+        match s.brownout_plan.(dev_id) with
+        | Some p when d.Decision.compute_share > 0.0 || Plan.srv_flops p <= 0.0 ->
+            { d with Decision.plan = p }
+        | _ -> local_decision s dev_id)
+    | None -> d
+  end
+  else d
+
+(* The overload gates after the brownout swap, in order: breaker,
+   deadline-aware admission, rate limit.  They leave request [rid]'s
+   decision in [req_dec] and say whether to shed it. *)
+let shed s rid dev_id arrival =
+  let ov = s.o.overload in
+  let d = brownout_swap s dev_id s.req_dec.(rid) in
+  let blocked =
+    Decision.offloads d
+    && Array.length s.breakers > 0
+    && not (Overload.Breaker.allow s.breakers.(d.Decision.server) ~now:arrival)
+  in
+  let shed_on_open =
+    match ov.Overload.breaker with Some b -> b.Overload.shed_on_open | None -> false
+  in
+  let d = if blocked && not shed_on_open then local_decision s dev_id else d in
+  s.req_dec.(rid) <- d;
+  (blocked && shed_on_open)
+  || (match ov.Overload.admission with
+     | Some a ->
+         estimate_completion s rid dev_id d;
+         s.eta.(0)
+         > a.Overload.slack *. s.budget_factor *. s.cluster.Cluster.devices.(dev_id).Cluster.deadline
+     | None -> false)
+  || Decision.offloads d
+     && Array.length s.buckets > 0
+     && not (Es_alloc.Admission.Token_bucket.try_take s.buckets.(d.Decision.server) ~now:arrival)
+
+(* A request arrives.  The overload gates are skipped (one branch) when
+   the policy is off. *)
+let process s dev_id arrival =
+  let dev = s.cluster.Cluster.devices.(dev_id) in
+  let rid = take_slot s s.current.(dev_id) in
+  s.req_scale.(rid) <- s.work_scale ~device:dev_id s.scale_rng *. jitter s;
+  s.req_dec.(rid) <- s.current.(dev_id);
+  let shed_now = s.overload_on && shed s rid dev_id arrival in
+  let d = s.req_dec.(rid) in
+  s.req_state.(rid) <- (if Decision.offloads d then 16 else 0);
+  s.req_arrival.(rid) <- arrival;
+  s.req_dev.(rid) <- dev_id;
+  (* One trace per request: a root "request" span whose child segments
+     tile [arrival, completion] exactly — each stage is submitted
+     synchronously at the previous stage's completion, so segment
+     durations sum to the end-to-end latency. *)
+  if s.tracing then
+    s.req_span.(rid) <-
+      Es_obs.Span.start s.tracer
+        ~attrs:[ ("device", Es_obs.Json.Int dev_id); ("server", Es_obs.Json.Int d.Decision.server) ]
+        "request";
+  (match s.tel with
+  | Some t when in_window s arrival -> Es_obs.Metric.inc t.generated
+  | _ -> ());
+  Metrics.on_arrival s.collector ~device:dev_id ~now:arrival;
+  if shed_now then resolve s rid o_shed s_device
+  else begin
+    (match s.o.resilience with
+    | Some r when r.timeout_factor > 0.0 ->
+        s.at.(0) <- r.timeout_factor *. dev.Cluster.deadline;
+        post_for s rid k_timeout
+    | _ -> ());
+    attempt_device s rid
+  end
+
+let timeout s rid =
+  match s.o.resilience with
+  | Some r when not (resolved s rid || fallback_started s rid) ->
+      if r.local_fallback then start_fallback s rid else resolve s rid o_timed_out s_device
+  | _ -> ()
+
+(* Without a trace, device [dev_id]'s next Poisson arrival comes a
+   random gap after [t]. *)
+let next_arrival s dev_id t =
+  let rate = s.cluster.Cluster.devices.(dev_id).Cluster.rate in
+  let t = t +. Es_util.Prng.exponential s.rngs.(dev_id) rate in
+  if t <= s.o.duration_s then Engine.post_at s.engine t (event k_poisson dev_id)
+
+let station_done s e =
+  let sid = (e land low32) lsr kind_bits in
+  let dev_st = s.stations.(sid lsr 2) in
+  let st =
+    match sid land 3 with 0 -> dev_st.cpu | 1 -> dev_st.up | 2 -> dev_st.srv | _ -> dev_st.down
+  in
+  let tag = Station.finish st e in
+  if tag >= 0 then begin
+    let rid = tag lsr 1 in
+    if tag land 1 = 0 then hop_done s rid slot_stages.(sid land 3)
+    else begin
+      if s.tracing then Es_obs.Span.finish s.tracer s.req_fb_span.(rid);
+      resolve s rid o_degraded s_device
+    end;
+    unpin s rid;
+    Station.start_next st
+  end
+
+let batch_event s srv e =
+  let b = s.batchers.(srv) in
+  let k = Batcher.fire b e in
+  if k > 0 then begin
+    for i = 0 to k - 1 do
+      let rid = Batcher.finished b i in
+      hop_done s rid s_server;
+      unpin s rid
+    done;
+    Batcher.resume b
+  end
+
+(* The trace is read by a cursor: arrival [i] is posted when arrival [i - 1]
+   fires, so the event list holds one trace arrival at a time.  Each goes in
+   at a sequence number reserved after the fault, reconfiguration and first
+   brownout entries, so at an equal time it fires after those and before every
+   event the run posts: the order of the trace posted whole at that point. *)
+let post_arrival s i =
+  if i < Array.length s.trace && fst s.trace.(i) <= s.o.duration_s then
+    Engine.post_at_seq s.engine (fst s.trace.(i)) ~seq:(s.arrival_seq + i) (event k_arrival i)
+
+(* The one dispatch: every per-request event of the run comes through
+   here (fault, reconfiguration and brownout entries stay closures).
+   An event carrying a request id releases its pin once handled. *)
+let handle s e =
+  let arg = e lsr kind_bits in
+  match e land kind_mask with
+  | 0 (* k_arrival *) ->
+      let t, dev_id = s.trace.(arg) in
+      process s dev_id t;
+      post_arrival s (arg + 1)
+  | 1 (* k_poisson *) ->
+      let t = Engine.now s.engine in
+      process s arg t;
+      next_arrival s arg t
+  | 2 (* k_station *) -> station_done s e
+  | 3 (* k_batch *) -> batch_event s ((e land low32) lsr kind_bits) e
+  | kind ->
+      (match kind with
+      | 4 (* k_uplink_prop *) -> propagated s arg s_uplink_prop
+      | 5 (* k_downlink_prop *) -> propagated s arg s_downlink_prop
+      | 6 (* k_retry_device *) -> if not (resolved s arg) then attempt_device s arg
+      | 7 (* k_retry_offload *) -> if not (resolved s arg) then transfer s arg s_uplink
+      | _ (* k_timeout *) -> timeout s arg);
+      unpin s arg
+
+(* Arrivals up to the horizon: [(t, device)] entries checked and counted
+   before any event fires. *)
+let count_arrivals (o : options) ~nd trace =
+  let n = ref 0 and prev = ref 0.0 in
+  Array.iteri
+    (fun i (t, dev_id) ->
+      if dev_id < 0 || dev_id >= nd || not (t >= 0.0) then
+        invalid_arg (Printf.sprintf "Runner.run: bad trace entry (%g, device %d)" t dev_id);
+      if t < !prev then
+        invalid_arg
+          (Printf.sprintf "Runner.run: trace not sorted by time (entry %d at %g after %g)" i t
+             !prev);
+      prev := t;
+      if t <= o.duration_s then n := i + 1)
+    trace;
+  !n
+
+let make_stations s capacity on_start i =
+  let d = s.current.(i) in
+  let station slot speed =
+    (* unused stages (zero grants on device-only plans) get a placeholder
+       speed; validation guarantees every stage a request can actually
+       reach has a real positive grant *)
+    let speed = if speed > 0.0 then speed else 1.0 in
+    Station.create s.engine ?capacity ?on_start ~event:(event k_station ((4 * i) + slot)) ~speed ()
+  in
+  let bw = d.Decision.bandwidth_bps and share = d.Decision.compute_share in
+  s.srv_speed.(i) <- (if share > 0.0 then share else 1.0);
+  { cpu = station 0 1.0; up = station 1 bw; srv = station 2 share; down = station 3 bw }
+
 let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
     ?(work_scale = fun ~device:_ _ -> 1.0) ?on_stats cluster decisions =
   let nd = Cluster.n_devices cluster and ns = Cluster.n_servers cluster in
@@ -209,858 +931,136 @@ let run ?(options = default_options) ?metrics ?spans ?arrivals ?reconfigure
     | None -> Es_obs.Span.null
     | Some sink -> Es_obs.Span.tracer ~sink ~clock:(fun () -> Engine.now engine) ()
   in
-  let tracing = Es_obs.Span.enabled tracer in
-  (* Hop submission times are kept for the segment histograms and spans. *)
-  let timed = tracing || Option.is_some metrics in
   let arrival_rng = Es_util.Prng.create options.seed in
   let jitter_rng = Es_util.Prng.split arrival_rng in
   let fade_rng = Es_util.Prng.split arrival_rng in
   let scale_rng = Es_util.Prng.split arrival_rng in
-  let current = Array.copy decisions in
-  let jitter () =
-    if options.compute_jitter <= 0.0 then 1.0
-    else begin
-      let sigma = options.compute_jitter in
-      Es_util.Prng.lognormal jitter_rng ~mu:(-.sigma *. sigma /. 2.0) ~sigma
-    end
-  in
-  let fade_factor link =
-    if not options.fading then 1.0
-    else begin
-      let nominal = 1.0 in
-      let eff = Link.effective_rate fade_rng link nominal in
-      if eff <= 0.0 then 10.0 else nominal /. eff
-    end
-  in
-  (* Flat per-request state, indexed by request slot: parallel growable
-     arrays hold everything a request's next event needs, so
-     steady-state simulation allocates O(1) per request.  The optional
-     arrays are only grown (and only read) when their feature is on.
-     A slot is taken at arrival and goes back on [free_slots] once its
-     request is resolved and nothing refers to it: [req_pins] counts the
-     queued events that carry it (propagation, retry, timeout) and the
-     station and batcher jobs tagged with it.  So the arrays double up
-     to the peak number of requests in flight, not to the trace. *)
-  let n_slots = ref 0 in
-  let free_slots = ref [||] in
-  let n_free = ref 0 in
-  let req_pins = ref [||] in
-  let req_state = ref [||] in
-  let req_arrival = ref [||] in
-  let req_scale = ref [||] in
-  let req_dev = ref [||] in
-  let req_dec : Decision.t array ref = ref [||] in
-  (* server-busy credit of the request's server job: work over the share
-     at submission *)
-  let req_busy = ref [||] in
-  (* when timed: submission time of the request's current hop *)
-  let req_sub = ref [||] in
-  (* when tracing: the root span, the current hop's segment span, and the
-     local fallback's span and submission time *)
-  let req_span = ref [||] in
-  let req_seg = ref [||] in
-  let req_fb_span = ref [||] in
-  let req_fb_sub = ref [||] in
-  let no_span = Es_obs.Span.start Es_obs.Span.null "unused" in
-  (* [fill_dec] seeds the decision array on first growth (there is no
-     synthesizable dummy [Decision.t]); afterwards existing slot 0 works. *)
-  let ensure_cap fill_dec =
-    let cap = Array.length !req_state in
-    if !n_slots >= cap then begin
-      let ncap = if cap = 0 then 64 else 2 * cap in
-      let grow a fill =
-        let b = Array.make ncap fill in
-        Array.blit !a 0 b 0 cap;
-        a := b
-      in
-      grow free_slots 0;
-      grow req_pins 0;
-      grow req_state 0;
-      grow req_arrival 0.0;
-      grow req_scale 1.0;
-      grow req_dev 0;
-      grow req_dec fill_dec;
-      grow req_busy 0.0;
-      if timed then grow req_sub 0.0;
-      if tracing then begin
-        grow req_span no_span;
-        grow req_seg no_span;
-        grow req_fb_span no_span;
-        grow req_fb_sub 0.0
-      end
-    end
-  in
-  let take_slot fill_dec =
-    if !n_free > 0 then begin
-      decr n_free;
-      (!free_slots).(!n_free)
-    end
-    else begin
-      ensure_cap fill_dec;
-      incr n_slots;
-      !n_slots - 1
-    end
-  in
-  (* A freed slot holds no span. *)
-  let release rid =
-    if tracing then begin
-      (!req_span).(rid) <- no_span;
-      (!req_seg).(rid) <- no_span;
-      (!req_fb_span).(rid) <- no_span
-    end;
-    (!free_slots).(!n_free) <- rid;
-    incr n_free
-  in
-  let pin rid = (!req_pins).(rid) <- (!req_pins).(rid) + 1 in
-  (* A data event carrying request [rid] pins its slot until handled. *)
-  let post_for rid delay kind =
-    Engine.post engine delay (event kind rid);
-    pin rid
-  in
-  (* A station job's tag is its request id, doubled, plus 1 for the local
-     fallback: a request can wait on the CPU in both roles at once. *)
-  let on_start =
-    if not tracing then None
-    else
-      Some
-        (fun tag ->
-          let rid = tag lsr 1 in
-          let span, since =
-            if tag land 1 = 0 then ((!req_seg).(rid), (!req_sub).(rid))
-            else ((!req_fb_span).(rid), (!req_fb_sub).(rid))
-          in
-          Es_obs.Span.set_attr span "queue_s" (Es_obs.Json.Float (Engine.now engine -. since)))
-  in
-  let capacity = options.queue_capacity in
-  let stations =
-    Array.init nd (fun i ->
-        let d = current.(i) in
-        let station slot name speed =
-          (* unused stages (zero grants on device-only plans) get a
-             placeholder speed; validation above guarantees every stage a
-             request can actually reach has a real positive grant *)
-          let speed = if speed > 0.0 then speed else 1.0 in
-          Station.create engine ?capacity ?on_start ~name
-            ~event:(event k_station ((4 * i) + slot))
-            ~speed ()
-        in
-        {
-          cpu = station 0 (Printf.sprintf "cpu%d" i) 1.0;
-          up = station 1 (Printf.sprintf "up%d" i) d.Decision.bandwidth_bps;
-          srv = station 2 (Printf.sprintf "srv%d" i) d.Decision.compute_share;
-          down = station 3 (Printf.sprintf "down%d" i) d.Decision.bandwidth_bps;
-        })
-  in
-  let server_busy = Array.make ns 0.0 in
-  let batching = Option.is_some options.batching in
-  let batchers =
-    match options.batching with
-    | None -> [||]
-    | Some cfg ->
-        Array.init ns (fun s ->
-            Batcher.create engine ~max_batch:cfg.max_batch ~window_s:cfg.window_s
-              ~alpha:cfg.alpha ~event:(event k_batch s) ~speed:1.0 ())
-  in
-  (* Live fault state.  All 1.0 / all-up when the schedule is empty, in
-     which case every use below reduces to the fault-free arithmetic
-     exactly ([x *. 1.0] and [x /. 1.0] are bit-identities). *)
-  let server_up = Array.make ns true in
-  let server_factor = Array.make ns 1.0 in
-  let link_up = Array.make nd true in
-  let link_factor = Array.make nd 1.0 in
-  (* Overload-protection state.  With [options.overload = Overload.off]
-     (the default) every array below is empty or untouched, every gate in
-     [process] short-circuits on [overload_on], and the run is
-     bit-identical to a build without overload protection — no extra
-     events, no extra RNG draws. *)
   let ov = options.overload in
-  let overload_on = not (Overload.is_off ov) in
-  (* Device-only reroute targets for open breakers and brownout swaps,
-     worked out when the first one is needed: a policy that never fires
-     never pays for them. *)
-  let protect_local = lazy (Overload.local_decisions cluster) in
-  let local_decision dev_id = (Lazy.force protect_local).(dev_id) in
-  let brownout_plan =
-    match ov.Overload.brownout with
-    | Some { Overload.mode = Overload.Min_server; _ } ->
-        Array.map Overload.min_server_plan cluster.Cluster.devices
-    | _ -> [||]
-  in
-  let brownout_active = Array.make ns false in
-  let collector =
-    Metrics.create_collector ~streaming:options.streaming ~n_devices:nd
-      ~window_start:options.warmup_s ~window_end:options.duration_s ()
-  in
-  let tel = Option.map (fun reg -> telemetry reg ~ns ov stations) metrics in
-  (* Live counters count in the collector's window, so they, the end-of-run
-     report and the JSONL export all agree. *)
-  let in_window t = t >= options.warmup_s && t <= options.duration_s in
-  let note_queue stage dev station =
-    match tel with
-    | None -> ()
-    | Some t ->
-        Es_obs.Metric.set t.queue_depth.(stage).(dev) (float_of_int (Station.queue_length station))
-  in
-  (* Request [rid]'s hop at [stage], submitted at [req_sub], ends now. *)
-  let note_segment stage rid =
-    match tel with
-    | None -> ()
-    | Some t ->
-        Es_obs.Histogram.observe t.segment.(stage) (Engine.now engine -. (!req_sub).(rid))
-  in
-  (* Per-server circuit breakers; a transition sets the server's
-     breaker_state gauge (Closed 0 / Half_open 1 / Open 2). *)
-  let breakers =
-    match ov.Overload.breaker with
-    | None -> [||]
-    | Some cfg ->
-        Array.init ns (fun s ->
-            let gauge t st =
-              Es_obs.Metric.set t.breaker_state.(s) (float_of_int (Overload.Breaker.state_code st))
+  let tel = Option.map (fun reg -> telemetry reg ~nd ~ns ov) metrics in
+  let current = Array.copy decisions in
+  let s =
+    {
+      o = options;
+      cluster;
+      engine;
+      clock = Engine.clock engine;
+      at = Engine.cell engine;
+      tracer;
+      tracing = Es_obs.Span.enabled tracer;
+      timed = Es_obs.Span.enabled tracer || Option.is_some metrics;
+      tel;
+      collector =
+        Metrics.create_collector ~streaming:options.streaming ~n_devices:nd
+          ~window_start:options.warmup_s ~window_end:options.duration_s ();
+      work_scale; jitter_rng; fade_rng; scale_rng;
+      n_slots = 0; free_slots = [||]; n_free = 0;
+      req_pins = [||]; req_state = [||]; req_arrival = [||]; req_scale = [||]; req_dev = [||];
+      req_dec = [||]; req_busy = [||]; req_sub = [||]; req_span = [||]; req_seg = [||];
+      req_fb_span = [||]; req_fb_sub = [||];
+      work = [| 0.0 |]; eta = [| 0.0; 0.0 |]; outcome = [| 0.0; 0.0; 0.0 |];
+      stations = [||];
+      srv_speed = Array.make nd 1.0;
+      half_rtt =
+        Array.map (fun (d : Cluster.device) -> d.Cluster.link.Link.rtt_s /. 2.0) cluster.Cluster.devices;
+      current;
+      current_server = Array.map offload_server current;
+      cost_dec = Array.copy current;
+      cost = Array.make (4 * nd) 0.0;
+      server_busy = Array.make ns 0.0;
+      batchers =
+        (match options.batching with
+        | None -> [||]
+        | Some cfg ->
+            Array.init ns (fun srv ->
+                Batcher.create engine ~max_batch:cfg.max_batch ~window_s:cfg.window_s
+                  ~alpha:cfg.alpha ~event:(event k_batch srv) ~speed:1.0 ()));
+      server_up = Array.make ns true; server_factor = Array.make ns 1.0;
+      link_up = Array.make nd true; link_factor = Array.make nd 1.0;
+      overload_on = not (Overload.is_off ov);
+      protect_local = lazy (Overload.local_decisions cluster);
+      brownout_plan =
+        (match ov.Overload.brownout with
+        | Some { Overload.mode = Overload.Min_server; _ } ->
+            Array.map Overload.min_server_plan cluster.Cluster.devices
+        | _ -> [||]);
+      brownout_active = Array.make ns false;
+      (* a breaker transition sets its server's breaker_state gauge
+         (Closed 0 / Half_open 1 / Open 2) *)
+      breakers =
+        (match ov.Overload.breaker with
+        | None -> [||]
+        | Some cfg ->
+            Array.init ns (fun srv ->
+                let gauge t st =
+                  Es_obs.Metric.set t.breaker_state.(srv)
+                    (float_of_int (Overload.Breaker.state_code st))
+                in
+                Overload.Breaker.create ?on_transition:(Option.map gauge tel) cfg));
+      buckets =
+        (match ov.Overload.rate_limit with
+        | None -> [||]
+        | Some rl ->
+            Array.init ns (fun _ ->
+                Es_alloc.Admission.Token_bucket.create ~rate:rl.Overload.rate_per_server
+                  ~burst:rl.Overload.burst ()));
+      (* accuracy floors are waived: a degraded answer beats a lost request *)
+      fallback_work =
+        (match options.resilience with
+        | Some r when r.local_fallback ->
+            let work (dev : Cluster.device) =
+              Plan.device_time dev.Cluster.proc.Processor.perf (Overload.fastest_local dev)
             in
-            Overload.Breaker.create ?on_transition:(Option.map gauge tel) cfg)
+            Some (Array.map work cluster.Cluster.devices)
+        | _ -> None);
+      budget_factor =
+        (match options.resilience with
+        | Some r when r.timeout_factor > 0.0 -> r.timeout_factor
+        | _ -> 1.0);
+      trace = Option.value arrivals ~default:[||];
+      rngs =
+        (match arrivals with
+        | Some _ -> [||]
+        | None -> Array.init nd (fun _ -> Es_util.Prng.split arrival_rng));
+      arrival_seq = 0;
+    }
   in
-  (* Per-server token buckets.  A configured rate of 0 derives the refill
-     rate from the server's aggregate granted service capacity
-     (Σ share / service-time over its offloaders), re-derived on every
-     reconfiguration and straggler fault — the utilization-aware mode. *)
-  let buckets =
-    match ov.Overload.rate_limit with
-    | None -> [||]
-    | Some rl ->
-        Array.init ns (fun _ ->
-            Es_alloc.Admission.Token_bucket.create ~rate:rl.Overload.rate_per_server
-              ~burst:rl.Overload.burst ())
-  in
-  let refresh_bucket_rates () =
-    match ov.Overload.rate_limit with
-    | Some rl when rl.Overload.rate_per_server <= 0.0 ->
-        let now = Engine.now engine in
-        let cap = Array.make ns 0.0 in
-        Array.iter
-          (fun (d : Decision.t) ->
-            if Decision.offloads d && d.Decision.compute_share > 0.0 then begin
-              let srv = cluster.Cluster.servers.(d.Decision.server) in
-              let w = Plan.server_time srv.Cluster.sproc.Processor.perf d.Decision.plan in
-              if w > 0.0 then
-                cap.(d.Decision.server) <-
-                  cap.(d.Decision.server)
-                  +. d.Decision.compute_share /. (w *. server_factor.(d.Decision.server))
-            end)
-          current;
-        Array.iteri (fun s b -> Es_alloc.Admission.Token_bucket.set_rate b ~now cap.(s)) buckets
-    | _ -> ()
-  in
-  refresh_bucket_rates ();
-  let note_brownout s active =
-    brownout_active.(s) <- active;
-    match tel with
-    | None -> ()
-    | Some t ->
-        Option.iter Es_obs.Metric.inc t.brownout_switches;
-        Es_obs.Metric.set t.brownout_active.(s) (if active then 1.0 else 0.0)
-  in
-  (* The one station-speed rule: transfers run at the granted bandwidth
-     times the link's degradation factor, server work at the granted share
-     over the server's straggler factor.  A zero grant means the plan no
-     longer uses the stage; its old speed stays so in-flight jobs drain
-     instead of stalling. *)
-  let set_speeds i =
-    let d = current.(i) and st = stations.(i) in
-    if d.Decision.bandwidth_bps > 0.0 then begin
-      let bw = d.Decision.bandwidth_bps *. link_factor.(i) in
-      Station.set_speed st.up bw;
-      Station.set_speed st.down bw
-    end;
-    if d.Decision.compute_share > 0.0 then
-      Station.set_speed st.srv (d.Decision.compute_share /. server_factor.(d.Decision.server))
-  in
-  (* The server each device's current decision offloads to, -1 for a
-     device-only one: the fault and brownout sweeps read this array
-     instead of every decision's plan. *)
-  let offload_server d = if Decision.offloads d then d.Decision.server else -1 in
-  let current_server = Array.map offload_server current in
-  let apply_decisions ds =
-    Array.iteri
-      (fun i d ->
-        current.(i) <- d;
-        current_server.(i) <- offload_server d;
-        set_speeds i)
-      ds;
-    refresh_bucket_rates ()
-  in
-  (* Plan costs per device, for the decision they were computed from
-     (physical identity): a device's requests mostly share one decision,
-     so each cost is worked out once per decision, not once per hop.
-     [cost.(4 dev + slot)] is the cost of the hop at that station slot:
-     device time, uplink bytes, server time, downlink bytes (the last
-     three for offloading decisions only). *)
-  let cost_dec = Array.copy current in
-  let cost = Array.make (4 * nd) 0.0 in
-  let fill_costs dev (d : Decision.t) =
-    cost_dec.(dev) <- d;
-    let plan = d.Decision.plan in
-    cost.(4 * dev) <- Plan.device_time cluster.Cluster.devices.(dev).Cluster.proc.Processor.perf plan;
-    if Decision.offloads d then begin
-      let srv = cluster.Cluster.servers.(d.Decision.server) in
-      cost.((4 * dev) + 1) <- Plan.transfer_bytes plan;
-      cost.((4 * dev) + 2) <- Plan.server_time srv.Cluster.sproc.Processor.perf plan;
-      cost.((4 * dev) + 3) <- Plan.result_bytes plan
-    end
-  in
-  Array.iteri fill_costs current;
-  let costs dev d = if cost_dec.(dev) != d then fill_costs dev d in
-  let resolved rid = (!req_state).(rid) land 7 <> 0 in
-  let fallback_started rid = (!req_state).(rid) land 8 <> 0 in
-  let set_fallback rid = (!req_state).(rid) <- (!req_state).(rid) lor 8 in
-  let offloads rid = (!req_state).(rid) land 16 <> 0 in
-  let attempts rid = (!req_state).(rid) lsr 5 in
-  let incr_attempts rid = (!req_state).(rid) <- (!req_state).(rid) + 32 in
-  (* Drop one reference to [rid]'s slot, freeing it when that was the last
-     one and the request is resolved. *)
-  let unpin rid =
-    let p = (!req_pins).(rid) - 1 in
-    (!req_pins).(rid) <- p;
-    if p = 0 && resolved rid then release rid
-  in
-  (* Feed the server's breaker from this request's offload-path outcomes:
-     a server-stage completion closes in success, a server-stage failure or
-     a timeout in failure.  No-op without breakers or for device-only
-     requests. *)
-  let breaker_note rid ok =
-    if Array.length breakers > 0 && offloads rid then
-      Overload.Breaker.record
-        breakers.((!req_dec).(rid).Decision.server)
-        ~now:(Engine.now engine) ~ok
-  in
-  (* The one request exit, and the only writer of the outcome bits.  Under
-     resilience a request can have several racing continuations (a retry,
-     the fallback, a late original completion); the first to get here
-     decides the outcome [o], and only it feeds the breaker, counts, and
-     finishes the root span.  [stage] is where a drop happened; the other
-     outcomes ignore it.  A shed is overload protection refusing the
-     request at arrival, before it entered any queue. *)
-  let resolve rid o stage =
-    if not (resolved rid) then begin
-      if o = o_completed || o = o_timed_out then breaker_note rid (o = o_completed);
-      (!req_state).(rid) <- (!req_state).(rid) lor o;
-      let now = Engine.now engine in
-      let arrival = (!req_arrival).(rid) and device = (!req_dev).(rid) in
-      let completed = o = o_completed || o = o_degraded in
-      (match tel with
-      | None -> ()
-      | Some t ->
-          (* drops and sheds count at resolution, the rest at arrival *)
-          if in_window (if o = o_dropped || o = o_shed then now else arrival) then
-            if completed then begin
-              Es_obs.Metric.inc t.completed;
-              if o = o_degraded then Es_obs.Metric.inc t.degraded;
-              Es_obs.Histogram.observe t.latency (now -. arrival)
-            end
-            else if o = o_dropped then Es_obs.Metric.inc t.dropped.(stage)
-            else Es_obs.Metric.inc (if o = o_timed_out then t.timed_out else t.shed));
-      if tracing then begin
-        let detail =
-          if completed then [ ("latency_s", Es_obs.Json.Float (now -. arrival)) ]
-          else if o = o_dropped then [ ("stage", Es_obs.Json.String stage_names.(stage)) ]
-          else []
-        in
-        Es_obs.Span.finish tracer
-          ~attrs:(("outcome", Es_obs.Json.String outcome_names.(o)) :: detail)
-          (!req_span).(rid)
-      end;
-      if completed then
-        Metrics.on_completion collector
-          ?degraded:(if o = o_degraded then Some true else None)
-          ~device ~arrival ~now ~deadline:cluster.Cluster.devices.(device).Cluster.deadline ()
-      else if o = o_dropped then Metrics.on_drop collector ~device ~now
-      else if o = o_timed_out then Metrics.on_timeout collector ~device ~arrival
-      else Metrics.on_shed collector ~device ~now;
-      if (!req_pins).(rid) = 0 then release rid
-    end
-  in
-  (* Local-fallback work per device; accuracy floors are waived, as a
-     degraded answer beats a lost request. *)
-  let fallback_work =
-    match options.resilience with
-    | Some r when r.local_fallback ->
-        let work (dev : Cluster.device) =
-          Plan.device_time dev.Cluster.proc.Processor.perf (Overload.fastest_local dev)
-        in
-        Some (Array.map work cluster.Cluster.devices)
-    | _ -> None
-  in
-  let start_fallback rid =
-    match fallback_work with
-    | Some works when (not (resolved rid)) && not (fallback_started rid) ->
-        set_fallback rid;
-        let dev_id = (!req_dev).(rid) in
-        let cpu = stations.(dev_id).cpu in
-        let work = works.(dev_id) *. (!req_scale).(rid) in
-        if tracing then begin
-          (!req_fb_span).(rid) <- Es_obs.Span.start tracer ~parent:(!req_span).(rid) "fallback";
-          (!req_fb_sub).(rid) <- Engine.now engine
-        end;
-        let ok = Station.submit cpu ~tag:((2 * rid) + 1) ~work in
-        note_queue s_device dev_id cpu;
-        if ok then pin rid
-        else begin
-          if tracing then
-            Es_obs.Span.finish tracer
-              ~attrs:[ ("outcome", Es_obs.Json.String "dropped") ]
-              (!req_fb_span).(rid);
-          resolve rid o_dropped s_device
-        end
-    | _ -> ()
-  in
-  (* Failure of an attempt at [stage]: retry with exponential backoff from
-     the failed phase (the device stage, else the uplink), then fall back
-     locally, then drop.  Without a resilience policy the request is
-     simply dropped (pre-fault behavior). *)
-  let fail rid stage =
-    if not (resolved rid) then begin
-      if stage = s_server then breaker_note rid false;
-      match options.resilience with
-      | None -> resolve rid o_dropped stage
-      | Some r ->
-          incr_attempts rid;
-          if attempts rid <= r.max_retries then begin
-            let backoff = r.backoff_base_s *. (2.0 ** float_of_int (attempts rid - 1)) in
-            post_for rid backoff (if stage = s_device then k_retry_device else k_retry_offload)
-          end
-          else if r.local_fallback then start_fallback rid
-          else resolve rid o_dropped stage
-    end
-  in
-  (* A hop opens: traced, its segment span starts; timed, its submission
-     time is kept. *)
-  let open_hop rid stage =
-    if tracing then
-      (!req_seg).(rid) <- Es_obs.Span.start tracer ~parent:(!req_span).(rid) stage_names.(stage);
-    if timed then (!req_sub).(rid) <- Engine.now engine
-  in
-  (* A station hop.  Queueing time (submission → service start, see
-     [on_start]) is recorded as a span attribute so the span decomposes
-     further without breaking the tiling. *)
-  let submit rid stage station ~work =
-    open_hop rid stage;
-    let ok = Station.submit station ~tag:(2 * rid) ~work in
-    note_queue stage (!req_dev).(rid) station;
-    if ok then pin rid
-    else begin
-      if tracing then
-        Es_obs.Span.finish tracer ~attrs:[ ("outcome", Es_obs.Json.String "dropped") ] (!req_seg).(rid);
-      fail rid stage
-    end
-  in
-  (* Jobs a fault threw out of a [stage] station fail, in eviction order.
-     The local fallback's CPU jobs are never evicted (no fault flushes a
-     CPU). *)
-  let evict stage tags =
-    Array.iter
-      (fun tag ->
-        let rid = tag lsr 1 in
-        if tag land 1 = 0 then begin
-          if tracing then
-            Es_obs.Span.finish tracer
-              ~attrs:[ ("outcome", Es_obs.Json.String "evicted") ]
-              (!req_seg).(rid);
-          fail rid stage
-        end;
-        unpin rid)
-      tags
-  in
-  let half_rtt rid = cluster.Cluster.devices.((!req_dev).(rid)).Cluster.link.Link.rtt_s /. 2.0 in
-  (* Propagation legs get their own child spans so the segments still tile
-     the request's full lifetime. *)
-  let propagate rid stage =
-    open_hop rid stage;
-    post_for rid (half_rtt rid)
-      (if stage = s_uplink_prop then k_uplink_prop else k_downlink_prop)
-  in
-  let attempt_device rid =
-    let dev_id = (!req_dev).(rid) in
-    costs dev_id (!req_dec).(rid);
-    submit rid s_device stations.(dev_id).cpu ~work:(cost.(4 * dev_id) *. (!req_scale).(rid))
-  in
-  (* The uplink or downlink hop; it fails at once while the link is out. *)
-  let transfer rid stage =
-    let dev_id = (!req_dev).(rid) in
-    if not link_up.(dev_id) then fail rid stage
-    else begin
-      costs dev_id (!req_dec).(rid);
-      let st = stations.(dev_id) and up = stage = s_uplink in
-      let link = cluster.Cluster.devices.(dev_id).Cluster.link in
-      let bits = 8.0 *. cost.((4 * dev_id) + if up then 1 else 3) *. fade_factor link in
-      submit rid stage (if up then st.up else st.down) ~work:bits
-    end
-  in
-  let server_phase rid =
-    let dev_id = (!req_dev).(rid) and d = (!req_dec).(rid) in
-    if not server_up.(d.Decision.server) then fail rid s_server
-    else begin
-      costs dev_id d;
-      let work_s = cost.((4 * dev_id) + 2) *. (!req_scale).(rid) in
-      match options.batching with
-      | Some _ ->
-          (* One batched accelerator per server; shares ignored.  The
-             "server" segment span covers queue + batch wait + service,
-             measured around the batcher.  Batchers have no eviction path:
-             faults only gate admission here. *)
-          open_hop rid s_server;
-          Batcher.submit batchers.(d.Decision.server) ~tag:rid ~work:work_s;
-          pin rid
-      | None ->
-          (* Busy time is credited at the share the job was submitted
-             under. *)
-          let st = stations.(dev_id) in
-          (!req_busy).(rid) <- work_s /. Float.max (Station.speed st.srv) 1e-9;
-          submit rid s_server st.srv ~work:work_s
-    end
-  in
-  (* A hop's job at [stage] finished: the segment ends, the request moves
-     on. *)
-  let hop_done rid stage =
-    note_segment stage rid;
-    if tracing then Es_obs.Span.finish tracer (!req_seg).(rid);
-    if stage = s_device then begin
-      if offloads rid then transfer rid s_uplink
-      else resolve rid o_completed s_device
-    end
-    else if stage = s_uplink then propagate rid s_uplink_prop
-    else if stage = s_server then begin
-      if not batching then begin
-        let s = (!req_dec).(rid).Decision.server in
-        server_busy.(s) <- server_busy.(s) +. (!req_busy).(rid)
-      end;
-      transfer rid s_downlink
-    end
-    else propagate rid s_downlink_prop
-  in
-  let propagated rid stage =
-    (match tel with
-    | None -> ()
-    | Some t -> Es_obs.Histogram.observe t.segment.(stage) (half_rtt rid));
-    if tracing then Es_obs.Span.finish tracer (!req_seg).(rid);
-    if stage = s_uplink_prop then server_phase rid else resolve rid o_completed s_downlink_prop
-  in
-  let apply_fault = function
-    | Faults.Server_down s ->
-        if server_up.(s) then begin
-          server_up.(s) <- false;
-          Array.iteri
-            (fun i st -> if current_server.(i) = s then evict s_server (Station.flush st.srv))
-            stations
-        end
-    | Faults.Server_up s -> server_up.(s) <- true
-    | Faults.Link_outage d ->
-        if link_up.(d) then begin
-          link_up.(d) <- false;
-          evict s_uplink (Station.flush stations.(d).up);
-          evict s_downlink (Station.flush stations.(d).down)
-        end
-    | Faults.Link_restored d -> link_up.(d) <- true
-    | Faults.Link_degraded (d, f) ->
-        link_factor.(d) <- f;
-        set_speeds d
-    | Faults.Straggler (s, f) ->
-        server_factor.(s) <- f;
-        Array.iteri
-          (fun i (dec : Decision.t) ->
-            if current_server.(i) = s && dec.Decision.compute_share > 0.0 then set_speeds i)
-          current;
-        refresh_bucket_rates ()
-  in
+  let on_start = if s.tracing then Some (on_start s) else None in
+  s.stations <- Array.init nd (make_stations s options.queue_capacity on_start);
+  refresh_bucket_rates s;
+  Array.iteri (fun dev d -> fill_costs s dev d) current;
   (* Fault events are scheduled before reconfigurations and arrivals, so at
      an equal timestamp the fault applies first — a recovery schedule firing
      at crash time sees the crashed state. *)
   List.iter
     (fun (t, ev) ->
-      if t <= options.duration_s then Engine.schedule_at engine t (fun () -> apply_fault ev))
+      if t <= options.duration_s then Engine.schedule_at engine t (fun () -> apply_fault s ev))
     (Faults.events options.faults);
-  (match reconfigure with
-  | None -> ()
-  | Some changes ->
-      List.iter
-        (fun (t, ds) ->
-          if Array.length ds <> nd then invalid_arg "Runner.run: reconfigure size mismatch";
-          check_or_raise cluster ds;
-          Engine.schedule_at engine t (fun () -> apply_decisions ds))
-        changes);
-  (* Brownout watermark controller: a periodic sweep (simulated time) of
-     per-server backlog with hysteresis — engage at the high watermark,
-     release at the low one.  Scheduled only when brownout is configured,
-     so the default event stream is untouched. *)
+  Option.iter
+    (List.iter (fun (t, ds) ->
+         if Array.length ds <> nd then invalid_arg "Runner.run: reconfigure size mismatch";
+         check_or_raise cluster ds;
+         Engine.schedule_at engine t (fun () -> apply_decisions s ds)))
+    reconfigure;
   (match ov.Overload.brownout with
-  | None -> ()
-  | Some b ->
-      let backlog = Array.make ns 0 in
-      let rec tick t =
-        if t <= options.duration_s then
-          Engine.schedule_at engine t (fun () ->
-              Array.fill backlog 0 ns 0;
-              Array.iteri
-                (fun i st ->
-                  let s = current_server.(i) in
-                  if s >= 0 then backlog.(s) <- backlog.(s) + Station.queue_length st.srv)
-                stations;
-              for s = 0 to ns - 1 do
-                if (not brownout_active.(s)) && backlog.(s) >= b.Overload.high_watermark
-                then note_brownout s true
-                else if brownout_active.(s) && backlog.(s) <= b.Overload.low_watermark
-                then note_brownout s false
-              done;
-              tick (t +. b.Overload.check_every_s))
-      in
-      tick b.Overload.check_every_s);
-  (* A lower bound on this request's completion delay given the current
-     per-station backlog: stage k's finish is max(own pipeline, stage k's
-     backlog clearing) plus its service time.  Stations are dedicated per
-     device and FIFO, so the bound is tight when one stage dominates; it
-     ignores wireless fading (no RNG draws) and, under batching, the
-     shared batcher's queue (only the service time is charged).  A request
-     shed on this estimate provably cannot meet its budget. *)
-  let estimate_completion dev_id (d : Decision.t) scale =
-    let dev = cluster.Cluster.devices.(dev_id) in
-    let st = stations.(dev_id) in
-    costs dev_id d;
-    let f0 = Station.eta_after st.cpu ~after:0.0 ~work:(cost.(4 * dev_id) *. scale) in
-    if not (Decision.offloads d) then f0
-    else begin
-      let prop = dev.Cluster.link.Link.rtt_s /. 2.0 in
-      let f1 = Station.eta_after st.up ~after:f0 ~work:(8.0 *. cost.((4 * dev_id) + 1)) in
-      let work_s = cost.((4 * dev_id) + 2) *. scale in
-      let f3 =
-        if batching then f1 +. prop +. work_s
-        else Station.eta_after st.srv ~after:(f1 +. prop) ~work:work_s
-      in
-      Station.eta_after st.down ~after:f3 ~work:(8.0 *. cost.((4 * dev_id) + 3)) +. prop
-    end
-  in
-  (* The latency budget admission sheds against: the request's effective
-     give-up point — timeout_factor × deadline when a timeout is armed, the
-     bare deadline otherwise. *)
-  let budget_factor =
-    match options.resilience with
-    | Some r when r.timeout_factor > 0.0 -> r.timeout_factor
-    | _ -> 1.0
-  in
-  let process dev_id arrival =
-    let d = current.(dev_id) in
-    let dev = cluster.Cluster.devices.(dev_id) in
-    let scale = work_scale ~device:dev_id scale_rng *. jitter () in
-    (* Overload gates, in order: brownout plan swap, breaker, deadline-aware
-       admission, rate limit.  All skipped (one branch) when the policy is
-       off. *)
-    let d, shed_now =
-      if not overload_on then (d, false)
-      else begin
-        let d =
-          if Decision.offloads d && brownout_active.(d.Decision.server) then begin
-            match ov.Overload.brownout with
-            | Some { Overload.mode = Overload.Local_only; _ } -> local_decision dev_id
-            | Some { Overload.mode = Overload.Min_server; _ } -> (
-                match brownout_plan.(dev_id) with
-                | Some p
-                  when d.Decision.compute_share > 0.0 || Plan.srv_flops p <= 0.0 ->
-                    { d with Decision.plan = p }
-                | _ -> local_decision dev_id)
-            | None -> d
-          end
-          else d
-        in
-        let d, shed_now =
-          if
-            Decision.offloads d
-            && Array.length breakers > 0
-            && not (Overload.Breaker.allow breakers.(d.Decision.server) ~now:arrival)
-          then begin
-            match ov.Overload.breaker with
-            | Some { Overload.shed_on_open = true; _ } -> (d, true)
-            | _ -> (local_decision dev_id, false)
-          end
-          else (d, false)
-        in
-        let shed_now =
-          shed_now
-          ||
-          match ov.Overload.admission with
-          | Some a ->
-              estimate_completion dev_id d scale
-              > a.Overload.slack *. budget_factor *. dev.Cluster.deadline
-          | None -> false
-        in
-        let shed_now =
-          shed_now
-          || Decision.offloads d
-             && Array.length buckets > 0
-             && not
-                  (Es_alloc.Admission.Token_bucket.try_take
-                     buckets.(d.Decision.server)
-                     ~now:arrival)
-        in
-        (d, shed_now)
-      end
-    in
-    let rid = take_slot d in
-    (!req_state).(rid) <- (if Decision.offloads d then 16 else 0);
-    (!req_arrival).(rid) <- arrival;
-    (!req_scale).(rid) <- scale;
-    (!req_dev).(rid) <- dev_id;
-    (!req_dec).(rid) <- d;
-    (* One trace per request: a root "request" span whose child segments
-       tile [arrival, completion] exactly — each stage is submitted
-       synchronously at the previous stage's completion, so segment
-       durations sum to the end-to-end latency. *)
-    if tracing then
-      (!req_span).(rid) <-
-        Es_obs.Span.start tracer
-          ~attrs:
-            [
-              ("device", Es_obs.Json.Int dev_id);
-              ("server", Es_obs.Json.Int d.Decision.server);
-            ]
-          "request";
-    (match tel with
-    | Some t when in_window arrival -> Es_obs.Metric.inc t.generated
-    | _ -> ());
-    Metrics.on_arrival collector ~device:dev_id ~now:arrival;
-    if shed_now then resolve rid o_shed s_device
-    else begin
-      (match options.resilience with
-      | Some r when r.timeout_factor > 0.0 ->
-          post_for rid (r.timeout_factor *. dev.Cluster.deadline) k_timeout
-      | _ -> ());
-      attempt_device rid
-    end
-  in
-  let timeout rid =
-    match options.resilience with
-    | Some r when not (resolved rid || fallback_started rid) ->
-        if r.local_fallback then start_fallback rid else resolve rid o_timed_out s_device
-    | _ -> ()
-  in
-  let trace = Option.value arrivals ~default:[||] in
-  (* Per-device Poisson arrivals when no trace is given, each arrival
-     posting the device's next. *)
-  let rngs =
-    match arrivals with
-    | Some _ -> [||]
-    | None -> Array.init nd (fun _ -> Es_util.Prng.split arrival_rng)
-  in
-  let arrive dev_id t =
-    if t <= options.duration_s then Engine.post_at engine t (event k_poisson dev_id)
-  in
-  let gap dev_id =
-    Es_util.Prng.exponential rngs.(dev_id) cluster.Cluster.devices.(dev_id).Cluster.rate
-  in
-  let station_done e =
-    let sid = (e land low32) lsr kind_bits in
-    let dev_st = stations.(sid lsr 2) in
-    let st =
-      match sid land 3 with 0 -> dev_st.cpu | 1 -> dev_st.up | 2 -> dev_st.srv | _ -> dev_st.down
-    in
-    let tag = Station.finish st e in
-    if tag >= 0 then begin
-      let rid = tag lsr 1 in
-      if tag land 1 = 0 then hop_done rid slot_stages.(sid land 3)
-      else begin
-        if tracing then Es_obs.Span.finish tracer (!req_fb_span).(rid);
-        resolve rid o_degraded s_device
-      end;
-      unpin rid;
-      Station.start_next st
-    end
-  in
-  let batch_event s e =
-    let b = batchers.(s) in
-    let k = Batcher.fire b e in
-    if k > 0 then begin
-      for i = 0 to k - 1 do
-        let rid = Batcher.finished b i in
-        hop_done rid s_server;
-        unpin rid
-      done;
-      Batcher.resume b
-    end
-  in
-  (* The trace is read by a cursor: arrival [i] is posted when arrival
-     [i - 1] fires, so the event list holds one trace arrival at a time.
-     Each goes in at a sequence number reserved here, after the fault,
-     reconfiguration and first brownout entries, so at an equal time it
-     fires after those and before every event the run posts: the order
-     the trace would have if posted whole at this point. *)
-  let n_arrivals =
-    let n = ref 0 and prev = ref 0.0 in
-    Array.iteri
-      (fun i (t, dev_id) ->
-        if dev_id < 0 || dev_id >= nd || not (t >= 0.0) then
-          invalid_arg (Printf.sprintf "Runner.run: bad trace entry (%g, device %d)" t dev_id);
-        if t < !prev then
-          invalid_arg
-            (Printf.sprintf "Runner.run: trace not sorted by time (entry %d at %g after %g)" i t
-               !prev);
-        prev := t;
-        if t <= options.duration_s then n := i + 1)
-      trace;
-    !n
-  in
-  let arrival_seq = Engine.reserve engine n_arrivals in
-  let post_arrival i =
-    if i < n_arrivals then
-      Engine.post_at_seq engine (fst trace.(i)) ~seq:(arrival_seq + i) (event k_arrival i)
-  in
-  (* The one dispatch: every per-request event of the run comes through
-     here (fault, reconfiguration and brownout entries stay closures).
-     An event carrying a request id releases its pin once handled. *)
-  let handle e =
-    let arg = e lsr kind_bits in
-    match e land kind_mask with
-    | 0 (* k_arrival *) ->
-        let t, dev_id = trace.(arg) in
-        process dev_id t;
-        post_arrival (arg + 1)
-    | 1 (* k_poisson *) ->
-        let t = Engine.now engine in
-        process arg t;
-        arrive arg (t +. gap arg)
-    | 2 (* k_station *) -> station_done e
-    | 3 (* k_batch *) -> batch_event ((e land low32) lsr kind_bits) e
-    | 4 (* k_uplink_prop *) ->
-        propagated arg s_uplink_prop;
-        unpin arg
-    | 5 (* k_downlink_prop *) ->
-        propagated arg s_downlink_prop;
-        unpin arg
-    | 6 (* k_retry_device *) ->
-        if not (resolved arg) then attempt_device arg;
-        unpin arg
-    | 7 (* k_retry_offload *) ->
-        if not (resolved arg) then transfer arg s_uplink;
-        unpin arg
-    | _ (* k_timeout *) ->
-        timeout arg;
-        unpin arg
-  in
+  | Some b -> brownout_tick s b (Array.make ns 0) b.Overload.check_every_s
+  | None -> ());
+  s.arrival_seq <- Engine.reserve engine (count_arrivals options ~nd s.trace);
   (match arrivals with
-  | Some _ -> post_arrival 0
+  | Some _ -> post_arrival s 0
   | None ->
       for dev_id = 0 to nd - 1 do
-        arrive dev_id (gap dev_id)
+        next_arrival s dev_id 0.0
       done);
   (* Arrivals stop at the horizon; the system then drains so every admitted
      request completes and horizon-edge requests are not unfairly counted as
      deadline misses. *)
-  Engine.run ~handle engine;
-  if !n_free <> !n_slots then
+  Engine.run ~handle:(handle s) engine;
+  if s.n_free <> s.n_slots then
     failwith
       (Printf.sprintf "Runner.run: %d request slots still held after the drain"
-         (!n_slots - !n_free));
-  (match options.batching with
-  | None -> ()
-  | Some _ ->
-      Array.iteri (fun s b -> server_busy.(s) <- Batcher.busy_time b) batchers);
-  let report = Metrics.finalize collector ~server_busy ~duration:options.duration_s in
+         (s.n_slots - s.n_free));
+  Array.iteri (fun srv b -> s.server_busy.(srv) <- Batcher.busy_time b) s.batchers;
+  let report = Metrics.finalize s.collector ~server_busy:s.server_busy ~duration:options.duration_s in
   let estats = Engine.stats engine in
   Option.iter
     (fun reg ->

@@ -13,6 +13,9 @@ type t = {
   (* What [eta_after], [submit] and [start_next] read comes first, so an
      admission estimate touches one cache line of the record. *)
   engine : Engine.t;
+  clock : float array;  (* the engine's clock cell *)
+  at : float array;  (* the engine's argument cell *)
+  arg : float array;  (* two cells: the boxed entry points' arguments *)
   f : clocks;
   mutable serving : int;  (* tag of the job in service, -1 when idle *)
   mutable len : int;
@@ -27,7 +30,6 @@ type t = {
   mutable epoch : int;
       (* bumped by [flush], so the completion event of an evicted job in
          service is recognized as stale *)
-  name : string;
   mutable n_completed : int;
   mutable n_dropped : int;
   mutable n_evicted : int;
@@ -40,13 +42,14 @@ let epoch_mask = (1 lsl 29) - 1
 
 let ignore_start (_ : int) = ()
 
-let create engine ?(capacity = max_int) ?(name = "station") ?(on_start = ignore_start) ~event
-    ~speed () =
+let create engine ?(capacity = max_int) ?(on_start = ignore_start) ~event ~speed () =
   if speed <= 0.0 then invalid_arg "Station.create: non-positive speed";
   if event < 0 || event lsr epoch_shift <> 0 then invalid_arg "Station.create: event out of range";
   {
     engine;
-    name;
+    clock = Engine.clock engine;
+    at = Engine.cell engine;
+    arg = [| 0.0; 0.0 |];
     event;
     capacity;
     on_start;
@@ -79,8 +82,9 @@ let start_next t =
     t.on_start tag;
     let service = work /. t.f.rate in
     t.f.busy <- t.f.busy +. service;
-    t.f.service_end <- Engine.now t.engine +. service;
-    Engine.post t.engine service (t.event lor ((t.epoch land epoch_mask) lsl epoch_shift))
+    t.f.service_end <- t.clock.(0) +. service;
+    t.at.(0) <- service;
+    Engine.post_cell t.engine (t.event lor ((t.epoch land epoch_mask) lsl epoch_shift))
   end
 
 let finish t ev =
@@ -102,9 +106,11 @@ let grow t =
   t.works <- works;
   t.head <- 0
 
-let submit t ~tag ~work =
-  if work < 0.0 then invalid_arg "Station.submit: negative work";
-  if tag < 0 then invalid_arg "Station.submit: negative tag";
+let enqueue t name ~tag cell =
+  let work = cell.(0) in
+  if not (work >= 0.0 && Float.is_finite work) then
+    invalid_arg (name ^ ": work must be finite and >= 0");
+  if tag < 0 then invalid_arg (name ^ ": negative tag");
   if queue_length t >= t.capacity then begin
     t.n_dropped <- t.n_dropped + 1;
     false
@@ -120,12 +126,18 @@ let submit t ~tag ~work =
     true
   end
 
+let submit_cell t ~tag cell = enqueue t "Station.submit_cell" ~tag cell
+
+let submit t ~tag ~work =
+  t.arg.(0) <- work;
+  enqueue t "Station.submit" ~tag t.arg
+
 let flush t =
   let busy = if t.serving >= 0 then 1 else 0 in
   let evicted = Array.make (busy + t.len) 0 in
   if t.serving >= 0 then begin
     (* refund the unserved remainder of the busy-time we booked upfront *)
-    let remaining = t.f.service_end -. Engine.now t.engine in
+    let remaining = t.f.service_end -. t.clock.(0) in
     if remaining > 0.0 then t.f.busy <- t.f.busy -. remaining;
     t.epoch <- t.epoch + 1;
     evicted.(0) <- t.serving;
@@ -140,18 +152,22 @@ let flush t =
   t.n_evicted <- t.n_evicted + Array.length evicted;
   evicted
 
-let eta_after t ~after ~work =
+let eta_cell t cell =
   let in_service =
-    if t.serving >= 0 then Float.max 0.0 (t.f.service_end -. Engine.now t.engine) else 0.0
+    if t.serving >= 0 then Float.max 0.0 (t.f.service_end -. t.clock.(0)) else 0.0
   in
-  Float.max after (in_service +. (t.f.queued_work /. t.f.rate)) +. (work /. t.f.rate)
+  cell.(0) <- Float.max cell.(0) (in_service +. (t.f.queued_work /. t.f.rate)) +. (cell.(1) /. t.f.rate)
+
+let eta_after t ~after ~work =
+  t.arg.(0) <- after;
+  t.arg.(1) <- work;
+  eta_cell t t.arg;
+  t.arg.(0)
 
 let set_speed t speed =
   if speed <= 0.0 then invalid_arg "Station.set_speed: non-positive speed";
   t.f.rate <- speed
 
-let speed t = t.f.rate
-let name t = t.name
 let busy_time t = t.f.busy
 let completed t = t.n_completed
 let dropped t = t.n_dropped

@@ -8,8 +8,13 @@
     after the change.
 
     A job is an int [tag] (the runner's request id) and its work; the
-    waiting jobs sit in a flat ring, so queueing allocates nothing.  A
-    job's completion is a data event on the engine ({!Engine.post}):
+    waiting jobs sit in a flat ring, so queueing allocates nothing.  Work
+    and estimates cross the interface in float cells ({!submit_cell},
+    {!eta_cell}), the station reads the engine's clock cell and posts its
+    completions through the engine's cell ({!Engine.post_cell}), so a job
+    allocates nothing from submission to completion; {!submit} and
+    {!eta_after} are the same paths behind boxed floats.  A job's
+    completion is a data event on the engine ({!Engine.post_cell}):
     [event lor (epoch lsl 32)], where [event] is fixed at {!create} and the
     epoch (modulo 2{^29}) changes at every {!flush}.  The engine's handler
     passes it back to {!finish}, handles the returned job, then calls
@@ -23,7 +28,6 @@ type t
 val create :
   Engine.t ->
   ?capacity:int ->
-  ?name:string ->
   ?on_start:(int -> unit) ->
   event:int ->
   speed:float ->
@@ -40,7 +44,13 @@ val submit : t -> tag:int -> work:float -> bool
     [false] (and drops the job) when the station is at capacity.
     Zero-work jobs complete at the current instant but still pass through
     the queue discipline and the engine.
-    @raise Invalid_argument on negative work or a negative tag. *)
+    @raise Invalid_argument unless [work] is finite and [>= 0], or on a
+    negative tag. *)
+
+val submit_cell : t -> tag:int -> float array -> bool
+(** [submit_cell st ~tag c] is [submit st ~tag ~work:c.(0)], with the
+    work read from a float cell, so it is not boxed.
+    @raise Invalid_argument as {!submit} does. *)
 
 val finish : t -> int -> int
 (** [finish st ev] takes one of [st]'s completion events and returns the
@@ -64,8 +74,6 @@ val flush : t -> int array
 val set_speed : t -> float -> unit
 (** Takes effect for subsequently started jobs. *)
 
-val speed : t -> float
-val name : t -> string
 val queue_length : t -> int
 (** Jobs waiting or in service. *)
 
@@ -77,6 +85,11 @@ val eta_after : t -> after:float -> work:float -> float
     — the admission controller's per-station estimate, one pipeline stage
     at a time.  Exact for a dedicated FIFO station absent future speed
     changes and evictions. *)
+
+val eta_cell : t -> float array -> unit
+(** [eta_cell st c] is {!eta_after} through a two-slot cell: it reads
+    [~after] from [c.(0)] and [~work] from [c.(1)], and writes the
+    estimate to [c.(0)], so a chain of stages passes it along unboxed. *)
 
 val busy_time : t -> float
 (** Cumulative seconds the station has been serving jobs. *)

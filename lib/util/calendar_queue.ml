@@ -30,6 +30,7 @@ type t = {
   mutable size : int;
   mutable next_seq : int;  (* monotone tie-breaker: FIFO within a prio *)
   mutable cur_vb : int;  (* virtual bucket the next pop scans from *)
+  cell : float array;  (* where [push]/[push_seq] put their priority for [insert] *)
 }
 
 let min_buckets = 8
@@ -56,6 +57,7 @@ let create () =
     size = 0;
     next_seq = 0;
     cur_vb = 0;
+    cell = [| 0.0 |];
   }
 
 let length t = t.size
@@ -196,7 +198,10 @@ let free_slot t i =
   t.nxt.(i) <- t.free;
   t.free <- i
 
-let insert t prio seq value =
+(* The priority comes in through the cell [at.(0)]: a float argument
+   would be boxed by a caller in another module. *)
+let insert t at seq value =
+  let prio = at.(0) in
   if not (prio >= 0.0 && Float.is_finite prio) then
     invalid_arg "Calendar_queue.push: priority must be finite and >= 0";
   if value < 0 then invalid_arg "Calendar_queue.push: negative payload";
@@ -211,9 +216,13 @@ let insert t prio seq value =
   if t.size = 1 || vb < t.cur_vb then t.cur_vb <- vb;
   if t.size > 2 * (t.mask + 1) then rebuild t
 
-let push t prio value =
-  insert t prio t.next_seq value;
+let push_from t at value =
+  insert t at t.next_seq value;
   t.next_seq <- t.next_seq + 1
+
+let push t prio value =
+  t.cell.(0) <- prio;
+  push_from t t.cell value
 
 let reserve t n =
   if n < 0 then invalid_arg "Calendar_queue.reserve: negative count";
@@ -223,10 +232,14 @@ let reserve t n =
 
 (* A reserved number is below [next_seq]; it may sort before entries
    already in its bucket, which [insert_slot] splices in order. *)
-let push_seq t prio ~seq value =
+let push_seq_from t at ~seq value =
   if seq < 0 || seq >= t.next_seq then
     invalid_arg "Calendar_queue.push_seq: sequence number not reserved";
-  insert t prio seq value
+  insert t at seq value
+
+let push_seq t prio ~seq value =
+  t.cell.(0) <- prio;
+  push_seq_from t t.cell ~seq value
 
 (* Bucket holding the next entry to pop, or -1 when empty; leaves [cur_vb]
    on that entry's virtual bucket.  One forward scan: an entry in the slot

@@ -24,7 +24,9 @@
     [Es_sim.Engine]), so entries live in flat arrays: once the slot pool
     and the bucket array have grown to the run's high-water mark, a push
     or a {!pop_into} allocates nothing.  A drained queue keeps its pool
-    for the next push. *)
+    for the next push.  {!push_from} and {!push_seq_from} take the
+    priority from a float cell, as {!pop_into} returns it, so a caller
+    holding it unboxed (in a float array) does not box it to push. *)
 
 type t
 
@@ -39,6 +41,12 @@ val push : t -> float -> int -> unit
     @raise Invalid_argument when [prio] is negative, NaN or infinite
     (simulation timestamps are finite and non-negative; the bucket index
     of an infinite priority is meaningless), or when [v] is negative. *)
+
+val push_from : t -> float array -> int -> unit
+(** [push_from q at v] is [push q at.(0) v]: the one insertion path, with
+    the priority read from a float cell.  {!push} writes its argument into
+    a cell of [q] and calls it.
+    @raise Invalid_argument as {!push} does. *)
 
 val reserve : t -> int -> int
 (** [reserve q n] sets aside the next [n] sequence numbers and returns the
@@ -56,6 +64,11 @@ val push_seq : t -> float -> seq:int -> int -> unit
     equal keys would pop in an unspecified order.
     @raise Invalid_argument as {!push} does, or when [seq] is negative or
     was never handed out. *)
+
+val push_seq_from : t -> float array -> seq:int -> int -> unit
+(** [push_seq_from q at ~seq v] is [push_seq q at.(0) ~seq v], with the
+    priority read from a float cell like {!push_from}.
+    @raise Invalid_argument as {!push_seq} does. *)
 
 val pop_into : t -> float array -> int
 (** [pop_into q at] pops the minimum entry: it stores the priority in

@@ -11,7 +11,8 @@ type t = {
 
 let create () = { n = 0.0; mu = 0.0; m2 = 0.0; lo = infinity; hi = neg_infinity; total = 0.0 }
 
-let add t x =
+(* Inlined into [add_cell], so a value read from a cell stays unboxed. *)
+let[@inline] add t x =
   t.n <- t.n +. 1.0;
   let d = x -. t.mu in
   t.mu <- t.mu +. (d /. t.n);
@@ -19,6 +20,8 @@ let add t x =
   if x < t.lo then t.lo <- x;
   if x > t.hi then t.hi <- x;
   t.total <- t.total +. x
+
+let add_cell t c = add t c.(0)
 
 let count t = int_of_float t.n
 let mean t = if t.n = 0.0 then nan else t.mu

@@ -8,6 +8,11 @@ type t
 
 val create : unit -> t
 val add : t -> float -> unit
+
+val add_cell : t -> float array -> unit
+(** [add_cell t c] is [add t c.(0)], the value read from a float cell so
+    that a caller in another module does not box it. *)
+
 val count : t -> int
 val mean : t -> float
 (** Mean of the observations; [nan] when empty. *)

@@ -131,6 +131,54 @@ let test_engine_data_events () =
   Alcotest.check_raises "data event without a handler"
     (Invalid_argument "Engine.run: a data event needs a handler") (fun () -> E.run e)
 
+(* A data event posted with its delay in the engine's cell allocates
+   nothing, from the post through the pop to the handler.  The handler
+   posts the next event of the chain; [?handle] is built once, as a
+   [~handle] argument would allocate its [Some]. *)
+let test_engine_post_cell_zero_alloc () =
+  let e = Es_sim.Engine.create () in
+  let cell = Es_sim.Engine.cell e in
+  let delays = [| 0.5; 0.0; 1.25; 0.125 |] in
+  let handle =
+    Some
+      (fun ev ->
+        if ev < 64 then begin
+          cell.(0) <- delays.(ev land 3);
+          Es_sim.Engine.post_cell e (ev + 1)
+        end)
+  in
+  let chain () =
+    cell.(0) <- delays.(0);
+    Es_sim.Engine.post_cell e 0;
+    Es_sim.Engine.run ?handle e
+  in
+  Alcotest.(check (float 0.0)) "post_cell + pop allocate nothing" 0.0
+    (Es_util.Alloc_probe.minor_words chain);
+  Alcotest.(check int) "every event fired" 130 (Es_sim.Engine.stats e).Es_sim.Engine.events_processed
+
+(* Every entry point that takes a delay rejects one that is not a finite
+   number >= 0, naming itself: a NaN used to slip past [delay < 0.0]. *)
+let test_engine_rejects_bad_delay () =
+  let e = Es_sim.Engine.create () in
+  let rejects name f =
+    List.iter
+      (fun d ->
+        match f d with
+        | () -> Alcotest.failf "%s accepted delay %g" name d
+        | exception Invalid_argument msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s names itself: %s" name msg)
+              true
+              (String.starts_with ~prefix:(name ^ ":") msg))
+      [ nan; infinity; -1.0 ]
+  in
+  rejects "Engine.post" (fun d -> Es_sim.Engine.post e d 0);
+  rejects "Engine.post_cell" (fun d ->
+      (Es_sim.Engine.cell e).(0) <- d;
+      Es_sim.Engine.post_cell e 0);
+  rejects "Engine.schedule" (fun d -> Es_sim.Engine.schedule e d ignore);
+  Alcotest.(check int) "nothing queued" 0 (Es_sim.Engine.pending e)
+
 (* ---------- Station ---------- *)
 
 (* The handler of a one-station program: [on_done tag] at each completion. *)
@@ -185,6 +233,48 @@ let test_station_zero_work () =
   ignore (Es_sim.Station.submit st ~tag:0 ~work:0.0);
   Es_sim.Engine.run e ~handle:(station_handler st (fun _ -> done_ := true));
   Alcotest.(check bool) "zero work completes" true !done_
+
+(* A station job crosses no module boundary boxed: its work comes in a
+   float cell, the station reads the engine's clock cell and posts its
+   completion through the engine's cell, and the engine pops it into its
+   clock.  Once the ring and the queue have grown, estimating a job's
+   completion, submitting it and serving it (finish, start_next, the pop)
+   allocates nothing. *)
+let test_station_job_zero_alloc () =
+  let e = Es_sim.Engine.create () in
+  let st = Es_sim.Station.create e ~event:0 ~speed:2.0 () in
+  let works = [| 0.5; 1.0; 0.25; 2.0 |] and cell = [| 0.0 |] and eta = [| 0.0; 0.0 |] in
+  let served = ref 0 in
+  let handle = Some (station_handler st (fun _ -> incr served)) in
+  let jobs () =
+    for i = 0 to Array.length works - 1 do
+      eta.(0) <- 0.5;
+      eta.(1) <- works.(i);
+      Es_sim.Station.eta_cell st eta;
+      cell.(0) <- works.(i);
+      ignore (Es_sim.Station.submit_cell st ~tag:i cell)
+    done;
+    Es_sim.Engine.run ?handle e
+  in
+  Alcotest.(check (float 0.0)) "a station job allocates nothing" 0.0
+    (Es_util.Alloc_probe.minor_words jobs);
+  Alcotest.(check int) "every job served" 8 !served
+
+(* Submitting work that is not a finite number >= 0 is rejected: a NaN
+   used to be queued, poisoning the backlog, so [eta_after] returned NaN
+   and admission never shed. *)
+let test_station_rejects_bad_work () =
+  let e = Es_sim.Engine.create () in
+  let st = Es_sim.Station.create e ~event:0 ~speed:1.0 () in
+  List.iter
+    (fun work ->
+      Alcotest.check_raises
+        (Printf.sprintf "work %g" work)
+        (Invalid_argument "Station.submit: work must be finite and >= 0")
+        (fun () -> ignore (Es_sim.Station.submit st ~tag:0 ~work)))
+    [ nan; infinity; -1.0 ];
+  Alcotest.(check int) "nothing queued" 0 (Es_sim.Station.queue_length st);
+  Alcotest.(check (float 0.0)) "backlog untouched" 3.0 (Es_sim.Station.eta_after st ~after:0.0 ~work:3.0)
 
 (* A flush evicts the job in service and the queue; the evicted job's
    completion event still fires, and is recognised as stale by its
@@ -1475,16 +1565,15 @@ let runner_pin_lines () =
         ("batching spans_only", false, true, { short with batching = batch });
       ]
 
-(* The per-request allocation budget of the serving path: an untraced,
-   unprotected run (streaming metrics, as edgebench's serve workloads use)
-   over a fixed flash-crowd trace allocates at most [budget] minor words
-   per request, counted exactly.  Events are ints in the engine queue and
-   request state lives in flat arrays, so what remains per request is a
-   few boxed floats at module boundaries.  The budget is 1.5x the 48.2
-   words this run allocates; the closure-per-hop runner it replaced
-   allocated 326. *)
-let test_runner_alloc_budget () =
-  let budget = 72.0 in
+(* The per-request allocation budget of the serving path: a run over a
+   fixed flash-crowd trace (streaming metrics, as edgebench's serve
+   workloads use) allocates at most [budget] minor words per request,
+   counted exactly.  Events are ints in the engine queue, request state
+   lives in flat arrays, and the floats that cross module boundaries (the
+   clock, each hop's work and delay, the admission estimate, a
+   completion's latency) travel in float cells, so most of what remains
+   is the run's setup spread over its requests. *)
+let runner_words_per_request options =
   let cluster = Es_joint.Online.scale_rates (Scenario.build Scenario.default) 3.0 in
   let ds = Es_baselines.Baselines.neurosurgeon.Es_baselines.Baselines.solve cluster in
   let arrivals =
@@ -1492,17 +1581,43 @@ let test_runner_alloc_budget () =
       ~profile:(Es_workload.Heavy.profile_by_name ~duration_s:20.0 "flash")
       cluster
   in
-  let options =
-    { Es_sim.Runner.default_options with duration_s = 20.0; warmup_s = 0.0; streaming = true }
-  in
+  let options = { options with Es_sim.Runner.duration_s = 20.0; warmup_s = 0.0; streaming = true } in
   let words =
     Es_util.Alloc_probe.minor_words (fun () ->
         ignore (Es_sim.Runner.run ~options ~arrivals cluster ds))
   in
-  let per_request = words /. float_of_int (Array.length arrivals) in
+  words /. float_of_int (Array.length arrivals)
+
+let check_words_budget ~budget per_request =
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f minor words per request <= %.0f" per_request budget)
+    (Printf.sprintf "%.2f minor words per request <= %.1f" per_request budget)
     true (per_request <= budget)
+
+(* An untraced, unprotected run: 1.5x the 4.47 words it allocates. *)
+let test_runner_alloc_budget () =
+  check_words_budget ~budget:6.7 (runner_words_per_request Es_sim.Runner.default_options)
+
+(* A protected run, as edgebench's serve_guarded: admission, breakers,
+   brownout and rate limits on, a 5 s crash of server 0 halfway, and the
+   default resilience.  The budget is 1.5x the 8.57 words it allocates. *)
+let test_runner_protected_alloc_budget () =
+  let overload =
+    {
+      Es_sim.Overload.admission = Some Es_sim.Overload.default_admission;
+      breaker = Some Es_sim.Overload.default_breaker;
+      brownout = Some Es_sim.Overload.default_brownout;
+      rate_limit = Some Es_sim.Overload.default_rate_limit;
+    }
+  in
+  let options =
+    {
+      Es_sim.Runner.default_options with
+      overload;
+      faults = Es_sim.Faults.scripted (Es_sim.Faults.crash ~at:10.0 ~for_s:5.0 0);
+      resilience = Some Es_sim.Runner.default_resilience;
+    }
+  in
+  check_words_budget ~budget:12.9 (runner_words_per_request options)
 
 let test_runner_pins () =
   let computed = runner_pin_lines () in
@@ -1528,6 +1643,9 @@ let () =
           Alcotest.test_case "backend equivalence" `Quick test_engine_backends_equivalent;
           Alcotest.test_case "stats" `Quick test_engine_stats;
           Alcotest.test_case "data events share ties" `Quick test_engine_data_events;
+          Alcotest.test_case "a posted event allocates nothing" `Quick
+            test_engine_post_cell_zero_alloc;
+          Alcotest.test_case "rejects bad delays" `Quick test_engine_rejects_bad_delay;
           prop_engine_time_monotone;
         ] );
       ( "station",
@@ -1536,6 +1654,8 @@ let () =
           Alcotest.test_case "capacity drops" `Quick test_station_capacity_drops;
           Alcotest.test_case "speed change" `Quick test_station_speed_change;
           Alcotest.test_case "zero work" `Quick test_station_zero_work;
+          Alcotest.test_case "a station job allocates nothing" `Quick test_station_job_zero_alloc;
+          Alcotest.test_case "rejects bad work" `Quick test_station_rejects_bad_work;
           Alcotest.test_case "flush makes completions stale" `Quick test_station_flush_stale;
           prop_station_busy_conserved;
         ] );
@@ -1569,6 +1689,8 @@ let () =
           Alcotest.test_case "golden bit-identity" `Quick test_runner_golden_bit_identity;
           Alcotest.test_case "feature grid pinned" `Quick test_runner_pins;
           Alcotest.test_case "allocation budget" `Quick test_runner_alloc_budget;
+          Alcotest.test_case "protected allocation budget" `Quick
+            test_runner_protected_alloc_budget;
           Alcotest.test_case "zero-grant drain" `Quick test_runner_reconfigure_zero_grant_drain;
           Alcotest.test_case "rejects invalid decisions" `Quick
             test_runner_rejects_invalid_decisions;
