@@ -57,10 +57,11 @@ bench:
 # Solver-scaling + hot-path timing microbench.  Emits one JSONL record per
 # measurement to BENCH_solver.json (committed once as the perf baseline);
 # includes the end-to-end sweep-suite comparison at jobs=1 vs jobs=N, the
-# warm-started/cached online re-solve comparison, and the
-# allocations-per-solve records the alloc gate compares absolutely.
+# warm-started/cached online re-solve comparison, the surgery-scan
+# record, and the allocations-per-solve records the alloc gate compares
+# absolutely.
 bench-timing:
-	dune exec bench/timing.exe -- --sizes 10,25,50,100 --sharded-sizes 250,1000 --vs-mono 40,100 --jobs 4 --repeats 3 --suite --warm-online --million-request 1000000 --overload 200000 --alloc --alloc-sharded 250,1000 --out BENCH_solver.json
+	dune exec bench/timing.exe -- --sizes 10,25,50,100 --sharded-sizes 250,1000 --vs-mono 40,100 --jobs 4 --repeats 3 --suite --warm-online --million-request 1000000 --overload 200000 --alloc --alloc-sharded 250,1000 --scan-micro --out BENCH_solver.json
 
 # Sharded-solver tiers only: Es_scale at 250 and 1000 devices (server count
 # scaled with the fleet) plus the 100-device monolithic reference and the

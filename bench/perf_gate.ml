@@ -8,6 +8,10 @@
    a skyline that fell back to quadratic), not scheduler noise:
 
      - pareto_micro skyline speedup must stay within 2x of baseline;
+     - the scan_micro record (when the current run carries one): the
+       surgery scan's speedup over the reference list scan must stay
+       within 2x of baseline, and both must pick the same plan for every
+       device;
      - warm_online re-solve speedup must stay within 2x of baseline, and
        its equal-or-better invariant must hold;
      - every solver_scaling record must report identical objectives at
@@ -125,6 +129,20 @@ let () =
   gate_speedup "pareto_micro.speedup"
     ~baseline:(Option.bind (find_kind "pareto_micro" baseline) (float_field "speedup"))
     ~current:(Option.bind (find_kind "pareto_micro" current) (float_field "speedup"));
+
+  (* scan_micro: the pool scan must stay clearly ahead of the reference
+     list scan at the same grants, picking the same plans. *)
+  (match find_kind "scan_micro" current with
+  | None -> ()
+  | Some cur ->
+      gate_speedup "scan_micro.speedup"
+        ~baseline:(Option.bind (find_kind "scan_micro" baseline) (float_field "speedup"))
+        ~current:(float_field "speedup" cur);
+      check "scan_micro.identical"
+        (bool_field "identical" cur = Some true)
+        (match bool_field "identical" cur with
+        | Some b -> Printf.sprintf "%b" b
+        | None -> "current record/field missing"));
 
   (* warm_online: warm+cached epoch re-solves vs cold. *)
   let warm_base = find_kind "warm_online" baseline in

@@ -1,9 +1,12 @@
 (* Solver-scaling and hot-path timing harness — the `make bench-timing`
-   target.  Three measurements, each emitted as one JSONL record (the es_obs
-   codec, same framing as --jsonl / --metrics-out) to the output file:
+   target.  Each measurement is emitted as one JSONL record (the es_obs
+   codec, same framing as --jsonl / --metrics-out) to the output file;
+   among them:
 
      pareto_micro     sort-based skyline vs the O(n^2) reference frontier on
                       real candidate plan sets, single core
+     scan_micro       (--scan-micro) the surgery scan vs the reference list
+                      scan at a 1000-device sharded solve's landing grants
      solver_scaling   Optimizer.solve wall time at jobs=1 vs jobs=N per
                       cluster size, checking the objectives are identical
      bench_suite      (--suite) the parallelized sweep experiments end to
@@ -11,7 +14,7 @@
 
    Usage:
      dune exec bench/timing.exe -- [--sizes 10,25,50,100] [--jobs 4]
-       [--repeats 3] [--out BENCH_solver.json] [--suite] *)
+       [--repeats 3] [--out BENCH_solver.json] [--suite] [--scan-micro] *)
 
 module J = Es_obs.Json
 
@@ -260,6 +263,95 @@ let alloc_sharded n =
     ~scenario:(Printf.sprintf "sharded_%d" n)
     ~cluster
     ~solve:(fun () -> (Es_scale.solve ~config cluster).Es_scale.decisions)
+
+(* ------------------------------------------------------------------ *)
+(* scan_micro — the surgery scan at a sharded solve's landing grants   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every device of the 1000-device, 25-server fleet (the sharded_1000
+   alloc tier) re-picks its plan under the grants the sharded solver
+   landed on: once through the solver's pool scan (Optimizer.best_scored
+   over the cached pools) and once through the reference list scan
+   (Es_oracle.Optimizer.best_plan_for_grants: one Decision per candidate,
+   list filters, argmin_by).  Both must pick the same plan for every
+   device.  A pool scan pass takes milliseconds, so each timed sample runs
+   [scan_passes] of them. *)
+let scan_passes = 20
+
+let scan_micro ~repeats =
+  let open Es_edge in
+  let n = 1000 in
+  let cluster =
+    Scenario.default |> Scenario.with_n_devices n
+    |> Scenario.with_n_servers (sharded_servers n)
+    |> Scenario.build
+  in
+  let decisions =
+    (Es_scale.solve ~config:{ Es_scale.default_config with Es_scale.jobs = 1 } cluster)
+      .Es_scale.decisions
+  in
+  let cfg = Es_joint.Optimizer.default_config in
+  let widths = cfg.Es_joint.Optimizer.widths and precisions = cfg.Es_joint.Optimizer.precisions in
+  let pools =
+    Array.init n (fun device -> Es_joint.Optimizer.device_pool ~precisions ~widths cluster ~device)
+  in
+  let candidates =
+    Array.fold_left
+      (fun acc (d : Cluster.device) ->
+        acc + List.length (Es_surgery.Candidate.pareto_candidates ~precisions ~widths d.Cluster.model))
+      0 cluster.Cluster.devices
+  in
+  let scan_one i =
+    let d = decisions.(i) in
+    Es_joint.Optimizer.best_scored cluster ~device:i ~server:d.Decision.server pools.(i)
+      ~bandwidth_bps:d.Decision.bandwidth_bps ~compute_share:d.Decision.compute_share
+  in
+  let oracle_one i =
+    let d = decisions.(i) in
+    Es_oracle.Optimizer.best_plan_for_grants ~precisions ~widths cluster ~device:i
+      ~server:d.Decision.server ~bandwidth_bps:d.Decision.bandwidth_bps
+      ~compute_share:d.Decision.compute_share
+  in
+  let identical = ref true in
+  for i = 0 to n - 1 do
+    if scan_one i != oracle_one i then identical := false
+  done;
+  let scan_s =
+    time_best ~repeats (fun () ->
+        for _ = 1 to scan_passes do
+          for i = 0 to n - 1 do
+            ignore (Sys.opaque_identity (scan_one i))
+          done
+        done)
+    /. float_of_int scan_passes
+  in
+  let oracle_s =
+    time_best ~repeats (fun () ->
+        for i = 0 to n - 1 do
+          ignore (Sys.opaque_identity (oracle_one i))
+        done)
+  in
+  let ns_per_candidate = 1e9 *. scan_s /. float_of_int candidates in
+  let oracle_ns_per_candidate = 1e9 *. oracle_s /. float_of_int candidates in
+  let speedup = oracle_s /. scan_s in
+  Printf.printf
+    "scan_micro      %d devices  %d candidates  scan %.1f ns/cand  oracle %.1f ns/cand  \
+     speedup %.2fx  identical %b\n\
+     %!"
+    n candidates ns_per_candidate oracle_ns_per_candidate speedup !identical;
+  J.Obj
+    [
+      ("kind", J.String "scan_micro");
+      ("devices", J.Int n);
+      ("servers", J.Int (Cluster.n_servers cluster));
+      ("candidates", J.Int candidates);
+      ("scan_s", J.Float scan_s);
+      ("oracle_s", J.Float oracle_s);
+      ("ns_per_candidate", J.Float ns_per_candidate);
+      ("oracle_ns_per_candidate", J.Float oracle_ns_per_candidate);
+      ("speedup", J.Float speedup);
+      ("identical", J.Bool !identical);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* warm_online — warm-started + cached epoch re-solves vs cold         *)
@@ -656,9 +748,10 @@ let () =
   let overload = ref 0 in
   let alloc = ref false in
   let alloc_sharded_sizes = ref [] in
+  let scan = ref false in
   let usage () =
     prerr_endline
-      "usage: timing.exe [--sizes N,N,..] [--sharded-sizes N,N,..] [--vs-mono N,N,..] [--jobs N] [--repeats N] [--out PATH] [--suite] [--warm-online] [--million-request N] [--overload N] [--alloc] [--alloc-sharded N,N,..]";
+      "usage: timing.exe [--sizes N,N,..] [--sharded-sizes N,N,..] [--vs-mono N,N,..] [--jobs N] [--repeats N] [--out PATH] [--suite] [--warm-online] [--million-request N] [--overload N] [--alloc] [--alloc-sharded N,N,..] [--scan-micro]";
     exit 2
   in
   let parse_sizes into s rest k =
@@ -697,6 +790,9 @@ let () =
         alloc := true;
         parse rest
     | "--alloc-sharded" :: s :: rest -> parse_sizes alloc_sharded_sizes s rest parse
+    | "--scan-micro" :: rest ->
+        scan := true;
+        parse rest
     | "--million-request" :: n :: rest -> (
         match int_of_string_opt n with
         | Some m when m >= 1 ->
@@ -732,6 +828,7 @@ let () =
          ("sizes", J.List (List.map (fun n -> J.Int n) !sizes));
        ]);
   emit (pareto_micro ~repeats:!repeats);
+  if !scan then emit (scan_micro ~repeats:!repeats);
   List.iter (fun n -> emit (solver_scaling ~jobs:!jobs ~repeats:!repeats n)) !sizes;
   List.iter (fun n -> emit (sharded_scaling ~jobs:!jobs ~repeats:!repeats n)) !sharded_sizes;
   List.iter (fun n -> emit (sharded_vs_mono ~repeats:!repeats n)) !vs_mono_sizes;

@@ -46,19 +46,25 @@ let stability_margin = 0.95
 
 (* Per-plan invariants, so the surgery step scores a (plan, grants) pair
    with a handful of float operations and zero allocation — no Decision
-   record, no Latency.breakdown, no list filtering.  [work] is indexed by
-   server.  Everything here depends only on the device's archetype (model,
-   processor) and the server perf vector — not on its rate, deadline,
-   accuracy floor or link, which are inputs to [best_scored] — so pools are
-   shared process-wide across devices, trajectories and solves. *)
-type scored = {
-  plan : Plan.t;
-  local : bool;
-  mem_ok : bool;
-  dev_s : float;
-  up_bytes : float;
-  down_bytes : float;
-  bits : float;
+   record, no Latency.breakdown, no list filtering.  Everything here depends
+   only on the device's archetype (model, processor) and the server perf
+   vector — not on its rate, deadline, accuracy floor or link, which are
+   inputs to [best_scored] — so pools are shared process-wide across
+   devices, trajectories and solves.
+
+   One record of flat arrays per pool, indexed by candidate: the float
+   arrays hold their floats unboxed, and [work] is server-major
+   ([work.(server * n + i)] for candidate [i] of [n]), so a scan on one
+   server reads each field as one contiguous run. *)
+type pool = {
+  plans : Plan.t array;
+  local : bool array;
+  mem_ok : bool array;
+  dev_s : float array;
+  up_bytes : float array;
+  down_bytes : float array;
+  bits : float array;
+  accuracy : float array;
   work : float array;
 }
 
@@ -66,28 +72,36 @@ let score_candidates cluster ~device candidates =
   let dev = cluster.Cluster.devices.(device) in
   let dperf = dev.Cluster.proc.Processor.perf in
   let servers = cluster.Cluster.servers in
-  Array.map
-    (fun (p : Plan.t) ->
-      {
-        plan = p;
-        local = Plan.is_device_only p;
-        mem_ok = Plan.device_mem_bytes p <= dev.Cluster.proc.Processor.mem_bytes;
-        dev_s = Plan.device_time dperf p;
-        up_bytes = Plan.transfer_bytes p;
-        down_bytes = Plan.result_bytes p;
-        bits = 8.0 *. (Plan.transfer_bytes p +. Plan.result_bytes p);
-        work =
-          Array.map (fun (s : Cluster.server) -> Plan.server_time s.Cluster.sproc.Processor.perf p) servers;
-      })
-    (Array.of_list candidates)
+  let plans = Array.of_list candidates in
+  let n = Array.length plans in
+  let floats f = Array.map f plans in
+  let work = Array.make (Array.length servers * n) 0.0 in
+  Array.iteri
+    (fun s (srv : Cluster.server) ->
+      Array.iteri
+        (fun i p -> work.((s * n) + i) <- Plan.server_time srv.Cluster.sproc.Processor.perf p)
+        plans)
+    servers;
+  {
+    plans;
+    local = Array.map Plan.is_device_only plans;
+    mem_ok =
+      Array.map (fun p -> Plan.device_mem_bytes p <= dev.Cluster.proc.Processor.mem_bytes) plans;
+    dev_s = floats (Plan.device_time dperf);
+    up_bytes = floats Plan.transfer_bytes;
+    down_bytes = floats Plan.result_bytes;
+    bits = floats (fun p -> 8.0 *. (Plan.transfer_bytes p +. Plan.result_bytes p));
+    accuracy = floats (fun (p : Plan.t) -> p.Plan.accuracy);
+    work;
+  }
 
-(* Process-wide cache of scored pools.  Building a pool is the solver's
+(* Process-wide cache of candidate pools.  Building a pool is the solver's
    dominant per-device cost at scale (per-plan timing over every layer of
    every Pareto candidate), yet the result is archetype-keyed: devices
    sharing (model, processor, candidate knobs) against the same server perf
    vector — and the same device across shard re-solves, trajectories and
    epochs — share one build. *)
-let pool_cache : (int64, scored array) Es_util.Once.t = Es_util.Once.create ()
+let pool_cache : (int64, pool) Es_util.Once.t = Es_util.Once.create ()
 
 let pool_key ?exits ?max_candidates ?precisions ~widths cluster ~device =
   let dev = cluster.Cluster.devices.(device) in
@@ -122,15 +136,25 @@ let pool_key ?exits ?max_candidates ?precisions ~widths cluster ~device =
 
 let clear_pool_cache () = Es_util.Once.clear pool_cache
 
-(* The surgery step over a scored pool.  Float arithmetic mirrors the
-   reference surgery step in test/oracle/optimizer.ml (Decision clamps +
+(* The surgery step over a pool.  Float arithmetic mirrors the reference
+   surgery step in test/oracle/optimizer.ml (Decision clamps +
    Link.transfer_time + Latency.total, in the same operation order, and its
    stability test) exactly, so decisions are bit-identical to that
-   record-allocating path; selection replicates
-   argmin_by's first-wins tie-break over (eligible | all) × (stable | any).
-   Returns the pick's index in [pool]. *)
-let best_scored_index cluster ~device ~server (pool : scored array) ~bandwidth_bps
-    ~compute_share =
+   record-allocating path; selection replicates argmin_by's first-wins
+   tie-break over (eligible | all) × (stable | any).  Returns the pick's
+   index in [pool].
+
+   The scan runs in two phases.  Until an eligible, stable candidate turns
+   up it tracks all four categories.  From then on that category's best is
+   the pick whatever else is seen, so only it is tracked, and a candidate
+   is dropped as soon as it cannot beat it: latency is the sum
+   ((dev_s + up) + srv) + down of non-negative terms, and rounded float
+   addition is monotone, so once a partial sum reaches the best the full
+   latency cannot be strictly lower.  The stability test runs only for a
+   latency that beats the best.  A link with a negative RTT or a
+   non-positive rate makes the transfer terms negative; the scan then
+   stays in phase one throughout. *)
+let best_scored_index cluster ~device ~server (pool : pool) ~bandwidth_bps ~compute_share =
   let dev = cluster.Cluster.devices.(device) in
   let rate = dev.Cluster.rate in
   let floor = dev.Cluster.accuracy_floor -. 1e-9 in
@@ -141,53 +165,95 @@ let best_scored_index cluster ~device ~server (pool : scored array) ~bandwidth_b
   let share_lat = Float.max compute_share 1e-6 in
   (* Stability path: unclamped grants, capped at peak. *)
   let bw_st = Float.min bandwidth_bps peak in
+  let skip_exact = half_rtt >= 0.0 && bw_lat > 0.0 in
+  let n = Array.length pool.plans in
+  let base = server * n in
+  let local = pool.local and mem_ok = pool.mem_ok and dev_s = pool.dev_s in
+  let up_bytes = pool.up_bytes and down_bytes = pool.down_bytes and bits = pool.bits in
+  let accuracy = pool.accuracy and work = pool.work in
   let el_st = ref (-1) and el_st_l = ref infinity in
   let el_any = ref (-1) and el_any_l = ref infinity in
   let all_st = ref (-1) and all_st_l = ref infinity in
   let all_any = ref (-1) and all_any_l = ref infinity in
-  (* Latency and stability are written inline in the scan (not as local
-     closures) so the steady-state loop is allocation-free: record-field
-     reads, array loads and register float arithmetic only — the property
-     the Alloc_probe test asserts as exactly zero minor words. *)
-  for i = 0 to Array.length pool - 1 do
-    let c = pool.(i) in
+  (* Latency and stability are written inline in both loops (not as local
+     closures) so the scan is allocation-free: array loads and register
+     float arithmetic only — the property the Alloc_probe test asserts as
+     exactly zero minor words. *)
+  let i = ref 0 in
+  while (!el_st < 0 || not skip_exact) && !i < n do
+    let i' = !i in
+    let d = dev_s.(i') in
     let l =
-      if c.local then c.dev_s
+      if local.(i') then d
       else begin
-        let up = if c.up_bytes <= 0.0 then 0.0 else (c.up_bytes *. 8.0 /. bw_lat) +. half_rtt in
-        let srv = c.work.(server) /. share_lat in
-        let down =
-          if c.down_bytes <= 0.0 then 0.0 else (c.down_bytes *. 8.0 /. bw_lat) +. half_rtt
-        in
-        c.dev_s +. up +. srv +. down
+        let up = up_bytes.(i') and down = down_bytes.(i') in
+        let up = if up <= 0.0 then 0.0 else (up *. 8.0 /. bw_lat) +. half_rtt in
+        let srv = work.(base + i') /. share_lat in
+        let down = if down <= 0.0 then 0.0 else (down *. 8.0 /. bw_lat) +. half_rtt in
+        d +. up +. srv +. down
       end
     in
     let st =
-      c.mem_ok
-      && rate *. c.dev_s < stability_margin
-      && (c.local
+      mem_ok.(i')
+      && rate *. d < stability_margin
+      && (local.(i')
          || bw_st > 0.0
-            && rate *. c.bits /. bw_st < stability_margin
-            && (let w = c.work.(server) in
+            && rate *. bits.(i') /. bw_st < stability_margin
+            && (let w = work.(base + i') in
                 w = 0.0 || (compute_share > 0.0 && rate *. w /. compute_share < stability_margin)))
     in
-    if c.plan.Plan.accuracy >= floor then begin
+    if accuracy.(i') >= floor then begin
       if !el_any < 0 || l < !el_any_l then begin
-        el_any := i;
+        el_any := i';
         el_any_l := l
       end;
       if st && (!el_st < 0 || l < !el_st_l) then begin
-        el_st := i;
+        el_st := i';
         el_st_l := l
       end
     end;
     if !all_any < 0 || l < !all_any_l then begin
-      all_any := i;
+      all_any := i';
       all_any_l := l
     end;
     if st && (!all_st < 0 || l < !all_st_l) then begin
-      all_st := i;
+      all_st := i';
       all_st_l := l
+    end;
+    i := i' + 1
+  done;
+  for i = !i to n - 1 do
+    let d = dev_s.(i) in
+    if d < !el_st_l && accuracy.(i) >= floor then begin
+      if local.(i) then begin
+        if mem_ok.(i) && rate *. d < stability_margin then begin
+          el_st := i;
+          el_st_l := d
+        end
+      end
+      else begin
+        let up = up_bytes.(i) in
+        let l = d +. if up <= 0.0 then 0.0 else (up *. 8.0 /. bw_lat) +. half_rtt in
+        if l < !el_st_l then begin
+          let w = work.(base + i) in
+          let l = l +. (w /. share_lat) in
+          if l < !el_st_l then begin
+            let down = down_bytes.(i) in
+            let l = l +. if down <= 0.0 then 0.0 else (down *. 8.0 /. bw_lat) +. half_rtt in
+            if
+              l < !el_st_l
+              && mem_ok.(i)
+              && rate *. d < stability_margin
+              && bw_st > 0.0
+              && rate *. bits.(i) /. bw_st < stability_margin
+              && (w = 0.0 || (compute_share > 0.0 && rate *. w /. compute_share < stability_margin))
+            then begin
+              el_st := i;
+              el_st_l := l
+            end
+          end
+        end
+      end
     end
   done;
   let pick =
@@ -200,7 +266,7 @@ let best_scored_index cluster ~device ~server (pool : scored array) ~bandwidth_b
   pick
 
 let best_scored cluster ~device ~server pool ~bandwidth_bps ~compute_share =
-  pool.(best_scored_index cluster ~device ~server pool ~bandwidth_bps ~compute_share).plan
+  pool.plans.(best_scored_index cluster ~device ~server pool ~bandwidth_bps ~compute_share)
 
 let build_pool ?exits ?max_candidates ?precisions ~widths cluster ~device =
   let dev = cluster.Cluster.devices.(device) in
@@ -382,7 +448,7 @@ let force_feasible config cluster plans assignment =
      until the allocator accepts (guaranteed once everyone is local).
      Ordering runs on scratch (heapsort under the same strict total order
      the reference's stable sort induces: weight descending, index
-     ascending on ties); the device-only fallback scans the cached scored
+     ascending on ties); the device-only fallback scans the cached
      pool instead of regenerating and filtering the candidate list. *)
   let n = Array.length plans in
   let order = Es_util.Scratch.borrow_ints n in
@@ -433,14 +499,13 @@ let force_feasible config cluster plans assignment =
           let pool = config_pool config cluster ~device:i in
           (* Fastest device-only candidate, first-wins like argmin_by. *)
           let best = ref (-1) and best_t = ref infinity in
-          for j = 0 to Array.length pool - 1 do
-            let c = pool.(j) in
-            if c.local && (!best < 0 || c.dev_s < !best_t) then begin
+          for j = 0 to Array.length pool.plans - 1 do
+            if pool.local.(j) && (!best < 0 || pool.dev_s.(j) < !best_t) then begin
               best := j;
-              best_t := c.dev_s
+              best_t := pool.dev_s.(j)
             end
           done;
-          if !best >= 0 then plans.(i) <- pool.(!best).plan
+          if !best >= 0 then plans.(i) <- pool.plans.(!best)
           else plans.(i) <- Plan.device_only dev.Cluster.model;
           go (k + 1)
   in
@@ -550,10 +615,10 @@ let surgery_step m cluster pools ~plans ~assignment (working : Decision.t array)
         pick
       end
     in
-    let c = pool.(pick) in
-    if Plan.is_device_only plans.(device) <> c.local then
-      offloaders.(server) <- (offloaders.(server) + if c.local then -1 else 1);
-    plans.(device) <- c.plan
+    let local = pool.local.(pick) in
+    if Plan.is_device_only plans.(device) <> local then
+      offloaders.(server) <- (offloaders.(server) + if local then -1 else 1);
+    plans.(device) <- pool.plans.(pick)
   done
 
 let solve_one ~config ?metrics ?spans ?init cluster =

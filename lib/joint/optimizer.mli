@@ -117,7 +117,7 @@ type solver = warm:Es_edge.Decision.t array option -> Es_edge.Cluster.t -> outpu
     the sharded solver ([Es_scale.solver]). *)
 
 val clear_pool_cache : unit -> unit
-(** Drop the process-wide scored-candidate pools (archetype-keyed: model ×
+(** Drop the process-wide candidate pools (archetype-keyed: model ×
     device processor × server perf vector × candidate knobs).  The cache
     never changes results, only solve cost; exposed for benchmarks that
     need cold-start timings. *)
@@ -152,14 +152,16 @@ val best_plan_for_grants :
   Es_surgery.Plan.t
 (** The surgery step for one device, exposed for tests and baselines: the
     latency-minimizing stable candidate of the device's whole pool (no
-    subsampling) meeting the accuracy floor under the
-    given grants (falling back to the accuracy-best candidate when nothing
-    is stable).  Scores candidates over precomputed per-plan invariants with
-    no per-plan allocation — the solver's hottest loop. *)
+    subsampling) meeting the accuracy floor under the given grants, with
+    {!best_scored}'s fallbacks when there is none. *)
 
-type scored
-(** Precomputed per-plan invariants for one device archetype (device time,
-    transfer bytes, per-server work), the unit the surgery step scans. *)
+type pool
+(** One device archetype's candidates and their precomputed per-plan
+    invariants, the unit the surgery step scans: one record of flat arrays
+    indexed by candidate (the plans, the device-only and fits-in-RAM flags,
+    device time, transfer and result bytes, uplink-plus-downlink bits and
+    accuracy as unboxed float arrays) and one server-major array of
+    per-server work. *)
 
 val device_pool :
   ?exits:int option list ->
@@ -168,29 +170,36 @@ val device_pool :
   widths:float list ->
   Es_edge.Cluster.t ->
   device:int ->
-  scored array
-(** The device's scored candidate pool, built once per archetype and cached
+  pool
+(** The device's candidate pool, built once per archetype (model × device
+    processor × server perf vector × candidate knobs) and cached
     process-wide (see {!clear_pool_cache}). *)
 
 val best_scored :
   Es_edge.Cluster.t ->
   device:int ->
   server:int ->
-  scored array ->
+  pool ->
   bandwidth_bps:float ->
   compute_share:float ->
   Es_surgery.Plan.t
-(** The surgery step over a prebuilt pool — the solver's innermost loop,
-    and the zero-allocation kernel: a steady-state call performs no minor-
-    heap allocation at all (asserted by the Alloc_probe test; the alloc
-    gate in [bench/perf_gate.exe] budgets the full solve around it). *)
+(** The surgery step over a prebuilt pool — the solver's innermost loop:
+    the first plan of least latency among the stable candidates meeting the
+    accuracy floor, else among those meeting it, else among the stable
+    ones, else among all.  Once a stable candidate meeting the floor is
+    seen, later candidates whose device time alone is not below its latency
+    are skipped unscored, which is exact (latency is device time plus
+    non-negative terms).  It is the zero-allocation kernel: a steady-state
+    call performs no minor-heap allocation at all (asserted by the
+    Alloc_probe test; the alloc gate in [bench/perf_gate.exe] budgets the
+    full solve around it). *)
 
 val fastest_server : Es_edge.Cluster.server array -> int
 (** The highest-FLOP/s server, lowest index on ties: the anchor for cold
     starts and for re-pointing decisions at vanished servers. *)
 
 val cold_start :
-  ?pools:scored array array -> config -> Es_edge.Cluster.t -> Es_surgery.Plan.t array * int array
+  ?pools:pool array -> config -> Es_edge.Cluster.t -> Es_surgery.Plan.t array * int array
 (** The cold starting point of a descent: each device's best plan under a
     fair share (1 / max 1 (devices / servers)) of the fastest server's
     bandwidth and compute, and the {!Es_alloc.Assign.balanced_greedy}

@@ -100,7 +100,8 @@ let resume t =
   if t.len >= t.max_batch then launch t else if t.len > 0 then arm_window t
 
 let submit t ~tag ~work =
-  if work < 0.0 then invalid_arg "Batcher.submit: negative work";
+  if not (work >= 0.0 && Float.is_finite work) then
+    invalid_arg "Batcher.submit: work must be finite and >= 0";
   if tag < 0 then invalid_arg "Batcher.submit: negative tag";
   if t.len = Array.length t.tags then begin
     let cap = Array.length t.tags in

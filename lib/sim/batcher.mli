@@ -39,7 +39,8 @@ val create :
 
 val submit : t -> tag:int -> work:float -> unit
 (** Enqueue a job of [work] units.
-    @raise Invalid_argument on negative work or a negative tag. *)
+    @raise Invalid_argument on negative, NaN or infinite work, or a
+    negative tag. *)
 
 val fire : t -> int -> int
 (** [fire b ev] takes one of [b]'s events.  A window deadline launches

@@ -333,6 +333,106 @@ let best_plan_matches_reference =
          in
          plan_fingerprint p = plan_fingerprint p'))
 
+(* The surgery scan skips candidates once an eligible, stable pick exists,
+   so it must still agree with the reference on every fallback: no
+   candidate meeting the floor, nothing stable, grants at 0 or past the
+   radio peak, zero- and negative-RTT links, one to three servers.  Each case is one
+   device on a fresh cluster; [reached] counts the reference's fallback
+   taken (eligible-stable, eligible, stable, any), and every one must be
+   reached. *)
+let scan_models =
+  lazy [| Es_dnn.Zoo.mobilenet_v2 (); Es_dnn.Zoo.yolo_tiny (); Es_dnn.Zoo.resnet18 () |]
+
+let scan_case_of_seed seed =
+  let rng = Random.State.make [| seed |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let uniform lo hi = lo +. Random.State.float rng (hi -. lo) in
+  let model = pick (Lazy.force scan_models) in
+  let widths = [ 1.0; 0.75; 0.5 ] in
+  let candidates = Es_surgery.Candidate.pareto_candidates ~widths model in
+  let accuracy_floor =
+    match Random.State.int rng 4 with
+    | 0 -> 1.5 (* above every candidate *)
+    | 1 -> 0.0
+    | _ ->
+        (List.nth candidates (Random.State.int rng (List.length candidates)))
+          .Es_surgery.Plan.accuracy
+  in
+  let rate = if Random.State.int rng 4 = 0 then 1e5 else uniform 0.5 60.0 in
+  let peak_mbps = uniform 1.0 1000.0 in
+  (* Link.make takes any RTT; a negative one makes transfers cheaper than
+     free, which the scan's skip must not assume away. *)
+  let rtt_ms =
+    match Random.State.int rng 8 with
+    | 0 -> uniform (-50.0) 0.0
+    | 1 | 2 | 3 -> 0.0
+    | _ -> uniform 0.0 50.0
+  in
+  let link = Link.make ~name:"scan" ~peak_mbps ~rtt_ms () in
+  let servers =
+    List.init
+      (1 + Random.State.int rng 3)
+      (fun id ->
+        Cluster.server ~id
+          ~proc:(pick [| Processor.edge_cpu; Processor.edge_gpu_small; Processor.edge_gpu |])
+          ~ap_bandwidth_mbps:(uniform 10.0 1000.0) ())
+  in
+  let device =
+    Cluster.device ~id:0
+      ~proc:
+        (pick
+           [| Processor.iot_board; Processor.raspberry_pi; Processor.smartphone;
+              Processor.jetson_nano |])
+      ~link ~model ~rate ~deadline:0.1 ~accuracy_floor ()
+  in
+  let c = Cluster.make ~devices:[ device ] ~servers in
+  let peak = peak_mbps *. 1e6 in
+  let bandwidth_bps =
+    pick [| 0.0; 1e-3; 0.5; 1.0; uniform 1.0 peak; peak; 2.0 *. peak; 1e15 |]
+  in
+  let compute_share = pick [| 0.0; 1e-9; 1e-6; uniform 0.0 1.0; 1.0 |] in
+  let server = Random.State.int rng (Cluster.n_servers c) in
+  (c, widths, candidates, server, bandwidth_bps, compute_share)
+
+let test_scan_fallbacks_match_reference () =
+  let reached = Array.make 4 0 in
+  let prop seed =
+    let c, widths, candidates, server, bandwidth_bps, compute_share = scan_case_of_seed seed in
+    let p =
+      Optimizer.best_plan_for_grants ~widths c ~device:0 ~server ~bandwidth_bps ~compute_share
+    in
+    let p' =
+      Es_oracle.Optimizer.best_plan_for_grants ~widths c ~device:0 ~server ~bandwidth_bps
+        ~compute_share
+    in
+    let floor = c.Cluster.devices.(0).Cluster.accuracy_floor -. 1e-9 in
+    let eligible =
+      List.filter (fun (q : Es_surgery.Plan.t) -> q.Es_surgery.Plan.accuracy >= floor) candidates
+    in
+    let pool = if eligible = [] then candidates else eligible in
+    let stable =
+      List.exists
+        (fun q ->
+          Es_oracle.Optimizer.plan_stable c ~device:0 ~server q ~bandwidth_bps ~compute_share)
+        pool
+    in
+    let k = (if eligible = [] then 2 else 0) + if stable then 0 else 1 in
+    reached.(k) <- reached.(k) + 1;
+    plan_fingerprint p = plan_fingerprint p'
+    || QCheck.Test.fail_reportf "seed %d: %d servers, server %d, bw %h, share %h" seed
+         (Cluster.n_servers c) server bandwidth_bps compute_share
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"surgery scan = reference on every fallback"
+       QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+       prop);
+  Array.iteri
+    (fun k n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "fallback %d reached (%d cases)" k n)
+        true (n > 0))
+    reached
+
 (* Satellite: the final gauges must agree with the returned output even under
    parallel multi-start (they are written once from the landing point). *)
 let test_final_gauges_from_landing_point () =
@@ -910,6 +1010,8 @@ let () =
           Alcotest.test_case "solve jobs=4 = jobs=1 (named scenarios)" `Slow
             test_solve_jobs_bit_identical;
           best_plan_matches_reference;
+          Alcotest.test_case "surgery scan fallbacks = reference" `Quick
+            test_scan_fallbacks_match_reference;
           Alcotest.test_case "final gauges from landing point" `Quick
             test_final_gauges_from_landing_point;
           Alcotest.test_case "solve portfolio pinned" `Quick test_solve_portfolio_pinned;

@@ -407,6 +407,26 @@ let test_batcher_mid_batch_arrivals_wait () =
       Alcotest.(check int) "two batches" 2 (Es_sim.Batcher.batches b)
   | l -> Alcotest.fail (Printf.sprintf "expected 3 completions, got %d" (List.length l))
 
+(* Bad work is refused by the call at fault, before anything is queued
+   or the accelerator is marked busy: a one-slot batcher would otherwise
+   launch it at once. *)
+let test_batcher_rejects_bad_work () =
+  let e = Es_sim.Engine.create () in
+  let b = Es_sim.Batcher.create e ~max_batch:1 ~window_s:0.01 ~alpha:0.5 ~event:0 ~speed:1.0 () in
+  List.iter
+    (fun work ->
+      Alcotest.check_raises
+        (Printf.sprintf "work %g" work)
+        (Invalid_argument "Batcher.submit: work must be finite and >= 0")
+        (fun () -> Es_sim.Batcher.submit b ~tag:0 ~work))
+    [ nan; infinity; neg_infinity; -1.0 ];
+  Alcotest.(check int) "nothing queued" 0 (Es_sim.Batcher.queue_length b);
+  Alcotest.(check int) "no batch launched" 0 (Es_sim.Batcher.batches b);
+  let finish = ref 0.0 in
+  Es_sim.Batcher.submit b ~tag:1 ~work:1.0;
+  Es_sim.Engine.run e ~handle:(batcher_handler b (fun _ -> finish := Es_sim.Engine.now e));
+  Alcotest.(check (float 1e-9)) "a good job still runs" 1.0 !finish
+
 let test_runner_batching_mode () =
   let c = Scenario.build Scenario.default in
   let ds = Es_baselines.Baselines.server_only.Es_baselines.Baselines.solve c in
@@ -1622,7 +1642,9 @@ let test_runner_protected_alloc_budget () =
 let test_runner_pins () =
   let computed = runner_pin_lines () in
   let pinned =
-    In_channel.with_open_text "golden/runner_pins.txt" In_channel.input_all
+    In_channel.with_open_text
+      (Filename.concat (Filename.dirname Sys.executable_name) "golden/runner_pins.txt")
+      In_channel.input_all
     |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "")
   in
@@ -1665,6 +1687,7 @@ let () =
           Alcotest.test_case "full batch immediate" `Quick test_batcher_full_batch_immediate;
           Alcotest.test_case "beats sequential" `Quick test_batcher_beats_sequential_under_load;
           Alcotest.test_case "mid-batch waits" `Quick test_batcher_mid_batch_arrivals_wait;
+          Alcotest.test_case "rejects bad work" `Quick test_batcher_rejects_bad_work;
           Alcotest.test_case "runner batching mode" `Quick test_runner_batching_mode;
         ] );
       ( "runner",
